@@ -16,6 +16,7 @@ from .localops import (MeasurementStrengths, REVERSE, WEAK, apply_local_pair,
 from .tensor import DensityMatrix, kron
 
 ACCELERATED_PARTY = 0
+LADDER_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def restrict_to_ladder(rho: DensityMatrix, renormalize: bool
     block = op @ rho.matrix @ op.conj().T
     weight = float(np.trace(block).real)
     if renormalize:
-        if weight < 1e-14:
+        if weight < LADDER_FLOOR:
             raise DegenerateOutcome(f"ladder sector weight {weight:.3e} is zero")
         return DensityMatrix(block / weight, (3, 3)), weight
     return DensityMatrix(block, (3, 3), strict=False, flags=("sector",)), weight

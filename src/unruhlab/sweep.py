@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import R_MAX, AccelerationSpec
-from .errors import ConfigError, DegenerateOutcome, UnknownPreset
+from .channel import R_MAX, AccelerationSpec, channel_for_dim
+from .engine import chunk_points, evaluate, filter_diagonal
+from .errors import ConfigError, UnknownPreset
 from .localops import MeasurementStrengths, REVERSE, WEAK
-from .measures import MeasuresReport, compute_report
-from .pipeline import restrict_to_ladder, run_protocol
+from .measures import MeasuresReport
 from .states import parse_state_preset
-from .tensor import DensityMatrix
 
 TWO_QUBIT = "two_qubit"
 TWO_QUTRIT = "two_qutrit"
@@ -122,14 +121,14 @@ class SweepConfig:
         if not r_vals:
             raise ConfigError("empty r grid", field="r_grid")
         for v in r_vals:
-            if v < -1e-12 or v > R_MAX + 1e-12:
+            if not np.isfinite(v) or v < -1e-12 or v > R_MAX + 1e-12:
                 raise ConfigError(f"r={v} outside [0, pi/4]", field="r_grid")
         object.__setattr__(self, "r_grid", r_vals)
         s_vals = tuple(float(v) for v in self.strength_grid)
         if not s_vals:
             raise ConfigError("empty strength grid", field="strength_grid")
         for v in s_vals:
-            if v < 0.0 or v > 1.0:
+            if not np.isfinite(v) or v < 0.0 or v > 1.0:
                 raise ConfigError(f"strength {v} outside [0, 1]", field="strength_grid")
         object.__setattr__(self, "strength_grid", s_vals)
         if self.tie_policy not in _TIE_POLICIES:
@@ -153,6 +152,8 @@ class SweepConfig:
             )
         for name in ("phi", "beta", "alpha_b", "beta_a", "beta_b"):
             v = float(getattr(self, name))
+            if name == "phi" and not np.isfinite(v):
+                raise ConfigError(f"phi={v} is not finite", field=name)
             if name != "phi" and not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name}={v} outside [0, 1]", field=name)
             object.__setattr__(self, name, v)
@@ -195,33 +196,42 @@ class SweepRow:
     degenerate: bool = False
 
 
-def _evaluate_point(rho0: DensityMatrix, config: SweepConfig, r: float,
-                    value: float) -> MeasuresReport:
-    weak, reverse = config.point_strengths(value)
-    result = run_protocol(rho0, weak, reverse, AccelerationSpec(r, config.phi))
-    state = result.final
-    if (config.system == TWO_QUTRIT
-            and config.qutrit_compare_sector == PROJECTED_SECTOR):
-        state, _ = restrict_to_ladder(state, renormalize=True)
-    return compute_report(state, result.p_success)
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evaluate every grid point, in deterministic (state, r, strength) order."""
+    """Evaluate every grid point, in deterministic (state, r, strength) order.
+
+    The grid runs through :func:`~unruhlab.engine.evaluate` in chunks of
+    consecutive points.  Channels are built once per r and filters once
+    per strength value.
+    """
+    dim = config.levels + 1
+    channels = [channel_for_dim(dim, AccelerationSpec(r, config.phi)) for r in config.r_grid]
+    kraus = np.array([c.kraus for c in channels])
+    out_dim = channels[0].out_dim
+    weak, reverse, strengths = [], [], []
+    for value in config.strength_grid:
+        w, v = config.point_strengths(value)
+        weak.append(filter_diagonal(w, dim))
+        reverse.append(filter_diagonal(v, out_dim))
+        strengths.append(w.party_a_levels + w.party_b_levels
+                         + v.party_a_levels + v.party_b_levels)
+    weak, reverse = np.array(weak), np.array(reverse)
+    project = (config.system == TWO_QUTRIT
+               and config.qutrit_compare_sector == PROJECTED_SECTOR)
+    n_s = len(config.strength_grid)
+    n_points = len(config.r_grid) * n_s
+    size = chunk_points(out_dim * dim)
     rows = []
     for label in config.initial_state:
         rho0 = parse_state_preset(label)
-        for i_r, r in enumerate(config.r_grid):
-            for i_s, value in enumerate(config.strength_grid):
-                weak, reverse = config.point_strengths(value)
-                strengths = weak.party_a_levels + weak.party_b_levels \
-                    + reverse.party_a_levels + reverse.party_b_levels
-                try:
-                    report = _evaluate_point(rho0, config, r, value)
-                    rows.append(SweepRow(label, i_r, i_s, r, strengths, report))
-                except DegenerateOutcome:
-                    rows.append(SweepRow(label, i_r, i_s, r, strengths, None,
-                                         degenerate=True))
+        for start in range(0, n_points, size):
+            i_r, i_s = np.divmod(np.arange(start, min(start + size, n_points)), n_s)
+            measures, ok = evaluate(rho0.matrix, rho0.dims, kraus[i_r], weak[i_s],
+                                    reverse[i_s], project)
+            for a, b, values, good in zip(i_r.tolist(), i_s.tolist(), measures.tolist(),
+                                          ok.tolist()):
+                report = MeasuresReport(*values) if good else None
+                rows.append(SweepRow(label, a, b, config.r_grid[a], strengths[b], report,
+                                     degenerate=not good))
     return rows
 
 

@@ -1,0 +1,203 @@
+"""Batched grid engine against the scalar Kraus pipeline.
+
+The oracle evaluates one point the way the sweep did before the engine:
+``run_protocol``, then ``restrict_to_ladder`` under ``projected_3dim``,
+then ``compute_report``.  Every measure must agree to 1e-12; labels,
+indices, r, strengths and degenerate flags must agree exactly.
+"""
+
+import dataclasses
+import functools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from unruhlab import engine, sweep
+from unruhlab.channel import R_MAX, AccelerationSpec
+from unruhlab.errors import DegenerateOutcome, NonHermitian, NotPositive
+from unruhlab.measures import MeasuresReport, compute_report
+from unruhlab.pipeline import restrict_to_ladder, run_protocol
+from unruhlab.states import parse_state_preset
+from unruhlab.sweep import (FIGURE_PRESETS, INDEPENDENT, PROJECTED_SECTOR, TWO_QUTRIT,
+                            WEAK_REVERSE_SPLIT, SweepConfig, figure_preset, run_sweep)
+from unruhlab.tensor import DensityMatrix
+
+TOL = 1e-12
+FIELDS = tuple(f.name for f in dataclasses.fields(MeasuresReport))
+SAMPLE_ROWS = 40
+
+
+def oracle(config: SweepConfig, label: str, r: float, value: float):
+    """Scalar report of one grid point, or None where it is degenerate."""
+    weak, reverse = config.point_strengths(value)
+    try:
+        result = run_protocol(parse_state_preset(label), weak, reverse,
+                              AccelerationSpec(r, config.phi))
+        state = result.final
+        if (config.system == TWO_QUTRIT
+                and config.qutrit_compare_sector == PROJECTED_SECTOR):
+            state, _ = restrict_to_ladder(state, renormalize=True)
+        return compute_report(state, result.p_success)
+    except DegenerateOutcome:
+        return None
+
+
+def assert_row_matches(config: SweepConfig, rows, index: int):
+    """Row ``index`` sits at its grid point and agrees with the oracle there."""
+    n_r, n_s = len(config.r_grid), len(config.strength_grid)
+    i_state, rest = divmod(index, n_r * n_s)
+    i_r, i_s = divmod(rest, n_s)
+    row = rows[index]
+    label, r, value = config.initial_state[i_state], config.r_grid[i_r], config.strength_grid[i_s]
+    assert (row.state, row.i_r, row.i_strength, row.r) == (label, i_r, i_s, r)
+    weak, reverse = config.point_strengths(value)
+    assert row.strengths == (weak.party_a_levels + weak.party_b_levels
+                             + reverse.party_a_levels + reverse.party_b_levels)
+    expected = oracle(config, label, r, value)
+    assert row.degenerate == (expected is None)
+    if expected is None:
+        assert row.report is None
+        return
+    for name in FIELDS:
+        got, want = getattr(row.report, name), getattr(expected, name)
+        assert abs(got - want) <= TOL, (index, name, got, want)
+
+
+def assert_all_rows_match(config: SweepConfig, rows):
+    assert len(rows) == (len(config.initial_state) * len(config.r_grid)
+                         * len(config.strength_grid))
+    for index in range(len(rows)):
+        assert_row_matches(config, rows, index)
+
+
+@functools.lru_cache(maxsize=None)
+def preset_rows(config: SweepConfig):
+    """Several presets share a config; sweep each config once."""
+    return run_sweep(config)
+
+
+@pytest.mark.parametrize("name", FIGURE_PRESETS)
+def test_preset_sample_matches_oracle(name):
+    config = figure_preset(name)
+    rows = preset_rows(config)
+    assert len(rows) == (len(config.initial_state) * len(config.r_grid)
+                         * len(config.strength_grid))
+    rng = random.Random(f"engine-{name}")
+    for index in rng.sample(range(len(rows)), min(SAMPLE_ROWS, len(rows))):
+        assert_row_matches(config, rows, index)
+
+
+def test_projected_qutrit_grid_with_degenerate_rows():
+    config = SweepConfig(system="two_qutrit", initial_state=("qutrit:1", "qutrit:0.5"),
+                         r_grid=tuple(np.linspace(0.0, R_MAX, 5)),
+                         strength_grid=tuple(np.linspace(0.0, 1.0, 5)),
+                         qutrit_compare_sector=PROJECTED_SECTOR)
+    rows = run_sweep(config)
+    assert any(row.degenerate for row in rows)
+    assert_all_rows_match(config, rows)
+
+
+def test_points_either_side_of_the_success_floor():
+    # The singlet keeps p_weak = 1 - alpha: 5e-15 falls below the 1e-14
+    # floor, 2e-14 stays above it.
+    config = SweepConfig(system="two_qubit", initial_state=("singlet",), r_grid=(0.0, 0.5),
+                         strength_grid=(1.0 - 5e-15, 1.0 - 2e-14))
+    rows = run_sweep(config)
+    assert [row.degenerate for row in rows] == [True, False, True, False]
+    assert_all_rows_match(config, rows)
+
+
+@pytest.mark.parametrize("system, states, extra", [
+    ("two_qubit", ("singlet", "werner:0.7"), dict(tie_policy=WEAK_REVERSE_SPLIT, beta=0.6)),
+    ("two_qubit", ("werner:0.4",), dict(tie_policy=INDEPENDENT, alpha_b=0.3, beta_a=0.7,
+                                        beta_b=0.2, phi=0.9)),
+    ("two_qutrit", ("qutrit:1",), dict(tie_policy=WEAK_REVERSE_SPLIT, beta=0.5)),
+    ("two_qutrit", ("qutrit:2",), dict(tie_policy=INDEPENDENT, alpha_b=0.8, beta_a=0.1,
+                                       beta_b=0.9, qutrit_compare_sector=PROJECTED_SECTOR)),
+])
+def test_untied_policies_match_oracle(system, states, extra):
+    config = SweepConfig(system=system, initial_state=states,
+                         r_grid=(0.0, 0.3, R_MAX), strength_grid=(0.0, 0.45, 1.0), **extra)
+    assert_all_rows_match(config, run_sweep(config))
+
+
+def test_grid_spanning_several_chunks(monkeypatch):
+    config = SweepConfig(system="two_qutrit", initial_state=("qutrit:1", "qutrit:0.5"),
+                         r_grid=(0.0, 0.2, 0.5, R_MAX), strength_grid=(0.0, 0.3, 0.6, 0.9, 1.0),
+                         qutrit_compare_sector=PROJECTED_SECTOR)
+    whole = run_sweep(config)
+    # Seven 12 x 12 states per chunk: 20 points a state give 7 + 7 + 6.
+    monkeypatch.setattr(engine, "CHUNK_BYTES", 7 * 16 * 12 * 12)
+    sizes = []
+
+    def spy(rho0, dims, kraus, weak, reverse, project):
+        sizes.append(len(weak))
+        return engine.evaluate(rho0, dims, kraus, weak, reverse, project)
+
+    monkeypatch.setattr(sweep, "evaluate", spy)
+    rows = run_sweep(config)
+    assert sizes == [7, 7, 6, 7, 7, 6]
+    assert_all_rows_match(config, rows)
+    assert [(r.state, r.i_r, r.i_strength, r.degenerate) for r in rows] == \
+        [(r.state, r.i_r, r.i_strength, r.degenerate) for r in whole]
+
+
+_POINT_STATES = {"two_qubit": st.sampled_from(["singlet", "werner:0.3", "werner:0.9"]),
+                 "two_qutrit": st.sampled_from(["qutrit:1", "qutrit:0.5", "qutrit:2"])}
+
+
+@st.composite
+def single_points(draw):
+    system = draw(st.sampled_from(sorted(_POINT_STATES)))
+    unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    return SweepConfig(
+        system=system,
+        initial_state=(draw(_POINT_STATES[system]),),
+        r_grid=(draw(st.sampled_from([0.0, R_MAX]) | st.floats(0.0, R_MAX)),),
+        strength_grid=(draw(unit),),
+        tie_policy=draw(st.sampled_from(["all_equal", WEAK_REVERSE_SPLIT, INDEPENDENT])),
+        phi=draw(st.floats(-2 * np.pi, 2 * np.pi)),
+        qutrit_compare_sector=draw(st.sampled_from(["full_4dim", PROJECTED_SECTOR])),
+        beta=draw(unit), alpha_b=draw(unit), beta_a=draw(unit), beta_b=draw(unit),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=single_points())
+def test_single_points_match_oracle(config):
+    assert_all_rows_match(config, run_sweep(config))
+
+
+def _corrupt_hermiticity(m):
+    m[0, 1] += 1e-6
+
+
+def _corrupt_trace(m):
+    m[0, 0] += 1e-6
+
+
+def _corrupt_positivity(m):
+    m[:] = np.diag([1.5, -0.5, 0.0, 0.0])
+
+
+def _corrupt_finiteness(m):
+    m[2, 2] = np.nan
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (_corrupt_hermiticity, NonHermitian),
+    (_corrupt_trace, ValueError),
+    (_corrupt_positivity, NotPositive),
+    (_corrupt_finiteness, ValueError),
+])
+def test_batched_state_check_rejects_one_bad_member(corrupt, error):
+    stack = np.array([parse_state_preset(s).matrix
+                      for s in ("singlet", "werner:0.7", "werner:0.2", "x:0.1,0.2,0.3")])
+    np.testing.assert_allclose(engine.check_states(stack), stack, atol=0)
+    corrupt(stack[2])
+    with pytest.raises(error):
+        DensityMatrix(stack[2], (2, 2))
+    with pytest.raises(error):
+        engine.check_states(stack)

@@ -334,6 +334,20 @@ def test_cli_sweep_bad_config_exits_2(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
+@pytest.mark.parametrize("key", ["r_grid", "strength_grid", "phi", "beta"])
+def test_cli_sweep_nan_value_exits_2(tmp_path, key):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(
+        "[sweep]\nsystem = two_qubit\ninitial_state = singlet\n"
+        "r_grid = 0.2\nstrength_grid = 0.5\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(ini), "--out", str(out),
+                 "--set", f"{key}=nan"]) == 2
+    assert not out.exists()
+
+
 def test_cli_figure_writes_artifacts(tmp_path):
     assert main(["figure", "fig4a", "--out-dir", str(tmp_path)]) == 0
     csv_text = (tmp_path / "fig4a.csv").read_text(encoding="utf-8")
