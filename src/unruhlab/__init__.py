@@ -4,166 +4,48 @@ Protocol: pre-filter both parties of a bipartite state with weak
 (null-result) measurements, expose one party to a fermionic Unruh channel
 at Rindler angle r, then apply a reversing filter.  The package computes
 negativity-based entanglement and informational measures over parameter
-sweeps, with closed-form final states cross-validated against the explicit
-Kraus pipeline.
+sweeps, with closed-form final states cross-validated against the
+batched protocol pipeline.
 """
 
-from .channel import (
-    AccelerationSpec,
-    ChannelKraus,
-    R_MAX,
-    accelerate,
-    channel_for_dim,
-    qubit_channel,
-    qutrit_channel,
-    r_from_acceleration,
-)
-from .closedform import (
-    DiscrepancyReport,
-    QubitCoefficients,
-    QutritCoefficients,
-    corrected_final_qubit,
-    discrepancy_report,
-    literal_final_qubit,
-    literal_final_qutrit,
-    qubit_coefficients,
-    qutrit_coefficients,
-)
-from .errors import (
-    BadArity,
-    BadPhysicalParam,
-    BadStrength,
-    ConfigError,
-    DegenerateOutcome,
-    DimMismatch,
-    InvalidSubsystem,
-    NegativeDiscriminant,
-    NonHermitian,
-    NotPositive,
-    NotSquare,
-    UnknownPreset,
-    UnruhLabError,
-)
-from .localops import (
-    MeasurementStrengths,
-    REVERSE,
-    WEAK,
-    apply_local_pair,
-    build_operator,
-    embed_diagonal,
-    tied,
-)
-from .measures import (
-    MeasuresReport,
-    coherent_information,
-    compute_report,
-    local_information,
-    negativity,
-    x_state_spectrum,
-)
-from .pipeline import ProtocolResult, restrict_to_ladder, run_protocol
-from .states import (
-    QutritStateSpec,
-    XStateSpec,
-    make_qutrit_state,
-    make_x_state,
-    parse_state_preset,
-    singlet,
-    werner,
-)
-from .sweep import (
-    FIGURE_PRESETS,
-    SweepConfig,
-    SweepRow,
-    figure_preset,
-    load_config,
-    parse_grid,
-    rows_to_csv,
-    run_sweep,
-)
-from .tensor import (
-    DensityMatrix,
-    hermitian_eigenvalues,
-    jacobi_eigenvalues,
-    kron,
-    partial_trace,
-    partial_transpose,
-    shannon_entropy,
-    von_neumann_entropy,
-)
-from .validate import ValidationReport, run_validation
+from .channel import AccelerationSpec, r_from_acceleration
+from .closedform import corrected_final_qubit, literal_final_qubit, literal_final_qutrit
+from .errors import ConfigError, DegenerateOutcome, UnknownPreset, UnruhLabError
+from .localops import REVERSE, WEAK, MeasurementStrengths, tied
+from .measures import MeasuresReport, measure_columns
+from .pipeline import propagate, propagate_point
+from .states import parse_state_preset
+from .sweep import FIGURE_PRESETS, SweepConfig, figure_preset, load_config, rows_to_csv, run_sweep
+from .tensor import DensityMatrix
+from .validate import run_validation
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccelerationSpec",
-    "BadArity",
-    "BadPhysicalParam",
-    "BadStrength",
-    "ChannelKraus",
     "ConfigError",
     "DegenerateOutcome",
     "DensityMatrix",
-    "DimMismatch",
-    "DiscrepancyReport",
     "FIGURE_PRESETS",
-    "InvalidSubsystem",
     "MeasurementStrengths",
     "MeasuresReport",
-    "NegativeDiscriminant",
-    "NonHermitian",
-    "NotPositive",
-    "NotSquare",
-    "ProtocolResult",
-    "QubitCoefficients",
-    "QutritCoefficients",
-    "QutritStateSpec",
     "REVERSE",
-    "R_MAX",
     "SweepConfig",
-    "SweepRow",
     "UnknownPreset",
     "UnruhLabError",
-    "ValidationReport",
     "WEAK",
-    "XStateSpec",
-    "accelerate",
-    "apply_local_pair",
-    "build_operator",
-    "channel_for_dim",
-    "coherent_information",
-    "compute_report",
     "corrected_final_qubit",
-    "discrepancy_report",
-    "embed_diagonal",
     "figure_preset",
-    "hermitian_eigenvalues",
-    "jacobi_eigenvalues",
-    "kron",
     "literal_final_qubit",
     "literal_final_qutrit",
     "load_config",
-    "local_information",
-    "make_qutrit_state",
-    "make_x_state",
-    "negativity",
-    "parse_grid",
+    "measure_columns",
     "parse_state_preset",
-    "partial_trace",
-    "partial_transpose",
-    "qubit_channel",
-    "qubit_coefficients",
-    "qutrit_channel",
-    "qutrit_coefficients",
+    "propagate",
+    "propagate_point",
     "r_from_acceleration",
-    "restrict_to_ladder",
     "rows_to_csv",
-    "run_protocol",
     "run_sweep",
     "run_validation",
-    "shannon_entropy",
-    "singlet",
-    "von_neumann_entropy",
-    "werner",
-    "x_state_spectrum",
+    "tied",
 ]

@@ -18,6 +18,7 @@ where kets are |region I, region II> and P is the doubly occupied pair
 state.  Tracing out region II yields the Kraus maps implemented here.  The
 qutrit output space is 4-dimensional (the pair level becomes reachable);
 all downstream processing keeps that enlarged factor.
+:func:`unruhlab.pipeline.propagate` applies the Kraus maps to party 0.
 
 The Rindler angle r encodes the proper acceleration a through
 tan r = exp(-pi omega c / a), so r runs over [0, pi/4] with r -> pi/4 the
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPhysicalParam, DimMismatch
-from .tensor import DensityMatrix, kron
 
 R_MAX = np.pi / 4
 _R_TOL = 1e-12
@@ -88,11 +88,10 @@ class ChannelKraus:
                 raise DimMismatch(
                     f"Kraus block {k.shape} vs ({self.out_dim}, {self.in_dim})"
                 )
-        comp = sum(k.conj().T @ k for k in ops)
-        defect = np.max(np.abs(comp - np.eye(self.in_dim)))
+        object.__setattr__(self, "kraus", ops)
+        defect = self.completeness_defect()
         if defect > COMPLETENESS_TOL:
             raise DimMismatch(f"Kraus completeness defect {defect:.3e}")
-        object.__setattr__(self, "kraus", ops)
 
     def completeness_defect(self) -> float:
         comp = sum(k.conj().T @ k for k in self.kraus)
@@ -136,30 +135,3 @@ def channel_for_dim(dim: int, spec: AccelerationSpec) -> ChannelKraus:
     if dim == 3:
         return qutrit_channel(spec)
     raise DimMismatch(f"no acceleration channel for local dimension {dim}")
-
-
-def accelerate(rho: DensityMatrix, party: int, channel: ChannelKraus) -> DensityMatrix:
-    """Apply the acceleration channel to one tensor factor of ``rho``.
-
-    Trace-preserving: no renormalisation happens here.  The output dims
-    equal the input dims with ``dims[party]`` replaced by the channel's
-    output dimension.
-    """
-    if party < 0 or party >= len(rho.dims):
-        raise DimMismatch(f"party {party} out of range for dims {rho.dims}")
-    if rho.dims[party] != channel.in_dim:
-        raise DimMismatch(
-            f"party {party} has dimension {rho.dims[party]}, channel wants {channel.in_dim}"
-        )
-    eyes = [np.eye(d, dtype=np.complex128) for d in rho.dims]
-    out = None
-    for k in channel.kraus:
-        factors = list(eyes)
-        factors[party] = k
-        full = kron(*factors)
-        term = full @ rho.matrix @ full.conj().T
-        out = term if out is None else out + term
-    new_dims = tuple(
-        channel.out_dim if i == party else d for i, d in enumerate(rho.dims)
-    )
-    return DensityMatrix(out, new_dims)

@@ -17,7 +17,7 @@ from pathlib import Path
 from .channel import AccelerationSpec, r_from_acceleration
 from .errors import ConfigError, DegenerateOutcome, UnknownPreset, UnruhLabError
 from .localops import REVERSE, WEAK, tied
-from .pipeline import run_protocol
+from .pipeline import propagate_point
 from .states import parse_state_preset
 from .sweep import (
     FIGURE_PRESETS,
@@ -132,20 +132,20 @@ def _cmd_state(args) -> int:
     weak = tied(WEAK, args.alpha, dim)
     reverse = tied(REVERSE, args.beta, dim)
     try:
-        result = run_protocol(rho0, weak, reverse, acc)
+        out = propagate_point(rho0, weak, reverse, acc)
     except DegenerateOutcome as exc:
         print(f"degenerate point: {exc}", file=sys.stderr)
         return 1
-    final = result.final
+    final = out.states[0]
     print(f"r = {r:.17g}")
-    print(f"p_success = {result.p_success:.17g}")
-    print(f"final dims = {final.dims}")
+    print(f"p_success = {out.p_success[0]:.17g}")
+    print(f"final dims = {out.dims}")
     if args.out is not None:
         lines = ["i,j,re,im"]
-        n = final.dim
+        n = len(final)
         for i in range(n):
             for j in range(n):
-                v = final.matrix[i, j]
+                v = final[i, j]
                 lines.append(f"{i},{j},{v.real:.17g},{v.imag:.17g}")
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")

@@ -2,7 +2,8 @@
 their post-acceleration reversing counterparts.
 
 Both kinds are diagonal non-unitary filters applied locally by each party,
-with renormalisation by the post-selection success probability.
+with renormalisation by the post-selection success probability (see
+:func:`unruhlab.pipeline.propagate`).
 
 Weak filter (collapse toward the ground state):
 
@@ -19,24 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadArity, BadStrength, DegenerateOutcome, DimMismatch
-from .tensor import DensityMatrix, kron
+from .errors import BadArity, BadStrength, DimMismatch
 
 WEAK = "weak"
 REVERSE = "reverse"
 _KINDS = (WEAK, REVERSE)
 
 SUCCESS_FLOOR = 1e-14
-
-
-def _check_strengths(levels, dim: int) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in levels)
-    if len(vals) != dim - 1:
-        raise BadArity(f"dimension {dim} needs {dim - 1} strengths, got {len(vals)}")
-    for v in vals:
-        if not np.isfinite(v) or v < 0.0 or v > 1.0:
-            raise BadStrength(f"strength {v} outside [0, 1]")
-    return vals
 
 
 @dataclass(frozen=True)
@@ -93,11 +83,11 @@ def build_operator(kind: str, dim: int, levels) -> np.ndarray:
     -------
     (dim, dim) complex array with entries in [0, 1]; satisfies M^dag M <= I.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if dim not in (2, 3):
         raise DimMismatch(f"local dimension must be 2 or 3, got {dim}")
-    vals = _check_strengths(levels, dim)
+    vals = MeasurementStrengths(kind, levels, levels).party_a_levels
+    if len(vals) != dim - 1:
+        raise BadArity(f"dimension {dim} needs {dim - 1} strengths, got {len(vals)}")
     comp = [np.sqrt(1.0 - v) for v in vals]
     if kind == WEAK:
         diag = [1.0] + comp
@@ -121,28 +111,3 @@ def embed_diagonal(op: np.ndarray, out_dim: int) -> np.ndarray:
     out = np.eye(out_dim, dtype=np.complex128)
     out[:d, :d] = op
     return out
-
-
-def apply_local_pair(rho: DensityMatrix, op_a: np.ndarray, op_b: np.ndarray
-                     ) -> tuple[DensityMatrix, float]:
-    """Apply ``op_a (x) op_b`` to a bipartite state and post-select.
-
-    Returns the renormalised state together with the success probability
-    ``tr[(A (x) B) rho (A (x) B)^dag]``.  Raises :class:`DegenerateOutcome`
-    when that probability falls below 1e-14, and :class:`DimMismatch` when
-    operator shapes do not match the party dimensions.
-    """
-    if len(rho.dims) != 2:
-        raise DimMismatch(f"expected a bipartite state, got dims {rho.dims}")
-    a = np.asarray(op_a, dtype=np.complex128)
-    b = np.asarray(op_b, dtype=np.complex128)
-    if a.shape != (rho.dims[0], rho.dims[0]):
-        raise DimMismatch(f"party-a operator {a.shape} vs dimension {rho.dims[0]}")
-    if b.shape != (rho.dims[1], rho.dims[1]):
-        raise DimMismatch(f"party-b operator {b.shape} vs dimension {rho.dims[1]}")
-    op = kron(a, b)
-    sigma = op @ rho.matrix @ op.conj().T
-    p = float(np.trace(sigma).real)
-    if p < SUCCESS_FLOOR:
-        raise DegenerateOutcome(f"success probability {p:.3e} below {SUCCESS_FLOOR}")
-    return DensityMatrix(sigma / p, rho.dims), p

@@ -18,51 +18,11 @@ import numpy as np
 
 from .closedform import PRINTED_NORM, TRACE_NORM, QubitCoefficients
 from .errors import NegativeDiscriminant
-from .tensor import (DensityMatrix, hermitian_eigenvalues, partial_trace,
-                     partial_transpose, shannon_entropy, von_neumann_entropy)
+from .tensor import hermitian_eigenvalues, hermitian_part, shannon_entropy
 
-STANDARD = "standard"
-LITERAL = "literal"
-
-_NEG_CLAMP = 1e-12
-
-
-def negativity(rho: DensityMatrix, transpose_party: int = 0
-               ) -> tuple[float, float]:
-    """(raw, normalised) negativity of a bipartite state.
-
-    Raw is the absolute sum of negative eigenvalues of the partial
-    transpose; normalised divides twice that by d_min - 1.  Both are
-    clamped at zero from below.  The choice of transposed party does not
-    affect the spectrum.
-    """
-    lam = hermitian_eigenvalues(partial_transpose(rho, transpose_party))
-    raw = float(-lam[lam < 0.0].sum())
-    if raw < _NEG_CLAMP:
-        raw = max(raw, 0.0)
-    d_min = min(rho.dims)
-    return raw, 2.0 * raw / (d_min - 1)
-
-
-def local_information(rho: DensityMatrix, party: int) -> float:
-    """Shannon entropy in bits of one party's populations."""
-    reduced = partial_trace(rho, party)
-    return shannon_entropy(reduced.matrix.diagonal().real)
-
-
-def coherent_information(rho: DensityMatrix, variant: str = STANDARD) -> float:
-    """Coherent information of the accelerated party, in bits.
-
-    ``standard``: S(rho_b) - S(rho_ab) with b the inertial party (index 1).
-    ``literal``: sum_i mu_i log2 mu_i over the joint spectrum, i.e. the
-    negated joint entropy, following the published sign convention.
-    """
-    s_ab = von_neumann_entropy(rho)
-    if variant == LITERAL:
-        return -s_ab
-    if variant == STANDARD:
-        return von_neumann_entropy(partial_trace(rho, 1)) - s_ab
-    raise ValueError(f"variant must be {STANDARD!r} or {LITERAL!r}, got {variant!r}")
+# Tolerances on the probability sum: spectra, then populations.
+_SPECTRUM_SUM_TOL = 1e-6
+_POPULATION_SUM_TOL = 1e-8
 
 
 def x_state_spectrum(coeffs: QubitCoefficients,
@@ -114,19 +74,31 @@ class MeasuresReport:
             )
 
 
-def compute_report(rho: DensityMatrix, success_probability: float
-                   ) -> MeasuresReport:
-    """Evaluate every measure on a final state."""
-    raw, norm = negativity(rho, 0)
-    s_ab = von_neumann_entropy(rho)
-    marg_a = partial_trace(rho, 0)
-    marg_b = partial_trace(rho, 1)
-    return MeasuresReport(
-        negativity_raw=raw,
-        entanglement_normalized=norm,
-        info_accelerated_bits=shannon_entropy(marg_a.matrix.diagonal().real),
-        info_inertial_bits=shannon_entropy(marg_b.matrix.diagonal().real),
-        coherent_info_standard_bits=von_neumann_entropy(marg_b) - s_ab,
-        coherent_info_literal_bits=-s_ab,
-        success_probability=success_probability,
-    )
+def measure_columns(states: np.ndarray, spectra: np.ndarray, dims: tuple[int, int],
+                    p_success: np.ndarray) -> np.ndarray:
+    """Every measure of a stack of final states, one row per state.
+
+    ``states`` are checked, exactly Hermitian states over ``dims`` and
+    ``spectra`` their ascending eigenvalues, as
+    :func:`~unruhlab.pipeline.propagate` returns them.  The columns are
+    the fields of :class:`MeasuresReport`, in order; party 0 is the
+    accelerated party and the partial transpose is taken on it.
+    """
+    d0, db = dims
+    dim = d0 * db
+    t = states.reshape(-1, d0, db, d0, db)
+    lam = hermitian_eigenvalues(t.transpose(0, 3, 2, 1, 4).reshape(-1, dim, dim))
+    neg_raw = -np.where(lam < 0.0, lam, 0.0).sum(axis=-1)
+    s_ab = shannon_entropy(spectra, _SPECTRUM_SUM_TOL)
+    marg_a = hermitian_part(np.trace(t, axis1=2, axis2=4))
+    marg_b = hermitian_part(np.trace(t, axis1=1, axis2=3))
+    s_b = shannon_entropy(hermitian_eigenvalues(marg_b), _SPECTRUM_SUM_TOL)
+    return np.column_stack((
+        neg_raw,
+        2.0 * neg_raw / (min(d0, db) - 1),
+        shannon_entropy(np.diagonal(marg_a, axis1=1, axis2=2).real, _POPULATION_SUM_TOL),
+        shannon_entropy(np.diagonal(marg_b, axis1=1, axis2=2).real, _POPULATION_SUM_TOL),
+        s_b - s_ab,
+        -s_ab,
+        p_success,
+    ))

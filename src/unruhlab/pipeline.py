@@ -1,97 +1,169 @@
-"""End-to-end protocol: weak filtering, acceleration of party a, reversal.
+"""The protocol: weak filtering, acceleration of party 0, reversal.
 
-This composition is the numerical ground truth against which the
-closed-form final states are validated.  Party 0 is the accelerated
-observer throughout.
+Every command runs the protocol through :func:`propagate`, on a stack of
+points at once.  Each point brings its own channel (a Kraus stack, one per
+Rindler angle) and its own filters (the diagonals of ``op_a (x) op_b``),
+and either shares one initial state with the other points or brings its
+own:
+
+* a diagonal filter is a broadcast scaling by its diagonal;
+* the channel on party 0 is one ``einsum`` over the stacked Kraus
+  operators;
+* every state is checked by :func:`~unruhlab.tensor.check_states` after
+  each step, and a point whose post-selection probability falls below
+  ``SUCCESS_FLOOR`` is degenerate; later steps skip it.
+
+:func:`~unruhlab.measures.measure_columns` then evaluates the measures on
+the final states, and :func:`evaluate` runs both steps for a chunk of
+sweep points.  The scalar Kraus pipeline this replaced lives beside the
+tests (``tests/oracle.py``) as the reference it is compared against.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import AccelerationSpec, channel_for_dim, accelerate
-from .errors import DegenerateOutcome, DimMismatch
-from .localops import (MeasurementStrengths, REVERSE, WEAK, apply_local_pair,
-                       build_operator, embed_diagonal)
-from .tensor import DensityMatrix, kron
+from .channel import AccelerationSpec, channel_for_dim
+from .errors import DegenerateOutcome
+from .localops import REVERSE, SUCCESS_FLOOR, MeasurementStrengths, build_operator, embed_diagonal
+from .measures import measure_columns
+from .tensor import DensityMatrix, check_states
 
-ACCELERATED_PARTY = 0
 LADDER_FLOOR = 1e-14
 
-
-@dataclass(frozen=True)
-class ProtocolResult:
-    """Final state plus the intermediate states and success probabilities."""
-
-    final: DensityMatrix
-    after_weak: DensityMatrix
-    after_acceleration: DensityMatrix
-    p_weak: float
-    p_reverse: float
-
-    @property
-    def p_success(self) -> float:
-        return self.p_weak * self.p_reverse
+# Bytes of one stacked state array.  This bounds the working set on large
+# grids: `figure fig2a` (6,400 qutrit points) peaks at 46 MB resident in
+# these chunks and at 152 MB in one chunk.  The channel's intermediates
+# hold several times a chunk's states, so a larger budget raises the peak
+# of small sweeps too (fig6b, 243 points: +0.6 MB over a one-point-at-a-time
+# evaluation at this budget, +4.5 MB at 512 KiB).
+CHUNK_BYTES = 128 * 1024
 
 
-def run_protocol(initial: DensityMatrix, weak: MeasurementStrengths,
-                 reverse: MeasurementStrengths, acc: AccelerationSpec
-                 ) -> ProtocolResult:
-    """Drive one parameter point through the full protocol.
+class Propagated(NamedTuple):
+    """Outcome of :func:`propagate` for the points that were not degenerate."""
 
-    The weak filter acts on both parties of ``initial``; party 0 then
-    passes through the acceleration channel (enlarging a qutrit party to
-    dimension 4); finally both parties apply the reversing filter, which
-    acts as identity on the pair level that only exists after acceleration.
-    With tied strengths the weak step leaves any state on
-    span{|01>, |10>} (the singlet among them) unchanged, with
-    p_weak = 1 - alpha, so only the reversing filter shapes the output.
+    kept: np.ndarray        # (m,) indices of the kept points, ascending
+    p_success: np.ndarray   # (m,) product of both post-selection probabilities
+    states: np.ndarray      # (m, d, d) final states, checked and exactly Hermitian
+    spectra: np.ndarray     # (m, d) their ascending eigenvalues
+    dims: tuple[int, int]   # party dimensions of the final states
 
-    Raises :class:`DegenerateOutcome` when either post-selection has
-    numerically zero success probability.
+
+def chunk_points(state_dim: int) -> int:
+    """Points per chunk for joint states of dimension ``state_dim``."""
+    return max(1, CHUNK_BYTES // (16 * state_dim * state_dim))    # 16 B per complex128
+
+
+def filter_diagonal(strengths: MeasurementStrengths, out_dim_a: int) -> np.ndarray:
+    """Diagonal of ``op_a (x) op_b`` for one filter step.
+
+    A reversing filter on party a acts as the identity on the levels above
+    its own, which acceleration adds (the qutrit's pair level).
     """
-    if len(initial.dims) != 2:
-        raise DimMismatch(f"protocol needs a bipartite state, got dims {initial.dims}")
-    da, db = initial.dims
-    if weak.kind != WEAK or reverse.kind != REVERSE:
-        raise ValueError("strength kinds must be (weak, reverse)")
-    if weak.dim != da or reverse.dim != da:
-        raise DimMismatch(
-            f"strengths are for dimension {weak.dim}/{reverse.dim}, state has {da}"
-        )
-
-    w_a = build_operator(WEAK, da, weak.party_a_levels)
-    w_b = build_operator(WEAK, db, weak.party_b_levels)
-    after_weak, p_weak = apply_local_pair(initial, w_a, w_b)
-
-    chan = channel_for_dim(da, acc)
-    after_acc = accelerate(after_weak, ACCELERATED_PARTY, chan)
-
-    r_a = embed_diagonal(build_operator(REVERSE, da, reverse.party_a_levels),
-                         chan.out_dim)
-    r_b = build_operator(REVERSE, db, reverse.party_b_levels)
-    final, p_rev = apply_local_pair(after_acc, r_a, r_b)
-    return ProtocolResult(final, after_weak, after_acc, p_weak, p_rev)
+    dim = strengths.dim
+    op_a = build_operator(strengths.kind, dim, strengths.party_a_levels)
+    if strengths.kind == REVERSE:
+        op_a = embed_diagonal(op_a, out_dim_a)
+    op_b = build_operator(strengths.kind, dim, strengths.party_b_levels)
+    return np.outer(op_a.diagonal().real, op_b.diagonal().real).ravel()
 
 
-def restrict_to_ladder(rho: DensityMatrix, renormalize: bool
-                       ) -> tuple[DensityMatrix, float]:
-    """Restrict an accelerated 4 x 3 state to the pre-acceleration ladder.
+def point_inputs(weak: MeasurementStrengths, reverse: MeasurementStrengths,
+                 acc: AccelerationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kraus stack and both filter diagonals of one point, as :func:`propagate`
+    takes them without the leading point axis."""
+    chan = channel_for_dim(weak.dim, acc)
+    return (np.array(chan.kraus), filter_diagonal(weak, weak.dim),
+            filter_diagonal(reverse, chan.out_dim))
 
-    Drops party a's pair level, keeping the {vacuum, U, D} block.  Returns
-    the 3 x 3-party state together with the weight retained.  With
-    ``renormalize`` False the block is returned as-is (trace < 1 possible,
-    state flagged non-strict); with True it is scaled back to unit trace.
+
+def ladder_block(states: np.ndarray, dims: tuple[int, int], levels: int) -> np.ndarray:
+    """Block of party 0's first ``levels`` levels of a stack of states over ``dims``.
+
+    On accelerated 4 x 3 qutrit states, ``levels = 3`` drops the pair level
+    and keeps the pre-acceleration {vacuum, U, D} x 3 block, with its
+    weight (trace) as it is.
     """
-    if rho.dims != (4, 3):
-        raise DimMismatch(f"expected dims (4, 3), got {rho.dims}")
-    sel = np.zeros((3, 4), dtype=np.complex128)
-    sel[0, 0] = sel[1, 1] = sel[2, 2] = 1.0
-    op = kron(sel, np.eye(3, dtype=np.complex128))
-    block = op @ rho.matrix @ op.conj().T
-    weight = float(np.trace(block).real)
-    if renormalize:
-        if weight < LADDER_FLOOR:
-            raise DegenerateOutcome(f"ladder sector weight {weight:.3e} is zero")
-        return DensityMatrix(block / weight, (3, 3)), weight
-    return DensityMatrix(block, (3, 3), strict=False, flags=("sector",)), weight
+    d0, db = dims
+    block = states.reshape(-1, d0, db, d0, db)[:, :levels, :, :levels, :]
+    return block.reshape(-1, levels * db, levels * db)
+
+
+def _post_select(sigma: np.ndarray, floor: float):
+    """Keep the members whose trace reaches ``floor``, renormalised and checked.
+
+    Returns (indices kept, their traces, their states, their spectra).
+    """
+    p = np.trace(sigma, axis1=-2, axis2=-1).real
+    kept = np.flatnonzero(p >= floor)
+    p = p[kept]
+    return (kept, p) + check_states(sigma[kept] / p[:, None, None])
+
+
+def propagate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,
+              weak: np.ndarray, reverse: np.ndarray, project: bool = False
+              ) -> Propagated:
+    """Weak filter, channel on party 0 and reversing filter on a stack of points.
+
+    Parameters
+    ----------
+    rho0:
+        Initial states over ``dims = (da, db)``: one ``(da db, da db)``
+        matrix shared by every point, or an ``(n, da db, da db)`` stack.
+    kraus:
+        ``(n, k, dao, da)``: each point's Kraus operators on party 0.
+    weak, reverse:
+        ``(n, da db)`` and ``(n, dao db)``: each point's filter diagonals
+        (see :func:`filter_diagonal`).
+    project:
+        Restrict each output to party 0's first ``da`` levels (its
+        pre-acceleration ladder, see :func:`ladder_block`) and renormalise;
+        a point whose ladder weight is below ``LADDER_FLOOR`` is degenerate.
+    """
+    da, db = dims
+    dao = kraus.shape[2]
+    live, p_weak, state, _ = _post_select((weak[:, :, None] * rho0) * weak[:, None, :],
+                                          SUCCESS_FLOOR)
+    k = kraus[live]
+    t = np.einsum("nkai,nibjd,nkcj->nabcd", k, state.reshape(-1, da, db, da, db),
+                  k.conj(), optimize=True)
+    state, _ = check_states(t.reshape(-1, dao * db, dao * db))
+    rev = reverse[live]
+    kept, p_rev, state, lam = _post_select((rev[:, :, None] * state) * rev[:, None, :],
+                                           SUCCESS_FLOOR)
+    live, p_success = live[kept], p_weak[kept] * p_rev
+    if project:
+        kept, _, state, lam = _post_select(ladder_block(state, (dao, db), da), LADDER_FLOOR)
+        return Propagated(live[kept], p_success[kept], state, lam, (da, db))
+    return Propagated(live, p_success, state, lam, (dao, db))
+
+
+def propagate_point(rho0: DensityMatrix, weak: MeasurementStrengths,
+                    reverse: MeasurementStrengths, acc: AccelerationSpec) -> Propagated:
+    """:func:`propagate` of one point; raises :class:`DegenerateOutcome`
+    when a post-selection fails."""
+    kraus, w, v = point_inputs(weak, reverse, acc)
+    out = propagate(rho0.matrix, rho0.dims, kraus[None], w[None], v[None])
+    if not len(out.kept):
+        raise DegenerateOutcome(f"success probability below {SUCCESS_FLOOR}")
+    return out
+
+
+def evaluate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,
+             weak: np.ndarray, reverse: np.ndarray, project: bool
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Every measure of a chunk of sweep points on one initial state.
+
+    Takes the arguments of :func:`propagate`.  Returns ``(measures, ok)``:
+    an ``(n, 7)`` array with the columns of
+    :class:`~unruhlab.measures.MeasuresReport` in field order, and an
+    ``(n,)`` mask that is False on degenerate points, whose rows are NaN.
+    """
+    n = len(weak)
+    out = propagate(rho0, dims, kraus, weak, reverse, project)
+    measures = np.full((n, 7), np.nan)
+    ok = np.zeros(n, dtype=bool)
+    measures[out.kept] = measure_columns(out.states, out.spectra, out.dims, out.p_success)
+    ok[out.kept] = True
+    return measures, ok

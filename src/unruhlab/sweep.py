@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import R_MAX, AccelerationSpec, channel_for_dim
-from .engine import chunk_points, evaluate, filter_diagonal
 from .errors import ConfigError, UnknownPreset
 from .localops import MeasurementStrengths, REVERSE, WEAK
 from .measures import MeasuresReport
+from .pipeline import chunk_points, evaluate, filter_diagonal
 from .states import parse_state_preset
 
 TWO_QUBIT = "two_qubit"
@@ -91,7 +91,6 @@ class SweepConfig:
     tie_policy: str = ALL_EQUAL
     phi: float = 0.0
     measures: tuple[str, ...] = MEASURE_COLUMNS
-    normalization_mode: str = "normalized"
     qutrit_compare_sector: str = FULL_SECTOR
     beta: float = 0.0
     alpha_b: float = 0.0
@@ -140,11 +139,6 @@ class SweepConfig:
         if not meas:
             raise ConfigError("empty measure list", field="measures")
         object.__setattr__(self, "measures", meas)
-        if self.normalization_mode not in ("raw", "normalized"):
-            raise ConfigError(
-                f"normalization_mode must be raw|normalized, got {self.normalization_mode!r}",
-                field="normalization_mode",
-            )
         if self.qutrit_compare_sector not in (FULL_SECTOR, PROJECTED_SECTOR):
             raise ConfigError(
                 f"qutrit_compare_sector must be {FULL_SECTOR}|{PROJECTED_SECTOR}",
@@ -199,7 +193,7 @@ class SweepRow:
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every grid point, in deterministic (state, r, strength) order.
 
-    The grid runs through :func:`~unruhlab.engine.evaluate` in chunks of
+    The grid runs through :func:`~unruhlab.pipeline.evaluate` in chunks of
     consecutive points.  Channels are built once per r and filters once
     per strength value.
     """
@@ -268,7 +262,6 @@ def config_to_text(config: SweepConfig) -> str:
     lines.append(f"tie_policy = {config.tie_policy}")
     lines.append(f"phi = {_fmt(config.phi)}")
     lines.append(f"measures = {', '.join(config.measures)}")
-    lines.append(f"normalization_mode = {config.normalization_mode}")
     lines.append(f"qutrit_compare_sector = {config.qutrit_compare_sector}")
     for name in ("beta", "alpha_b", "beta_a", "beta_b"):
         lines.append(f"{name} = {_fmt(getattr(config, name))}")
@@ -278,7 +271,7 @@ def config_to_text(config: SweepConfig) -> str:
 _LIST_FIELDS = {"initial_state", "measures"}
 _FLOAT_FIELDS = {"phi", "beta", "alpha_b", "beta_a", "beta_b"}
 _GRID_FIELDS = {"r_grid", "strength_grid"}
-_STR_FIELDS = {"system", "tie_policy", "normalization_mode", "qutrit_compare_sector"}
+_STR_FIELDS = {"system", "tie_policy", "qutrit_compare_sector"}
 _REQUIRED = ("system", "initial_state", "r_grid", "strength_grid")
 
 
@@ -409,10 +402,7 @@ def plot_script(name: str, csv_name: str) -> str:
     The script is a standalone artifact: it re-reads the CSV next to it, so
     regenerating the plot needs only matplotlib.
     """
-    config = figure_preset(name)
     info = figure_info(name)
-    e_col = "E_norm" if config.normalization_mode == "normalized" else "neg_raw"
-    focus = tuple(e_col if m in ("E_norm", "neg_raw") else m for m in info.focus)
     header = (
         '"""Auto-generated plotting script; regenerate with '
         f"'unruhlab figure {name}'.\"\"\"\n"
@@ -424,7 +414,7 @@ def plot_script(name: str, csv_name: str) -> str:
         "import matplotlib.pyplot as plt\n\n"
         "HERE = os.path.dirname(os.path.abspath(__file__))\n"
         f"CSV = os.path.join(HERE, {csv_name!r})\n"
-        f"FOCUS = {focus!r}\n"
+        f"FOCUS = {info.focus!r}\n"
         f"KIND = {info.kind!r}\n"
         f"GROUP_BY = {info.group_by!r}\n"
         f"OUT = os.path.join(HERE, {name + '.png'!r})\n\n"

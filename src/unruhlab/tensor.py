@@ -1,8 +1,11 @@
-"""Dense tensor-product linear algebra for small multipartite systems.
+"""Density matrices and the batched checks every state passes through.
 
 Everything here works on explicit ``numpy`` arrays; the systems treated by
 this package never exceed dimension 16, so dense algorithms are both exact
-enough and fast enough.  Matrices are complex128 throughout.
+enough and fast enough.  Matrices are complex128 throughout.  The checks
+below take one matrix or a stack of them (any leading axes) and each is
+defined once: :class:`DensityMatrix` runs them on the states that enter
+the package, :mod:`unruhlab.pipeline` on its stacks of intermediate states.
 
 Conventions
 -----------
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSubsystem, NonHermitian, NotPositive, NotSquare
+from .errors import NonHermitian, NotPositive, NotSquare
 
 # Tolerances shared by the validation paths below.
 HERMITICITY_TOL = 1e-8      # max |M - M^dag| entry allowed before symmetrising
@@ -25,21 +28,74 @@ STATE_EIGENVALUE_TOL = 1e-10
 ENTROPY_EIGENVALUE_FLOOR = 1e-15
 
 
-def _as_complex_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    return a
+def hermitian_part(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Hermitian parts of finite square matrices that are Hermitian within ``tol``.
+
+    Raises :class:`NotSquare`, ``ValueError`` on non-finite entries and
+    :class:`NonHermitian` when any entry of ``M - M^dag`` exceeds ``tol``.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSquare(f"expected square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    md = m.conj().swapaxes(-1, -2)
+    asym = np.abs(m - md).max(axis=(-2, -1), initial=0.0)
+    if np.any(asym > tol):
+        raise NonHermitian(f"matrix deviates from Hermiticity by {asym.max():.3e}")
+    return 0.5 * (m + md)
 
 
-def kron(*factors) -> np.ndarray:
-    """Kronecker product of one or more matrices, leftmost factor slowest."""
-    if not factors:
-        raise ValueError("kron() needs at least one factor")
-    out = np.asarray(factors[0], dtype=np.complex128)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=np.complex128))
-    return out
+def check_states(m) -> tuple[np.ndarray, np.ndarray]:
+    """Strict density-matrix check of a matrix or of every member of a stack.
+
+    Finite entries (``ValueError``), Hermitian to 1e-10
+    (:class:`NonHermitian`), unit trace to 1e-10 (``ValueError``), lowest
+    eigenvalue at least -1e-10 (:class:`NotPositive`).  Returns the
+    Hermitian parts and their ascending spectra.
+    """
+    h = hermitian_part(m, STATE_HERMITICITY_TOL)
+    tr = np.trace(h, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > STATE_TRACE_TOL
+    if np.any(off):
+        raise ValueError(f"trace {tr[off][0]} is not 1 within {STATE_TRACE_TOL}")
+    lam = np.linalg.eigvalsh(h)
+    lo = lam[..., 0]
+    if np.any(lo < -STATE_EIGENVALUE_TOL):
+        raise NotPositive(f"negative eigenvalue {lo.min():.3e}")
+    return h, lam
+
+
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of a stack of them.
+
+    The input is symmetrised after a Hermiticity check at tolerance 1e-8;
+    deviations beyond that raise :class:`NonHermitian`.  Dimensions in this
+    package never exceed 16, for which the LAPACK solver behind
+    ``numpy.linalg.eigvalsh`` is exact to machine precision; the tests
+    cross-check it against an independent Jacobi eigensolver.
+    """
+    return np.linalg.eigvalsh(hermitian_part(m))
+
+
+def shannon_entropy(p, tol: float = 1e-8) -> np.ndarray:
+    """Shannon entropies in bits of the probability vectors along the last axis.
+
+    Entries in (-1e-10, 0) are clamped to zero; each vector must sum to 1
+    within ``tol``.  The 0*log(0) branch returns 0 for entries at or below
+    1e-15.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p < -STATE_EIGENVALUE_TOL):
+        raise NotPositive(f"negative probability {p.min():.3e}")
+    p = np.clip(p, 0.0, None)
+    total = p.sum(axis=-1)
+    off = np.abs(total - 1.0) > tol
+    if np.any(off):
+        raise ValueError(f"probabilities sum to {total[off][0]}, not 1")
+    keep = p > ENTROPY_EIGENVALUE_FLOOR
+    h = -np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0).sum(axis=-1)
+    return np.where(h < 0.0, 0.0, h)    # max(h, 0.0), keeping the sign of a zero
 
 
 @dataclass(frozen=True)
@@ -53,12 +109,12 @@ class DensityMatrix:
     dims:
         Local dimension of each tensor factor, leftmost first.
     strict:
-        When True (default) the constructor enforces Hermiticity to 1e-10,
-        unit trace to 1e-10 and positivity down to -1e-10, raising
-        :class:`NonHermitian` / :class:`NotPositive` / ``ValueError``.
-        When False only shape and Hermiticity are enforced; used for
-        closed-form states assembled verbatim from published coefficient
-        tables, which are not always normalised.
+        When True (default) the constructor runs :func:`check_states`:
+        Hermiticity to 1e-10, unit trace to 1e-10 and positivity down to
+        -1e-10, raising :class:`NonHermitian` / :class:`NotPositive` /
+        ``ValueError``.  When False only shape and Hermiticity (to 1e-8)
+        are enforced; used for closed-form states assembled verbatim from
+        published coefficient tables, which are not always normalised.
     flags:
         Free-form markers (e.g. ``("literal",)``) carried along for
         reporting; no behavioural effect.
@@ -70,31 +126,20 @@ class DensityMatrix:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
+        m = np.asarray(self.matrix, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise NotSquare(f"expected a square matrix, got shape {m.shape}")
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"bad subsystem dimensions {dims}")
         n = int(np.prod(dims))
         if m.shape != (n, n):
             raise ValueError(f"matrix is {m.shape} but dims {dims} require ({n}, {n})")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("matrix contains non-finite entries")
-        asym = np.max(np.abs(m - m.conj().T))
-        tol = STATE_HERMITICITY_TOL if self.strict else HERMITICITY_TOL
-        if asym > tol:
-            raise NonHermitian(f"matrix deviates from Hermiticity by {asym:.3e}")
-        m = 0.5 * (m + m.conj().T)
+        m = check_states(m)[0] if self.strict else hermitian_part(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "flags", tuple(self.flags))
-        if self.strict:
-            tr = complex(np.trace(m))
-            if abs(tr - 1.0) > STATE_TRACE_TOL:
-                raise ValueError(f"trace {tr} is not 1 within {STATE_TRACE_TOL}")
-            lo = float(np.linalg.eigvalsh(m)[0])
-            if lo < -STATE_EIGENVALUE_TOL:
-                raise NotPositive(f"negative eigenvalue {lo:.3e}")
 
     @property
     def dim(self) -> int:
@@ -102,165 +147,3 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def reduced(self, keep) -> "DensityMatrix":
-        return partial_trace(self, keep)
-
-
-def _check_subsystem(dims: tuple[int, ...], subsystem: int) -> int:
-    s = int(subsystem)
-    if s < 0 or s >= len(dims):
-        raise InvalidSubsystem(f"subsystem {subsystem} out of range for dims {dims}")
-    return s
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho:
-        State over ``rho.dims``.
-    keep:
-        Subsystem index or iterable of indices to retain, in their original
-        order.
-
-    Returns
-    -------
-    DensityMatrix over the kept subsystems.  Hermiticity, unit trace and
-    positivity of a partial trace follow from the input's, so the result
-    is built without re-running the strict checks.
-    """
-    if isinstance(keep, (int, np.integer)):
-        keep_idx = [_check_subsystem(rho.dims, keep)]
-    else:
-        keep_idx = [_check_subsystem(rho.dims, k) for k in keep]
-        if len(set(keep_idx)) != len(keep_idx):
-            raise InvalidSubsystem(f"repeated subsystem in keep={keep}")
-        if keep_idx != sorted(keep_idx):
-            raise InvalidSubsystem("keep indices must be in ascending order")
-    if not keep_idx:
-        raise InvalidSubsystem("must keep at least one subsystem")
-
-    n_sub = len(rho.dims)
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    # Trace out the dropped subsystems from highest index down so that the
-    # axis numbering stays valid after each contraction.
-    removed = 0
-    for s in sorted(set(range(n_sub)) - set(keep_idx), reverse=True):
-        cur = n_sub - removed
-        t = np.trace(t, axis1=s, axis2=s + cur)
-        removed += 1
-    new_dims = tuple(rho.dims[k] for k in keep_idx)
-    n = int(np.prod(new_dims))
-    return DensityMatrix(t.reshape(n, n), new_dims, strict=False, flags=rho.flags)
-
-
-def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
-    """Transpose one tensor factor of ``rho`` and return the raw matrix.
-
-    The result is generally not positive semidefinite, so it is returned as
-    a plain array rather than a :class:`DensityMatrix`.
-    """
-    s = _check_subsystem(rho.dims, subsystem)
-    n_sub = len(rho.dims)
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    axes = list(range(2 * n_sub))
-    axes[s], axes[s + n_sub] = axes[s + n_sub], axes[s]
-    n = rho.dim
-    return t.transpose(axes).reshape(n, n)
-
-
-def _require_hermitian(m) -> np.ndarray:
-    a = _as_complex_matrix(m)
-    asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if asym > HERMITICITY_TOL:
-        raise NonHermitian(f"matrix deviates from Hermiticity by {asym:.3e}")
-    return 0.5 * (a + a.conj().T)
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
-
-    The input is symmetrised after a Hermiticity check at tolerance 1e-8;
-    deviations beyond that raise :class:`NonHermitian`.  Dimensions in this
-    package never exceed 16, for which the LAPACK solver behind
-    ``numpy.linalg.eigvalsh`` is exact to machine precision;
-    :func:`jacobi_eigenvalues` provides an independent reference
-    implementation used for cross-validation.
-    """
-    return np.linalg.eigvalsh(_require_hermitian(m))
-
-
-def jacobi_eigenvalues(m, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix via cyclic complex Jacobi rotations.
-
-    Sweeps annihilate one off-diagonal entry at a time until the Frobenius
-    mass of the off-diagonal part falls below ``tol`` (relative to the
-    matrix scale).  Unconditionally stable for the small dimensions used
-    here; kept as a self-contained cross-check of the LAPACK path.
-    """
-    a = _require_hermitian(m).copy()
-    n = a.shape[0]
-    if n == 1:
-        return a.real.diagonal().copy()
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diagonal(a)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = abs(a[p, q])
-                if g <= 1e-300:
-                    continue
-                # Factor out the phase so the 2x2 pivot block is real.
-                e = a[p, q] / g
-                a[q, :] *= e
-                a[:, q] *= np.conj(e)
-                app, aqq = a[p, p].real, a[q, q].real
-                theta = (aqq - app) / (2.0 * g)
-                if theta >= 0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
-    return np.sort(a.diagonal().real)
-
-
-def shannon_entropy(probs, tol: float = 1e-8) -> float:
-    """Shannon entropy in bits of a probability vector.
-
-    Entries in (-1e-10, 0) are clamped to zero; the vector must sum to 1
-    within ``tol``.  The 0*log(0) branch returns 0 for entries at or below
-    1e-15.
-    """
-    p = np.asarray(probs, dtype=np.float64).ravel()
-    if np.any(p < -STATE_EIGENVALUE_TOL):
-        raise NotPositive(f"negative probability {p.min():.3e}")
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    mask = p > ENTROPY_EIGENVALUE_FLOOR
-    h = float(-(p[mask] * np.log2(p[mask])).sum())
-    return max(h, 0.0)
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy of ``rho`` in bits."""
-    lam = hermitian_eigenvalues(rho.matrix)
-    if lam[0] < -STATE_EIGENVALUE_TOL:
-        raise NotPositive(f"state has negative eigenvalue {lam[0]:.3e}")
-    return shannon_entropy(lam, tol=1e-6)

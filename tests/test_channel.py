@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import accelerate
 from unruhlab.channel import (
     AccelerationSpec,
     ChannelKraus,
     R_MAX,
-    accelerate,
     channel_for_dim,
     qubit_channel,
     qutrit_channel,
@@ -23,7 +23,7 @@ from unruhlab.channel import (
 )
 from unruhlab.errors import BadPhysicalParam, DimMismatch
 from unruhlab.states import make_qutrit_state, QutritStateSpec, singlet
-from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues, kron
+from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
 
 RNG_SEED = 47711
 

@@ -9,6 +9,7 @@ deviations from that pipeline."""
 import numpy as np
 import pytest
 
+from oracle import restrict_to_ladder, run_protocol
 from unruhlab.channel import AccelerationSpec
 from unruhlab.closedform import (
     PRINTED_NORM,
@@ -23,7 +24,6 @@ from unruhlab.closedform import (
 )
 from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
-from unruhlab.pipeline import restrict_to_ladder, run_protocol
 from unruhlab.states import (
     QutritStateSpec,
     XStateSpec,

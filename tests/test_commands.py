@@ -1,0 +1,121 @@
+"""The `state` and `validate` commands on the batched pipeline, against the
+scalar Kraus pipeline in ``tests/oracle.py``, and the package's exports."""
+
+import numpy as np
+import pytest
+
+import unruhlab
+from oracle import run_protocol
+from unruhlab import validate
+from unruhlab.channel import AccelerationSpec, r_from_acceleration
+from unruhlab.cli import main
+from unruhlab.closedform import corrected_final_qubit
+from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
+from unruhlab.states import make_x_state, parse_state_preset
+from unruhlab.tensor import DensityMatrix
+from unruhlab.validate import _random_x_spec, run_validation
+
+TOL = 1e-12
+
+
+@pytest.mark.parametrize("preset, accel, r, alpha, beta, phi", [
+    ("x:-0.5,-0.2,0.3", None, 0.2, 0.3, 0.6, 0.0),
+    ("qutrit:1", None, 0.7, 0.8, 0.3, 0.0),
+    ("qutrit:1", (3.0, 1.0), None, 0.5, 0.5, 0.4),
+    ("werner:0.9", (8.0, 0.5), None, 0.1, 0.9, 1.2),
+])
+def test_state_matches_oracle(tmp_path, capsys, preset, accel, r, alpha, beta, phi):
+    out = tmp_path / "state.csv"
+    where = (["--r", repr(r)] if accel is None
+             else ["--accel", repr(accel[0]), "--omega", repr(accel[1])])
+    argv = ["state", "--preset", preset, *where, "--alpha", repr(alpha),
+            "--beta", repr(beta), "--phi", repr(phi), "--out", str(out)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    rho0 = parse_state_preset(preset)
+    dim = rho0.dims[0]
+    if accel is not None:
+        r = r_from_acceleration(*accel)
+    want = run_protocol(rho0, tied(WEAK, alpha, dim), tied(REVERSE, beta, dim),
+                        AccelerationSpec(r, phi))
+    assert lines[0] == f"r = {r:.17g}"
+    assert lines[1].startswith("p_success = ")
+    assert abs(float(lines[1].split("=")[1]) - want.p_success) <= TOL
+    assert lines[2] == f"final dims = {want.final.dims}"
+    assert lines[3] == f"wrote {out}"
+
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "i,j,re,im"
+    n = want.final.dim
+    assert len(rows) == 1 + n * n
+    for k, row in enumerate(rows[1:]):
+        i, j, re, im = row.split(",")
+        assert (int(i), int(j)) == divmod(k, n)
+        v = want.final.matrix[int(i), int(j)]
+        assert abs(float(re) - v.real) <= TOL and abs(float(im) - v.imag) <= TOL
+
+
+def test_state_degenerate_point_exits_1(tmp_path, capsys):
+    out = tmp_path / "state.csv"
+    code = main(["state", "--preset", "singlet", "--r", "0.3", "--alpha", "1",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("degenerate point: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _oracle_corrected_vs_pipeline(seed: int, samples: int) -> float:
+    """The scalar loop the check ran before it was batched, on the same draws."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        spec = _random_x_spec(rng)
+        alphas = rng.uniform(0.0, 0.95, size=2)
+        betas = rng.uniform(0.0, 0.95, size=2)
+        r = rng.uniform(0.0, np.pi / 4)
+        phi = rng.uniform(0.0, 2 * np.pi)
+        weak = MeasurementStrengths(WEAK, (alphas[0],), (alphas[1],))
+        reverse = MeasurementStrengths(REVERSE, (betas[0],), (betas[1],))
+        acc = AccelerationSpec(r, phi)
+        closed = corrected_final_qubit(spec, weak, reverse, acc)
+        piped = run_protocol(make_x_state(spec), weak, reverse, acc).final
+        worst = max(worst, float(np.max(np.abs(closed.matrix - piped.matrix))))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [7, 20240801])
+def test_batched_closed_form_check_matches_oracle_loop(seed):
+    samples = 600     # two chunks of qubit points
+    check = run_validation(seed=seed, samples=samples).checks[0]
+    assert check.name == "corrected_closed_form_vs_pipeline"
+    assert check.passed
+    assert abs(check.value - _oracle_corrected_vs_pipeline(seed, samples)) <= 1e-15
+
+
+def test_closed_form_check_sees_every_chunk(monkeypatch):
+    # Shift the closed form of one sample in the second chunk by 1e-9: the
+    # check must fail on it, by that amount.
+    calls = []
+
+    def shifted(*args):
+        state = corrected_final_qubit(*args)
+        calls.append(args)
+        if len(calls) != 550:
+            return state
+        return DensityMatrix(state.matrix + np.diag([1e-9, -1e-9, 0.0, 0.0]), (2, 2),
+                             strict=False)
+
+    monkeypatch.setattr(validate, "corrected_final_qubit", shifted)
+    check = validate.run_validation(seed=7, samples=600).checks[0]
+    assert check.passed is False
+    assert abs(check.value - 1e-9) <= 1e-15
+    assert check.detail.endswith(f"r={calls[549][3].r:.4f}")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(unruhlab.__all__)) == len(unruhlab.__all__)
+    for name in unruhlab.__all__:
+        assert getattr(unruhlab, name) is not None, name

@@ -1,9 +1,10 @@
-"""Batched grid engine against the scalar Kraus pipeline.
+"""Batched protocol pipeline against the scalar Kraus pipeline.
 
-The oracle evaluates one point the way the sweep did before the engine:
-``run_protocol``, then ``restrict_to_ladder`` under ``projected_3dim``,
-then ``compute_report``.  Every measure must agree to 1e-12; labels,
-indices, r, strengths and degenerate flags must agree exactly.
+The oracle (``tests/oracle.py``) evaluates one point the way the package
+did before the batched pipeline: ``run_protocol``, then
+``restrict_to_ladder`` under ``projected_3dim``, then ``compute_report``.
+Every measure must agree to 1e-12; labels, indices, r, strengths and
+degenerate flags must agree exactly.
 """
 
 import dataclasses
@@ -14,15 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unruhlab import engine, sweep
+from oracle import compute_report, restrict_to_ladder, run_protocol
+from unruhlab import pipeline, sweep
 from unruhlab.channel import R_MAX, AccelerationSpec
 from unruhlab.errors import DegenerateOutcome, NonHermitian, NotPositive
-from unruhlab.measures import MeasuresReport, compute_report
-from unruhlab.pipeline import restrict_to_ladder, run_protocol
+from unruhlab.measures import MeasuresReport
 from unruhlab.states import parse_state_preset
 from unruhlab.sweep import (FIGURE_PRESETS, INDEPENDENT, PROJECTED_SECTOR, TWO_QUTRIT,
                             WEAK_REVERSE_SPLIT, SweepConfig, figure_preset, run_sweep)
-from unruhlab.tensor import DensityMatrix
+from unruhlab.tensor import DensityMatrix, check_states
 
 TOL = 1e-12
 FIELDS = tuple(f.name for f in dataclasses.fields(MeasuresReport))
@@ -129,12 +130,12 @@ def test_grid_spanning_several_chunks(monkeypatch):
                          qutrit_compare_sector=PROJECTED_SECTOR)
     whole = run_sweep(config)
     # Seven 12 x 12 states per chunk: 20 points a state give 7 + 7 + 6.
-    monkeypatch.setattr(engine, "CHUNK_BYTES", 7 * 16 * 12 * 12)
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 7 * 16 * 12 * 12)
     sizes = []
 
     def spy(rho0, dims, kraus, weak, reverse, project):
         sizes.append(len(weak))
-        return engine.evaluate(rho0, dims, kraus, weak, reverse, project)
+        return pipeline.evaluate(rho0, dims, kraus, weak, reverse, project)
 
     monkeypatch.setattr(sweep, "evaluate", spy)
     rows = run_sweep(config)
@@ -195,9 +196,9 @@ def _corrupt_finiteness(m):
 def test_batched_state_check_rejects_one_bad_member(corrupt, error):
     stack = np.array([parse_state_preset(s).matrix
                       for s in ("singlet", "werner:0.7", "werner:0.2", "x:0.1,0.2,0.3")])
-    np.testing.assert_allclose(engine.check_states(stack), stack, atol=0)
+    np.testing.assert_allclose(check_states(stack)[0], stack, atol=0)
     corrupt(stack[2])
     with pytest.raises(error):
         DensityMatrix(stack[2], (2, 2))
     with pytest.raises(error):
-        engine.check_states(stack)
+        check_states(stack)

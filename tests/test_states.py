@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle import partial_trace
 from unruhlab.errors import NotPositive, UnknownPreset
 from unruhlab.states import (
     QutritStateSpec,
@@ -13,7 +14,7 @@ from unruhlab.states import (
     singlet,
     werner,
 )
-from unruhlab.tensor import hermitian_eigenvalues, partial_trace
+from unruhlab.tensor import hermitian_eigenvalues
 
 
 def test_singlet_matrix_frozen():

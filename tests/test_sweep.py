@@ -78,8 +78,6 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         small_config(measures=())
     with pytest.raises(ConfigError):
-        small_config(normalization_mode="squared")
-    with pytest.raises(ConfigError):
         small_config(qutrit_compare_sector="ladder")
     with pytest.raises(ConfigError):
         small_config(beta=1.2)
@@ -332,6 +330,20 @@ def test_cli_sweep_bad_config_exits_2(tmp_path):
     ini.write_text("[sweep]\nsystem = hexagon\n", encoding="utf-8")
     assert main(["sweep", "--config", str(ini)]) == 2
     assert main(["sweep", "--config", str(tmp_path / "missing.ini")]) == 2
+
+
+def test_cli_sweep_normalization_mode_is_an_unknown_key(tmp_path, capsys):
+    # The key only ever chose a plot column that was always E_norm.
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(
+        "[sweep]\nsystem = two_qubit\ninitial_state = singlet\n"
+        "r_grid = 0.2\nstrength_grid = 0.5\nnormalization_mode = normalized\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
+    assert "unknown config key 'normalization_mode'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["r_grid", "strength_grid", "phi", "beta"])

