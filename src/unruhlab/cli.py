@@ -14,6 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .channel import AccelerationSpec, r_from_acceleration
 from .errors import ConfigError, DegenerateOutcome, UnknownPreset, UnruhLabError
 from .localops import REVERSE, WEAK, tied
@@ -84,10 +86,10 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config, overrides=_parse_overrides(args.set))
-    rows = run_sweep(config)
-    Path(args.out).write_text(rows_to_csv(rows, config), encoding="utf-8")
-    degenerate = sum(1 for r in rows if r.degenerate)
-    print(f"wrote {args.out}: {len(rows)} rows ({degenerate} degenerate)")
+    measures = run_sweep(config)
+    Path(args.out).write_text(rows_to_csv(measures, config), encoding="utf-8")
+    degenerate = int(np.isnan(measures).all(axis=1).sum())
+    print(f"wrote {args.out}: {len(measures)} rows ({degenerate} degenerate)")
     return 0
 
 
@@ -95,19 +97,21 @@ def _cmd_figure(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = figure_preset(args.preset)
-    rows = run_sweep(config)
+    measures = run_sweep(config)
     csv_name = f"{args.preset}.csv"
-    (out_dir / csv_name).write_text(rows_to_csv(rows, config), encoding="utf-8")
+    (out_dir / csv_name).write_text(rows_to_csv(measures, config), encoding="utf-8")
     (out_dir / f"plot_{args.preset}.py").write_text(
         plot_script(args.preset, csv_name), encoding="utf-8")
     (out_dir / f"{args.preset}.ini").write_text(config_to_text(config),
                                                 encoding="utf-8")
-    print(f"wrote {out_dir / csv_name}: {len(rows)} rows")
+    print(f"wrote {out_dir / csv_name}: {len(measures)} rows")
     print(f"render with: python {out_dir / f'plot_{args.preset}.py'}")
     return 0
 
 
 def _cmd_validate(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be positive, got {args.samples}")
     report = run_validation(seed=args.seed, samples=args.samples)
     text = report.to_text()
     print(text, end="")
@@ -120,6 +124,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_state(args) -> int:
+    if args.r is not None and args.omega is not None:
+        raise ConfigError("--omega needs --accel, not --r")
     rho0 = parse_state_preset(args.preset)
     dim = rho0.dims[0]
     if args.r is not None:

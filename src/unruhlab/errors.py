@@ -21,10 +21,6 @@ class NotPositive(UnruhLabError):
     """Matrix has a negative eigenvalue beyond tolerance."""
 
 
-class InvalidSubsystem(UnruhLabError):
-    """Subsystem index is out of range for the given dimension list."""
-
-
 class DimMismatch(UnruhLabError):
     """Operator or state dimensions are incompatible."""
 

@@ -24,6 +24,10 @@ from .tensor import hermitian_eigenvalues, hermitian_part, shannon_entropy
 _SPECTRUM_SUM_TOL = 1e-6
 _POPULATION_SUM_TOL = 1e-8
 
+# Column order of every measure array: the fields of MeasuresReport, in order.
+MEASURE_COLUMNS = ("neg_raw", "E_norm", "I_a", "I_b", "I_coh_std", "I_coh_lit",
+                   "p_success")
+
 
 def x_state_spectrum(coeffs: QubitCoefficients,
                      normalization: str = TRACE_NORM
@@ -51,9 +55,24 @@ def x_state_spectrum(coeffs: QubitCoefficients,
     return tuple(out)
 
 
+def check_ranges(e_norm, p_success) -> None:
+    """Raise ``ValueError`` unless every normalised entanglement lies in
+    [0, 1 + 1e-9] and every success probability in (0, 1 + 1e-12].
+
+    Takes scalars or arrays.  NaN fails both checks.
+    """
+    e_norm, p_success = np.asarray(e_norm), np.asarray(p_success)
+    bad = ~((0.0 <= e_norm) & (e_norm <= 1.0 + 1e-9))
+    if bad.any():
+        raise ValueError(f"normalised entanglement {e_norm[bad][0]} outside [0, 1]")
+    bad = ~((0.0 < p_success) & (p_success <= 1.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"success probability {p_success[bad][0]} outside (0, 1]")
+
+
 @dataclass(frozen=True)
 class MeasuresReport:
-    """All scalar measures of one protocol run."""
+    """All scalar measures of one protocol run, in ``MEASURE_COLUMNS`` order."""
 
     negativity_raw: float
     entanglement_normalized: float
@@ -64,14 +83,7 @@ class MeasuresReport:
     success_probability: float
 
     def __post_init__(self):
-        if not 0.0 <= self.entanglement_normalized <= 1.0 + 1e-9:
-            raise ValueError(
-                f"normalised entanglement {self.entanglement_normalized} outside [0, 1]"
-            )
-        if not 0.0 < self.success_probability <= 1.0 + 1e-12:
-            raise ValueError(
-                f"success probability {self.success_probability} outside (0, 1]"
-            )
+        check_ranges(self.entanglement_normalized, self.success_probability)
 
 
 def measure_columns(states: np.ndarray, spectra: np.ndarray, dims: tuple[int, int],
@@ -81,21 +93,24 @@ def measure_columns(states: np.ndarray, spectra: np.ndarray, dims: tuple[int, in
     ``states`` are checked, exactly Hermitian states over ``dims`` and
     ``spectra`` their ascending eigenvalues, as
     :func:`~unruhlab.pipeline.propagate` returns them.  The columns are
-    the fields of :class:`MeasuresReport`, in order; party 0 is the
-    accelerated party and the partial transpose is taken on it.
+    ``MEASURE_COLUMNS``, in order; party 0 is the accelerated party and
+    the partial transpose is taken on it.  Raises ``ValueError`` through
+    :func:`check_ranges` if any E_norm or p_success is out of range.
     """
     d0, db = dims
     dim = d0 * db
     t = states.reshape(-1, d0, db, d0, db)
     lam = hermitian_eigenvalues(t.transpose(0, 3, 2, 1, 4).reshape(-1, dim, dim))
     neg_raw = -np.where(lam < 0.0, lam, 0.0).sum(axis=-1)
+    e_norm = 2.0 * neg_raw / (min(d0, db) - 1)
+    check_ranges(e_norm, p_success)
     s_ab = shannon_entropy(spectra, _SPECTRUM_SUM_TOL)
     marg_a = hermitian_part(np.trace(t, axis1=2, axis2=4))
     marg_b = hermitian_part(np.trace(t, axis1=1, axis2=3))
     s_b = shannon_entropy(hermitian_eigenvalues(marg_b), _SPECTRUM_SUM_TOL)
     return np.column_stack((
         neg_raw,
-        2.0 * neg_raw / (min(d0, db) - 1),
+        e_norm,
         shannon_entropy(np.diagonal(marg_a, axis1=1, axis2=2).real, _POPULATION_SUM_TOL),
         shannon_entropy(np.diagonal(marg_b, axis1=1, axis2=2).real, _POPULATION_SUM_TOL),
         s_b - s_ab,

@@ -14,9 +14,8 @@ own:
   ``SUCCESS_FLOOR`` is degenerate; later steps skip it.
 
 :func:`~unruhlab.measures.measure_columns` then evaluates the measures on
-the final states, and :func:`evaluate` runs both steps for a chunk of
-sweep points.  The scalar Kraus pipeline this replaced lives beside the
-tests (``tests/oracle.py``) as the reference it is compared against.
+the final states.  The scalar Kraus pipeline this replaced lives beside
+the tests (``tests/oracle.py``) as the reference it is compared against.
 """
 
 from typing import NamedTuple
@@ -26,7 +25,6 @@ import numpy as np
 from .channel import AccelerationSpec, channel_for_dim
 from .errors import DegenerateOutcome
 from .localops import REVERSE, SUCCESS_FLOOR, MeasurementStrengths, build_operator, embed_diagonal
-from .measures import measure_columns
 from .tensor import DensityMatrix, check_states
 
 LADDER_FLOOR = 1e-14
@@ -149,21 +147,3 @@ def propagate_point(rho0: DensityMatrix, weak: MeasurementStrengths,
         raise DegenerateOutcome(f"success probability below {SUCCESS_FLOOR}")
     return out
 
-
-def evaluate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,
-             weak: np.ndarray, reverse: np.ndarray, project: bool
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Every measure of a chunk of sweep points on one initial state.
-
-    Takes the arguments of :func:`propagate`.  Returns ``(measures, ok)``:
-    an ``(n, 7)`` array with the columns of
-    :class:`~unruhlab.measures.MeasuresReport` in field order, and an
-    ``(n,)`` mask that is False on degenerate points, whose rows are NaN.
-    """
-    n = len(weak)
-    out = propagate(rho0, dims, kraus, weak, reverse, project)
-    measures = np.full((n, 7), np.nan)
-    ok = np.zeros(n, dtype=bool)
-    measures[out.kept] = measure_columns(out.states, out.spectra, out.dims, out.p_success)
-    ok[out.kept] = True
-    return measures, ok

@@ -1,10 +1,10 @@
 """Parameter sweeps over (initial state, Rindler angle, filter strength).
 
 A sweep is described by a :class:`SweepConfig`, loadable from an INI-style
-``key = value`` file, and produces one row per grid point with every
-requested measure.  Output is a deterministic CSV: fixed column order,
-17-significant-digit floats, ``\\n`` line endings, so identical configs
-give byte-identical files.
+``key = value`` file.  :func:`run_sweep` returns every measure of every
+grid point as one array, and :func:`rows_to_csv` renders it as a
+deterministic CSV: fixed column order, 17-significant-digit floats, ``\\n``
+line endings, so identical configs give byte-identical files.
 
 Grid points whose post-selection succeeds with probability (numerically)
 zero are retained with the ``degenerate`` flag set and blank measure
@@ -13,6 +13,7 @@ columns.
 
 import configparser
 import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,8 @@ import numpy as np
 from .channel import R_MAX, AccelerationSpec, channel_for_dim
 from .errors import ConfigError, UnknownPreset
 from .localops import MeasurementStrengths, REVERSE, WEAK
-from .measures import MeasuresReport
-from .pipeline import chunk_points, evaluate, filter_diagonal
+from .measures import MEASURE_COLUMNS, measure_columns
+from .pipeline import chunk_points, filter_diagonal, propagate
 from .states import parse_state_preset
 
 TWO_QUBIT = "two_qubit"
@@ -34,19 +35,6 @@ _TIE_POLICIES = (ALL_EQUAL, WEAK_REVERSE_SPLIT, INDEPENDENT)
 
 FULL_SECTOR = "full_4dim"
 PROJECTED_SECTOR = "projected_3dim"
-
-MEASURE_COLUMNS = ("neg_raw", "E_norm", "I_a", "I_b", "I_coh_std", "I_coh_lit",
-                   "p_success")
-
-_REPORT_FIELDS = {
-    "neg_raw": "negativity_raw",
-    "E_norm": "entanglement_normalized",
-    "I_a": "info_accelerated_bits",
-    "I_b": "info_inertial_bits",
-    "I_coh_std": "coherent_info_standard_bits",
-    "I_coh_lit": "coherent_info_literal_bits",
-    "p_success": "success_probability",
-}
 
 
 def parse_grid(text: str, field_name: str = "grid") -> tuple[float, ...]:
@@ -177,78 +165,76 @@ class SweepConfig:
         return w, r
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One evaluated grid point."""
+def run_sweep(config: SweepConfig) -> np.ndarray:
+    """Every measure of every grid point, in deterministic (state, r, strength) order.
 
-    state: str
-    i_r: int
-    i_strength: int
-    r: float
-    strengths: tuple[float, ...]
-    report: MeasuresReport | None
-    degenerate: bool = False
-
-
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Evaluate every grid point, in deterministic (state, r, strength) order.
-
-    The grid runs through :func:`~unruhlab.pipeline.evaluate` in chunks of
-    consecutive points.  Channels are built once per r and filters once
-    per strength value.
+    Returns an ``(n_points, 7)`` array with columns in ``MEASURE_COLUMNS``
+    order.  The grid runs through :func:`~unruhlab.pipeline.propagate` in
+    chunks of consecutive points; channels are built once per r and
+    filters once per strength value.  A degenerate point's row is all NaN,
+    and a kept row never holds NaN in E_norm or p_success: NaN fails the
+    range checks of :func:`~unruhlab.measures.measure_columns`.  So a row
+    is all NaN exactly where its point is degenerate.
     """
     dim = config.levels + 1
     channels = [channel_for_dim(dim, AccelerationSpec(r, config.phi)) for r in config.r_grid]
     kraus = np.array([c.kraus for c in channels])
     out_dim = channels[0].out_dim
-    weak, reverse, strengths = [], [], []
+    weak, reverse = [], []
     for value in config.strength_grid:
         w, v = config.point_strengths(value)
         weak.append(filter_diagonal(w, dim))
         reverse.append(filter_diagonal(v, out_dim))
-        strengths.append(w.party_a_levels + w.party_b_levels
-                         + v.party_a_levels + v.party_b_levels)
     weak, reverse = np.array(weak), np.array(reverse)
     project = (config.system == TWO_QUTRIT
                and config.qutrit_compare_sector == PROJECTED_SECTOR)
     n_s = len(config.strength_grid)
     n_points = len(config.r_grid) * n_s
     size = chunk_points(out_dim * dim)
-    rows = []
-    for label in config.initial_state:
+    measures = np.full((len(config.initial_state) * n_points, len(MEASURE_COLUMNS)), np.nan)
+    for k, label in enumerate(config.initial_state):
         rho0 = parse_state_preset(label)
+        offset = k * n_points
         for start in range(0, n_points, size):
             i_r, i_s = np.divmod(np.arange(start, min(start + size, n_points)), n_s)
-            measures, ok = evaluate(rho0.matrix, rho0.dims, kraus[i_r], weak[i_s],
-                                    reverse[i_s], project)
-            for a, b, values, good in zip(i_r.tolist(), i_s.tolist(), measures.tolist(),
-                                          ok.tolist()):
-                report = MeasuresReport(*values) if good else None
-                rows.append(SweepRow(label, a, b, config.r_grid[a], strengths[b], report,
-                                     degenerate=not good))
-    return rows
+            out = propagate(rho0.matrix, rho0.dims, kraus[i_r], weak[i_s], reverse[i_s],
+                            project)
+            measures[offset + start + out.kept] = measure_columns(out.states, out.spectra,
+                                                                 out.dims, out.p_success)
+    return measures
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def rows_to_csv(rows, config: SweepConfig) -> str:
-    """Render sweep rows as deterministic CSV text."""
+def rows_to_csv(measures: np.ndarray, config: SweepConfig) -> str:
+    """Render :func:`run_sweep`'s measure array as deterministic CSV text."""
+    n_points = len(config.initial_state) * len(config.r_grid) * len(config.strength_grid)
+    if len(measures) != n_points:
+        raise ValueError(f"{len(measures)} measure rows for a grid of {n_points} points")
     cols = (("state", "i_r", "i_s", "r") + config.strength_columns()
             + config.measures + ("degenerate",))
+    r_cells = [_fmt(r) for r in config.r_grid]
+    s_cells = []
+    for value in config.strength_grid:
+        w, v = config.point_strengths(value)
+        s_cells.append(",".join(_fmt(x) for x in w.party_a_levels + w.party_b_levels
+                                + v.party_a_levels + v.party_b_levels))
+    n_cols = len(config.measures)
+    kept_fmt = ",".join(["%.17g"] * n_cols) + ",0\n"
+    blank = "," * n_cols + "1\n"
+    values = measures[:, [MEASURE_COLUMNS.index(m) for m in config.measures]].tolist()
+    degenerate = np.isnan(measures).all(axis=1).tolist()
+    rows = zip(values, degenerate)
     out = io.StringIO()
     out.write(",".join(cols) + "\n")
-    for row in rows:
-        cells = [row.state, str(row.i_r), str(row.i_strength), _fmt(row.r)]
-        cells += [_fmt(v) for v in row.strengths]
-        if row.report is None:
-            cells += ["" for _ in config.measures]
-        else:
-            cells += [_fmt(getattr(row.report, _REPORT_FIELDS[m]))
-                      for m in config.measures]
-        cells.append("1" if row.degenerate else "0")
-        out.write(",".join(cells) + "\n")
+    for label in config.initial_state:
+        for i_r, r in enumerate(r_cells):
+            for i_s, s in enumerate(s_cells):
+                row, dead = next(rows)
+                out.write(f"{label},{i_r},{i_s},{r},{s},")
+                out.write(blank if dead else kept_fmt % tuple(row))
     return out.getvalue()
 
 
@@ -284,7 +270,9 @@ def config_from_mapping(mapping: dict) -> SweepConfig:
         if key in _GRID_FIELDS:
             kwargs[key] = parse_grid(value, field_name=key)
         elif key in _LIST_FIELDS:
-            kwargs[key] = tuple(p.strip() for p in value.split(",") if p.strip())
+            # A comma followed by a number continues an ``x:`` preset's coefficients.
+            parts = re.split(r",(?!\s*[-+.\d])", value)
+            kwargs[key] = tuple(p.strip() for p in parts if p.strip())
         elif key in _FLOAT_FIELDS:
             try:
                 kwargs[key] = float(value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from unruhlab.channel import AccelerationSpec, ChannelKraus, channel_for_dim
-from unruhlab.errors import DegenerateOutcome, DimMismatch, InvalidSubsystem, NotPositive
+from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
 from unruhlab.localops import (REVERSE, SUCCESS_FLOOR, WEAK, MeasurementStrengths,
                                build_operator, embed_diagonal)
 from unruhlab.measures import MeasuresReport
@@ -28,6 +28,10 @@ ACCELERATED_PARTY = 0
 STANDARD = "standard"
 LITERAL = "literal"
 _NEG_CLAMP = 1e-12
+
+
+class InvalidSubsystem(UnruhLabError):
+    """Subsystem index is out of range for the given dimension list."""
 
 
 def kron(*factors) -> np.ndarray:

@@ -67,6 +67,29 @@ def test_state_degenerate_point_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_state_omega_without_accel_exits_2(tmp_path, capsys):
+    out = tmp_path / "state.csv"
+    code = main(["state", "--preset", "singlet", "--r", "0.3", "--alpha", "0.2",
+                 "--omega", "5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "--omega" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_validate_non_positive_samples_exits_2(tmp_path, capsys, samples):
+    code = main(["validate", "--samples", samples, "--out-dir", str(tmp_path / "v")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "--samples" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "v").exists()
+
+
 def _oracle_corrected_vs_pipeline(seed: int, samples: int) -> float:
     """The scalar loop the check ran before it was batched, on the same draws."""
     rng = np.random.default_rng(seed)

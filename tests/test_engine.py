@@ -3,13 +3,14 @@
 The oracle (``tests/oracle.py``) evaluates one point the way the package
 did before the batched pipeline: ``run_protocol``, then
 ``restrict_to_ladder`` under ``projected_3dim``, then ``compute_report``.
-Every measure must agree to 1e-12; labels, indices, r, strengths and
-degenerate flags must agree exactly.
+Every measure must agree to 1e-12; the label, index, r, strength and
+degenerate cells of the CSV line must be exact.
 """
 
 import dataclasses
 import functools
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,14 +20,14 @@ from oracle import compute_report, restrict_to_ladder, run_protocol
 from unruhlab import pipeline, sweep
 from unruhlab.channel import R_MAX, AccelerationSpec
 from unruhlab.errors import DegenerateOutcome, NonHermitian, NotPositive
-from unruhlab.measures import MeasuresReport
+from unruhlab.measures import MEASURE_COLUMNS
 from unruhlab.states import parse_state_preset
 from unruhlab.sweep import (FIGURE_PRESETS, INDEPENDENT, PROJECTED_SECTOR, TWO_QUTRIT,
-                            WEAK_REVERSE_SPLIT, SweepConfig, figure_preset, run_sweep)
+                            WEAK_REVERSE_SPLIT, SweepConfig, config_from_mapping,
+                            figure_preset, rows_to_csv, run_sweep)
 from unruhlab.tensor import DensityMatrix, check_states
 
 TOL = 1e-12
-FIELDS = tuple(f.name for f in dataclasses.fields(MeasuresReport))
 SAMPLE_ROWS = 40
 
 
@@ -45,49 +46,70 @@ def oracle(config: SweepConfig, label: str, r: float, value: float):
         return None
 
 
-def assert_row_matches(config: SweepConfig, rows, index: int):
+class Sweep(NamedTuple):
+    measures: np.ndarray    # what run_sweep returns
+    lines: list[str]        # the CSV that rows_to_csv renders from it, without the header
+
+
+def sweep_of(config: SweepConfig) -> Sweep:
+    measures = run_sweep(config)
+    return Sweep(measures, rows_to_csv(measures, config).splitlines()[1:])
+
+
+def degenerate_rows(result: Sweep) -> list[bool]:
+    return np.isnan(result.measures).all(axis=1).tolist()
+
+
+def assert_row_matches(config: SweepConfig, result: Sweep, index: int):
     """Row ``index`` sits at its grid point and agrees with the oracle there."""
     n_r, n_s = len(config.r_grid), len(config.strength_grid)
     i_state, rest = divmod(index, n_r * n_s)
     i_r, i_s = divmod(rest, n_s)
-    row = rows[index]
     label, r, value = config.initial_state[i_state], config.r_grid[i_r], config.strength_grid[i_s]
-    assert (row.state, row.i_r, row.i_strength, row.r) == (label, i_r, i_s, r)
     weak, reverse = config.point_strengths(value)
-    assert row.strengths == (weak.party_a_levels + weak.party_b_levels
-                             + reverse.party_a_levels + reverse.party_b_levels)
+    strengths = (weak.party_a_levels + weak.party_b_levels
+                 + reverse.party_a_levels + reverse.party_b_levels)
+    head = ",".join([label, str(i_r), str(i_s)] + [f"{v:.17g}" for v in (r,) + strengths])
+    line = result.lines[index]
+    assert line.startswith(head + ","), (index, line, head)
+    cells = line[len(head) + 1:].split(",")
+    row = result.measures[index]
+    picked = row[[MEASURE_COLUMNS.index(m) for m in config.measures]]
     expected = oracle(config, label, r, value)
-    assert row.degenerate == (expected is None)
     if expected is None:
-        assert row.report is None
+        assert np.isnan(row).all(), (index, row)
+        assert cells == [""] * len(config.measures) + ["1"], (index, line)
         return
-    for name in FIELDS:
-        got, want = getattr(row.report, name), getattr(expected, name)
+    assert cells == [f"{v:.17g}" for v in picked] + ["0"], (index, line)
+    for name, got, want in zip(MEASURE_COLUMNS, row, dataclasses.astuple(expected),
+                               strict=True):
         assert abs(got - want) <= TOL, (index, name, got, want)
 
 
-def assert_all_rows_match(config: SweepConfig, rows):
-    assert len(rows) == (len(config.initial_state) * len(config.r_grid)
-                         * len(config.strength_grid))
-    for index in range(len(rows)):
-        assert_row_matches(config, rows, index)
+def assert_all_rows_match(config: SweepConfig, result: Sweep):
+    assert result.measures.shape == (len(config.initial_state) * len(config.r_grid)
+                                     * len(config.strength_grid), len(MEASURE_COLUMNS))
+    assert len(result.lines) == len(result.measures)
+    for index in range(len(result.measures)):
+        assert_row_matches(config, result, index)
 
 
 @functools.lru_cache(maxsize=None)
-def preset_rows(config: SweepConfig):
+def preset_sweep(config: SweepConfig) -> Sweep:
     """Several presets share a config; sweep each config once."""
-    return run_sweep(config)
+    return sweep_of(config)
 
 
 @pytest.mark.parametrize("name", FIGURE_PRESETS)
 def test_preset_sample_matches_oracle(name):
     config = figure_preset(name)
-    rows = preset_rows(config)
-    assert len(rows) == (len(config.initial_state) * len(config.r_grid)
-                         * len(config.strength_grid))
+    result = preset_sweep(config)
+    n = len(result.measures)
+    assert n == len(config.initial_state) * len(config.r_grid) * len(config.strength_grid)
+    assert len(result.lines) == n
     rng = random.Random(f"engine-{name}")
-    for index in rng.sample(range(len(rows)), min(SAMPLE_ROWS, len(rows))):
-        assert_row_matches(config, rows, index)
+    for index in rng.sample(range(n), min(SAMPLE_ROWS, n)):
+        assert_row_matches(config, result, index)
 
 
 def test_projected_qutrit_grid_with_degenerate_rows():
@@ -95,9 +117,9 @@ def test_projected_qutrit_grid_with_degenerate_rows():
                          r_grid=tuple(np.linspace(0.0, R_MAX, 5)),
                          strength_grid=tuple(np.linspace(0.0, 1.0, 5)),
                          qutrit_compare_sector=PROJECTED_SECTOR)
-    rows = run_sweep(config)
-    assert any(row.degenerate for row in rows)
-    assert_all_rows_match(config, rows)
+    result = sweep_of(config)
+    assert any(degenerate_rows(result))
+    assert_all_rows_match(config, result)
 
 
 def test_points_either_side_of_the_success_floor():
@@ -105,9 +127,9 @@ def test_points_either_side_of_the_success_floor():
     # floor, 2e-14 stays above it.
     config = SweepConfig(system="two_qubit", initial_state=("singlet",), r_grid=(0.0, 0.5),
                          strength_grid=(1.0 - 5e-15, 1.0 - 2e-14))
-    rows = run_sweep(config)
-    assert [row.degenerate for row in rows] == [True, False, True, False]
-    assert_all_rows_match(config, rows)
+    result = sweep_of(config)
+    assert degenerate_rows(result) == [True, False, True, False]
+    assert_all_rows_match(config, result)
 
 
 @pytest.mark.parametrize("system, states, extra", [
@@ -121,28 +143,41 @@ def test_points_either_side_of_the_success_floor():
 def test_untied_policies_match_oracle(system, states, extra):
     config = SweepConfig(system=system, initial_state=states,
                          r_grid=(0.0, 0.3, R_MAX), strength_grid=(0.0, 0.45, 1.0), **extra)
-    assert_all_rows_match(config, run_sweep(config))
+    assert_all_rows_match(config, sweep_of(config))
+
+
+def test_x_state_sweeps_beside_a_preset():
+    config = config_from_mapping({"system": "two_qubit",
+                                  "initial_state": "x:-0.5,-0.2,0.3, singlet",
+                                  "r_grid": f"0:{R_MAX!r}:3", "strength_grid": "0, 0.5, 1"})
+    assert config.initial_state == ("x:-0.5,-0.2,0.3", "singlet")
+    result = sweep_of(config)
+    assert_all_rows_match(config, result)
+    # The label is written as it is, commas and all: the row has two more cells.
+    assert result.lines[1].startswith("x:-0.5,-0.2,0.3,0,1,0,0.5,0.5,0.5,0.5,")
+    assert [len(line.split(",")) for line in result.lines] == [18] * 9 + [16] * 9
 
 
 def test_grid_spanning_several_chunks(monkeypatch):
     config = SweepConfig(system="two_qutrit", initial_state=("qutrit:1", "qutrit:0.5"),
                          r_grid=(0.0, 0.2, 0.5, R_MAX), strength_grid=(0.0, 0.3, 0.6, 0.9, 1.0),
                          qutrit_compare_sector=PROJECTED_SECTOR)
-    whole = run_sweep(config)
+    whole = sweep_of(config)
     # Seven 12 x 12 states per chunk: 20 points a state give 7 + 7 + 6.
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 7 * 16 * 12 * 12)
     sizes = []
 
     def spy(rho0, dims, kraus, weak, reverse, project):
         sizes.append(len(weak))
-        return pipeline.evaluate(rho0, dims, kraus, weak, reverse, project)
+        return pipeline.propagate(rho0, dims, kraus, weak, reverse, project)
 
-    monkeypatch.setattr(sweep, "evaluate", spy)
-    rows = run_sweep(config)
+    monkeypatch.setattr(sweep, "propagate", spy)
+    result = sweep_of(config)
     assert sizes == [7, 7, 6, 7, 7, 6]
-    assert_all_rows_match(config, rows)
-    assert [(r.state, r.i_r, r.i_strength, r.degenerate) for r in rows] == \
-        [(r.state, r.i_r, r.i_strength, r.degenerate) for r in whole]
+    assert_all_rows_match(config, result)
+    assert [line.split(",")[:3] + line.split(",")[-1:] for line in result.lines] == \
+        [line.split(",")[:3] + line.split(",")[-1:] for line in whole.lines]
+    assert degenerate_rows(result) == degenerate_rows(whole)
 
 
 _POINT_STATES = {"two_qubit": st.sampled_from(["singlet", "werner:0.3", "werner:0.9"]),
@@ -168,7 +203,7 @@ def single_points(draw):
 @settings(max_examples=60, deadline=None)
 @given(config=single_points())
 def test_single_points_match_oracle(config):
-    assert_all_rows_match(config, run_sweep(config))
+    assert_all_rows_match(config, sweep_of(config))
 
 
 def _corrupt_hermiticity(m):

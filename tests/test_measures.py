@@ -21,7 +21,7 @@ from unruhlab.channel import AccelerationSpec
 from unruhlab.closedform import QubitCoefficients, qubit_coefficients
 from unruhlab.errors import NegativeDiscriminant
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
-from unruhlab.measures import MeasuresReport, x_state_spectrum
+from unruhlab.measures import MeasuresReport, measure_columns, x_state_spectrum
 from unruhlab.states import (
     QutritStateSpec,
     XStateSpec,
@@ -126,6 +126,15 @@ def test_measures_report_validation():
         MeasuresReport(0.5, 1.5, 1.0, 1.0, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         MeasuresReport(0.5, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("p_success", [0.0, 1.5])
+def test_measure_columns_rejects_success_probability_out_of_range(p_success):
+    rho = werner(0.7)
+    spectra = hermitian_eigenvalues(rho.matrix)[None]
+    measure_columns(rho.matrix[None], spectra, rho.dims, np.array([0.5]))
+    with pytest.raises(ValueError, match="success probability"):
+        measure_columns(rho.matrix[None], spectra, rho.dims, np.array([p_success]))
 
 
 def test_compute_report_consistency():

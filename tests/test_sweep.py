@@ -119,26 +119,27 @@ def test_qutrit_config_levels():
 
 def test_run_sweep_row_order_and_content():
     cfg = small_config(initial_state=("singlet", "werner:0.7"))
-    rows = run_sweep(cfg)
-    assert len(rows) == 2 * 2 * 2
-    labels = [r.state for r in rows]
+    measures = run_sweep(cfg)
+    assert measures.shape == (2 * 2 * 2, len(MEASURE_COLUMNS))
+    lines = rows_to_csv(measures, cfg).splitlines()[1:]
+    labels = [line.split(",")[0] for line in lines]
     assert labels == ["singlet"] * 4 + ["werner:0.7"] * 4
-    assert [(r.i_r, r.i_strength) for r in rows[:4]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    first = rows[0]
-    assert first.r == 0.0
-    assert first.report is not None
-    assert first.report.entanglement_normalized == pytest.approx(1.0, abs=1e-12)
-    assert not first.degenerate
+    assert [tuple(line.split(",")[1:3]) for line in lines[:4]] == \
+        [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+    first = measures[0]
+    assert float(lines[0].split(",")[3]) == 0.0
+    assert not np.isnan(first).any()
+    assert first[MEASURE_COLUMNS.index("E_norm")] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_sweep_flags_degenerate_points():
     cfg = small_config(strength_grid=(0.5, 1.0))
-    rows = run_sweep(cfg)
-    flagged = [r for r in rows if r.degenerate]
-    assert len(flagged) == 2  # singlet dies under full-strength weak filtering
-    for row in flagged:
-        assert row.report is None
-        assert row.strengths[0] == 1.0
+    measures = run_sweep(cfg)
+    flagged = np.isnan(measures).all(axis=1)
+    assert flagged.sum() == 2  # singlet dies under full-strength weak filtering
+    assert flagged.tolist() == [False, True, False, True]
+    assert cfg.strength_grid[1] == 1.0
+    assert not np.isnan(measures[~flagged]).any()
 
 
 def test_projected_sector_changes_qutrit_measures():
@@ -146,12 +147,10 @@ def test_projected_sector_changes_qutrit_measures():
                 r_grid=(0.6,), strength_grid=(0.3,))
     full = run_sweep(SweepConfig(qutrit_compare_sector=FULL_SECTOR, **base))
     proj = run_sweep(SweepConfig(qutrit_compare_sector=PROJECTED_SECTOR, **base))
-    e_full = full[0].report.entanglement_normalized
-    e_proj = proj[0].report.entanglement_normalized
-    assert abs(e_full - e_proj) > 1e-3
+    e_norm, p_success = MEASURE_COLUMNS.index("E_norm"), MEASURE_COLUMNS.index("p_success")
+    assert abs(full[0, e_norm] - proj[0, e_norm]) > 1e-3
     # success probability tracks the filters, not the sector restriction
-    assert full[0].report.success_probability == pytest.approx(
-        proj[0].report.success_probability, abs=1e-15)
+    assert full[0, p_success] == pytest.approx(proj[0, p_success], abs=1e-15)
 
 
 # --------------------------------------------------------------------- csv
@@ -183,6 +182,18 @@ def test_csv_is_deterministic_across_runs():
     a = rows_to_csv(run_sweep(cfg), cfg)
     b = rows_to_csv(run_sweep(cfg), cfg)
     assert a == b
+
+
+def test_x_state_config_round_trips_through_text():
+    cfg = config_from_mapping({"system": "two_qubit",
+                               "initial_state": "x:-0.5,-0.2,0.3, singlet,x:0.1, 0.2, 0.3",
+                               "r_grid": "0, 0.4", "strength_grid": "0.5"})
+    assert cfg.initial_state == ("x:-0.5,-0.2,0.3", "singlet", "x:0.1, 0.2, 0.3")
+    mapping = {}
+    for line in config_to_text(cfg).strip().splitlines()[1:]:
+        key, _, value = line.partition("=")
+        mapping[key.strip()] = value.strip()
+    assert config_from_mapping(mapping) == cfg
 
 
 def test_config_round_trips_through_text():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import (
+    InvalidSubsystem,
     jacobi_eigenvalues,
     kron,
     partial_trace,
@@ -16,7 +17,7 @@ from oracle import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from unruhlab.errors import InvalidSubsystem, NonHermitian, NotPositive, NotSquare
+from unruhlab.errors import NonHermitian, NotPositive, NotSquare
 from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
 
 RNG_SEED = 91031
