@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import PRINTED_NORM, TRACE_NORM, QubitCoefficients
+from .closedform import QubitCoefficients
 from .errors import NegativeDiscriminant
-from .tensor import hermitian_eigenvalues, hermitian_part, shannon_entropy
+from .tensor import shannon_entropy
 
 # Tolerances on the probability sum: spectra, then populations.
 _SPECTRUM_SUM_TOL = 1e-6
@@ -29,20 +29,17 @@ MEASURE_COLUMNS = ("neg_raw", "E_norm", "I_a", "I_b", "I_coh_std", "I_coh_lit",
                    "p_success")
 
 
-def x_state_spectrum(coeffs: QubitCoefficients,
-                     normalization: str = TRACE_NORM
-                     ) -> tuple[float, float, float, float]:
+def x_state_spectrum(coeffs: QubitCoefficients) -> tuple[float, float, float, float]:
     """Eigenvalues of the final X-form qubit state from its coefficients.
 
     Returns (mu1, mu2, mu3, mu4): the outer-block pair from
     {b1, b7, b2 b8} and the inner-block pair from {b3, b5, b4 b6}, each
-    larger root first, divided by the requested normalisation.  A negative
-    discriminant cannot arise from coefficients computed by this package
-    (b8 = b2, b6 = b4) and raises :class:`NegativeDiscriminant` when fed
-    inconsistent hand-built values.
+    larger root first, divided by the trace.  A negative discriminant
+    cannot arise from coefficients computed by this package (b8 = b2,
+    b6 = b4) and raises :class:`NegativeDiscriminant` when fed inconsistent
+    hand-built values.
     """
-    n = {TRACE_NORM: coeffs.normalization,
-         PRINTED_NORM: coeffs.printed_normalization}[normalization]
+    n = coeffs.normalization
     out = []
     for pop1, pop2, off1, off2 in ((coeffs.b1, coeffs.b7, coeffs.b2, coeffs.b8),
                                    (coeffs.b3, coeffs.b5, coeffs.b4, coeffs.b6)):
@@ -92,22 +89,24 @@ def measure_columns(states: np.ndarray, spectra: np.ndarray, dims: tuple[int, in
 
     ``states`` are checked, exactly Hermitian states over ``dims`` and
     ``spectra`` their ascending eigenvalues, as
-    :func:`~unruhlab.pipeline.propagate` returns them.  The columns are
-    ``MEASURE_COLUMNS``, in order; party 0 is the accelerated party and
-    the partial transpose is taken on it.  Raises ``ValueError`` through
-    :func:`check_ranges` if any E_norm or p_success is out of range.
+    :func:`~unruhlab.pipeline.propagate` returns them, so their partial
+    transposes and marginals (entries permuted, or summed in one order) are
+    exactly Hermitian too.  The columns are ``MEASURE_COLUMNS``, in order;
+    party 0 is the accelerated party and the partial transpose is taken on
+    it.  Raises ``ValueError`` through :func:`check_ranges` if any E_norm
+    or p_success is out of range.
     """
     d0, db = dims
     dim = d0 * db
     t = states.reshape(-1, d0, db, d0, db)
-    lam = hermitian_eigenvalues(t.transpose(0, 3, 2, 1, 4).reshape(-1, dim, dim))
+    lam = np.linalg.eigvalsh(t.transpose(0, 3, 2, 1, 4).reshape(-1, dim, dim))
     neg_raw = -np.where(lam < 0.0, lam, 0.0).sum(axis=-1)
     e_norm = 2.0 * neg_raw / (min(d0, db) - 1)
     check_ranges(e_norm, p_success)
     s_ab = shannon_entropy(spectra, _SPECTRUM_SUM_TOL)
-    marg_a = hermitian_part(np.trace(t, axis1=2, axis2=4))
-    marg_b = hermitian_part(np.trace(t, axis1=1, axis2=3))
-    s_b = shannon_entropy(hermitian_eigenvalues(marg_b), _SPECTRUM_SUM_TOL)
+    marg_a = np.trace(t, axis1=2, axis2=4)
+    marg_b = np.trace(t, axis1=1, axis2=3)
+    s_b = shannon_entropy(np.linalg.eigvalsh(marg_b), _SPECTRUM_SUM_TOL)
     return np.column_stack((
         neg_raw,
         e_norm,

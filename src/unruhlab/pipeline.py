@@ -9,9 +9,9 @@ own:
 * a diagonal filter is a broadcast scaling by its diagonal;
 * the channel on party 0 is one ``einsum`` over the stacked Kraus
   operators;
-* every state is checked by :func:`~unruhlab.tensor.check_states` after
-  each step, and a point whose post-selection probability falls below
-  ``SUCCESS_FLOOR`` is degenerate; later steps skip it.
+* states are checked by :func:`~unruhlab.tensor.check_states` where they
+  enter and where they leave, and a point whose post-selection probability
+  falls below ``SUCCESS_FLOOR`` is degenerate; later steps skip it.
 
 :func:`~unruhlab.measures.measure_columns` then evaluates the measures on
 the final states.  The scalar Kraus pipeline this replaced lives beside
@@ -25,7 +25,7 @@ import numpy as np
 from .channel import AccelerationSpec, channel_for_dim
 from .errors import DegenerateOutcome
 from .localops import REVERSE, SUCCESS_FLOOR, MeasurementStrengths, build_operator, embed_diagonal
-from .tensor import DensityMatrix, check_states
+from .tensor import STATE_HERMITICITY_TOL, DensityMatrix, check_states, hermitian_part
 
 LADDER_FLOOR = 1e-14
 
@@ -89,14 +89,13 @@ def ladder_block(states: np.ndarray, dims: tuple[int, int], levels: int) -> np.n
 
 
 def _post_select(sigma: np.ndarray, floor: float):
-    """Keep the members whose trace reaches ``floor``, renormalised and checked.
-
-    Returns (indices kept, their traces, their states, their spectra).
+    """Keep the members whose trace reaches ``floor``, renormalised and made
+    exactly Hermitian after a 1e-10 check: (indices kept, traces, states).
     """
     p = np.trace(sigma, axis1=-2, axis2=-1).real
     kept = np.flatnonzero(p >= floor)
     p = p[kept]
-    return (kept, p) + check_states(sigma[kept] / p[:, None, None])
+    return kept, p, hermitian_part(sigma[kept] / p[:, None, None], STATE_HERMITICITY_TOL)
 
 
 def propagate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,
@@ -118,23 +117,36 @@ def propagate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,
         Restrict each output to party 0's first ``da`` levels (its
         pre-acceleration ladder, see :func:`ladder_block`) and renormalise;
         a point whose ladder weight is below ``LADDER_FLOOR`` is degenerate.
+
+    Strict checks run twice: on ``rho0``, and on the states that leave
+    (under ``project``, the ladder blocks), whose spectra are returned.
+    Between the steps a state is only renormalised and made exactly
+    Hermitian after a 1e-10 check.  That is enough while the filters are
+    real diagonals (:func:`~unruhlab.localops.build_operator`) and the
+    channel a Kraus sum complete to 1e-12 (checked when it is built): the
+    map is then completely positive (Choi, Linear Algebra Appl. 10, 285,
+    1975), so a positive input stays positive and renormalising gives unit
+    trace; rounding on these small matrices stays far below the 1e-10
+    tolerances; and the exit check re-tests all four conditions on exactly
+    the states the measures use.
     """
     da, db = dims
     dao = kraus.shape[2]
-    live, p_weak, state, _ = _post_select((weak[:, :, None] * rho0) * weak[:, None, :],
-                                          SUCCESS_FLOOR)
+    rho0, _ = check_states(rho0)
+    live, p_weak, state = _post_select((weak[:, :, None] * rho0) * weak[:, None, :],
+                                       SUCCESS_FLOOR)
     k = kraus[live]
     t = np.einsum("nkai,nibjd,nkcj->nabcd", k, state.reshape(-1, da, db, da, db),
                   k.conj(), optimize=True)
-    state, _ = check_states(t.reshape(-1, dao * db, dao * db))
+    state = hermitian_part(t.reshape(-1, dao * db, dao * db), STATE_HERMITICITY_TOL)
     rev = reverse[live]
-    kept, p_rev, state, lam = _post_select((rev[:, :, None] * state) * rev[:, None, :],
-                                           SUCCESS_FLOOR)
+    kept, p_rev, state = _post_select((rev[:, :, None] * state) * rev[:, None, :],
+                                      SUCCESS_FLOOR)
     live, p_success = live[kept], p_weak[kept] * p_rev
     if project:
-        kept, _, state, lam = _post_select(ladder_block(state, (dao, db), da), LADDER_FLOOR)
-        return Propagated(live[kept], p_success[kept], state, lam, (da, db))
-    return Propagated(live, p_success, state, lam, (dao, db))
+        kept, _, state = _post_select(ladder_block(state, (dao, db), da), LADDER_FLOOR)
+        return Propagated(live[kept], p_success[kept], *check_states(state), (da, db))
+    return Propagated(live, p_success, *check_states(state), (dao, db))
 
 
 def propagate_point(rho0: DensityMatrix, weak: MeasurementStrengths,

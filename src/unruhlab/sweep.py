@@ -36,6 +36,10 @@ _TIE_POLICIES = (ALL_EQUAL, WEAK_REVERSE_SPLIT, INDEPENDENT)
 FULL_SECTOR = "full_4dim"
 PROJECTED_SECTOR = "projected_3dim"
 
+# Most grid points one sweep may hold (fig2a has 6,400).  Larger grids are
+# rejected as configuration errors before anything is allocated for them.
+GRID_POINT_BUDGET = 1_000_000
+
 
 def parse_grid(text: str, field_name: str = "grid") -> tuple[float, ...]:
     """Parse ``start:stop:steps`` (inclusive linspace) or ``v1, v2, ...``."""
@@ -46,8 +50,8 @@ def parse_grid(text: str, field_name: str = "grid") -> tuple[float, ...]:
             if len(parts) != 3:
                 raise ValueError("expected start:stop:steps")
             start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
-            if steps < 1:
-                raise ValueError(f"steps must be >= 1, got {steps}")
+            if not 1 <= steps <= GRID_POINT_BUDGET:
+                raise ValueError(f"steps must be in [1, {GRID_POINT_BUDGET}], got {steps}")
             if start > stop:
                 raise ValueError(f"start {start} > stop {stop}")
             if steps == 1:
@@ -118,6 +122,10 @@ class SweepConfig:
             if not np.isfinite(v) or v < 0.0 or v > 1.0:
                 raise ConfigError(f"strength {v} outside [0, 1]", field="strength_grid")
         object.__setattr__(self, "strength_grid", s_vals)
+        n_points = len(states) * len(r_vals) * len(s_vals)
+        if n_points > GRID_POINT_BUDGET:
+            raise ConfigError(f"{n_points} grid points exceed the budget of "
+                              f"{GRID_POINT_BUDGET}")
         if self.tie_policy not in _TIE_POLICIES:
             raise ConfigError(f"unknown tie policy {self.tie_policy!r}", field="tie_policy")
         meas = tuple(self.measures)
@@ -208,8 +216,19 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell, quoted where ``csv.QUOTE_MINIMAL`` quotes."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def rows_to_csv(measures: np.ndarray, config: SweepConfig) -> str:
-    """Render :func:`run_sweep`'s measure array as deterministic CSV text."""
+    """Render :func:`run_sweep`'s measure array as deterministic CSV text.
+
+    A state label that holds a comma (an ``x:`` state) or a line break is
+    one quoted cell, as the ``csv`` module writes it.
+    """
     n_points = len(config.initial_state) * len(config.r_grid) * len(config.strength_grid)
     if len(measures) != n_points:
         raise ValueError(f"{len(measures)} measure rows for a grid of {n_points} points")
@@ -229,7 +248,7 @@ def rows_to_csv(measures: np.ndarray, config: SweepConfig) -> str:
     rows = zip(values, degenerate)
     out = io.StringIO()
     out.write(",".join(cols) + "\n")
-    for label in config.initial_state:
+    for label in map(_csv_cell, config.initial_state):
         for i_r, r in enumerate(r_cells):
             for i_s, s in enumerate(s_cells):
                 row, dead = next(rows)

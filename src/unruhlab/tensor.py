@@ -5,7 +5,7 @@ this package never exceed dimension 16, so dense algorithms are both exact
 enough and fast enough.  Matrices are complex128 throughout.  The checks
 below take one matrix or a stack of them (any leading axes) and each is
 defined once: :class:`DensityMatrix` runs them on the states that enter
-the package, :mod:`unruhlab.pipeline` on its stacks of intermediate states.
+the package, :mod:`unruhlab.pipeline` on the stacks it takes and returns.
 
 Conventions
 -----------

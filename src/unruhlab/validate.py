@@ -19,7 +19,6 @@ import numpy as np
 
 from .channel import COMPLETENESS_TOL, AccelerationSpec, qubit_channel, qutrit_channel
 from .closedform import (
-    TRACE_NORM,
     corrected_final_qubit,
     discrepancy_report,
     literal_final_qubit,
@@ -142,8 +141,7 @@ def _check_literal_at_zero_acceleration(rng: np.random.Generator,
         weak = tied(WEAK, rng.uniform(0.0, 0.9), 2)
         reverse = tied(REVERSE, rng.uniform(0.0, 0.9), 2)
         acc = AccelerationSpec(0.0)
-        lit = literal_final_qubit(spec, weak, reverse, acc,
-                                  normalization=TRACE_NORM)
+        lit = literal_final_qubit(spec, weak, reverse, acc)
         cor = corrected_final_qubit(spec, weak, reverse, acc)
         worst = max(worst, float(np.max(np.abs(lit.matrix - cor.matrix))))
     return CheckResult("literal_equals_corrected_at_r0", worst <= ZERO_ACCEL_TOL,

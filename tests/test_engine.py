@@ -7,8 +7,10 @@ Every measure must agree to 1e-12; the label, index, r, strength and
 degenerate cells of the CSV line must be exact.
 """
 
+import csv
 import dataclasses
 import functools
+import io
 import random
 from typing import NamedTuple
 
@@ -20,6 +22,7 @@ from oracle import compute_report, restrict_to_ladder, run_protocol
 from unruhlab import pipeline, sweep
 from unruhlab.channel import R_MAX, AccelerationSpec
 from unruhlab.errors import DegenerateOutcome, NonHermitian, NotPositive
+from unruhlab.localops import REVERSE, WEAK, MeasurementStrengths, tied
 from unruhlab.measures import MEASURE_COLUMNS
 from unruhlab.states import parse_state_preset
 from unruhlab.sweep import (FIGURE_PRESETS, INDEPENDENT, PROJECTED_SECTOR, TWO_QUTRIT,
@@ -60,6 +63,13 @@ def degenerate_rows(result: Sweep) -> list[bool]:
     return np.isnan(result.measures).all(axis=1).tolist()
 
 
+def csv_cell(text: str) -> str:
+    """``text`` as the ``csv`` module writes it in a cell."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([text])
+    return out.getvalue()
+
+
 def assert_row_matches(config: SweepConfig, result: Sweep, index: int):
     """Row ``index`` sits at its grid point and agrees with the oracle there."""
     n_r, n_s = len(config.r_grid), len(config.strength_grid)
@@ -69,7 +79,8 @@ def assert_row_matches(config: SweepConfig, result: Sweep, index: int):
     weak, reverse = config.point_strengths(value)
     strengths = (weak.party_a_levels + weak.party_b_levels
                  + reverse.party_a_levels + reverse.party_b_levels)
-    head = ",".join([label, str(i_r), str(i_s)] + [f"{v:.17g}" for v in (r,) + strengths])
+    head = ",".join([csv_cell(label), str(i_r), str(i_s)]
+                    + [f"{v:.17g}" for v in (r,) + strengths])
     line = result.lines[index]
     assert line.startswith(head + ","), (index, line, head)
     cells = line[len(head) + 1:].split(",")
@@ -153,9 +164,11 @@ def test_x_state_sweeps_beside_a_preset():
     assert config.initial_state == ("x:-0.5,-0.2,0.3", "singlet")
     result = sweep_of(config)
     assert_all_rows_match(config, result)
-    # The label is written as it is, commas and all: the row has two more cells.
-    assert result.lines[1].startswith("x:-0.5,-0.2,0.3,0,1,0,0.5,0.5,0.5,0.5,")
-    assert [len(line.split(",")) for line in result.lines] == [18] * 9 + [16] * 9
+    # The label's commas sit inside one quoted cell: every row has 16 cells.
+    assert result.lines[1].startswith('"x:-0.5,-0.2,0.3",0,1,0,0.5,0.5,0.5,0.5,')
+    rows = list(csv.reader(result.lines))
+    assert [len(row) for row in rows] == [16] * 18
+    assert [row[0] for row in rows] == ["x:-0.5,-0.2,0.3"] * 9 + ["singlet"] * 9
 
 
 def test_grid_spanning_several_chunks(monkeypatch):
@@ -237,3 +250,72 @@ def test_batched_state_check_rejects_one_bad_member(corrupt, error):
         DensityMatrix(stack[2], (2, 2))
     with pytest.raises(error):
         check_states(stack)
+
+
+# ------------------------------------------ the map between entry and exit
+
+@st.composite
+def filtered_channels(draw):
+    """One point's Kraus stack and filter diagonals, as ``propagate`` takes them."""
+    dim = draw(st.sampled_from([2, 3]))
+    unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    levels = st.tuples(*[unit] * (dim - 1))
+    weak = MeasurementStrengths(WEAK, draw(levels), draw(levels))
+    reverse = MeasurementStrengths(REVERSE, draw(levels), draw(levels))
+    acc = AccelerationSpec(draw(st.sampled_from([0.0, R_MAX]) | st.floats(0.0, R_MAX)),
+                           draw(st.floats(-2 * np.pi, 2 * np.pi)))
+    return dim, pipeline.point_inputs(weak, reverse, acc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point=filtered_channels())
+def test_filtered_channel_is_completely_positive_and_trace_non_increasing(point):
+    # propagate checks states only where they enter and leave; in between it
+    # relies on X -> v.L_r(w.X.w).v (L_r the channel on party 0) mapping
+    # positive states to positive states.  Choi: that holds for every input,
+    # entangled with any ancilla, iff the Choi matrix J is PSD; the map loses
+    # trace, never gains it, iff Tr_out J <= I.
+    dim, (kraus, w, v) = point
+    d_in, d_out = dim * dim, len(v)
+    ops = [np.diag(v) @ np.kron(k, np.eye(dim)) @ np.diag(w) for k in kraus]
+    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+    for i in range(d_in):
+        for j in range(d_in):
+            unit = np.zeros((d_in, d_in))
+            unit[i, j] = 1.0
+            image = sum(a @ unit @ a.conj().T for a in ops)
+            choi[i * d_out:(i + 1) * d_out, j * d_out:(j + 1) * d_out] = image
+    assert np.linalg.eigvalsh(choi)[0] >= -1e-12
+    kept = np.trace(choi.reshape(d_in, d_out, d_in, d_out), axis1=1, axis2=3)
+    assert np.linalg.eigvalsh(kept)[-1] <= 1.0 + 1e-12
+
+
+def test_propagate_rejects_a_non_positive_input_the_weak_filter_would_hide():
+    # Unit trace and Hermitian, but negative on |01> and |10>: a strength-1
+    # weak filter keeps only |00>, so no state after it is negative.
+    rho0 = np.diag([1.2, -0.1, -0.1, 0.0]).astype(complex)
+    kraus, w, v = pipeline.point_inputs(tied(WEAK, 1.0, 2), tied(REVERSE, 0.0, 2),
+                                        AccelerationSpec(0.3))
+    with pytest.raises(NotPositive):
+        pipeline.propagate(rho0, (2, 2), kraus[None], w[None], v[None])
+
+
+def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
+    config = figure_preset("fig4b")
+    eigvalsh, matrices, krons = np.linalg.eigvalsh, [], []
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np, "kron", lambda *args: krons.append(args))
+    measures = run_sweep(config)
+    n_states = len(config.initial_state)
+    per_state = len(config.r_grid) * len(config.strength_grid)
+    assert not np.isnan(measures).any()
+    chunks = -(-per_state // pipeline.chunk_points(4))
+    # Each state is parsed once and checked on entry to every chunk; each
+    # kept point costs its final state, partial transpose and one marginal.
+    assert sum(matrices) == n_states * (1 + chunks) + 3 * n_states * per_state
+    assert krons == []

@@ -1,6 +1,9 @@
 """Sweep engine, config file handling, figure presets, CSV determinism,
 and the command line wrapper."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,24 @@ def test_config_validation_errors():
         small_config(qutrit_compare_sector="ladder")
     with pytest.raises(ConfigError):
         small_config(beta=1.2)
+
+
+def test_grid_steps_over_the_budget_are_a_config_error():
+    # Steps are checked before linspace allocates them.
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping({"system": "two_qubit", "initial_state": "singlet",
+                             "r_grid": "0:0.5:1000001", "strength_grid": "0.5"})
+    assert "field 'r_grid'" in str(exc.value)
+
+
+def test_grid_points_over_the_budget_are_a_config_error():
+    r_grid = tuple(np.linspace(0.0, 0.5, 1001))
+    strength_grid = tuple(np.linspace(0.0, 1.0, 500))
+    with pytest.raises(ConfigError, match="1001000 grid points"):
+        small_config(initial_state=("singlet", "werner:0.7"), r_grid=r_grid,
+                     strength_grid=strength_grid)
+    small_config(initial_state=("singlet", "werner:0.7"), r_grid=r_grid[:1000],
+                 strength_grid=strength_grid)
 
 
 def test_config_error_carries_field():
@@ -182,6 +203,15 @@ def test_csv_is_deterministic_across_runs():
     a = rows_to_csv(run_sweep(cfg), cfg)
     b = rows_to_csv(run_sweep(cfg), cfg)
     assert a == b
+
+
+def test_csv_quotes_a_label_that_spans_lines():
+    # An INI value may continue on its next line; the label keeps the newline.
+    cfg = config_from_mapping({"system": "two_qubit", "initial_state": "x:0.1,\n0.2, 0.3",
+                               "r_grid": "0.1", "strength_grid": "0.5"})
+    rows = list(csv.reader(io.StringIO(rows_to_csv(run_sweep(cfg), cfg))))
+    assert [len(row) for row in rows] == [16, 16]
+    assert rows[1][0] == "x:0.1,\n0.2, 0.3"
 
 
 def test_x_state_config_round_trips_through_text():
