@@ -65,12 +65,31 @@ class AccelerationSpec:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.r) or self.r < -_R_TOL or self.r > R_MAX + _R_TOL:
-            raise BadPhysicalParam(f"r={self.r} outside [0, pi/4]")
-        if not np.isfinite(self.phi):
-            raise BadPhysicalParam(f"phi={self.phi} is not finite")
-        object.__setattr__(self, "r", float(min(max(self.r, 0.0), R_MAX)))
+        object.__setattr__(self, "r", float(check_rindler(self.r, self.phi)))
         object.__setattr__(self, "phi", float(self.phi))
+
+
+def check_rindler(r, phi) -> np.ndarray:
+    """Rindler angles clamped into [0, pi/4]; raises :class:`BadPhysicalParam`
+    unless every r lies there to 1e-12 and every phase phi is finite."""
+    r, phi = np.asarray(r, dtype=np.float64), np.asarray(phi, dtype=np.float64)
+    bad = ~((-_R_TOL <= r) & (r <= R_MAX + _R_TOL))
+    if bad.any():
+        raise BadPhysicalParam(f"r={r[bad][0]} outside [0, pi/4]")
+    if not np.isfinite(phi).all():
+        raise BadPhysicalParam(f"phi={phi[~np.isfinite(phi)][0]} is not finite")
+    return np.minimum(np.maximum(r, 0.0), R_MAX)
+
+
+def check_completeness(kraus) -> np.ndarray:
+    """Completeness defects max |sum_k K^dag K - I| of Kraus stacks
+    ``(..., k, out, in)``; raises :class:`DimMismatch` if any exceeds 1e-12."""
+    kraus = np.asarray(kraus)
+    comp = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
+    defect = np.abs(comp - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
+    if (defect > COMPLETENESS_TOL).any():
+        raise DimMismatch(f"Kraus completeness defect {defect.max():.3e}")
+    return defect
 
 
 @dataclass(frozen=True)
@@ -89,22 +108,26 @@ class ChannelKraus:
                     f"Kraus block {k.shape} vs ({self.out_dim}, {self.in_dim})"
                 )
         object.__setattr__(self, "kraus", ops)
-        defect = self.completeness_defect()
-        if defect > COMPLETENESS_TOL:
-            raise DimMismatch(f"Kraus completeness defect {defect:.3e}")
+        check_completeness(ops)
 
     def completeness_defect(self) -> float:
-        comp = sum(k.conj().T @ k for k in self.kraus)
-        return float(np.max(np.abs(comp - np.eye(self.in_dim))))
+        return float(check_completeness(self.kraus))
+
+
+def qubit_kraus(r) -> np.ndarray:
+    """Kraus pairs {diag(cos r, 1), sin r |1><0|} for Rindler angles ``r``,
+    unchecked: shape ``r.shape + (2, 2, 2)``."""
+    r = np.asarray(r, dtype=np.float64)
+    k = np.zeros(r.shape + (2, 2, 2), dtype=np.complex128)
+    k[..., 0, 0, 0] = np.cos(r)
+    k[..., 0, 1, 1] = 1.0
+    k[..., 1, 1, 0] = np.sin(r)
+    return k
 
 
 def qubit_channel(spec: AccelerationSpec) -> ChannelKraus:
     """Two-outcome Kraus pair {diag(cos r, 1), sin r |1><0|}."""
-    c, s = np.cos(spec.r), np.sin(spec.r)
-    k0 = np.diag([c, 1.0]).astype(np.complex128)
-    k1 = np.zeros((2, 2), dtype=np.complex128)
-    k1[1, 0] = s
-    return ChannelKraus(2, 2, (k0, k1))
+    return ChannelKraus(2, 2, tuple(qubit_kraus(spec.r)))
 
 
 def qutrit_channel(spec: AccelerationSpec) -> ChannelKraus:

@@ -84,17 +84,31 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
+def _output(path: str, directory: bool = False) -> Path:
+    """``path``, checked to be a file in an existing directory, or a
+    directory that exists or can be created."""
+    out = Path(path)
+    if directory:
+        ok = next(p for p in (out, *out.parents) if p.exists()).is_dir()
+    else:
+        ok = out.parent.is_dir() and not out.is_dir()
+    if not ok:
+        raise ConfigError(f"cannot write output {'directory' if directory else 'file'} {out}")
+    return out
+
+
 def _cmd_sweep(args) -> int:
+    out = _output(args.out)
     config = load_config(args.config, overrides=_parse_overrides(args.set))
     measures = run_sweep(config)
-    Path(args.out).write_text(rows_to_csv(measures, config), encoding="utf-8")
+    out.write_text(rows_to_csv(measures, config), encoding="utf-8")
     degenerate = int(np.isnan(measures).all(axis=1).sum())
     print(f"wrote {args.out}: {len(measures)} rows ({degenerate} degenerate)")
     return 0
 
 
 def _cmd_figure(args) -> int:
-    out_dir = Path(args.out_dir)
+    out_dir = _output(args.out_dir, directory=True)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = figure_preset(args.preset)
     measures = run_sweep(config)
@@ -112,11 +126,13 @@ def _cmd_figure(args) -> int:
 def _cmd_validate(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be positive, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must not be negative, got {args.seed}")
+    out_dir = None if args.out_dir is None else _output(args.out_dir, directory=True)
     report = run_validation(seed=args.seed, samples=args.samples)
     text = report.to_text()
     print(text, end="")
-    if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.txt").write_text(text, encoding="utf-8")
         (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -126,6 +142,7 @@ def _cmd_validate(args) -> int:
 def _cmd_state(args) -> int:
     if args.r is not None and args.omega is not None:
         raise ConfigError("--omega needs --accel, not --r")
+    out_path = None if args.out is None else _output(args.out)
     rho0 = parse_state_preset(args.preset)
     dim = rho0.dims[0]
     if args.r is not None:
@@ -146,14 +163,14 @@ def _cmd_state(args) -> int:
     print(f"r = {r:.17g}")
     print(f"p_success = {out.p_success[0]:.17g}")
     print(f"final dims = {out.dims}")
-    if args.out is not None:
+    if out_path is not None:
         lines = ["i,j,re,im"]
         n = len(final)
         for i in range(n):
             for j in range(n):
                 v = final[i, j]
                 lines.append(f"{i},{j},{v.real:.17g},{v.imag:.17g}")
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     return 0
 

@@ -14,6 +14,13 @@ reproduces faithfully in the ``literal`` functions and repairs only where a
 
 Literal states are flagged ``literal`` and constructed without strict
 validation since they need not be normalised or positive.
+
+The qubit formulas exist once, in array form: :func:`qubit_table`,
+:func:`check_coefficients`, :func:`assemble_qubit` and
+:func:`x_state_spectrum` take stacks of points, elementwise.  The scalar
+calls (:func:`qubit_coefficients`, :class:`QubitCoefficients`,
+:func:`corrected_final_qubit`, :func:`literal_final_qubit`) are that code
+applied to one point.
 """
 
 from dataclasses import dataclass
@@ -21,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AccelerationSpec
-from .errors import DegenerateOutcome, DimMismatch, NotPositive
+from .errors import DegenerateOutcome, DimMismatch, NegativeDiscriminant, NotPositive
 from .localops import MeasurementStrengths, REVERSE, WEAK
-from .states import QutritStateSpec, XStateSpec
+from .states import QutritStateSpec, XStateSpec, x_coefficients, x_matrix
 from .tensor import DensityMatrix, hermitian_eigenvalues
 
 TRACE_NORM = "trace"
@@ -37,6 +44,86 @@ def _strength_pairs(weak: MeasurementStrengths, reverse: MeasurementStrengths,
     if weak.dim != dim or reverse.dim != dim:
         raise DimMismatch(f"strengths are for dim {weak.dim}/{reverse.dim}, need {dim}")
     return weak, reverse
+
+
+def qubit_table(c, weak, reverse, r, variant: str = "corrected") -> np.ndarray:
+    """Coefficients b1 .. b8 (last axis) of final two-qubit states, unchecked,
+    elementwise in X-state triples ``c`` ``(..., 3)``, weak and reversing
+    strengths ``(..., 2)`` (party a, party b) and Rindler angles ``r``.
+
+    ``variant='literal'`` reproduces the published b7 =
+    (1-alpha_a)(1-alpha_b) B1, which omits the term sin^2 r (1-alpha_b) B3
+    fed into |11> by the acceleration of the weak-filtered |01> population;
+    ``variant='corrected'`` includes it and then matches the pipeline to
+    machine precision.
+    """
+    if variant not in ("literal", "corrected"):
+        raise ValueError(f"variant must be literal|corrected, got {variant!r}")
+    a_bar1, a_bar2 = np.moveaxis(1.0 - np.asarray(weak, dtype=np.float64), -1, 0)
+    b_bar1, b_bar2 = np.moveaxis(1.0 - np.asarray(reverse, dtype=np.float64), -1, 0)
+    c1, s1 = np.cos(r), np.sin(r)
+    bb1, bb2, bb3, bb4 = x_coefficients(c)
+    root = np.sqrt(b_bar1 * b_bar2 * a_bar1 * a_bar2)
+    t1 = c1 * c1 * bb1 * b_bar1 * b_bar2
+    t2 = c1 * bb2 * root
+    t3 = c1 * c1 * bb3 * b_bar1 * a_bar2
+    t4 = c1 * bb4 * root
+    t5 = b_bar2 * (s1 * s1 * bb1 + a_bar1 * bb3)
+    t7 = a_bar1 * a_bar2 * bb1
+    if variant == "corrected":
+        t7 = t7 + s1 * s1 * a_bar2 * bb3
+    return np.stack(np.broadcast_arrays(t1, t2, t3, t4, t5, t4, t7, t2), axis=-1)
+
+
+def _trace(table, fourth: int = 6):
+    """b1 + b3 + b5 + b7; with ``fourth=5``, the printed b1 + b3 + b5 + b6."""
+    return table[..., 0] + table[..., 2] + table[..., 4] + table[..., fourth]
+
+
+def check_coefficients(table: np.ndarray) -> np.ndarray:
+    """Raise :class:`NotPositive` if a population b1/b3/b5/b7 of a table is
+    below -1e-14 and :class:`DegenerateOutcome` if a trace is at most 1e-14."""
+    pops = table[..., 0::2]
+    if np.any(pops < -1e-14):
+        raise NotPositive(f"population coefficient {pops[pops < -1e-14][0]} negative")
+    n = _trace(table)
+    if np.any(n <= 1e-14):
+        raise DegenerateOutcome(f"normalization {n[n <= 1e-14][0]} is zero")
+    return table
+
+
+def assemble_qubit(table: np.ndarray, normalization: str = TRACE_NORM) -> np.ndarray:
+    """4x4 states from coefficient tables, divided by their trace or by the
+    printed constant (``normalization='printed'``), unchecked."""
+    n = _trace(table, {TRACE_NORM: 6, PRINTED_NORM: 5}[normalization])
+    if np.any(np.abs(n) <= 1e-14):
+        raise DegenerateOutcome(f"{normalization} normalization is zero")
+    return x_matrix(table) / np.asarray(n)[..., None, None]
+
+
+def x_state_spectrum(coeffs) -> np.ndarray:
+    """Eigenvalues of final X-form qubit states from their coefficients.
+
+    ``coeffs`` is a :class:`QubitCoefficients` or a table of b1 .. b8 along
+    the last axis.  Returns (mu1, mu2, mu3, mu4) along the last axis: the
+    outer-block pair from {b1, b7, b2 b8} and the inner-block pair from
+    {b3, b5, b4 b6}, each larger root first, divided by the trace.  A
+    negative discriminant cannot arise from coefficients computed by this
+    package (b8 = b2, b6 = b4) and raises :class:`NegativeDiscriminant`
+    when fed inconsistent hand-built values.
+    """
+    t = coeffs.table if isinstance(coeffs, QubitCoefficients) else np.asarray(coeffs)
+    n = _trace(t)
+    out = []
+    for pop1, pop2, off1, off2 in ((0, 6, 1, 7), (2, 4, 3, 5)):
+        p, q = t[..., pop1], t[..., pop2]
+        disc = (p - q) ** 2 + 4.0 * t[..., off1] * t[..., off2]
+        bad = disc < -1e-14 * np.maximum(1.0, p + q) ** 2
+        if bad.any():
+            raise NegativeDiscriminant(f"discriminant {disc[bad][0]} < 0")
+        root = np.sqrt(np.maximum(disc, 0.0))
+        out += [(p + q + root) / (2.0 * n), (p + q - root) / (2.0 * n)]
+    return np.stack(out, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -60,68 +147,39 @@ class QubitCoefficients:
     variant: str
 
     def __post_init__(self):
-        for name in ("b1", "b3", "b5", "b7"):
-            v = getattr(self, name)
-            if v < -1e-14:
-                raise NotPositive(f"population coefficient {name}={v} negative")
-        if self.normalization <= 1e-14:
-            raise DegenerateOutcome(f"normalization {self.normalization} is zero")
+        check_coefficients(self.table)
+
+    @property
+    def table(self) -> np.ndarray:
+        """b1 .. b8 as one row of a coefficient table."""
+        return np.array([getattr(self, f"b{i}") for i in range(1, 9)], dtype=np.float64)
 
     @property
     def normalization(self) -> float:
         """Trace of the unnormalised state: b1 + b3 + b5 + b7."""
-        return self.b1 + self.b3 + self.b5 + self.b7
+        return float(_trace(self.table))
 
     @property
     def printed_normalization(self) -> float:
         """Normalisation as printed, summing the off-diagonal b6 in place
         of the fourth population b7."""
-        return self.b1 + self.b3 + self.b5 + self.b6
+        return float(_trace(self.table, 5))
 
     def assemble(self, normalization: str = TRACE_NORM) -> DensityMatrix:
-        n = {TRACE_NORM: self.normalization,
-             PRINTED_NORM: self.printed_normalization}[normalization]
-        if abs(n) <= 1e-14:
-            raise DegenerateOutcome(f"{normalization} normalization is zero")
-        m = np.zeros((4, 4), dtype=np.complex128)
-        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.b1, self.b3, self.b5, self.b7
-        m[0, 3], m[3, 0] = self.b2, self.b8
-        m[1, 2], m[2, 1] = self.b4, self.b6
         strict = self.variant == "corrected" and normalization == TRACE_NORM
         flags = () if strict else ("literal",)
-        return DensityMatrix(m / n, (2, 2), strict=strict, flags=flags)
+        return DensityMatrix(assemble_qubit(self.table, normalization), (2, 2),
+                             strict=strict, flags=flags)
 
 
 def qubit_coefficients(spec: XStateSpec, weak: MeasurementStrengths,
                        reverse: MeasurementStrengths, acc: AccelerationSpec,
                        variant: str = "corrected") -> QubitCoefficients:
-    """Evaluate the final-state coefficient table for a two-qubit run.
-
-    ``variant='literal'`` reproduces the published b7 =
-    (1-alpha_a)(1-alpha_b) B1, which omits the term sin^2 r (1-alpha_b) B3
-    fed into |11> by the acceleration of the weak-filtered |01> population;
-    ``variant='corrected'`` includes it and then matches the pipeline to
-    machine precision.
-    """
-    if variant not in ("literal", "corrected"):
-        raise ValueError(f"variant must be literal|corrected, got {variant!r}")
+    """:func:`qubit_table` of one two-qubit run, as checked coefficients."""
     weak, reverse = _strength_pairs(weak, reverse, 2)
-    a_bar1 = 1.0 - weak.party_a_levels[0]
-    a_bar2 = 1.0 - weak.party_b_levels[0]
-    b_bar1 = 1.0 - reverse.party_a_levels[0]
-    b_bar2 = 1.0 - reverse.party_b_levels[0]
-    c1, s1 = np.cos(acc.r), np.sin(acc.r)
-    bb1, bb2, bb3, bb4 = spec.coefficients()
-    root = np.sqrt(b_bar1 * b_bar2 * a_bar1 * a_bar2)
-    t1 = c1 * c1 * bb1 * b_bar1 * b_bar2
-    t2 = c1 * bb2 * root
-    t3 = c1 * c1 * bb3 * b_bar1 * a_bar2
-    t4 = c1 * bb4 * root
-    t5 = b_bar2 * (s1 * s1 * bb1 + a_bar1 * bb3)
-    t7 = a_bar1 * a_bar2 * bb1
-    if variant == "corrected":
-        t7 += s1 * s1 * a_bar2 * bb3
-    return QubitCoefficients(t1, t2, t3, t4, t5, t4, t7, t2, variant)
+    table = qubit_table((spec.c11, spec.c22, spec.c33), weak.party_a_levels + weak.party_b_levels,
+                        reverse.party_a_levels + reverse.party_b_levels, acc.r, variant)
+    return QubitCoefficients(*table, variant)
 
 
 def literal_final_qubit(spec: XStateSpec, weak: MeasurementStrengths,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadArity, BadStrength, DimMismatch
+from .errors import BadArity, BadStrength
 
 WEAK = "weak"
 REVERSE = "reverse"
@@ -50,9 +50,7 @@ class MeasurementStrengths:
             raise BadArity(f"parties disagree on level count: {len(a)} vs {len(b)}")
         if len(a) not in (1, 2):
             raise BadArity(f"one (qubit) or two (qutrit) strengths per party, got {len(a)}")
-        for v in a + b:
-            if not np.isfinite(v) or v < 0.0 or v > 1.0:
-                raise BadStrength(f"strength {v} outside [0, 1]")
+        check_strengths(a + b)
         object.__setattr__(self, "party_a_levels", a)
         object.__setattr__(self, "party_b_levels", b)
 
@@ -67,47 +65,24 @@ def tied(kind: str, value: float, dim: int) -> MeasurementStrengths:
     return MeasurementStrengths(kind, levels, levels)
 
 
-def build_operator(kind: str, dim: int, levels) -> np.ndarray:
-    """Diagonal filter operator of one party.
+def check_strengths(values) -> np.ndarray:
+    """Raise :class:`BadStrength` unless every strength is finite and in [0, 1];
+    returns ``values`` as floats."""
+    v = np.asarray(values, dtype=np.float64)
+    bad = ~((0.0 <= v) & (v <= 1.0))
+    if bad.any():
+        raise BadStrength(f"strength {v[bad][0]} outside [0, 1]")
+    return v
 
-    Parameters
-    ----------
-    kind:
-        ``'weak'`` or ``'reverse'``.
-    dim:
-        Local dimension, 2 or 3.
-    levels:
-        ``dim - 1`` strengths in [0, 1].
 
-    Returns
-    -------
-    (dim, dim) complex array with entries in [0, 1]; satisfies M^dag M <= I.
-    """
-    if dim not in (2, 3):
-        raise DimMismatch(f"local dimension must be 2 or 3, got {dim}")
-    vals = MeasurementStrengths(kind, levels, levels).party_a_levels
-    if len(vals) != dim - 1:
-        raise BadArity(f"dimension {dim} needs {dim - 1} strengths, got {len(vals)}")
-    comp = [np.sqrt(1.0 - v) for v in vals]
+def filter_levels(kind: str, levels) -> np.ndarray:
+    """Diagonals of one party's filters for strengths ``levels`` of shape
+    ``(..., dim - 1)``, unchecked: shape ``(..., dim)``."""
+    comp = np.sqrt(1.0 - np.asarray(levels, dtype=np.float64))
+    one = np.ones(comp.shape[:-1] + (1,))
     if kind == WEAK:
-        diag = [1.0] + comp
-    elif dim == 2:
-        diag = [comp[0], 1.0]
-    else:
-        diag = [comp[0] * comp[1], comp[0], comp[1]]
-    return np.diag(np.asarray(diag, dtype=np.complex128))
+        return np.concatenate((one, comp), axis=-1)
+    if comp.shape[-1] == 1:
+        return np.concatenate((comp, one), axis=-1)
+    return np.concatenate((comp[..., :1] * comp[..., 1:], comp), axis=-1)
 
-
-def embed_diagonal(op: np.ndarray, out_dim: int) -> np.ndarray:
-    """Extend a diagonal operator to ``out_dim`` acting as identity above.
-
-    Used when a filter designed for the pre-acceleration ladder must act on
-    the enlarged post-acceleration space: the extra (pair) level passes
-    through unfiltered.
-    """
-    d = op.shape[0]
-    if out_dim < d:
-        raise DimMismatch(f"cannot embed dim {d} into smaller dim {out_dim}")
-    out = np.eye(out_dim, dtype=np.complex128)
-    out[:d, :d] = op
-    return out

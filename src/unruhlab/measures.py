@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import QubitCoefficients
-from .errors import NegativeDiscriminant
 from .tensor import shannon_entropy
 
 # Tolerances on the probability sum: spectra, then populations.
@@ -27,29 +25,6 @@ _POPULATION_SUM_TOL = 1e-8
 # Column order of every measure array: the fields of MeasuresReport, in order.
 MEASURE_COLUMNS = ("neg_raw", "E_norm", "I_a", "I_b", "I_coh_std", "I_coh_lit",
                    "p_success")
-
-
-def x_state_spectrum(coeffs: QubitCoefficients) -> tuple[float, float, float, float]:
-    """Eigenvalues of the final X-form qubit state from its coefficients.
-
-    Returns (mu1, mu2, mu3, mu4): the outer-block pair from
-    {b1, b7, b2 b8} and the inner-block pair from {b3, b5, b4 b6}, each
-    larger root first, divided by the trace.  A negative discriminant
-    cannot arise from coefficients computed by this package (b8 = b2,
-    b6 = b4) and raises :class:`NegativeDiscriminant` when fed inconsistent
-    hand-built values.
-    """
-    n = coeffs.normalization
-    out = []
-    for pop1, pop2, off1, off2 in ((coeffs.b1, coeffs.b7, coeffs.b2, coeffs.b8),
-                                   (coeffs.b3, coeffs.b5, coeffs.b4, coeffs.b6)):
-        disc = (pop1 - pop2) ** 2 + 4.0 * off1 * off2
-        if disc < -1e-14 * max(1.0, pop1 + pop2) ** 2:
-            raise NegativeDiscriminant(f"discriminant {disc} < 0")
-        root = np.sqrt(max(disc, 0.0))
-        out.append((pop1 + pop2 + root) / (2.0 * n))
-        out.append((pop1 + pop2 - root) / (2.0 * n))
-    return tuple(out)
 
 
 def check_ranges(e_norm, p_success) -> None:

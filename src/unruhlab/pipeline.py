@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import AccelerationSpec, channel_for_dim
 from .errors import DegenerateOutcome
-from .localops import REVERSE, SUCCESS_FLOOR, MeasurementStrengths, build_operator, embed_diagonal
+from .localops import REVERSE, SUCCESS_FLOOR, WEAK, MeasurementStrengths, filter_levels
 from .tensor import STATE_HERMITICITY_TOL, DensityMatrix, check_states, hermitian_part
 
 LADDER_FLOOR = 1e-14
@@ -53,18 +53,17 @@ def chunk_points(state_dim: int) -> int:
     return max(1, CHUNK_BYTES // (16 * state_dim * state_dim))    # 16 B per complex128
 
 
-def filter_diagonal(strengths: MeasurementStrengths, out_dim_a: int) -> np.ndarray:
-    """Diagonal of ``op_a (x) op_b`` for one filter step.
+def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:
+    """Diagonals of ``op_a (x) op_b`` for filter steps with strengths
+    ``levels`` of shape ``(..., 2, dim - 1)``: party a's, then party b's.
 
     A reversing filter on party a acts as the identity on the levels above
     its own, which acceleration adds (the qutrit's pair level).
     """
-    dim = strengths.dim
-    op_a = build_operator(strengths.kind, dim, strengths.party_a_levels)
-    if strengths.kind == REVERSE:
-        op_a = embed_diagonal(op_a, out_dim_a)
-    op_b = build_operator(strengths.kind, dim, strengths.party_b_levels)
-    return np.outer(op_a.diagonal().real, op_b.diagonal().real).ravel()
+    op_a, op_b = np.moveaxis(filter_levels(kind, levels), -2, 0)
+    pad = np.ones(op_a.shape[:-1] + (out_dim_a - op_a.shape[-1],))
+    op_a = np.concatenate((op_a, pad), axis=-1)
+    return (op_a[..., :, None] * op_b[..., None, :]).reshape(op_a.shape[:-1] + (-1,))
 
 
 def point_inputs(weak: MeasurementStrengths, reverse: MeasurementStrengths,
@@ -72,8 +71,10 @@ def point_inputs(weak: MeasurementStrengths, reverse: MeasurementStrengths,
     """Kraus stack and both filter diagonals of one point, as :func:`propagate`
     takes them without the leading point axis."""
     chan = channel_for_dim(weak.dim, acc)
-    return (np.array(chan.kraus), filter_diagonal(weak, weak.dim),
-            filter_diagonal(reverse, chan.out_dim))
+    return (np.array(chan.kraus),
+            filter_diagonal(WEAK, (weak.party_a_levels, weak.party_b_levels), weak.dim),
+            filter_diagonal(REVERSE, (reverse.party_a_levels, reverse.party_b_levels),
+                            chan.out_dim))
 
 
 def ladder_block(states: np.ndarray, dims: tuple[int, int], levels: int) -> np.ndarray:
@@ -122,7 +123,7 @@ def propagate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,
     (under ``project``, the ladder blocks), whose spectra are returned.
     Between the steps a state is only renormalised and made exactly
     Hermitian after a 1e-10 check.  That is enough while the filters are
-    real diagonals (:func:`~unruhlab.localops.build_operator`) and the
+    real diagonals (:func:`~unruhlab.localops.filter_levels`) and the
     channel a Kraus sum complete to 1e-12 (checked when it is built): the
     map is then completely positive (Choi, Linear Algebra Appl. 10, 285,
     1975), so a positive input stays positive and renormalising gives unit

@@ -22,6 +22,43 @@ from .tensor import DensityMatrix
 _X_PSD_TOL = 1e-10
 
 
+def check_x_coefficients(c) -> np.ndarray:
+    """``c`` as floats; raises ``ValueError`` unless every coefficient is
+    finite and lies in [-1, 1] to 1e-12."""
+    c = np.asarray(c, dtype=np.float64)
+    bad = ~(np.abs(c) <= 1.0 + 1e-12)
+    if bad.any():
+        raise ValueError(f"X-state coefficient {c[bad][0]} outside [-1, 1]")
+    return c
+
+
+def x_coefficients(c) -> tuple[np.ndarray, ...]:
+    """(B1, B2, B3, B4) of the triples (c11, c22, c33) along the last axis of ``c``."""
+    c = np.asarray(c, dtype=np.float64)
+    c11, c22, c33 = c[..., 0], c[..., 1], c[..., 2]
+    return 0.25 * (1.0 + c33), 0.25 * (c11 - c22), 0.25 * (1.0 - c33), 0.25 * (c11 + c22)
+
+
+def x_eigenvalues(b1, b2, b3, b4) -> tuple[np.ndarray, ...]:
+    """Spectra {B1 +/- B2, B3 +/- B4} of X-states with coefficients B1 .. B4."""
+    return b1 + b2, b1 - b2, b3 + b4, b3 - b4
+
+
+def x_matrix(t) -> np.ndarray:
+    """4x4 X-form matrices of entries b1 .. b8 (last axis) in the published
+    layout: b1/b3/b5/b7 on the diagonal, b2/b8 at |00><11|/|11><00| and
+    b4/b6 at |01><10|/|10><01|."""
+    m = np.zeros(t.shape[:-1] + (4, 4), dtype=np.complex128)
+    m[..., [0, 1, 2, 3, 0, 3, 1, 2], [0, 1, 2, 3, 3, 0, 2, 1]] = t[..., [0, 2, 4, 6, 1, 7, 3, 5]]
+    return m
+
+
+def x_state_matrix(c) -> np.ndarray:
+    """4x4 X-states of triples ``c`` (last axis), unchecked."""
+    b1, b2, b3, b4 = x_coefficients(c)
+    return x_matrix(np.stack((b1, b2, b3, b4, b3, b4, b1, b2), axis=-1))
+
+
 @dataclass(frozen=True)
 class XStateSpec:
     """Diagonal correlation coefficients of an X-form two-qubit state."""
@@ -31,23 +68,15 @@ class XStateSpec:
     c33: float
 
     def __post_init__(self):
-        for name in ("c11", "c22", "c33"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or abs(v) > 1.0 + 1e-12:
-                raise ValueError(f"{name}={v} outside [-1, 1]")
+        check_x_coefficients((self.c11, self.c22, self.c33))
 
     def coefficients(self) -> tuple[float, float, float, float]:
         """(B1, B2, B3, B4): populations and anti-diagonal couplings."""
-        b1 = 0.25 * (1.0 + self.c33)
-        b2 = 0.25 * (self.c11 - self.c22)
-        b3 = 0.25 * (1.0 - self.c33)
-        b4 = 0.25 * (self.c11 + self.c22)
-        return b1, b2, b3, b4
+        return x_coefficients((self.c11, self.c22, self.c33))
 
     def eigenvalues(self) -> tuple[float, float, float, float]:
         """Spectrum {B1 +/- B2, B3 +/- B4} of the X-state."""
-        b1, b2, b3, b4 = self.coefficients()
-        return b1 + b2, b1 - b2, b3 + b4, b3 - b4
+        return x_eigenvalues(*self.coefficients())
 
 
 def make_x_state(spec: XStateSpec) -> DensityMatrix:
@@ -56,18 +85,12 @@ def make_x_state(spec: XStateSpec) -> DensityMatrix:
     Raises :class:`NotPositive` when the coefficient triple does not
     describe a physical state (any eigenvalue below -1e-10).
     """
-    b1, b2, b3, b4 = spec.coefficients()
     lo = min(spec.eigenvalues())
     if lo < -_X_PSD_TOL:
         raise NotPositive(
             f"X-state spec {spec} has eigenvalue {lo:.3e} < 0"
         )
-    m = np.zeros((4, 4), dtype=np.complex128)
-    m[0, 0] = m[3, 3] = b1
-    m[1, 1] = m[2, 2] = b3
-    m[0, 3] = m[3, 0] = b2
-    m[1, 2] = m[2, 1] = b4
-    return DensityMatrix(m, (2, 2))
+    return DensityMatrix(x_state_matrix((spec.c11, spec.c22, spec.c33)), (2, 2))
 
 
 def singlet() -> DensityMatrix:

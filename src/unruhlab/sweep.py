@@ -191,8 +191,8 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     weak, reverse = [], []
     for value in config.strength_grid:
         w, v = config.point_strengths(value)
-        weak.append(filter_diagonal(w, dim))
-        reverse.append(filter_diagonal(v, out_dim))
+        weak.append(filter_diagonal(WEAK, (w.party_a_levels, w.party_b_levels), dim))
+        reverse.append(filter_diagonal(REVERSE, (v.party_a_levels, v.party_b_levels), out_dim))
     weak, reverse = np.array(weak), np.array(reverse)
     project = (config.system == TWO_QUTRIT
                and config.qutrit_compare_sector == PROJECTED_SECTOR)

@@ -17,21 +17,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import COMPLETENESS_TOL, AccelerationSpec, qubit_channel, qutrit_channel
+from .channel import (COMPLETENESS_TOL, AccelerationSpec, check_completeness, check_rindler,
+                      qubit_channel, qubit_kraus, qutrit_channel)
 from .closedform import (
-    corrected_final_qubit,
+    assemble_qubit,
+    check_coefficients,
     discrepancy_report,
-    literal_final_qubit,
     literal_final_qutrit,
     qubit_coefficients,
+    qubit_table,
+    x_state_spectrum,
 )
 from .errors import DegenerateOutcome
-from .localops import MeasurementStrengths, REVERSE, WEAK, tied
-from .measures import MEASURE_COLUMNS, measure_columns, x_state_spectrum
-from .pipeline import (LADDER_FLOOR, chunk_points, ladder_block, point_inputs, propagate,
+from .localops import REVERSE, WEAK, check_strengths, tied
+from .measures import MEASURE_COLUMNS, measure_columns
+from .pipeline import (LADDER_FLOOR, chunk_points, filter_diagonal, ladder_block, propagate,
                        propagate_point)
-from .states import QutritStateSpec, XStateSpec, make_qutrit_state, make_x_state, singlet
-from .tensor import DensityMatrix, hermitian_eigenvalues
+from .states import (QutritStateSpec, XStateSpec, check_x_coefficients, make_qutrit_state,
+                     singlet, x_coefficients, x_eigenvalues, x_state_matrix)
+from .tensor import DensityMatrix, check_states, hermitian_eigenvalues, hermitian_part
 
 DEFAULT_SEED = 20240801
 DEFAULT_SAMPLES = 100
@@ -89,78 +93,105 @@ class ValidationReport:
         return out.getvalue()
 
 
-def _random_x_spec(rng: np.random.Generator) -> XStateSpec:
-    # rejection-sample until the four dyadic eigenvalues are all nonnegative
+def _draw(rng: np.random.Generator, samples: int, ranges) -> tuple[np.ndarray, np.ndarray]:
+    """X-state triples ``(samples, 3)`` and further uniforms ``(samples, len(ranges))``.
+
+    Per sample, ``rng.uniform(-1, 1, size=3)`` is drawn until the X-state's
+    lowest eigenvalue is at least 1e-6, and then one ``rng.uniform(low,
+    high)`` per range.  The values are drawn in one block and are those,
+    bit for bit, that these calls would give, and ``rng`` is left where
+    they would leave it.
+    """
+    start, tail = rng.bit_generator.state, 3 + len(ranges)
+    size = samples * (9 + len(ranges)) + tail
     while True:
-        c = rng.uniform(-1.0, 1.0, size=3)
-        spec = XStateSpec(*c)
-        if min(spec.eigenvalues()) >= 1e-6:
-            return spec
+        rng.bit_generator.state = start
+        u = rng.random(size)                # the same stream, longer on each pass
+        c = -1.0 + 2.0 * u
+        triples = np.lib.stride_tricks.sliding_window_view(c, 3)
+        ok = (np.minimum.reduce(x_eigenvalues(*x_coefficients(triples))) >= 1e-6).tolist()
+        heads, pos = [], 0
+        for _ in range(samples):
+            while pos < len(ok) and not ok[pos]:
+                pos += 3
+            heads.append(pos)
+            pos += tail
+        if pos <= size:
+            break
+        size *= 2
+    rng.bit_generator.state = start
+    rng.bit_generator.advance(pos)
+    lows, highs = np.array(ranges, dtype=np.float64).T
+    heads = np.array(heads, dtype=np.intp)[:, None]
+    return c[heads + np.arange(3)], lows + (highs - lows) * u[heads + np.arange(3, tail)]
+
+
+def _chunks(samples: int):
+    size = chunk_points(4)
+    return (slice(start, start + size) for start in range(0, samples, size))
+
+
+def _closed_forms(c, weak, reverse, r, variant: str = "corrected"):
+    """Checked coefficient tables of a stack of points and their states: the
+    corrected ones strictly checked, with their spectra, the literal ones
+    as non-strict states (spectra None)."""
+    table = check_coefficients(qubit_table(c, weak, reverse, r, variant))
+    states = assemble_qubit(table)
+    if variant == "corrected":
+        return (table, *check_states(states))
+    return table, hermitian_part(states), None
 
 
 def _check_corrected_vs_pipeline(rng: np.random.Generator,
                                  samples: int) -> CheckResult:
-    points = []
-    for _ in range(samples):
-        spec = _random_x_spec(rng)
-        alphas = tuple(rng.uniform(0.0, 0.95, size=2))
-        betas = tuple(rng.uniform(0.0, 0.95, size=2))
-        r = rng.uniform(0.0, np.pi / 4)
-        phi = rng.uniform(0.0, 2 * np.pi)
-        weak = MeasurementStrengths(WEAK, (alphas[0],), (alphas[1],))
-        reverse = MeasurementStrengths(REVERSE, (betas[0],), (betas[1],))
-        points.append((spec, weak, reverse, AccelerationSpec(r, phi)))
+    c, u = _draw(rng, samples, [(0.0, 0.95)] * 4 + [(0.0, np.pi / 4), (0.0, 2 * np.pi)])
+    c, weak, reverse = check_x_coefficients(c), check_strengths(u[:, :2]), check_strengths(u[:, 2:4])
+    r = check_rindler(u[:, 4], u[:, 5])
     worst = 0.0
     worst_detail = ""
-    size = chunk_points(4)
-    for start in range(0, len(points), size):
-        chunk = points[start:start + size]
-        rho0 = np.array([make_x_state(spec).matrix for spec, *_ in chunk])
-        kraus, weak, reverse = (np.array(a) for a in
-                                zip(*(point_inputs(*point[1:]) for point in chunk)))
-        out = propagate(rho0, (2, 2), kraus, weak, reverse)
-        if len(out.kept) < len(chunk):
+    for chunk in _chunks(samples):
+        kraus = qubit_kraus(r[chunk])
+        check_completeness(kraus)
+        out = propagate(x_state_matrix(c[chunk]), (2, 2), kraus,
+                        filter_diagonal(WEAK, weak[chunk, :, None], 2),
+                        filter_diagonal(REVERSE, reverse[chunk, :, None], 2))
+        if len(out.kept) < len(kraus):
             raise DegenerateOutcome("a closed-form cross-check sample is degenerate")
-        closed = np.array([corrected_final_qubit(*point).matrix for point in chunk])
+        closed = _closed_forms(c[chunk], weak[chunk], reverse[chunk], r[chunk])[1]
         diffs = np.abs(closed - out.states).max(axis=(1, 2))
         i = int(np.argmax(diffs))     # the first maximum, as a strict > scan keeps it
         if diffs[i] > worst:
-            spec, acc = chunk[i][0], chunk[i][3]
+            (c11, c22, c33), at = c[chunk][i], r[chunk][i]
             worst = float(diffs[i])
-            worst_detail = (f"worst at c=({spec.c11:.4f},{spec.c22:.4f},"
-                            f"{spec.c33:.4f}) r={acc.r:.4f}")
+            worst_detail = f"worst at c=({c11:.4f},{c22:.4f},{c33:.4f}) r={at:.4f}"
     return CheckResult("corrected_closed_form_vs_pipeline", worst <= EQUIV_TOL,
                        worst, EQUIV_TOL, worst_detail)
 
 
 def _check_literal_at_zero_acceleration(rng: np.random.Generator,
                                         samples: int) -> CheckResult:
+    c, u = _draw(rng, samples, [(0.0, 0.9)] * 2)
+    c, u = check_x_coefficients(c), check_strengths(u)
+    weak, reverse = u[:, [0, 0]], u[:, [1, 1]]      # tied: both parties alike
     worst = 0.0
-    for _ in range(samples):
-        spec = _random_x_spec(rng)
-        weak = tied(WEAK, rng.uniform(0.0, 0.9), 2)
-        reverse = tied(REVERSE, rng.uniform(0.0, 0.9), 2)
-        acc = AccelerationSpec(0.0)
-        lit = literal_final_qubit(spec, weak, reverse, acc)
-        cor = corrected_final_qubit(spec, weak, reverse, acc)
-        worst = max(worst, float(np.max(np.abs(lit.matrix - cor.matrix))))
+    for chunk in _chunks(samples):
+        points = c[chunk], weak[chunk], reverse[chunk], 0.0
+        lit = _closed_forms(*points, variant="literal")[1]
+        cor = _closed_forms(*points)[1]
+        worst = max(worst, float(np.max(np.abs(lit - cor))))
     return CheckResult("literal_equals_corrected_at_r0", worst <= ZERO_ACCEL_TOL,
                        worst, ZERO_ACCEL_TOL)
 
 
 def _check_spectrum_formulas(rng: np.random.Generator,
                              samples: int) -> CheckResult:
+    c, u = _draw(rng, samples, [(0.0, 0.9)] * 4 + [(0.0, np.pi / 4)])
+    c, weak, reverse = check_x_coefficients(c), check_strengths(u[:, :2]), check_strengths(u[:, 2:4])
+    r = check_rindler(u[:, 4], 0.0)
     worst = 0.0
-    for _ in range(samples):
-        spec = _random_x_spec(rng)
-        weak = MeasurementStrengths(WEAK, (rng.uniform(0, 0.9),),
-                                    (rng.uniform(0, 0.9),))
-        reverse = MeasurementStrengths(REVERSE, (rng.uniform(0, 0.9),),
-                                       (rng.uniform(0, 0.9),))
-        acc = AccelerationSpec(rng.uniform(0, np.pi / 4))
-        coeffs = qubit_coefficients(spec, weak, reverse, acc)
-        mus = np.sort(np.array(x_state_spectrum(coeffs)))
-        direct = np.sort(hermitian_eigenvalues(coeffs.assemble().matrix))
+    for chunk in _chunks(samples):
+        table, _, direct = _closed_forms(c[chunk], weak[chunk], reverse[chunk], r[chunk])
+        mus = np.sort(x_state_spectrum(table), axis=-1)
         worst = max(worst, float(np.max(np.abs(mus - direct))))
     return CheckResult("x_state_spectrum_vs_eigensolver", worst <= SPECTRUM_TOL,
                        worst, SPECTRUM_TOL)

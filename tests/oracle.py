@@ -1,7 +1,8 @@
 """The scalar Kraus pipeline: the reference the package is tested against.
 
 Each function here acts on one :class:`~unruhlab.tensor.DensityMatrix`
-with explicit full-space operators built by ``kron``, the way the package
+with explicit full-space operators built by ``kron`` from the one-party
+filters ``build_operator`` and ``embed_diagonal``, the way the package
 ran the protocol before :func:`unruhlab.pipeline.propagate` replaced it:
 weak filter on both parties, acceleration channel on party 0, reversing
 filter on both parties, each step post-selected and checked as a strict
@@ -9,6 +10,11 @@ state; ``restrict_to_ladder`` cuts an accelerated qutrit output back to its
 3 x 3 ladder block and ``compute_report`` evaluates every measure.  The
 tests compare the batched pipeline against it to 1e-12, and check it in
 turn against index-arithmetic, Stinespring and Jacobi oracles.
+
+The three ``_check_*`` functions at the end are ``validate``'s sampled
+checks as they ran one sample at a time, on the scalar closed forms and
+per-sample state, strength, channel and acceleration objects; the tests
+compare the batched checks in :mod:`unruhlab.validate` against them.
 """
 
 from dataclasses import dataclass
@@ -16,13 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from unruhlab.channel import AccelerationSpec, ChannelKraus, channel_for_dim
-from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
-from unruhlab.localops import (REVERSE, SUCCESS_FLOOR, WEAK, MeasurementStrengths,
-                               build_operator, embed_diagonal)
+from unruhlab.closedform import (corrected_final_qubit, literal_final_qubit, qubit_coefficients,
+                                 x_state_spectrum)
+from unruhlab.errors import BadArity, DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
+from unruhlab.localops import (REVERSE, SUCCESS_FLOOR, WEAK, MeasurementStrengths, filter_levels,
+                               tied)
 from unruhlab.measures import MeasuresReport
-from unruhlab.pipeline import LADDER_FLOOR
+from unruhlab.pipeline import LADDER_FLOOR, chunk_points, point_inputs, propagate
+from unruhlab.states import XStateSpec, make_x_state
 from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, STATE_EIGENVALUE_TOL, DensityMatrix,
                              hermitian_eigenvalues, hermitian_part)
+from unruhlab.validate import EQUIV_TOL, SPECTRUM_TOL, ZERO_ACCEL_TOL, CheckResult
 
 ACCELERATED_PARTY = 0
 STANDARD = "standard"
@@ -234,6 +244,45 @@ def accelerate(rho: DensityMatrix, party: int, channel: ChannelKraus) -> Density
     return DensityMatrix(out, new_dims)
 
 
+def build_operator(kind: str, dim: int, levels) -> np.ndarray:
+    """Diagonal filter operator of one party.
+
+    Parameters
+    ----------
+    kind:
+        ``'weak'`` or ``'reverse'``.
+    dim:
+        Local dimension, 2 or 3.
+    levels:
+        ``dim - 1`` strengths in [0, 1].
+
+    Returns
+    -------
+    (dim, dim) complex array with entries in [0, 1]; satisfies M^dag M <= I.
+    """
+    if dim not in (2, 3):
+        raise DimMismatch(f"local dimension must be 2 or 3, got {dim}")
+    vals = MeasurementStrengths(kind, levels, levels).party_a_levels
+    if len(vals) != dim - 1:
+        raise BadArity(f"dimension {dim} needs {dim - 1} strengths, got {len(vals)}")
+    return np.diag(filter_levels(kind, vals).astype(np.complex128))
+
+
+def embed_diagonal(op: np.ndarray, out_dim: int) -> np.ndarray:
+    """Extend a diagonal operator to ``out_dim`` acting as identity above.
+
+    Used when a filter designed for the pre-acceleration ladder must act on
+    the enlarged post-acceleration space: the extra (pair) level passes
+    through unfiltered.
+    """
+    d = op.shape[0]
+    if out_dim < d:
+        raise DimMismatch(f"cannot embed dim {d} into smaller dim {out_dim}")
+    out = np.eye(out_dim, dtype=np.complex128)
+    out[:d, :d] = op
+    return out
+
+
 @dataclass(frozen=True)
 class ProtocolResult:
     """Final state plus the intermediate states and success probabilities."""
@@ -366,3 +415,80 @@ def compute_report(rho: DensityMatrix, success_probability: float
         coherent_info_literal_bits=-s_ab,
         success_probability=success_probability,
     )
+
+
+def _random_x_spec(rng: np.random.Generator) -> XStateSpec:
+    # rejection-sample until the four dyadic eigenvalues are all nonnegative
+    while True:
+        c = rng.uniform(-1.0, 1.0, size=3)
+        spec = XStateSpec(*c)
+        if min(spec.eigenvalues()) >= 1e-6:
+            return spec
+
+
+def _check_corrected_vs_pipeline(rng: np.random.Generator,
+                                 samples: int) -> CheckResult:
+    points = []
+    for _ in range(samples):
+        spec = _random_x_spec(rng)
+        alphas = tuple(rng.uniform(0.0, 0.95, size=2))
+        betas = tuple(rng.uniform(0.0, 0.95, size=2))
+        r = rng.uniform(0.0, np.pi / 4)
+        phi = rng.uniform(0.0, 2 * np.pi)
+        weak = MeasurementStrengths(WEAK, (alphas[0],), (alphas[1],))
+        reverse = MeasurementStrengths(REVERSE, (betas[0],), (betas[1],))
+        points.append((spec, weak, reverse, AccelerationSpec(r, phi)))
+    worst = 0.0
+    worst_detail = ""
+    size = chunk_points(4)
+    for start in range(0, len(points), size):
+        chunk = points[start:start + size]
+        rho0 = np.array([make_x_state(spec).matrix for spec, *_ in chunk])
+        kraus, weak, reverse = (np.array(a) for a in
+                                zip(*(point_inputs(*point[1:]) for point in chunk)))
+        out = propagate(rho0, (2, 2), kraus, weak, reverse)
+        if len(out.kept) < len(chunk):
+            raise DegenerateOutcome("a closed-form cross-check sample is degenerate")
+        closed = np.array([corrected_final_qubit(*point).matrix for point in chunk])
+        diffs = np.abs(closed - out.states).max(axis=(1, 2))
+        i = int(np.argmax(diffs))     # the first maximum, as a strict > scan keeps it
+        if diffs[i] > worst:
+            spec, acc = chunk[i][0], chunk[i][3]
+            worst = float(diffs[i])
+            worst_detail = (f"worst at c=({spec.c11:.4f},{spec.c22:.4f},"
+                            f"{spec.c33:.4f}) r={acc.r:.4f}")
+    return CheckResult("corrected_closed_form_vs_pipeline", worst <= EQUIV_TOL,
+                       worst, EQUIV_TOL, worst_detail)
+
+
+def _check_literal_at_zero_acceleration(rng: np.random.Generator,
+                                        samples: int) -> CheckResult:
+    worst = 0.0
+    for _ in range(samples):
+        spec = _random_x_spec(rng)
+        weak = tied(WEAK, rng.uniform(0.0, 0.9), 2)
+        reverse = tied(REVERSE, rng.uniform(0.0, 0.9), 2)
+        acc = AccelerationSpec(0.0)
+        lit = literal_final_qubit(spec, weak, reverse, acc)
+        cor = corrected_final_qubit(spec, weak, reverse, acc)
+        worst = max(worst, float(np.max(np.abs(lit.matrix - cor.matrix))))
+    return CheckResult("literal_equals_corrected_at_r0", worst <= ZERO_ACCEL_TOL,
+                       worst, ZERO_ACCEL_TOL)
+
+
+def _check_spectrum_formulas(rng: np.random.Generator,
+                             samples: int) -> CheckResult:
+    worst = 0.0
+    for _ in range(samples):
+        spec = _random_x_spec(rng)
+        weak = MeasurementStrengths(WEAK, (rng.uniform(0, 0.9),),
+                                    (rng.uniform(0, 0.9),))
+        reverse = MeasurementStrengths(REVERSE, (rng.uniform(0, 0.9),),
+                                       (rng.uniform(0, 0.9),))
+        acc = AccelerationSpec(rng.uniform(0, np.pi / 4))
+        coeffs = qubit_coefficients(spec, weak, reverse, acc)
+        mus = np.sort(np.array(x_state_spectrum(coeffs)))
+        direct = np.sort(hermitian_eigenvalues(coeffs.assemble().matrix))
+        worst = max(worst, float(np.max(np.abs(mus - direct))))
+    return CheckResult("x_state_spectrum_vs_eigensolver", worst <= SPECTRUM_TOL,
+                       worst, SPECTRUM_TOL)

@@ -40,17 +40,17 @@ import time
 import numpy as np
 import pytest
 
-from oracle import accelerate, compute_report, negativity, restrict_to_ladder, run_protocol
+from oracle import (_random_x_spec, accelerate, compute_report, negativity, restrict_to_ladder,
+                    run_protocol)
 from unruhlab.channel import (
     AccelerationSpec,
     R_MAX,
     qubit_channel,
     qutrit_channel,
 )
-from unruhlab.closedform import corrected_final_qubit, qubit_coefficients
+from unruhlab.closedform import corrected_final_qubit, qubit_coefficients, x_state_spectrum
 from unruhlab.cli import main
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
-from unruhlab.measures import x_state_spectrum
 from unruhlab.states import (
     QutritStateSpec,
     XStateSpec,
@@ -60,7 +60,7 @@ from unruhlab.states import (
 )
 from unruhlab.sweep import figure_preset, run_sweep
 from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
-from unruhlab.validate import _random_x_spec, run_validation
+from unruhlab.validate import run_validation
 
 ACCEPTANCE_SEED = 424243
 

@@ -8,19 +8,23 @@ deviations from that pipeline."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle import restrict_to_ladder, run_protocol
-from unruhlab.channel import AccelerationSpec
+from unruhlab.channel import R_MAX, AccelerationSpec
 from unruhlab.closedform import (
     PRINTED_NORM,
     QubitCoefficients,
     TRACE_NORM,
+    assemble_qubit,
     corrected_final_qubit,
     discrepancy_report,
     literal_final_qubit,
     literal_final_qutrit,
     qubit_coefficients,
+    qubit_table,
     qutrit_coefficients,
+    x_state_spectrum,
 )
 from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
@@ -238,3 +242,40 @@ def test_discrepancy_report_rejects_shape_mismatch():
     q = literal_final_qutrit(QT_SPEC, QT_WEAK, QT_REVERSE, QT_ACC)
     with pytest.raises(DimMismatch):
         discrepancy_report(a, q)
+
+
+# ------------------------------------------------------------- array form
+
+_VERTICES = np.array([(-1.0, -1.0, -1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)])
+_STRENGTH = st.one_of(st.just(0.0), st.floats(0.0, 0.95))
+
+
+@st.composite
+def qubit_points(draw):
+    """(c, weak, reverse, r, phi): an X-state triple in the physical
+    tetrahedron (a mixture of its four Bell-state vertices), strengths in
+    [0, 0.95] with 0 itself, r in [0, pi/4] with both ends, phi != 0."""
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+    c = _VERTICES[0] if w.sum() == 0.0 else w @ _VERTICES / w.sum()
+    r = draw(st.one_of(st.just(0.0), st.just(R_MAX), st.floats(0.0, R_MAX)))
+    return (np.clip(c, -1.0, 1.0), [draw(_STRENGTH) for _ in range(2)],
+            [draw(_STRENGTH) for _ in range(2)], r, draw(st.floats(0.1, 6.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(qubit_points(), min_size=1, max_size=6))
+def test_array_form_equals_one_point_calls(points):
+    c, weak, reverse, r, _ = (np.array(a) for a in zip(*points))
+    for variant in ("corrected", "literal"):
+        table = qubit_table(c, weak, reverse, r, variant)
+        states = assemble_qubit(table)
+        spectra = x_state_spectrum(table)
+        for i, (ci, wi, vi, ri, phi) in enumerate(points):
+            args = (XStateSpec(*ci), MeasurementStrengths(WEAK, wi[:1], wi[1:]),
+                    MeasurementStrengths(REVERSE, vi[:1], vi[1:]), AccelerationSpec(ri, phi))
+            coeffs = qubit_coefficients(*args, variant=variant)
+            state = (corrected_final_qubit if variant == "corrected"
+                     else literal_final_qubit)(*args)
+            assert np.max(np.abs(table[i] - coeffs.table)) <= 1e-15
+            assert np.max(np.abs(states[i] - state.matrix)) <= 1e-15
+            assert np.max(np.abs(spectra[i] - x_state_spectrum(coeffs))) <= 1e-15

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 import unruhlab
-from oracle import run_protocol
-from unruhlab import validate
+from oracle import _random_x_spec, run_protocol
+from unruhlab import cli, validate
 from unruhlab.channel import AccelerationSpec, r_from_acceleration
 from unruhlab.cli import main
 from unruhlab.closedform import corrected_final_qubit
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
 from unruhlab.states import make_x_state, parse_state_preset
-from unruhlab.tensor import DensityMatrix
-from unruhlab.validate import _random_x_spec, run_validation
+from unruhlab.validate import run_validation
 
 TOL = 1e-12
 
@@ -90,6 +89,41 @@ def test_validate_non_positive_samples_exits_2(tmp_path, capsys, samples):
     assert not (tmp_path / "v").exists()
 
 
+def test_validate_negative_seed_exits_2(tmp_path, capsys):
+    code = main(["validate", "--seed", "-1", "--out-dir", str(tmp_path / "v")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "--seed" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "{dir}/sweep.ini", "--out", "{dir}/nodir/s.csv"],
+    ["state", "--preset", "singlet", "--r", "0.3", "--out", "{dir}/nodir/x.csv"],
+    ["figure", "fig4b", "--out-dir", "{dir}/afile"],
+    ["validate", "--out-dir", "{dir}/afile"],
+])
+def test_unwritable_output_exits_2_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the output was checked")
+
+    for name in ("run_sweep", "run_validation", "propagate_point"):
+        monkeypatch.setattr(cli, name, no_work)
+    (tmp_path / "sweep.ini").write_text(
+        "[sweep]\nsystem = two_qubit\ninitial_state = singlet\nr_grid = 0:0.5:3\n"
+        "strength_grid = 0:0.5:3\ntie_policy = all_equal\n", encoding="utf-8")
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    code = main([arg.format(dir=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "sweep.ini"]
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
+
+
 def _oracle_corrected_vs_pipeline(seed: int, samples: int) -> float:
     """The scalar loop the check ran before it was batched, on the same draws."""
     rng = np.random.default_rng(seed)
@@ -119,23 +153,29 @@ def test_batched_closed_form_check_matches_oracle_loop(seed):
 
 
 def test_closed_form_check_sees_every_chunk(monkeypatch):
-    # Shift the closed form of one sample in the second chunk by 1e-9: the
-    # check must fail on it, by that amount.
-    calls = []
+    # Shift the closed-form state of sample 550, in the second chunk, by
+    # diag(1e-9, -1e-9, 0, 0): the check must fail on it, by that amount.
+    # The first check is the first caller, so its 600 samples come first.
+    closed_forms = validate._closed_forms
+    rows, shifted_r = [], []
 
-    def shifted(*args):
-        state = corrected_final_qubit(*args)
-        calls.append(args)
-        if len(calls) != 550:
-            return state
-        return DensityMatrix(state.matrix + np.diag([1e-9, -1e-9, 0.0, 0.0]), (2, 2),
-                             strict=False)
+    def shifted(c, weak, reverse, r, variant="corrected"):
+        table, states, spectra = closed_forms(c, weak, reverse, r, variant)
+        i = 550 - sum(rows)
+        rows.append(len(states))
+        if 0 <= i < len(states):
+            states = states.copy()
+            states[i] += np.diag([1e-9, -1e-9, 0.0, 0.0])
+            shifted_r.append(r[i])
+        return table, states, spectra
 
-    monkeypatch.setattr(validate, "corrected_final_qubit", shifted)
+    monkeypatch.setattr(validate, "_closed_forms", shifted)
     check = validate.run_validation(seed=7, samples=600).checks[0]
+    assert rows[:2] == [validate.chunk_points(4), 600 - validate.chunk_points(4)]
+    assert len(shifted_r) == 1
     assert check.passed is False
     assert abs(check.value - 1e-9) <= 1e-15
-    assert check.detail.endswith(f"r={calls[549][3].r:.4f}")
+    assert check.detail.endswith(f"r={shifted_r[0]:.4f}")
 
 
 def test_every_exported_name_resolves():

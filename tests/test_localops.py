@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import apply_local_pair
+from oracle import apply_local_pair, build_operator, embed_diagonal
 from unruhlab.errors import (
     BadArity,
     BadStrength,
@@ -22,8 +22,6 @@ from unruhlab.localops import (
     MeasurementStrengths,
     REVERSE,
     WEAK,
-    build_operator,
-    embed_diagonal,
     tied,
 )
 from unruhlab.states import make_qutrit_state, QutritStateSpec, singlet, werner

@@ -18,10 +18,10 @@ from oracle import (
     run_protocol,
 )
 from unruhlab.channel import AccelerationSpec
-from unruhlab.closedform import QubitCoefficients, qubit_coefficients
+from unruhlab.closedform import QubitCoefficients, qubit_coefficients, x_state_spectrum
 from unruhlab.errors import NegativeDiscriminant
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
-from unruhlab.measures import MeasuresReport, measure_columns, x_state_spectrum
+from unruhlab.measures import MeasuresReport, measure_columns
 from unruhlab.states import (
     QutritStateSpec,
     XStateSpec,

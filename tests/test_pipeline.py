@@ -58,7 +58,7 @@ def test_weak_stage_precedes_channel():
     res = run_protocol(werner(0.7), weak, rev, AccelerationSpec(r))
 
     from unruhlab.channel import qubit_channel
-    from unruhlab.localops import build_operator
+    from oracle import build_operator
 
     w = build_operator(WEAK, 2, (alpha,))
     rv = build_operator(REVERSE, 2, (beta,))

@@ -2,8 +2,17 @@
 informational entries must surface the documented literal-table
 deviations, and the rendering must round-trip to CSV."""
 
+import numpy as np
 import pytest
 
+import oracle
+from unruhlab import validate
+from unruhlab.channel import check_completeness, check_rindler, qubit_kraus
+from unruhlab.closedform import assemble_qubit, check_coefficients, qubit_table, x_state_spectrum
+from unruhlab.errors import (BadPhysicalParam, BadStrength, DegenerateOutcome, DimMismatch,
+                             NegativeDiscriminant, NotPositive)
+from unruhlab.states import XStateSpec
+from unruhlab.tensor import check_states
 from unruhlab.validate import run_validation
 
 
@@ -62,3 +71,167 @@ def test_seed_controls_reproducibility():
     a = run_validation(seed=7, samples=5)
     b = run_validation(seed=7, samples=5)
     assert a.to_csv() == b.to_csv()
+
+
+# ----------------------------------------------------- the batched checks
+
+def _oracle_checks(seed: int, samples: int):
+    """The three sampled checks, one sample at a time, on one generator, and
+    the generator's state after each."""
+    rng = np.random.default_rng(seed)
+    checks, states = [], []
+    for check, n in ((oracle._check_corrected_vs_pipeline, samples),
+                     (oracle._check_literal_at_zero_acceleration, max(10, samples // 5)),
+                     (oracle._check_spectrum_formulas, samples)):
+        checks.append(check(rng, n))
+        states.append(rng.bit_generator.state)
+    return checks, states
+
+
+@pytest.mark.parametrize("seed", [7, 20240801])
+def test_sampled_checks_match_the_one_sample_oracle(monkeypatch, seed):
+    # 600 samples make two chunks of qubit points.  Each check draws its
+    # samples once, so the generator's state after each draw must be the
+    # one the per-sample draws leave.
+    samples = 600
+    assert samples > validate.chunk_points(4)
+    draw, states = validate._draw, []
+
+    def recording(rng, *args):
+        out = draw(rng, *args)
+        states.append(rng.bit_generator.state)
+        return out
+
+    monkeypatch.setattr(validate, "_draw", recording)
+    got = run_validation(seed=seed, samples=samples).checks[:3]
+    want, want_states = _oracle_checks(seed, samples)
+    assert states == want_states
+    for batched, scalar in zip(got, want, strict=True):
+        assert (batched.name, batched.status(), batched.threshold, batched.detail) == \
+            (scalar.name, scalar.status(), scalar.threshold, scalar.detail)
+        assert abs(batched.value - scalar.value) <= 1e-15
+
+
+def test_block_draws_equal_per_call_draws():
+    ranges = [(0.0, 0.95)] * 4 + [(0.0, np.pi / 4), (0.0, 2 * np.pi)]
+    grew = False
+    for seed in range(40):
+        for samples in (1, 3, 50):
+            rng = np.random.default_rng(seed)
+            c, u = validate._draw(rng, samples, ranges)
+            ref = np.random.default_rng(seed)
+            want_c, want_u, used = [], [], 0
+            for _ in range(samples):
+                while True:
+                    triple = ref.uniform(-1.0, 1.0, size=3)
+                    used += 3
+                    if min(XStateSpec(*triple).eigenvalues()) >= 1e-6:
+                        break
+                want_c.append(triple)
+                want_u.append([ref.uniform(lo, hi) for lo, hi in ranges])
+                used += len(ranges)
+            assert np.array_equal(c, want_c) and np.array_equal(u, want_u)
+            assert rng.random() == ref.random()
+            grew |= used > samples * (9 + len(ranges)) + 3 + len(ranges)
+    # The first block holds 9 + len(ranges) draws a sample and one sample's
+    # 3 + len(ranges) more; some cases need more, so the path that draws a
+    # longer block ran too.
+    assert grew
+
+
+def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):
+    # Per sample of the closed-form check: propagate's entry and exit checks
+    # and the strict check of the corrected closed form (3); per sample of
+    # the spectrum check: the strict check of its state, whose spectrum is
+    # the eigensolver side (1); per sample of the r = 0 check: the strict
+    # check of the corrected state (N // 5 samples).  The fixed checks: 8
+    # for the two anchor points (entry, exit, partial transpose and marginal
+    # each) and 2 for their initial states; 5 and 6 for the restricted and
+    # projected qutrit comparisons (initial state, entry, exit, two
+    # discrepancy spectra, and the projected state's strict check); 1 for
+    # the literal qutrit spectrum.
+    fixed = 8 + 2 + 5 + 6 + 1
+    counted = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        counted.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for samples in (100, 600):
+        counted.clear()
+        run_validation(seed=7, samples=samples)
+        assert sum(counted) == 3 * samples + samples + samples // 5 + fixed
+
+
+def _corrupt(member, value):
+    """A ``validate._draw`` that sets one member of the first check's draws."""
+    draw = validate._draw
+    calls = []
+
+    def corrupted(rng, samples, ranges):
+        c, u = draw(rng, samples, ranges)
+        calls.append(samples)
+        if len(calls) == 1:
+            (c if member[0] == "c" else u)[550, member[1]] = value
+        return c, u
+
+    return corrupted
+
+
+@pytest.mark.parametrize("member, value, error", [
+    (("c", 0), 1.5, ValueError),                 # X-spec range
+    (("c", 1), np.nan, ValueError),
+    (("u", 1), 1.2, BadStrength),                # a weak strength
+    (("u", 3), np.nan, BadStrength),             # a reversing strength
+    (("u", 4), 1.0, BadPhysicalParam),           # r beyond pi/4
+    (("u", 5), np.inf, BadPhysicalParam),        # phi
+])
+def test_a_bad_member_of_the_draws_raises(monkeypatch, member, value, error):
+    monkeypatch.setattr(validate, "_draw", _corrupt(member, value))
+    with pytest.raises(error):
+        run_validation(seed=7, samples=600)
+
+
+@pytest.mark.parametrize("members, error", [
+    ({0: 1.0, 1: 1.0, 2: 1.0}, NotPositive),           # not a state: entry check
+    ({0: 0.0, 1: 0.0, 2: -1.0}, DegenerateOutcome),    # |01>, |10> only ...
+])
+def test_a_bad_initial_state_raises(monkeypatch, members, error):
+    draw = validate._draw
+
+    def corrupted(rng, samples, ranges):
+        c, u = draw(rng, samples, ranges)
+        for k, v in members.items():
+            c[550, k] = v
+        u[550, :2] = 1.0                              # ... under a full weak filter
+        return c, u
+
+    monkeypatch.setattr(validate, "_draw", corrupted)
+    with pytest.raises(error):
+        run_validation(seed=7, samples=600)
+
+
+def test_stack_checks_raise_on_one_bad_member():
+    kraus = qubit_kraus(np.linspace(0.0, np.pi / 4, 5))
+    assert check_completeness(kraus).max() <= 1e-12
+    kraus[3, 1, 1, 0] *= 1.01
+    with pytest.raises(DimMismatch):
+        check_completeness(kraus)
+    table = np.tile(qubit_table((-0.5, -0.2, 0.3), (0.2, 0.4), (0.1, 0.3), 0.5), (5, 1))
+    check_coefficients(table)
+    for index, value, error in ((4, -1e-13, NotPositive), (None, 0.0, DegenerateOutcome)):
+        bad = table.copy()
+        bad[2, index if index is not None else slice(None)] = value
+        with pytest.raises(error):
+            check_coefficients(bad)
+    bad = table.copy()
+    bad[2, 7] = -100.0 * bad[2, 1]               # b8 != b2: negative discriminant
+    with pytest.raises(NegativeDiscriminant):
+        x_state_spectrum(bad)
+    states = assemble_qubit(table)
+    states[2] += np.diag([0.2, -0.2, 0.0, 0.0])
+    with pytest.raises(NotPositive):
+        check_states(states)
+    assert np.array_equal(check_rindler([0.1, np.pi / 4 + 1e-13], 0.0), [0.1, np.pi / 4])
