@@ -125,36 +125,53 @@ def qubit_kraus(r) -> np.ndarray:
     return k
 
 
+def qutrit_kraus(r, phi=0.0) -> np.ndarray:
+    """Four-outcome Kraus families of the accelerated qutrit, 3 -> 4 dim,
+    unchecked: shape ``r.shape + (4, 4, 3)``.  Outcome index is the
+    region-II level traced over: vacuum, U, D, pair."""
+    r = np.asarray(r, dtype=np.float64)
+    c, s = np.cos(r), np.sin(r)
+    ph = np.exp(1j * np.asarray(phi, dtype=np.float64))
+    k = np.zeros(np.broadcast_shapes(r.shape, ph.shape) + (4, 4, 3), dtype=np.complex128)
+    k[..., 0, LEVEL_VACUUM, 0] = c * c
+    k[..., 0, LEVEL_UP, 1] = c
+    k[..., 0, LEVEL_DOWN, 2] = c
+    k[..., 1, LEVEL_DOWN, 0] = ph * s * c
+    k[..., 1, LEVEL_PAIR, 1] = ph * s
+    k[..., 2, LEVEL_UP, 0] = ph * s * c
+    k[..., 2, LEVEL_PAIR, 2] = -ph * s
+    k[..., 3, LEVEL_DOWN, 0] = ph * ph * s * s
+    return k
+
+
+def kraus_for_dim(dim: int, r, phi=0.0) -> np.ndarray:
+    """Unchecked Kraus stacks of the channel on a party of dimension ``dim``."""
+    if dim == 2:
+        return qubit_kraus(r)
+    if dim == 3:
+        return qutrit_kraus(r, phi)
+    raise DimMismatch(f"no acceleration channel for local dimension {dim}")
+
+
+def superoperator(kraus) -> np.ndarray:
+    """Liouville forms S = sum_k K_k (x) K_k^* of Kraus stacks ``(..., k, out, in)``:
+    ``(..., out^2, in^2)`` maps of row-major vectorised states (Wood,
+    Biamonte and Cory, Quantum Inf. Comput. 15, 759, 2015)."""
+    k = np.asarray(kraus)
+    s = (k[..., :, None, :, None] * k.conj()[..., None, :, None, :]).sum(axis=-5)
+    return s.reshape(s.shape[:-4] + (k.shape[-2] ** 2, k.shape[-1] ** 2))
+
+
 def qubit_channel(spec: AccelerationSpec) -> ChannelKraus:
     """Two-outcome Kraus pair {diag(cos r, 1), sin r |1><0|}."""
-    return ChannelKraus(2, 2, tuple(qubit_kraus(spec.r)))
+    return channel_for_dim(2, spec)
 
 
 def qutrit_channel(spec: AccelerationSpec) -> ChannelKraus:
-    """Four-outcome Kraus family of the accelerated qutrit, 3 -> 4 dim.
-
-    Outcome index is the region-II level traced over: vacuum, U, D, pair.
-    """
-    c, s = np.cos(spec.r), np.sin(spec.r)
-    ph = np.exp(1j * spec.phi)
-    k_vac = np.zeros((4, 3), dtype=np.complex128)
-    k_vac[LEVEL_VACUUM, 0] = c * c
-    k_vac[LEVEL_UP, 1] = c
-    k_vac[LEVEL_DOWN, 2] = c
-    k_up = np.zeros((4, 3), dtype=np.complex128)
-    k_up[LEVEL_DOWN, 0] = ph * s * c
-    k_up[LEVEL_PAIR, 1] = ph * s
-    k_down = np.zeros((4, 3), dtype=np.complex128)
-    k_down[LEVEL_UP, 0] = ph * s * c
-    k_down[LEVEL_PAIR, 2] = -ph * s
-    k_pair = np.zeros((4, 3), dtype=np.complex128)
-    k_pair[LEVEL_DOWN, 0] = ph * ph * s * s
-    return ChannelKraus(3, 4, (k_vac, k_up, k_down, k_pair))
+    """Four-outcome Kraus family of the accelerated qutrit (:func:`qutrit_kraus`)."""
+    return channel_for_dim(3, spec)
 
 
 def channel_for_dim(dim: int, spec: AccelerationSpec) -> ChannelKraus:
-    if dim == 2:
-        return qubit_channel(spec)
-    if dim == 3:
-        return qutrit_channel(spec)
-    raise DimMismatch(f"no acceleration channel for local dimension {dim}")
+    k = kraus_for_dim(dim, spec.r, spec.phi)
+    return ChannelKraus(dim, k.shape[-2], tuple(k))

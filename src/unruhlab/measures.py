@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import shannon_entropy
+from .tensor import block_eigenvalues, shannon_entropy
 
 # Tolerances on the probability sum: spectra, then populations.
 _SPECTRUM_SUM_TOL = 1e-6
@@ -58,27 +58,25 @@ class MeasuresReport:
         check_ranges(self.entanglement_normalized, self.success_probability)
 
 
-def measure_columns(states: np.ndarray, spectra: np.ndarray, dims: tuple[int, int],
-                    p_success: np.ndarray) -> np.ndarray:
+def measure_columns(out) -> np.ndarray:
     """Every measure of a stack of final states, one row per state.
 
-    ``states`` are checked, exactly Hermitian states over ``dims`` and
-    ``spectra`` their ascending eigenvalues, as
+    ``out`` holds checked, exactly Hermitian states as
     :func:`~unruhlab.pipeline.propagate` returns them, so their partial
     transposes and marginals (entries permuted, or summed in one order) are
     exactly Hermitian too.  The columns are ``MEASURE_COLUMNS``, in order;
-    party 0 is the accelerated party and the partial transpose is taken on
-    it.  Raises ``ValueError`` through :func:`check_ranges` if any E_norm
-    or p_success is out of range.
+    party 0 is the accelerated party, and the partial transpose is taken on
+    it and eigensolved along ``out.transpose``.  Raises ``ValueError``
+    through :func:`check_ranges` if any E_norm or p_success is out of range.
     """
-    d0, db = dims
+    d0, db = out.dims
     dim = d0 * db
-    t = states.reshape(-1, d0, db, d0, db)
-    lam = np.linalg.eigvalsh(t.transpose(0, 3, 2, 1, 4).reshape(-1, dim, dim))
+    t = out.states.reshape(-1, d0, db, d0, db)
+    lam = block_eigenvalues(t.transpose(0, 3, 2, 1, 4).reshape(-1, dim, dim), out.transpose)
     neg_raw = -np.where(lam < 0.0, lam, 0.0).sum(axis=-1)
     e_norm = 2.0 * neg_raw / (min(d0, db) - 1)
-    check_ranges(e_norm, p_success)
-    s_ab = shannon_entropy(spectra, _SPECTRUM_SUM_TOL)
+    check_ranges(e_norm, out.p_success)
+    s_ab = shannon_entropy(out.spectra, _SPECTRUM_SUM_TOL)
     marg_a = np.trace(t, axis1=2, axis2=4)
     marg_b = np.trace(t, axis1=1, axis2=3)
     s_b = shannon_entropy(np.linalg.eigvalsh(marg_b), _SPECTRUM_SUM_TOL)
@@ -89,5 +87,5 @@ def measure_columns(states: np.ndarray, spectra: np.ndarray, dims: tuple[int, in
         shannon_entropy(np.diagonal(marg_b, axis1=1, axis2=2).real, _POPULATION_SUM_TOL),
         s_b - s_ab,
         -s_ab,
-        p_success,
+        out.p_success,
     ))

@@ -1,17 +1,20 @@
 """The protocol: weak filtering, acceleration of party 0, reversal.
 
-Every command runs the protocol through :func:`propagate`, on a stack of
-points at once.  Each point brings its own channel (a Kraus stack, one per
-Rindler angle) and its own filters (the diagonals of ``op_a (x) op_b``),
-and either shares one initial state with the other points or brings its
-own:
+Every command runs the protocol on stacks of points: :func:`prepare` takes
+a grid's tables once and :func:`propagate_points` runs chunks of its
+points (:func:`propagate` does both for points that bring their own rows):
 
-* a diagonal filter is a broadcast scaling by its diagonal;
-* the channel on party 0 is one ``einsum`` over the stacked Kraus
-  operators;
+* the weak step, a broadcast scaling by the filter's diagonal, runs once
+  per filter row (a sweep's strength value), in :func:`prepare`;
+* the channel on party 0 is one Liouville superoperator per Rindler angle,
+  applied as one batched ``matmul``;
 * states are checked by :func:`~unruhlab.tensor.check_states` where they
-  enter and where they leave, and a point whose post-selection probability
-  falls below ``SUCCESS_FLOOR`` is degenerate; later steps skip it.
+  enter and where they leave.  The final states and their partial
+  transposes are eigensolved block by block along a support pattern
+  derived from supports alone, after a check that every entry off the
+  pattern is exactly zero, so the exit check still sees the whole state;
+* a point whose post-selection probability falls below ``SUCCESS_FLOOR``
+  is degenerate; later steps skip it.
 
 :func:`~unruhlab.measures.measure_columns` then evaluates the measures on
 the final states.  The scalar Kraus pipeline this replaced lives beside
@@ -22,20 +25,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import AccelerationSpec, channel_for_dim
+from .channel import R_MAX, AccelerationSpec, channel_for_dim, kraus_for_dim, superoperator
 from .errors import DegenerateOutcome
 from .localops import REVERSE, SUCCESS_FLOOR, WEAK, MeasurementStrengths, filter_levels
-from .tensor import STATE_HERMITICITY_TOL, DensityMatrix, check_states, hermitian_part
+from .tensor import (STATE_HERMITICITY_TOL, Blocks, DensityMatrix, blocks_of, check_states,
+                     hermitian_part)
 
 LADDER_FLOOR = 1e-14
 
-# Bytes of one stacked state array.  This bounds the working set on large
-# grids: `figure fig2a` (6,400 qutrit points) peaks at 46 MB resident in
-# these chunks and at 152 MB in one chunk.  The channel's intermediates
-# hold several times a chunk's states, so a larger budget raises the peak
-# of small sweeps too (fig6b, 243 points: +0.6 MB over a one-point-at-a-time
-# evaluation at this budget, +4.5 MB at 512 KiB).
-CHUNK_BYTES = 128 * 1024
+# Bytes of one stacked state array; this bounds the working set on large
+# grids.  Measured on a 2-core host, two 15 s perfbench runs each: fig2a's
+# calibrated wall time is 0.21 s at 128 KiB, 0.18 s at 256 KiB and 0.18 s
+# at 512 KiB; a `figure fig6b` process (243 points) peaks at 38.2, 38.7
+# and 40.2 MB resident, and mixed_cli takes 0.086 s at 512 KiB against
+# 0.080 s at 256 KiB.
+CHUNK_BYTES = 256 * 1024
 
 
 class Propagated(NamedTuple):
@@ -46,6 +50,20 @@ class Propagated(NamedTuple):
     states: np.ndarray      # (m, d, d) final states, checked and exactly Hermitian
     spectra: np.ndarray     # (m, d) their ascending eigenvalues
     dims: tuple[int, int]   # party dimensions of the final states
+    transpose: Blocks       # block structure of their partial transposes on party 0
+
+
+class Prepared(NamedTuple):
+    """A grid's tables, as :func:`prepare` computes them once."""
+
+    p_weak: np.ndarray      # (w,) weak post-selection probability of each filter row
+    weakened: np.ndarray    # (w, d, d) the renormalised states after the weak step
+    channels: np.ndarray    # (c, dao^2, da^2) channel superoperators on party 0
+    reverse: np.ndarray     # (w, dao db) reversing filter diagonals
+    dims: tuple[int, int]   # party dimensions of the initial states
+    project: bool
+    blocks: Blocks          # block structure of the final states
+    transpose: Blocks       # and of their partial transposes
 
 
 def chunk_points(state_dim: int) -> int:
@@ -99,55 +117,95 @@ def _post_select(sigma: np.ndarray, floor: float):
     return kept, p, hermitian_part(sigma[kept] / p[:, None, None], STATE_HERMITICITY_TOL)
 
 
+def _accelerate(channels: np.ndarray, states: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Each state over ``dims`` with its superoperator applied to party 0."""
+    n, (da, db), dao = len(states), dims, round(np.sqrt(channels.shape[-2]))
+    t = states.reshape(n, da, db, da, db).transpose(0, 1, 3, 2, 4).reshape(n, da * da, db * db)
+    t = (channels @ t).reshape(n, dao, dao, db, db).transpose(0, 1, 3, 2, 4)
+    return t.reshape(n, dao * db, dao * db)
+
+
+def _structure(rho0, dims, kraus, project) -> tuple[Blocks, Blocks]:
+    """Blocks of the final states and of their partial transposes: the initial
+    states' supports pushed through the Kraus supports over ``kraus`` and at
+    an interior angle, where no cos r or sin r vanishes (so r = 0 does not
+    shrink the pattern); the diagonal filters keep every support."""
+    (da, db), dao = dims, kraus.shape[-2]
+    support = (rho0 != 0).reshape(-1, da * db, da * db).any(axis=0)
+    ops = (kraus != 0).reshape((-1,) + kraus.shape[-3:]).any(axis=0)
+    ops |= kraus_for_dim(da, R_MAX / 2) != 0
+    pattern = _accelerate(superoperator(ops.astype(float))[None],
+                          support[None].astype(float), dims)[0] != 0
+    if project:
+        pattern, dao = ladder_block(pattern[None], (dao, db), da)[0], da
+    transpose = pattern.reshape(dao, db, dao, db).transpose(2, 1, 0, 3)
+    return blocks_of(pattern), blocks_of(transpose.reshape(pattern.shape))
+
+
+def prepare(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
+            reverse: np.ndarray, project: bool = False) -> Prepared:
+    """Tables of a grid of points for :func:`propagate_points`.
+
+    ``rho0``: initial states over ``dims = (da, db)``, strictly checked
+    here, one shared by every filter row or one per row.  ``kraus``:
+    ``(c, k, dao, da)``, one Kraus stack on party 0 per channel row.
+    ``weak``, ``reverse``: ``(w, da db)`` and ``(w, dao db)``, the filter
+    diagonals (:func:`filter_diagonal`) of each filter row.  ``project``
+    restricts each output to party 0's first ``da`` levels (its
+    pre-acceleration ladder, :func:`ladder_block`) and renormalises; a
+    point whose ladder weight is below ``LADDER_FLOOR`` is degenerate.
+    """
+    rho0, _ = check_states(rho0)
+    sigma = (weak[:, :, None] * rho0) * weak[:, None, :]
+    p_weak = np.trace(sigma, axis1=-2, axis2=-1).real
+    scale = np.where(p_weak >= SUCCESS_FLOOR, p_weak, 1.0)[:, None, None]
+    return Prepared(p_weak, hermitian_part(sigma / scale, STATE_HERMITICITY_TOL),
+                    superoperator(kraus), reverse, dims, project,
+                    *_structure(rho0, dims, kraus, project))
+
+
+def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
+                     ) -> Propagated:
+    """Channel and reversing filter on the points ``(i_channel, i_filter)`` of
+    a prepared grid; a point whose weak row is degenerate is skipped.
+
+    Strict checks run twice: on the initial states (:func:`prepare`), and
+    on the states that leave (under ``project``, the ladder blocks), whose
+    spectra are returned.  Between the steps a state is only renormalised
+    and made exactly Hermitian after a 1e-10 check.  That is enough while
+    the filters are real diagonals (:func:`~unruhlab.localops.filter_levels`)
+    and the channel a Kraus sum complete to 1e-12 (checked when it is
+    built): the map is then completely positive (Choi, Linear Algebra Appl.
+    10, 285, 1975), so a positive input stays positive and renormalising
+    gives unit trace; rounding on these small matrices stays far below the
+    1e-10 tolerances; and the exit check re-tests all four conditions on
+    exactly the states the measures use.  It eigensolves them block by
+    block after checking that every entry outside the pattern is exactly
+    zero (``ValueError`` otherwise): the spectrum is then exactly the union
+    of the blocks' spectra, so positivity is still tested on the whole state.
+    """
+    (da, db), dao = grid.dims, grid.reverse.shape[-1] // grid.dims[1]
+    live = np.flatnonzero(grid.p_weak[i_filter] >= SUCCESS_FLOOR)
+    i_channel, i_filter = i_channel[live], i_filter[live]
+    state = hermitian_part(_accelerate(grid.channels[i_channel], grid.weakened[i_filter],
+                                       grid.dims), STATE_HERMITICITY_TOL)
+    rev = grid.reverse[i_filter]
+    kept, p_rev, state = _post_select((rev[:, :, None] * state) * rev[:, None, :],
+                                      SUCCESS_FLOOR)
+    live, p_success, dims = live[kept], grid.p_weak[i_filter[kept]] * p_rev, (dao, db)
+    if grid.project:
+        kept, _, state = _post_select(ladder_block(state, dims, da), LADDER_FLOOR)
+        live, p_success, dims = live[kept], p_success[kept], grid.dims
+    return Propagated(live, p_success, *check_states(state, grid.blocks), dims, grid.transpose)
+
+
 def propagate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,
               weak: np.ndarray, reverse: np.ndarray, project: bool = False
               ) -> Propagated:
-    """Weak filter, channel on party 0 and reversing filter on a stack of points.
-
-    Parameters
-    ----------
-    rho0:
-        Initial states over ``dims = (da, db)``: one ``(da db, da db)``
-        matrix shared by every point, or an ``(n, da db, da db)`` stack.
-    kraus:
-        ``(n, k, dao, da)``: each point's Kraus operators on party 0.
-    weak, reverse:
-        ``(n, da db)`` and ``(n, dao db)``: each point's filter diagonals
-        (see :func:`filter_diagonal`).
-    project:
-        Restrict each output to party 0's first ``da`` levels (its
-        pre-acceleration ladder, see :func:`ladder_block`) and renormalise;
-        a point whose ladder weight is below ``LADDER_FLOOR`` is degenerate.
-
-    Strict checks run twice: on ``rho0``, and on the states that leave
-    (under ``project``, the ladder blocks), whose spectra are returned.
-    Between the steps a state is only renormalised and made exactly
-    Hermitian after a 1e-10 check.  That is enough while the filters are
-    real diagonals (:func:`~unruhlab.localops.filter_levels`) and the
-    channel a Kraus sum complete to 1e-12 (checked when it is built): the
-    map is then completely positive (Choi, Linear Algebra Appl. 10, 285,
-    1975), so a positive input stays positive and renormalising gives unit
-    trace; rounding on these small matrices stays far below the 1e-10
-    tolerances; and the exit check re-tests all four conditions on exactly
-    the states the measures use.
-    """
-    da, db = dims
-    dao = kraus.shape[2]
-    rho0, _ = check_states(rho0)
-    live, p_weak, state = _post_select((weak[:, :, None] * rho0) * weak[:, None, :],
-                                       SUCCESS_FLOOR)
-    k = kraus[live]
-    t = np.einsum("nkai,nibjd,nkcj->nabcd", k, state.reshape(-1, da, db, da, db),
-                  k.conj(), optimize=True)
-    state = hermitian_part(t.reshape(-1, dao * db, dao * db), STATE_HERMITICITY_TOL)
-    rev = reverse[live]
-    kept, p_rev, state = _post_select((rev[:, :, None] * state) * rev[:, None, :],
-                                      SUCCESS_FLOOR)
-    live, p_success = live[kept], p_weak[kept] * p_rev
-    if project:
-        kept, _, state = _post_select(ladder_block(state, (dao, db), da), LADDER_FLOOR)
-        return Propagated(live[kept], p_success[kept], *check_states(state), (da, db))
-    return Propagated(live, p_success, *check_states(state), (dao, db))
+    """:func:`propagate_points` on a stack of points, each with its own row of
+    ``kraus``, ``weak`` and ``reverse`` (see :func:`prepare`)."""
+    points = np.arange(len(weak))
+    return propagate_points(prepare(rho0, dims, kraus, weak, reverse, project), points, points)
 
 
 def propagate_point(rho0: DensityMatrix, weak: MeasurementStrengths,

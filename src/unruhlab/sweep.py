@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import R_MAX, AccelerationSpec, channel_for_dim
-from .errors import ConfigError, UnknownPreset
-from .localops import MeasurementStrengths, REVERSE, WEAK
+from .channel import R_MAX, check_completeness, check_rindler, kraus_for_dim
+from .errors import BadPhysicalParam, BadStrength, ConfigError, UnknownPreset
+from .localops import REVERSE, WEAK, MeasurementStrengths, check_strengths
 from .measures import MEASURE_COLUMNS, measure_columns
-from .pipeline import chunk_points, filter_diagonal, propagate
+from .pipeline import chunk_points, filter_diagonal, prepare, propagate_points
 from .states import parse_state_preset
 
 TWO_QUBIT = "two_qubit"
@@ -108,21 +108,17 @@ class SweepConfig:
                     field="initial_state",
                 )
         object.__setattr__(self, "initial_state", states)
-        r_vals = tuple(float(v) for v in self.r_grid)
-        if not r_vals:
-            raise ConfigError("empty r grid", field="r_grid")
-        for v in r_vals:
-            if not np.isfinite(v) or v < -1e-12 or v > R_MAX + 1e-12:
-                raise ConfigError(f"r={v} outside [0, pi/4]", field="r_grid")
-        object.__setattr__(self, "r_grid", r_vals)
-        s_vals = tuple(float(v) for v in self.strength_grid)
-        if not s_vals:
-            raise ConfigError("empty strength grid", field="strength_grid")
-        for v in s_vals:
-            if not np.isfinite(v) or v < 0.0 or v > 1.0:
-                raise ConfigError(f"strength {v} outside [0, 1]", field="strength_grid")
-        object.__setattr__(self, "strength_grid", s_vals)
-        n_points = len(states) * len(r_vals) * len(s_vals)
+        for name, check in (("r_grid", lambda v: check_rindler(v, 0.0)),
+                            ("strength_grid", check_strengths)):
+            values = tuple(float(v) for v in getattr(self, name))
+            if not values:
+                raise ConfigError(f"empty {name.replace('_', ' ')}", field=name)
+            try:
+                check(values)
+            except (BadPhysicalParam, BadStrength) as exc:
+                raise ConfigError(str(exc), field=name) from exc
+            object.__setattr__(self, name, values)
+        n_points = len(states) * len(self.r_grid) * len(self.strength_grid)
         if n_points > GRID_POINT_BUDGET:
             raise ConfigError(f"{n_points} grid points exceed the budget of "
                               f"{GRID_POINT_BUDGET}")
@@ -158,42 +154,40 @@ class SweepConfig:
         return ("alpha_a1", "alpha_a2", "alpha_b1", "alpha_b2",
                 "beta_a1", "beta_a2", "beta_b1", "beta_b2")
 
+    def strength_table(self, values=None) -> np.ndarray:
+        """Every strength of each of ``values`` (default: the strength grid)
+        under the tie policy: shape ``(n, 2, 2, levels)``, indexed by step
+        (weak, reverse), party (a, b) and level."""
+        v = np.array(self.strength_grid if values is None else values, dtype=np.float64)
+        rest = {ALL_EQUAL: (v, v, v), WEAK_REVERSE_SPLIT: (v, self.beta, self.beta),
+                INDEPENDENT: (self.alpha_b, self.beta_a, self.beta_b)}[self.tie_policy]
+        table = np.stack(np.broadcast_arrays(v, *rest), axis=-1).reshape(-1, 2, 2, 1)
+        return np.repeat(table, self.levels, axis=-1)
+
     def point_strengths(self, value: float
                         ) -> tuple[MeasurementStrengths, MeasurementStrengths]:
-        n = self.levels
-        if self.tie_policy == ALL_EQUAL:
-            w = MeasurementStrengths(WEAK, (value,) * n, (value,) * n)
-            r = MeasurementStrengths(REVERSE, (value,) * n, (value,) * n)
-        elif self.tie_policy == WEAK_REVERSE_SPLIT:
-            w = MeasurementStrengths(WEAK, (value,) * n, (value,) * n)
-            r = MeasurementStrengths(REVERSE, (self.beta,) * n, (self.beta,) * n)
-        else:
-            w = MeasurementStrengths(WEAK, (value,) * n, (self.alpha_b,) * n)
-            r = MeasurementStrengths(REVERSE, (self.beta_a,) * n, (self.beta_b,) * n)
-        return w, r
+        w, r = self.strength_table((value,))[0]
+        return MeasurementStrengths(WEAK, *w), MeasurementStrengths(REVERSE, *r)
 
 
 def run_sweep(config: SweepConfig) -> np.ndarray:
     """Every measure of every grid point, in deterministic (state, r, strength) order.
 
     Returns an ``(n_points, 7)`` array with columns in ``MEASURE_COLUMNS``
-    order.  The grid runs through :func:`~unruhlab.pipeline.propagate` in
-    chunks of consecutive points; channels are built once per r and
-    filters once per strength value.  A degenerate point's row is all NaN,
+    order.  Each initial state is prepared once (the channel per r, the
+    filters and the weak step per strength value) and its grid runs in
+    chunks of consecutive points.  A degenerate point's row is all NaN,
     and a kept row never holds NaN in E_norm or p_success: NaN fails the
     range checks of :func:`~unruhlab.measures.measure_columns`.  So a row
     is all NaN exactly where its point is degenerate.
     """
     dim = config.levels + 1
-    channels = [channel_for_dim(dim, AccelerationSpec(r, config.phi)) for r in config.r_grid]
-    kraus = np.array([c.kraus for c in channels])
-    out_dim = channels[0].out_dim
-    weak, reverse = [], []
-    for value in config.strength_grid:
-        w, v = config.point_strengths(value)
-        weak.append(filter_diagonal(WEAK, (w.party_a_levels, w.party_b_levels), dim))
-        reverse.append(filter_diagonal(REVERSE, (v.party_a_levels, v.party_b_levels), out_dim))
-    weak, reverse = np.array(weak), np.array(reverse)
+    kraus = kraus_for_dim(dim, check_rindler(config.r_grid, config.phi), config.phi)
+    check_completeness(kraus)
+    out_dim = kraus.shape[-2]
+    table = config.strength_table()
+    weak = filter_diagonal(WEAK, table[:, 0], dim)
+    reverse = filter_diagonal(REVERSE, table[:, 1], out_dim)
     project = (config.system == TWO_QUTRIT
                and config.qutrit_compare_sector == PROJECTED_SECTOR)
     n_s = len(config.strength_grid)
@@ -202,13 +196,12 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     measures = np.full((len(config.initial_state) * n_points, len(MEASURE_COLUMNS)), np.nan)
     for k, label in enumerate(config.initial_state):
         rho0 = parse_state_preset(label)
+        grid = prepare(rho0.matrix, rho0.dims, kraus, weak, reverse, project)
         offset = k * n_points
         for start in range(0, n_points, size):
             i_r, i_s = np.divmod(np.arange(start, min(start + size, n_points)), n_s)
-            out = propagate(rho0.matrix, rho0.dims, kraus[i_r], weak[i_s], reverse[i_s],
-                            project)
-            measures[offset + start + out.kept] = measure_columns(out.states, out.spectra,
-                                                                 out.dims, out.p_success)
+            out = propagate_points(grid, i_r, i_s)
+            measures[offset + start + out.kept] = measure_columns(out)
     return measures
 
 
@@ -235,11 +228,8 @@ def rows_to_csv(measures: np.ndarray, config: SweepConfig) -> str:
     cols = (("state", "i_r", "i_s", "r") + config.strength_columns()
             + config.measures + ("degenerate",))
     r_cells = [_fmt(r) for r in config.r_grid]
-    s_cells = []
-    for value in config.strength_grid:
-        w, v = config.point_strengths(value)
-        s_cells.append(",".join(_fmt(x) for x in w.party_a_levels + w.party_b_levels
-                                + v.party_a_levels + v.party_b_levels))
+    table = config.strength_table()
+    s_cells = [",".join(map(_fmt, row)) for row in table.reshape(len(table), -1).tolist()]
     n_cols = len(config.measures)
     kept_fmt = ",".join(["%.17g"] * n_cols) + ",0\n"
     blank = "," * n_cols + "1\n"

@@ -15,6 +15,7 @@ Conventions
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,20 +47,56 @@ def hermitian_part(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return 0.5 * (m + md)
 
 
-def check_states(m) -> tuple[np.ndarray, np.ndarray]:
+class Blocks(NamedTuple):
+    """A support pattern's complement and its blocks (see :func:`blocks_of`)."""
+
+    outside: np.ndarray                 # (d, d) bool: the entries outside the pattern
+    groups: tuple[np.ndarray, ...]      # one (n_s, s) index array per block size s
+
+
+def blocks_of(pattern) -> Blocks:
+    """Blocks of a ``(d, d)`` boolean support pattern: the connected components
+    of the graph whose edges are its entries, grouped by size, ascending."""
+    p = np.asarray(pattern, dtype=bool)
+    reach = (p | p.T | np.eye(len(p), dtype=bool)).astype(np.int64)
+    for _ in range(len(p).bit_length()):        # paths of up to 2^k steps after k passes
+        reach = np.minimum(reach @ reach, 1)
+    comps = sorted({tuple(np.flatnonzero(row)) for row in reach})
+    sizes = sorted({len(c) for c in comps})
+    return Blocks(~p, tuple(np.array([c for c in comps if len(c) == s]) for s in sizes))
+
+
+def block_eigenvalues(m, blocks: Blocks) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian matrices that are zero outside
+    ``blocks``' pattern (``ValueError`` if an entry there is not exactly
+    zero): the 1 x 1 blocks' diagonal entries and one
+    ``numpy.linalg.eigvalsh`` call per larger block size."""
+    m = np.asarray(m)
+    if (m[..., blocks.outside] != 0).any():
+        raise ValueError("a matrix entry outside its block pattern is not zero")
+    parts = [m[..., idx[:, 0], idx[:, 0]].real if idx.shape[1] == 1 else
+             np.linalg.eigvalsh(m[..., idx[:, :, None], idx[:, None, :]])
+             .reshape(m.shape[:-2] + (idx.size,)) for idx in blocks.groups]
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+
+
+def check_states(m, blocks: Blocks | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Strict density-matrix check of a matrix or of every member of a stack.
 
     Finite entries (``ValueError``), Hermitian to 1e-10
     (:class:`NonHermitian`), unit trace to 1e-10 (``ValueError``), lowest
     eigenvalue at least -1e-10 (:class:`NotPositive`).  Returns the
-    Hermitian parts and their ascending spectra.
+    Hermitian parts and their ascending spectra.  With ``blocks`` these are
+    :func:`block_eigenvalues`: the spectrum of a matrix exactly zero outside
+    the pattern is exactly that of its blocks, so positivity is still
+    checked on the whole matrix.
     """
     h = hermitian_part(m, STATE_HERMITICITY_TOL)
     tr = np.trace(h, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0) > STATE_TRACE_TOL
     if np.any(off):
         raise ValueError(f"trace {tr[off][0]} is not 1 within {STATE_TRACE_TOL}")
-    lam = np.linalg.eigvalsh(h)
+    lam = np.linalg.eigvalsh(h) if blocks is None else block_eigenvalues(h, blocks)
     lo = lam[..., 0]
     if np.any(lo < -STATE_EIGENVALUE_TOL):
         raise NotPositive(f"negative eigenvalue {lo.min():.3e}")

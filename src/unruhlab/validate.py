@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (COMPLETENESS_TOL, AccelerationSpec, check_completeness, check_rindler,
-                      qubit_channel, qubit_kraus, qutrit_channel)
+                      kraus_for_dim, qubit_kraus)
 from .closedform import (
     assemble_qubit,
     check_coefficients,
@@ -198,12 +198,8 @@ def _check_spectrum_formulas(rng: np.random.Generator,
 
 
 def _check_channel_completeness() -> CheckResult:
-    worst = 0.0
-    for r in np.linspace(0.0, np.pi / 4, 9):
-        for phi in (0.0, 0.7, np.pi):
-            spec = AccelerationSpec(r, phi)
-            worst = max(worst, qubit_channel(spec).completeness_defect())
-            worst = max(worst, qutrit_channel(spec).completeness_defect())
+    r, phi = np.meshgrid(np.linspace(0.0, np.pi / 4, 9), (0.0, 0.7, np.pi), indexing="ij")
+    worst = max(float(check_completeness(kraus_for_dim(d, r, phi)).max()) for d in (2, 3))
     return CheckResult("kraus_completeness", worst <= COMPLETENESS_TOL,
                        worst, COMPLETENESS_TOL)
 
@@ -235,8 +231,7 @@ def _check_entanglement_anchors() -> CheckResult:
         dim = rho0.dims[0]
         out = propagate_point(rho0, tied(WEAK, 0.0, dim), tied(REVERSE, 0.0, dim),
                               AccelerationSpec(0.0))
-        e_norm = measure_columns(out.states, out.spectra, out.dims,
-                                 out.p_success)[0, MEASURE_COLUMNS.index("E_norm")]
+        e_norm = measure_columns(out)[0, MEASURE_COLUMNS.index("E_norm")]
         worst = max(worst, abs(e_norm - 1.0))
     return CheckResult("maximal_entanglement_anchors", worst <= 1e-12,
                        worst, 1e-12)
@@ -254,35 +249,30 @@ def _info_printed_normalization() -> CheckResult:
                "requires the population sum (ratio 1 would mean they agree)")
 
 
-def _info_qutrit_literal(sector: str) -> CheckResult:
+def _info_qutrit_literal() -> list[CheckResult]:
+    """The literal qutrit table against the pipeline at one point, on the
+    ladder sector as it is and renormalised, and the literal state's
+    lowest eigenvalue."""
     spec = QutritStateSpec(1.0)
-    rho0 = make_qutrit_state(spec)
-    weak = tied(WEAK, 0.3, 3)
-    reverse = tied(REVERSE, 0.4, 3)
-    acc = AccelerationSpec(0.6)
+    weak, reverse, acc = tied(WEAK, 0.3, 3), tied(REVERSE, 0.4, 3), AccelerationSpec(0.6)
     lit = literal_final_qutrit(spec, weak, reverse, acc)
-    out = propagate_point(rho0, weak, reverse, acc)
-    block = ladder_block(out.states, out.dims, rho0.dims[0])[0]
+    out = propagate_point(make_qutrit_state(spec), weak, reverse, acc)
+    block = ladder_block(out.states, out.dims, 3)[0]
     weight = float(np.trace(block).real)
-    if sector == "projected":
-        if weight < LADDER_FLOOR:
-            raise DegenerateOutcome(f"ladder sector weight {weight:.3e} is zero")
-        piped = DensityMatrix(block / weight, (3, 3))
-    else:
-        piped = DensityMatrix(block, (3, 3), strict=False, flags=("sector",))
-    rep = discrepancy_report(lit, piped, label=f"qutrit_literal_{sector}")
-    detail = rep.to_text() + f"\nladder sector weight {weight:.6f}"
-    return CheckResult(f"qutrit_literal_vs_pipeline_{sector}", None,
-                       rep.max_abs_diff, detail=detail)
-
-
-def _info_qutrit_literal_psd() -> CheckResult:
-    lit = literal_final_qutrit(QutritStateSpec(1.0), tied(WEAK, 0.3, 3),
-                               tied(REVERSE, 0.4, 3), AccelerationSpec(0.6))
+    if weight < LADDER_FLOOR:
+        raise DegenerateOutcome(f"ladder sector weight {weight:.3e} is zero")
+    checks = []
+    for sector, piped in (("restricted", DensityMatrix(block, (3, 3), strict=False,
+                                                       flags=("sector",))),
+                          ("projected", DensityMatrix(block / weight, (3, 3)))):
+        rep = discrepancy_report(lit, piped, label=f"qutrit_literal_{sector}")
+        checks.append(CheckResult(f"qutrit_literal_vs_pipeline_{sector}", None,
+                                  rep.max_abs_diff, detail=rep.to_text()
+                                  + f"\nladder sector weight {weight:.6f}"))
     eigs = hermitian_eigenvalues(lit.matrix)
-    return CheckResult("qutrit_literal_min_eigenvalue", None, float(eigs[0]),
-                       detail="negative values flag non-physical transcribed "
-                              "coefficients at this operating point")
+    return checks + [CheckResult("qutrit_literal_min_eigenvalue", None, float(eigs[0]),
+                                 detail="negative values flag non-physical transcribed "
+                                        "coefficients at this operating point")]
 
 
 def run_validation(seed: int = DEFAULT_SEED,
@@ -297,8 +287,6 @@ def run_validation(seed: int = DEFAULT_SEED,
         _check_literal_qubit_defect_location(),
         _check_entanglement_anchors(),
         _info_printed_normalization(),
-        _info_qutrit_literal("restricted"),
-        _info_qutrit_literal("projected"),
-        _info_qutrit_literal_psd(),
+        *_info_qutrit_literal(),
     ]
     return ValidationReport(tuple(checks))

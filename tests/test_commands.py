@@ -6,7 +6,7 @@ import pytest
 
 import unruhlab
 from oracle import _random_x_spec, run_protocol
-from unruhlab import cli, validate
+from unruhlab import cli, pipeline, validate
 from unruhlab.channel import AccelerationSpec, r_from_acceleration
 from unruhlab.cli import main
 from unruhlab.closedform import corrected_final_qubit
@@ -143,8 +143,13 @@ def _oracle_corrected_vs_pipeline(seed: int, samples: int) -> float:
     return worst
 
 
+# 512 qubit points a chunk, so that 600 samples span two chunks.
+TWO_CHUNKS = 512 * 16 * 4 * 4
+
+
 @pytest.mark.parametrize("seed", [7, 20240801])
-def test_batched_closed_form_check_matches_oracle_loop(seed):
+def test_batched_closed_form_check_matches_oracle_loop(monkeypatch, seed):
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", TWO_CHUNKS)
     samples = 600     # two chunks of qubit points
     check = run_validation(seed=seed, samples=samples).checks[0]
     assert check.name == "corrected_closed_form_vs_pipeline"
@@ -156,6 +161,7 @@ def test_closed_form_check_sees_every_chunk(monkeypatch):
     # Shift the closed-form state of sample 550, in the second chunk, by
     # diag(1e-9, -1e-9, 0, 0): the check must fail on it, by that amount.
     # The first check is the first caller, so its 600 samples come first.
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", TWO_CHUNKS)
     closed_forms = validate._closed_forms
     rows, shifted_r = [], []
 

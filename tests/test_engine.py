@@ -28,7 +28,7 @@ from unruhlab.states import parse_state_preset
 from unruhlab.sweep import (FIGURE_PRESETS, INDEPENDENT, PROJECTED_SECTOR, TWO_QUTRIT,
                             WEAK_REVERSE_SPLIT, SweepConfig, config_from_mapping,
                             figure_preset, rows_to_csv, run_sweep)
-from unruhlab.tensor import DensityMatrix, check_states
+from unruhlab.tensor import DensityMatrix, blocks_of, check_states
 
 TOL = 1e-12
 SAMPLE_ROWS = 40
@@ -180,11 +180,11 @@ def test_grid_spanning_several_chunks(monkeypatch):
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", 7 * 16 * 12 * 12)
     sizes = []
 
-    def spy(rho0, dims, kraus, weak, reverse, project):
-        sizes.append(len(weak))
-        return pipeline.propagate(rho0, dims, kraus, weak, reverse, project)
+    def spy(grid, i_channel, i_filter):
+        sizes.append(len(i_filter))
+        return pipeline.propagate_points(grid, i_channel, i_filter)
 
-    monkeypatch.setattr(sweep, "propagate", spy)
+    monkeypatch.setattr(sweep, "propagate_points", spy)
     result = sweep_of(config)
     assert sizes == [7, 7, 6, 7, 7, 6]
     assert_all_rows_match(config, result)
@@ -235,6 +235,10 @@ def _corrupt_finiteness(m):
     m[2, 2] = np.nan
 
 
+# The X pattern: the diagonal and the anti-diagonal, blocks {|00>, |11>}, {|01>, |10>}.
+_X_BLOCKS = blocks_of(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
 @pytest.mark.parametrize("corrupt, error", [
     (_corrupt_hermiticity, NonHermitian),
     (_corrupt_trace, ValueError),
@@ -244,12 +248,14 @@ def _corrupt_finiteness(m):
 def test_batched_state_check_rejects_one_bad_member(corrupt, error):
     stack = np.array([parse_state_preset(s).matrix
                       for s in ("singlet", "werner:0.7", "werner:0.2", "x:0.1,0.2,0.3")])
-    np.testing.assert_allclose(check_states(stack)[0], stack, atol=0)
+    for blocks in (None, _X_BLOCKS):
+        np.testing.assert_allclose(check_states(stack, blocks)[0], stack, atol=0)
     corrupt(stack[2])
     with pytest.raises(error):
         DensityMatrix(stack[2], (2, 2))
-    with pytest.raises(error):
-        check_states(stack)
+    for blocks in (None, _X_BLOCKS):
+        with pytest.raises(error):
+            check_states(stack, blocks)
 
 
 # ------------------------------------------ the map between entry and exit
@@ -314,8 +320,10 @@ def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
     n_states = len(config.initial_state)
     per_state = len(config.r_grid) * len(config.strength_grid)
     assert not np.isnan(measures).any()
-    chunks = -(-per_state // pipeline.chunk_points(4))
-    # Each state is parsed once and checked on entry to every chunk; each
-    # kept point costs its final state, partial transpose and one marginal.
-    assert sum(matrices) == n_states * (1 + chunks) + 3 * n_states * per_state
+    # Each state is parsed once and checked on entry once, however many
+    # chunks it spans.  A kept point's final state and its partial transpose
+    # each split into blocks [2, 1, 1] (the singlet's X structure): one 2 x 2
+    # eigensolve each, the 1 x 1 blocks being diagonal entries.  Its 2 x 2
+    # marginal costs one more.
+    assert sum(matrices) == n_states * (1 + 1) + (1 + 1 + 1) * n_states * per_state
     assert krons == []

@@ -22,6 +22,7 @@ from unruhlab.closedform import QubitCoefficients, qubit_coefficients, x_state_s
 from unruhlab.errors import NegativeDiscriminant
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
 from unruhlab.measures import MeasuresReport, measure_columns
+from unruhlab.pipeline import propagate_point
 from unruhlab.states import (
     QutritStateSpec,
     XStateSpec,
@@ -130,11 +131,12 @@ def test_measures_report_validation():
 
 @pytest.mark.parametrize("p_success", [0.0, 1.5])
 def test_measure_columns_rejects_success_probability_out_of_range(p_success):
-    rho = werner(0.7)
-    spectra = hermitian_eigenvalues(rho.matrix)[None]
-    measure_columns(rho.matrix[None], spectra, rho.dims, np.array([0.5]))
+    # Unfiltered and unaccelerated, the final state is werner(0.7) itself.
+    out = propagate_point(werner(0.7), tied(WEAK, 0.0, 2), tied(REVERSE, 0.0, 2),
+                          AccelerationSpec(0.0))
+    measure_columns(out._replace(p_success=np.array([0.5])))
     with pytest.raises(ValueError, match="success probability"):
-        measure_columns(rho.matrix[None], spectra, rho.dims, np.array([p_success]))
+        measure_columns(out._replace(p_success=np.array([p_success])))
 
 
 def test_compute_report_consistency():

@@ -36,3 +36,21 @@ def test_traced_state_command_counts_eigensolves_and_restores(capsys):
     summary = tracer.summary()
     assert summary["numpy.eigvalsh.calls"] > 0
     assert summary["cli.state.calls"] == 1
+
+
+def test_traced_figure_solves_blocks_through_the_looked_up_solver(tmp_path):
+    # The block spectra call numpy.linalg.eigvalsh by attribute at call time,
+    # so the tracer's wrapper sees them; the batched pipeline builds no kron.
+    tracer = _load_tracer().Tracer()
+    eigvalsh = np.linalg.eigvalsh
+    tracer.install()
+    try:
+        code = tracer.pass_span(lambda: cli.main(["figure", "fig4b", "--out-dir",
+                                                  str(tmp_path)]))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert np.linalg.eigvalsh is eigvalsh
+    summary = tracer.summary()
+    assert summary["numpy.eigvalsh.calls"] > 0
+    assert summary["numpy.kron.calls"] == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from unruhlab import validate
+from unruhlab import pipeline, validate
 from unruhlab.channel import check_completeness, check_rindler, qubit_kraus
 from unruhlab.closedform import assemble_qubit, check_coefficients, qubit_table, x_state_spectrum
 from unruhlab.errors import (BadPhysicalParam, BadStrength, DegenerateOutcome, DimMismatch,
@@ -94,6 +94,7 @@ def test_sampled_checks_match_the_one_sample_oracle(monkeypatch, seed):
     # samples once, so the generator's state after each draw must be the
     # one the per-sample draws leave.
     samples = 600
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 512 * 16 * 4 * 4)    # 512 points a chunk
     assert samples > validate.chunk_points(4)
     draw, states = validate._draw, []
 
@@ -140,17 +141,25 @@ def test_block_draws_equal_per_call_draws():
 
 
 def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):
-    # Per sample of the closed-form check: propagate's entry and exit checks
-    # and the strict check of the corrected closed form (3); per sample of
-    # the spectrum check: the strict check of its state, whose spectrum is
-    # the eigensolver side (1); per sample of the r = 0 check: the strict
-    # check of the corrected state (N // 5 samples).  The fixed checks: 8
-    # for the two anchor points (entry, exit, partial transpose and marginal
-    # each) and 2 for their initial states; 5 and 6 for the restricted and
-    # projected qutrit comparisons (initial state, entry, exit, two
-    # discrepancy spectra, and the projected state's strict check); 1 for
-    # the literal qutrit spectrum.
-    fixed = 8 + 2 + 5 + 6 + 1
+    # Counted in matrices passed to eigvalsh.  The pipeline's exit checks and
+    # partial transposes are solved block by block: a 1 x 1 block is its
+    # diagonal entry and each larger block one matrix.  An X state's final
+    # state splits into blocks [2, 2]; the singlet's final state and its
+    # partial transpose into [2, 1, 1]; the accelerated qutrit:1 state and
+    # its partial transpose into [3, 2, 2, 1, 1, 1, 1, 1].
+    # Per sample of the closed-form check: propagate's entry check (1), its
+    # exit check (2 blocks) and the strict check of the corrected closed
+    # form (1); per sample of the spectrum check: the strict check of its
+    # state, whose spectrum is the eigensolver side (1); per sample of the
+    # r = 0 check: the strict check of the corrected state (N // 5 samples).
+    # The fixed checks: 2 for the anchors' initial states; the singlet
+    # anchor's entry check, exit (1 block), partial transpose (1 block) and
+    # marginal, 4; the qutrit anchor's entry check, exit (3 blocks), partial
+    # transpose (3 blocks) and marginal, 8; and for the one qutrit literal
+    # point: its initial state, entry check and exit (3 blocks), 5, two
+    # spectra for each of the restricted and projected discrepancy reports,
+    # 4, the projected state's strict check, 1, and the literal spectrum, 1.
+    fixed = 2 + 4 + 8 + 5 + 4 + 1 + 1
     counted = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -162,7 +171,7 @@ def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):
     for samples in (100, 600):
         counted.clear()
         run_validation(seed=7, samples=samples)
-        assert sum(counted) == 3 * samples + samples + samples // 5 + fixed
+        assert sum(counted) == (1 + 2 + 1) * samples + samples + samples // 5 + fixed
 
 
 def _corrupt(member, value):
