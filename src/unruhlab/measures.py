@@ -64,22 +64,23 @@ def measure_columns(out) -> np.ndarray:
     ``out`` holds checked, exactly Hermitian states as
     :func:`~unruhlab.pipeline.propagate` returns them, so their partial
     transposes and marginals (entries permuted, or summed in one order) are
-    exactly Hermitian too.  The columns are ``MEASURE_COLUMNS``, in order;
-    party 0 is the accelerated party, and the partial transpose is taken on
-    it and eigensolved along ``out.transpose``.  Raises ``ValueError``
+    exactly Hermitian too; both are eigensolved block by block
+    (:func:`~unruhlab.tensor.block_eigenvalues`).  The columns are
+    ``MEASURE_COLUMNS``, in order; party 0 is the accelerated party, and the
+    partial transpose is taken on it.  Raises ``ValueError``
     through :func:`check_ranges` if any E_norm or p_success is out of range.
     """
     d0, db = out.dims
     dim = d0 * db
     t = out.states.reshape(-1, d0, db, d0, db)
-    lam = block_eigenvalues(t.transpose(0, 3, 2, 1, 4).reshape(-1, dim, dim), out.transpose)
+    lam = block_eigenvalues(t.transpose(0, 3, 2, 1, 4).reshape(-1, dim, dim))
     neg_raw = -np.where(lam < 0.0, lam, 0.0).sum(axis=-1)
     e_norm = 2.0 * neg_raw / (min(d0, db) - 1)
     check_ranges(e_norm, out.p_success)
     s_ab = shannon_entropy(out.spectra, _SPECTRUM_SUM_TOL)
     marg_a = np.trace(t, axis1=2, axis2=4)
     marg_b = np.trace(t, axis1=1, axis2=3)
-    s_b = shannon_entropy(np.linalg.eigvalsh(marg_b), _SPECTRUM_SUM_TOL)
+    s_b = shannon_entropy(block_eigenvalues(marg_b), _SPECTRUM_SUM_TOL)
     return np.column_stack((
         neg_raw,
         e_norm,

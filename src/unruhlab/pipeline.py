@@ -9,10 +9,9 @@ points (:func:`propagate` does both for points that bring their own rows):
 * the channel on party 0 is one Liouville superoperator per Rindler angle,
   applied as one batched ``matmul``;
 * states are checked by :func:`~unruhlab.tensor.check_states` where they
-  enter and where they leave.  The final states and their partial
-  transposes are eigensolved block by block along a support pattern
-  derived from supports alone, after a check that every entry off the
-  pattern is exactly zero, so the exit check still sees the whole state;
+  enter and where they leave, and nowhere in between.  Their spectra are
+  solved block by block along each stack's own support
+  (:func:`~unruhlab.tensor.block_eigenvalues`), which leaves out no entry;
 * a point whose post-selection probability falls below ``SUCCESS_FLOOR``
   is degenerate; later steps skip it.
 
@@ -25,11 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import R_MAX, AccelerationSpec, channel_for_dim, kraus_for_dim, superoperator
+from .channel import AccelerationSpec, channel_for_dim, superoperator
 from .errors import DegenerateOutcome
 from .localops import REVERSE, SUCCESS_FLOOR, WEAK, MeasurementStrengths, filter_levels
-from .tensor import (STATE_HERMITICITY_TOL, Blocks, DensityMatrix, blocks_of, check_states,
-                     hermitian_part)
+from .tensor import DensityMatrix, check_states
 
 LADDER_FLOOR = 1e-14
 
@@ -50,7 +48,6 @@ class Propagated(NamedTuple):
     states: np.ndarray      # (m, d, d) final states, checked and exactly Hermitian
     spectra: np.ndarray     # (m, d) their ascending eigenvalues
     dims: tuple[int, int]   # party dimensions of the final states
-    transpose: Blocks       # block structure of their partial transposes on party 0
 
 
 class Prepared(NamedTuple):
@@ -62,8 +59,6 @@ class Prepared(NamedTuple):
     reverse: np.ndarray     # (w, dao db) reversing filter diagonals
     dims: tuple[int, int]   # party dimensions of the initial states
     project: bool
-    blocks: Blocks          # block structure of the final states
-    transpose: Blocks       # and of their partial transposes
 
 
 def chunk_points(state_dim: int) -> int:
@@ -108,13 +103,14 @@ def ladder_block(states: np.ndarray, dims: tuple[int, int], levels: int) -> np.n
 
 
 def _post_select(sigma: np.ndarray, floor: float):
-    """Keep the members whose trace reaches ``floor``, renormalised and made
-    exactly Hermitian after a 1e-10 check: (indices kept, traces, states).
+    """Keep the members whose trace is not below ``floor``, renormalised:
+    (indices kept, traces, states).  A NaN trace is kept, so that the exit
+    check rejects the non-finite state instead of a degenerate row hiding it.
     """
     p = np.trace(sigma, axis1=-2, axis2=-1).real
-    kept = np.flatnonzero(p >= floor)
+    kept = np.flatnonzero(~(p < floor))
     p = p[kept]
-    return kept, p, hermitian_part(sigma[kept] / p[:, None, None], STATE_HERMITICITY_TOL)
+    return kept, p, sigma[kept] / p[:, None, None]
 
 
 def _accelerate(channels: np.ndarray, states: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -123,23 +119,6 @@ def _accelerate(channels: np.ndarray, states: np.ndarray, dims: tuple[int, int])
     t = states.reshape(n, da, db, da, db).transpose(0, 1, 3, 2, 4).reshape(n, da * da, db * db)
     t = (channels @ t).reshape(n, dao, dao, db, db).transpose(0, 1, 3, 2, 4)
     return t.reshape(n, dao * db, dao * db)
-
-
-def _structure(rho0, dims, kraus, project) -> tuple[Blocks, Blocks]:
-    """Blocks of the final states and of their partial transposes: the initial
-    states' supports pushed through the Kraus supports over ``kraus`` and at
-    an interior angle, where no cos r or sin r vanishes (so r = 0 does not
-    shrink the pattern); the diagonal filters keep every support."""
-    (da, db), dao = dims, kraus.shape[-2]
-    support = (rho0 != 0).reshape(-1, da * db, da * db).any(axis=0)
-    ops = (kraus != 0).reshape((-1,) + kraus.shape[-3:]).any(axis=0)
-    ops |= kraus_for_dim(da, R_MAX / 2) != 0
-    pattern = _accelerate(superoperator(ops.astype(float))[None],
-                          support[None].astype(float), dims)[0] != 0
-    if project:
-        pattern, dao = ladder_block(pattern[None], (dao, db), da)[0], da
-    transpose = pattern.reshape(dao, db, dao, db).transpose(2, 1, 0, 3)
-    return blocks_of(pattern), blocks_of(transpose.reshape(pattern.shape))
 
 
 def prepare(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
@@ -159,9 +138,7 @@ def prepare(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray, weak: np
     sigma = (weak[:, :, None] * rho0) * weak[:, None, :]
     p_weak = np.trace(sigma, axis1=-2, axis2=-1).real
     scale = np.where(p_weak >= SUCCESS_FLOOR, p_weak, 1.0)[:, None, None]
-    return Prepared(p_weak, hermitian_part(sigma / scale, STATE_HERMITICITY_TOL),
-                    superoperator(kraus), reverse, dims, project,
-                    *_structure(rho0, dims, kraus, project))
+    return Prepared(p_weak, sigma / scale, superoperator(kraus), reverse, dims, project)
 
 
 def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
@@ -169,26 +146,24 @@ def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
     """Channel and reversing filter on the points ``(i_channel, i_filter)`` of
     a prepared grid; a point whose weak row is degenerate is skipped.
 
-    Strict checks run twice: on the initial states (:func:`prepare`), and
-    on the states that leave (under ``project``, the ladder blocks), whose
-    spectra are returned.  Between the steps a state is only renormalised
-    and made exactly Hermitian after a 1e-10 check.  That is enough while
-    the filters are real diagonals (:func:`~unruhlab.localops.filter_levels`)
-    and the channel a Kraus sum complete to 1e-12 (checked when it is
-    built): the map is then completely positive (Choi, Linear Algebra Appl.
-    10, 285, 1975), so a positive input stays positive and renormalising
-    gives unit trace; rounding on these small matrices stays far below the
-    1e-10 tolerances; and the exit check re-tests all four conditions on
-    exactly the states the measures use.  It eigensolves them block by
-    block after checking that every entry outside the pattern is exactly
-    zero (``ValueError`` otherwise): the spectrum is then exactly the union
-    of the blocks' spectra, so positivity is still tested on the whole state.
+    States are checked only where they enter (:func:`prepare`) and where
+    they leave (under ``project``, the ladder blocks); the exit check's
+    Hermitian parts and spectra are returned.  In between a state is only
+    scaled and renormalised, with no check at all.  That rests on the entry
+    and exit checks alone: the filters are real diagonals
+    (:func:`~unruhlab.localops.filter_levels`) and the channel a Kraus sum
+    complete to 1e-12 (checked when it is built), so the map is completely
+    positive (Choi, Linear Algebra Appl. 10, 285, 1975) and a positive
+    input stays positive; rounding on these small matrices stays far below
+    the 1e-10 tolerances; and the exit check re-tests finiteness,
+    Hermiticity, unit trace and positivity on exactly the states the
+    measures use.  A non-finite trace is not degenerate: its state reaches
+    the exit check, which rejects it.
     """
     (da, db), dao = grid.dims, grid.reverse.shape[-1] // grid.dims[1]
     live = np.flatnonzero(grid.p_weak[i_filter] >= SUCCESS_FLOOR)
     i_channel, i_filter = i_channel[live], i_filter[live]
-    state = hermitian_part(_accelerate(grid.channels[i_channel], grid.weakened[i_filter],
-                                       grid.dims), STATE_HERMITICITY_TOL)
+    state = _accelerate(grid.channels[i_channel], grid.weakened[i_filter], grid.dims)
     rev = grid.reverse[i_filter]
     kept, p_rev, state = _post_select((rev[:, :, None] * state) * rev[:, None, :],
                                       SUCCESS_FLOOR)
@@ -196,7 +171,7 @@ def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
     if grid.project:
         kept, _, state = _post_select(ladder_block(state, dims, da), LADDER_FLOOR)
         live, p_success, dims = live[kept], p_success[kept], grid.dims
-    return Propagated(live, p_success, *check_states(state, grid.blocks), dims, grid.transpose)
+    return Propagated(live, p_success, *check_states(state), dims)
 
 
 def propagate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import NotPositive, UnknownPreset
 from .tensor import DensityMatrix
 
-_X_PSD_TOL = 1e-10
-
 
 def check_x_coefficients(c) -> np.ndarray:
     """``c`` as floats; raises ``ValueError`` unless every coefficient is
@@ -83,13 +81,9 @@ def make_x_state(spec: XStateSpec) -> DensityMatrix:
     """Assemble the 4x4 X-state for ``spec``.
 
     Raises :class:`NotPositive` when the coefficient triple does not
-    describe a physical state (any eigenvalue below -1e-10).
+    describe a physical state (any eigenvalue below -1e-10), through the
+    strict :class:`DensityMatrix` check.
     """
-    lo = min(spec.eigenvalues())
-    if lo < -_X_PSD_TOL:
-        raise NotPositive(
-            f"X-state spec {spec} has eigenvalue {lo:.3e} < 0"
-        )
     return DensityMatrix(x_state_matrix((spec.c11, spec.c22, spec.c33)), (2, 2))
 
 
@@ -136,6 +130,9 @@ def parse_state_preset(text: str) -> DensityMatrix:
     * ``werner:<x>``                       Werner-type, e.g. ``werner:0.7``
     * ``x:<c11>,<c22>,<c33>``              raw X-state coefficients
     * ``qutrit:<gamma>``                   two-qutrit gamma family
+
+    Raises :class:`UnknownPreset` for a malformed string and for
+    coefficients that describe no physical state.
     """
     name, _, arg = text.strip().partition(":")
     name = name.strip().lower()
@@ -153,6 +150,6 @@ def parse_state_preset(text: str) -> DensityMatrix:
             return make_x_state(XStateSpec(*parts))
         if name == "qutrit":
             return make_qutrit_state(QutritStateSpec(float(arg)))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, NotPositive) as exc:
         raise UnknownPreset(f"cannot parse state preset {text!r}: {exc}") from exc
     raise UnknownPreset(f"unknown state preset {text!r}")

@@ -6,6 +6,8 @@ enough and fast enough.  Matrices are complex128 throughout.  The checks
 below take one matrix or a stack of them (any leading axes) and each is
 defined once: :class:`DensityMatrix` runs them on the states that enter
 the package, :mod:`unruhlab.pipeline` on the stacks it takes and returns.
+Spectra are solved block by block, along the connected components of each
+stack's own support (:func:`block_eigenvalues`).
 
 Conventions
 -----------
@@ -14,8 +16,8 @@ Conventions
 * Entropies are in bits (logarithm base 2).
 """
 
+import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,56 +49,60 @@ def hermitian_part(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return 0.5 * (m + md)
 
 
-class Blocks(NamedTuple):
-    """A support pattern's complement and its blocks (see :func:`blocks_of`)."""
-
-    outside: np.ndarray                 # (d, d) bool: the entries outside the pattern
-    groups: tuple[np.ndarray, ...]      # one (n_s, s) index array per block size s
-
-
-def blocks_of(pattern) -> Blocks:
+def blocks_of(pattern) -> tuple[np.ndarray, ...]:
     """Blocks of a ``(d, d)`` boolean support pattern: the connected components
-    of the graph whose edges are its entries, grouped by size, ascending."""
+    of the graph whose edges are its entries, as one ``(n_s, s)`` index array
+    per block size s, ascending."""
     p = np.asarray(pattern, dtype=bool)
     reach = (p | p.T | np.eye(len(p), dtype=bool)).astype(np.int64)
     for _ in range(len(p).bit_length()):        # paths of up to 2^k steps after k passes
         reach = np.minimum(reach @ reach, 1)
     comps = sorted({tuple(np.flatnonzero(row)) for row in reach})
     sizes = sorted({len(c) for c in comps})
-    return Blocks(~p, tuple(np.array([c for c in comps if len(c) == s]) for s in sizes))
+    return tuple(np.array([c for c in comps if len(c) == s]) for s in sizes)
 
 
-def block_eigenvalues(m, blocks: Blocks) -> np.ndarray:
-    """Ascending eigenvalues of Hermitian matrices that are zero outside
-    ``blocks``' pattern (``ValueError`` if an entry there is not exactly
-    zero): the 1 x 1 blocks' diagonal entries and one
-    ``numpy.linalg.eigvalsh`` call per larger block size."""
+@functools.lru_cache(maxsize=1024)
+def _blocks(support: bytes, d: int) -> tuple[np.ndarray, ...]:
+    """:func:`blocks_of`, memoised on the pattern's bytes: a sweep's chunks
+    share a few supports."""
+    return blocks_of(np.frombuffer(support, dtype=bool).reshape(d, d))
+
+
+def block_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of every member of a stack.
+
+    The blocks are those of the union of the members' supports
+    (:func:`blocks_of`): every entry outside them is zero in every member, so
+    each spectrum is exactly the union of its blocks' spectra.  A 1 x 1
+    block is its diagonal entry; each larger block size is one
+    ``numpy.linalg.eigvalsh`` call.
+    """
     m = np.asarray(m)
-    if (m[..., blocks.outside] != 0).any():
-        raise ValueError("a matrix entry outside its block pattern is not zero")
+    support = (m != 0).reshape((-1,) + m.shape[-2:]).any(axis=0)
     parts = [m[..., idx[:, 0], idx[:, 0]].real if idx.shape[1] == 1 else
              np.linalg.eigvalsh(m[..., idx[:, :, None], idx[:, None, :]])
-             .reshape(m.shape[:-2] + (idx.size,)) for idx in blocks.groups]
+             .reshape(m.shape[:-2] + (idx.size,))
+             for idx in _blocks(support.tobytes(), len(support))]
     return np.sort(np.concatenate(parts, axis=-1), axis=-1)
 
 
-def check_states(m, blocks: Blocks | None = None) -> tuple[np.ndarray, np.ndarray]:
+def check_states(m) -> tuple[np.ndarray, np.ndarray]:
     """Strict density-matrix check of a matrix or of every member of a stack.
 
     Finite entries (``ValueError``), Hermitian to 1e-10
     (:class:`NonHermitian`), unit trace to 1e-10 (``ValueError``), lowest
     eigenvalue at least -1e-10 (:class:`NotPositive`).  Returns the
-    Hermitian parts and their ascending spectra.  With ``blocks`` these are
-    :func:`block_eigenvalues`: the spectrum of a matrix exactly zero outside
-    the pattern is exactly that of its blocks, so positivity is still
-    checked on the whole matrix.
+    Hermitian parts and their ascending spectra, solved block by block
+    along the stack's own support (:func:`block_eigenvalues`), so
+    positivity is checked on every whole member.
     """
     h = hermitian_part(m, STATE_HERMITICITY_TOL)
     tr = np.trace(h, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0) > STATE_TRACE_TOL
     if np.any(off):
         raise ValueError(f"trace {tr[off][0]} is not 1 within {STATE_TRACE_TOL}")
-    lam = np.linalg.eigvalsh(h) if blocks is None else block_eigenvalues(h, blocks)
+    lam = block_eigenvalues(h)
     lo = lam[..., 0]
     if np.any(lo < -STATE_EIGENVALUE_TOL):
         raise NotPositive(f"negative eigenvalue {lo.min():.3e}")

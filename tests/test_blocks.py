@@ -1,11 +1,12 @@
 """Block spectra against the full eigensolver.
 
-The pipeline eigensolves each final state and its partial transpose block by
-block, along a support pattern derived from the supports of the initial
-state and of the channel, never from the values at one point.  Block
-spectra must equal a full ``numpy.linalg.eigvalsh`` to 1e-14; an entry off
-the pattern, however small, must raise; and a stack that every
-post-selection emptied must pass through as an empty stack.
+Every state check and measure eigensolves a stack block by block, along the
+connected components of the union of its members' supports.  Block spectra
+must equal a full ``numpy.linalg.eigvalsh`` to 1e-14 on the final states,
+their partial transposes and their marginals; a stack of r = 0 points may
+split into smaller blocks; an entry, however small, joins the blocks it
+couples; and a stack that every post-selection emptied must pass through as
+an empty stack.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from unruhlab.states import (QutritStateSpec, XStateSpec, make_qutrit_state, mak
                              parse_state_preset, x_coefficients, x_eigenvalues)
 from unruhlab.sweep import (FIGURE_PRESETS, FULL_SECTOR, PROJECTED_SECTOR, SweepConfig,
                             figure_preset, run_sweep)
-from unruhlab.tensor import block_eigenvalues, check_states
+from unruhlab.tensor import block_eigenvalues, blocks_of, check_states
 
 TOL = 1e-14
 
@@ -31,15 +32,36 @@ def partial_transposes(out) -> np.ndarray:
     return t.reshape(-1, d0 * db, d0 * db)
 
 
+def assert_matches_full(lam, m):
+    assert np.abs(lam - np.linalg.eigvalsh(m)).max(initial=0.0) <= TOL
+
+
 def assert_block_spectra_match(out):
-    assert np.abs(out.spectra - np.linalg.eigvalsh(out.states)).max(initial=0.0) <= TOL
+    assert_matches_full(out.spectra, out.states)
     pt = partial_transposes(out)
-    blocks = block_eigenvalues(pt, out.transpose)
-    assert np.abs(blocks - np.linalg.eigvalsh(pt)).max(initial=0.0) <= TOL
+    assert_matches_full(block_eigenvalues(pt), pt)
+    d0, db = out.dims
+    marginal = np.trace(out.states.reshape(-1, d0, db, d0, db), axis1=1, axis2=3)
+    assert_matches_full(block_eigenvalues(marginal), marginal)
 
 
-def block_sizes(blocks) -> list[int]:
-    return sorted((idx.shape[1] for idx in blocks.groups for _ in idx), reverse=True)
+def solved_sizes(monkeypatch, m) -> list[int]:
+    """Sizes of the blocks ``block_eigenvalues`` solves a stack in, largest
+    first, from the matrices it passes to ``eigvalsh`` (shape ``(n, n_s, s,
+    s)``: ``n_s`` blocks of size ``s`` per member); the rest of the diagonal
+    are 1 x 1 blocks.  Also checks the spectra against the full solve."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", spy)
+        lam = block_eigenvalues(m)
+    assert_matches_full(lam, m)
+    sizes = [shape[-1] for shape in shapes for _ in range(shape[-3])]
+    return sorted(sizes + [1] * (m.shape[-1] - sum(sizes)), reverse=True)
 
 
 # Presets that share a config (fig1a, fig3a, fig3b; fig2a, fig5a, fig5b) run once.
@@ -90,12 +112,17 @@ def test_drawn_point_block_spectra_match_the_full_eigensolver(point):
     assert_block_spectra_match(out)
 
 
-def _grid(label: str, r, project: bool) -> pipeline.Prepared:
+def _stacks(label: str, r, project: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Final states of ``label`` at each angle of ``r``, unfiltered, as one
+    stack, and their partial transposes."""
     rho0 = parse_state_preset(label)
     da, db = rho0.dims
     kraus = kraus_for_dim(da, np.asarray(r), 0.4)
-    return pipeline.prepare(rho0.matrix, rho0.dims, kraus, np.ones((1, da * db)),
+    grid = pipeline.prepare(rho0.matrix, rho0.dims, kraus, np.ones((1, da * db)),
                             np.ones((1, kraus.shape[-2] * db)), project)
+    out = pipeline.propagate_points(grid, np.arange(len(kraus)), np.zeros(len(kraus), int))
+    assert len(out.kept) == len(kraus)
+    return out.states, partial_transposes(out)
 
 
 @pytest.mark.parametrize("label, project, sizes, transpose_sizes", [
@@ -105,34 +132,42 @@ def _grid(label: str, r, project: bool) -> pipeline.Prepared:
     ("qutrit:1", False, [3, 2, 2, 1, 1, 1, 1, 1], [3, 2, 2, 1, 1, 1, 1, 1]),
     ("qutrit:0.5", True, [3, 1, 1, 1, 1, 1, 1], [2, 2, 2, 1, 1, 1]),
 ])
-def test_pattern_is_the_same_with_and_without_r_zero(label, project, sizes, transpose_sizes):
-    # sin 0 = 0 zeroes Kraus entries at r = 0; the pattern must not shrink there.
+def test_pattern_is_the_same_with_and_without_r_zero(monkeypatch, label, project, sizes,
+                                                     transpose_sizes):
+    # sin 0 = 0 zeroes Kraus entries at r = 0.  A stack that mixes r = 0 with
+    # interior angles has the interior blocks; a stack of r = 0 alone may
+    # split into smaller ones.  Every stack's spectra match the full solve.
     inner = np.linspace(0.0, R_MAX, 9)[1:]
-    want = _grid(label, inner, project)
-    assert block_sizes(want.blocks) == sizes
-    assert block_sizes(want.transpose) == transpose_sizes
-    for r in (np.concatenate(([0.0], inner)), [0.0]):
-        got = _grid(label, r, project)
-        for g, w in ((got.blocks, want.blocks), (got.transpose, want.transpose)):
-            assert np.array_equal(g.outside, w.outside)
-            assert len(g.groups) == len(w.groups)
-            assert all(np.array_equal(a, b) for a, b in zip(g.groups, w.groups))
+    for r in (inner, np.concatenate(([0.0], inner))):
+        states, transposes = _stacks(label, r, project)
+        assert solved_sizes(monkeypatch, states) == sizes
+        assert solved_sizes(monkeypatch, transposes) == transpose_sizes
+    states, transposes = _stacks(label, [0.0], project)
+    zero = solved_sizes(monkeypatch, states), solved_sizes(monkeypatch, transposes)
+    if (label, project) == ("qutrit:1", False):
+        # The unaccelerated pure state and its partial transpose: 1 + 3
+        # matrices a member reach eigvalsh, not 3 + 3.
+        assert zero == ([3] + [1] * 9, [2, 2, 2] + [1] * 6)
+    else:
+        assert zero == (sizes, transpose_sizes)
 
 
-def test_an_entry_off_the_pattern_raises(monkeypatch):
+def test_an_entry_off_the_pattern_joins_its_block(monkeypatch):
     rho0 = parse_state_preset("qutrit:1")
     kraus, w, v = pipeline.point_inputs(tied(WEAK, 0.3, 3), tied(REVERSE, 0.4, 3),
                                         AccelerationSpec(0.6))
     grid = pipeline.prepare(rho0.matrix, rho0.dims, kraus[None], w[None], v[None])
     one = np.arange(1)
     out = pipeline.propagate_points(grid, one, one)
-    i, j = np.argwhere(grid.blocks.outside & ~np.eye(len(v), dtype=bool))[0]
+    assert solved_sizes(monkeypatch, out.states) == [3, 2, 2, 1, 1, 1, 1, 1]
+    groups = blocks_of(out.states[0] != 0)
+    i, j = groups[-1][0, 0], groups[0][0, 0]        # in the 3 x 3 block and a 1 x 1 one
     bad = out.states.copy()
     bad[0, i, j] = bad[0, j, i] = 1e-300
-    with pytest.raises(ValueError, match="outside its block pattern"):
-        check_states(bad, grid.blocks)
-    with pytest.raises(ValueError, match="outside its block pattern"):
-        measure_columns(out._replace(states=bad))
+    assert solved_sizes(monkeypatch, bad) == [4, 2, 2, 1, 1, 1, 1]
+    assert_matches_full(check_states(bad)[1], bad)
+    np.testing.assert_allclose(measure_columns(out._replace(states=bad)),
+                               measure_columns(out), rtol=0, atol=TOL)
 
     accelerate = pipeline._accelerate
 
@@ -143,8 +178,19 @@ def test_an_entry_off_the_pattern_raises(monkeypatch):
         return t
 
     monkeypatch.setattr(pipeline, "_accelerate", leaking)
-    with pytest.raises(ValueError, match="outside its block pattern"):
-        pipeline.propagate_points(grid, one, one)
+    leaked = pipeline.propagate_points(grid, one, one)
+    assert leaked.states[0, i, j] != 0
+    assert_block_spectra_match(leaked)
+    assert solved_sizes(monkeypatch, leaked.states) == [4, 2, 2, 1, 1, 1, 1]
+
+
+def test_members_with_different_supports_solve_along_their_union(monkeypatch):
+    # The singlet fills one 2 x 2 block of the X pattern, an x: state both.
+    stack = np.array([parse_state_preset(s).matrix for s in ("singlet", "x:-0.5,-0.2,0.3")])
+    assert solved_sizes(monkeypatch, stack[:1]) == [2, 1, 1]
+    assert solved_sizes(monkeypatch, stack[1:]) == [2, 2]
+    assert solved_sizes(monkeypatch, stack) == [2, 2]
+    assert_matches_full(check_states(stack)[1], stack)
 
 
 @pytest.mark.parametrize("system, label, sector", [

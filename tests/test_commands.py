@@ -78,6 +78,34 @@ def test_state_omega_without_accel_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset", ["x:1,1,1", "werner:-0.5"])
+def test_state_non_physical_preset_exits_2(tmp_path, capsys, preset):
+    # Both coefficient triples lie in [-1, 1] but give an eigenvalue -1/4
+    # (x:1,1,1) or -1/8 (werner:-0.5): bad configuration, not a failed run.
+    out = tmp_path / "state.csv"
+    code = main(["state", "--preset", preset, "--r", "0.1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert preset in captured.err and "negative eigenvalue" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_sweep_non_physical_x_state_exits_2(tmp_path, capsys):
+    (tmp_path / "sweep.ini").write_text(
+        "[sweep]\nsystem = two_qubit\ninitial_state = x:1,1,1\nr_grid = 0:0.5:3\n"
+        "strength_grid = 0:0.5:3\ntie_policy = all_equal\n", encoding="utf-8")
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", str(tmp_path / "sweep.ini"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "x:1,1,1" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_validate_non_positive_samples_exits_2(tmp_path, capsys, samples):
     code = main(["validate", "--samples", samples, "--out-dir", str(tmp_path / "v")])

@@ -16,19 +16,19 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracle import compute_report, restrict_to_ladder, run_protocol
-from unruhlab import pipeline, sweep
+from unruhlab import measures, pipeline, sweep, tensor
 from unruhlab.channel import R_MAX, AccelerationSpec
 from unruhlab.errors import DegenerateOutcome, NonHermitian, NotPositive
 from unruhlab.localops import REVERSE, WEAK, MeasurementStrengths, tied
-from unruhlab.measures import MEASURE_COLUMNS
-from unruhlab.states import parse_state_preset
+from unruhlab.measures import MEASURE_COLUMNS, measure_columns
+from unruhlab.states import parse_state_preset, x_coefficients, x_eigenvalues
 from unruhlab.sweep import (FIGURE_PRESETS, INDEPENDENT, PROJECTED_SECTOR, TWO_QUTRIT,
                             WEAK_REVERSE_SPLIT, SweepConfig, config_from_mapping,
-                            figure_preset, rows_to_csv, run_sweep)
-from unruhlab.tensor import DensityMatrix, blocks_of, check_states
+                            chunk_points, figure_preset, rows_to_csv, run_sweep)
+from unruhlab.tensor import DensityMatrix, check_states
 
 TOL = 1e-12
 SAMPLE_ROWS = 40
@@ -235,8 +235,12 @@ def _corrupt_finiteness(m):
     m[2, 2] = np.nan
 
 
-# The X pattern: the diagonal and the anti-diagonal, blocks {|00>, |11>}, {|01>, |10>}.
-_X_BLOCKS = blocks_of(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+def _corrupt_positivity_off_the_others_support(m):
+    # |00> and |01> are coupled in this member only, outside the other
+    # members' X pattern: its block {|00>, |01>} has eigenvalues 0.5 +- 0.6,
+    # which only the union of the supports puts in one block.
+    m[:] = np.diag([0.5, 0.5, 0.0, 0.0])
+    m[0, 1] = m[1, 0] = 0.6
 
 
 @pytest.mark.parametrize("corrupt, error", [
@@ -244,18 +248,17 @@ _X_BLOCKS = blocks_of(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
     (_corrupt_trace, ValueError),
     (_corrupt_positivity, NotPositive),
     (_corrupt_finiteness, ValueError),
+    (_corrupt_positivity_off_the_others_support, NotPositive),
 ])
 def test_batched_state_check_rejects_one_bad_member(corrupt, error):
     stack = np.array([parse_state_preset(s).matrix
                       for s in ("singlet", "werner:0.7", "werner:0.2", "x:0.1,0.2,0.3")])
-    for blocks in (None, _X_BLOCKS):
-        np.testing.assert_allclose(check_states(stack, blocks)[0], stack, atol=0)
+    np.testing.assert_allclose(check_states(stack)[0], stack, atol=0)
     corrupt(stack[2])
     with pytest.raises(error):
         DensityMatrix(stack[2], (2, 2))
-    for blocks in (None, _X_BLOCKS):
-        with pytest.raises(error):
-            check_states(stack, blocks)
+    with pytest.raises(error):
+        check_states(stack)
 
 
 # ------------------------------------------ the map between entry and exit
@@ -320,10 +323,100 @@ def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
     n_states = len(config.initial_state)
     per_state = len(config.r_grid) * len(config.strength_grid)
     assert not np.isnan(measures).any()
-    # Each state is parsed once and checked on entry once, however many
-    # chunks it spans.  A kept point's final state and its partial transpose
-    # each split into blocks [2, 1, 1] (the singlet's X structure): one 2 x 2
-    # eigensolve each, the 1 x 1 blocks being diagonal entries.  Its 2 x 2
-    # marginal costs one more.
-    assert sum(matrices) == n_states * (1 + 1) + (1 + 1 + 1) * n_states * per_state
+    # Counted in matrices passed to eigvalsh; a 1 x 1 block of a stack's
+    # support is its diagonal entry and each larger block one matrix.  The
+    # singlet's support is the block {|01>, |10>} and two zero diagonal
+    # entries: one matrix where it is parsed and one where it enters.  The
+    # filters are diagonal and the channel on party 0 moves population
+    # between |0> and |1> without making coherence, so each final state's
+    # support is the diagonal and |01><10|, blocks [2, 1, 1], and its
+    # partial transpose's the diagonal and |00><11|, again [2, 1, 1]: one
+    # matrix each.  Party b's marginal is diagonal: none.
+    assert sum(matrices) == n_states * (1 + 1) + (1 + 1 + 0) * n_states * per_state
     assert krons == []
+
+
+@pytest.mark.parametrize("chunk_bytes, chunks", [(pipeline.CHUNK_BYTES, 1),
+                                                  (100 * 16 * 4 * 4, 3)])
+def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, chunk_bytes, chunks):
+    # Every check symmetrises through hermitian_part, so counting it counts
+    # the checks: one where each state is parsed, one where it enters
+    # prepare, and one exit check per chunk; none between the steps.  The
+    # name is patched in every module that could bind it, so a pass
+    # imported into another module is counted too.
+    config = figure_preset("fig4b")
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
+    calls = []
+    hermitian_part = tensor.hermitian_part
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return hermitian_part(*args, **kwargs)
+
+    for module in (tensor, pipeline, measures, sweep):
+        monkeypatch.setattr(module, "hermitian_part", counting, raising=False)
+    run_sweep(config)
+    per_state = len(config.r_grid) * len(config.strength_grid)
+    assert -(-per_state // chunk_points(4)) == chunks
+    assert len(calls) == len(config.initial_state) * (1 + 1 + chunks)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("entry, value, error, match", [
+    ((1, 2), 1e-6, NonHermitian, "Hermiticity"),
+    ((0, 0), np.nan, ValueError, "non-finite"),
+], ids=["asymmetric", "nan_diagonal"])
+def test_the_exit_check_rejects_a_member_corrupted_between_the_steps(monkeypatch, entry, value,
+                                                                    error, match):
+    # Nothing checks a state between the channel and the exit: a 1e-6
+    # asymmetry, or a NaN on the diagonal, of one member of a chunk must
+    # still fail the sweep there.  The NaN makes that member's trace NaN,
+    # which post-selection keeps, so it can never become a degenerate row.
+    config = figure_preset("fig4b")
+    accelerate = pipeline._accelerate
+
+    def corrupting(channels, states, dims):
+        t = accelerate(channels, states, dims)
+        t[len(t) // 2][entry] += value
+        return t
+
+    monkeypatch.setattr(pipeline, "_accelerate", corrupting)
+    with pytest.raises(error, match=match):
+        run_sweep(config)
+
+
+@st.composite
+def phase_pairs(draw):
+    """A point of either system, from a preset or an ``x:`` state in the PSD
+    region, its filters and sector, and two channel phases."""
+    unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    dim = draw(st.sampled_from([2, 3]))
+    if dim == 2:
+        c = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+        assume(min(x_eigenvalues(*x_coefficients(c))) >= 0.0)
+        label = draw(st.sampled_from(["singlet", f"werner:{draw(st.floats(0.0, 1.0))!r}",
+                                      "x:{!r},{!r},{!r}".format(*c)]))
+    else:
+        label = f"qutrit:{draw(st.sampled_from([0.0, 1.0]) | st.floats(-3.0, 3.0))!r}"
+    levels = st.tuples(*[unit] * (dim - 1))
+    weak = MeasurementStrengths(WEAK, draw(levels), draw(levels))
+    reverse = MeasurementStrengths(REVERSE, draw(levels), draw(levels))
+    r = draw(st.sampled_from([0.0, R_MAX]) | st.floats(0.0, R_MAX))
+    phis = draw(st.tuples(*[st.floats(-2 * np.pi, 2 * np.pi)] * 2))
+    return label, weak, reverse, r, phis, dim == 3 and draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(point=phase_pairs())
+def test_batched_measures_do_not_depend_on_phi(point):
+    label, weak, reverse, r, phis, project = point
+    rho0 = parse_state_preset(label)
+    runs = []
+    for phi in phis:
+        kraus, w, v = pipeline.point_inputs(weak, reverse, AccelerationSpec(r, phi))
+        out = pipeline.propagate(rho0.matrix, rho0.dims, kraus[None], w[None], v[None],
+                                 project)
+        runs.append((out.kept, measure_columns(out)))
+    (kept, first), (kept_again, second) = runs
+    assert np.array_equal(kept, kept_again)
+    np.testing.assert_allclose(second, first, rtol=0, atol=TOL)

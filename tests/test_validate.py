@@ -141,25 +141,29 @@ def test_block_draws_equal_per_call_draws():
 
 
 def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):
-    # Counted in matrices passed to eigvalsh.  The pipeline's exit checks and
-    # partial transposes are solved block by block: a 1 x 1 block is its
-    # diagonal entry and each larger block one matrix.  An X state's final
-    # state splits into blocks [2, 2]; the singlet's final state and its
-    # partial transpose into [2, 1, 1]; the accelerated qutrit:1 state and
-    # its partial transpose into [3, 2, 2, 1, 1, 1, 1, 1].
-    # Per sample of the closed-form check: propagate's entry check (1), its
-    # exit check (2 blocks) and the strict check of the corrected closed
-    # form (1); per sample of the spectrum check: the strict check of its
-    # state, whose spectrum is the eigensolver side (1); per sample of the
-    # r = 0 check: the strict check of the corrected state (N // 5 samples).
-    # The fixed checks: 2 for the anchors' initial states; the singlet
-    # anchor's entry check, exit (1 block), partial transpose (1 block) and
-    # marginal, 4; the qutrit anchor's entry check, exit (3 blocks), partial
-    # transpose (3 blocks) and marginal, 8; and for the one qutrit literal
-    # point: its initial state, entry check and exit (3 blocks), 5, two
-    # spectra for each of the restricted and projected discrepancy reports,
-    # 4, the projected state's strict check, 1, and the literal spectrum, 1.
-    fixed = 2 + 4 + 8 + 5 + 4 + 1 + 1
+    # Counted in matrices passed to eigvalsh.  Every state check and
+    # measure solves a stack block by block along its own support: a 1 x 1
+    # block is its diagonal entry and each larger block one matrix.  A
+    # sampled X state, the pipeline's final X states and the corrected
+    # closed forms have the X support, blocks [2, 2]: two matrices a check.
+    # Per sample of the closed-form check: propagate's entry check, its exit
+    # check and the strict check of the corrected closed form, 2 + 2 + 2;
+    # per sample of the spectrum check: the strict check of its state, whose
+    # spectrum is the eigensolver side, 2; per sample of the r = 0 check: the
+    # strict check of the corrected state, 2 (N // 5 samples).
+    # The fixed checks.  The singlet anchor, supported on the block
+    # {|01>, |10>} and two zero diagonal entries: its parse, entry check,
+    # exit check and partial transpose, one matrix each, 4.  The qutrit:1
+    # anchor, supported on the block {|00>, |11>, |22>}: its parse, entry
+    # check and exit check (at r = 0 the state is unchanged), one each, and
+    # its partial transpose, the three blocks {|ij>, |ji>} for i < j, 3; 6
+    # in all.  Both anchors' party-b marginals are diagonal: none.  The one
+    # qutrit literal point: its parse and entry check, 1 + 1, its exit
+    # check, blocks [3, 2, 2, 1, 1, 1, 1, 1], 3, two full spectra for each of
+    # the restricted and projected discrepancy reports, 4, the projected
+    # ladder block's strict check, blocks [3, 1, 1, 1, 1, 1, 1], 1, and the
+    # literal spectrum, a full solve, 1; 11 in all.
+    fixed = 4 + 6 + 11
     counted = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -171,7 +175,7 @@ def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):
     for samples in (100, 600):
         counted.clear()
         run_validation(seed=7, samples=samples)
-        assert sum(counted) == (1 + 2 + 1) * samples + samples + samples // 5 + fixed
+        assert sum(counted) == (2 + 2 + 2) * samples + 2 * samples + 2 * (samples // 5) + fixed
 
 
 def _corrupt(member, value):
