@@ -16,8 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DEFAULT_SAMPLES, DEFAULT_SEED
 from .channel import AccelerationSpec, r_from_acceleration
-from .errors import ConfigError, DegenerateOutcome, UnknownPreset, UnruhLabError
+from .errors import (BadPhysicalParam, BadStrength, ConfigError, DegenerateOutcome,
+                     UnknownPreset, UnruhLabError)
 from .localops import REVERSE, WEAK, tied
 from .pipeline import propagate_point
 from .states import parse_state_preset
@@ -30,7 +32,13 @@ from .sweep import (
     rows_to_csv,
     run_sweep,
 )
-from .validate import DEFAULT_SAMPLES, DEFAULT_SEED, run_validation
+
+
+def run_validation(seed: int, samples: int):
+    """:func:`unruhlab.validate.run_validation`, imported on the first call
+    so that the other commands never load the closed forms."""
+    from .validate import run_validation as run
+    return run(seed=seed, samples=samples)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,15 +153,15 @@ def _cmd_state(args) -> int:
     out_path = None if args.out is None else _output(args.out)
     rho0 = parse_state_preset(args.preset)
     dim = rho0.dims[0]
-    if args.r is not None:
-        r = args.r
-    else:
-        if args.omega is None:
-            raise ConfigError("--accel requires --omega")
-        r = r_from_acceleration(args.accel, args.omega)
-    acc = AccelerationSpec(r, args.phi)
-    weak = tied(WEAK, args.alpha, dim)
-    reverse = tied(REVERSE, args.beta, dim)
+    if args.r is None and args.omega is None:
+        raise ConfigError("--accel requires --omega")
+    try:
+        r = args.r if args.r is not None else r_from_acceleration(args.accel, args.omega)
+        acc = AccelerationSpec(r, args.phi)
+        weak = tied(WEAK, args.alpha, dim)
+        reverse = tied(REVERSE, args.beta, dim)
+    except (BadStrength, BadPhysicalParam) as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         out = propagate_point(rho0, weak, reverse, acc)
     except DegenerateOutcome as exc:

@@ -11,7 +11,6 @@ zero are retained with the ``degenerate`` flag set and blank measure
 columns.
 """
 
-import configparser
 import io
 import re
 from dataclasses import dataclass
@@ -299,6 +298,8 @@ def config_from_mapping(mapping: dict) -> SweepConfig:
 
 def load_config(path: str, overrides: dict | None = None) -> SweepConfig:
     """Load a config file (single ``[sweep]`` section) with CLI overrides."""
+    import configparser
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, encoding="utf-8") as fh:
@@ -318,59 +319,52 @@ def load_config(path: str, overrides: dict | None = None) -> SweepConfig:
 
 # --------------------------------------------------------------------------
 # Figure presets.  Surfaces sample an 80 x 80 (r, strength) grid; line
-# figures sample 81 points in r at a few fixed strengths.
+# figures sample 81 points in r at a few fixed strengths.  Plotting hints,
+# not part of the sweep contract: kind ('surface' | 'lines'), the measures
+# the generated script plots, and the line grouping ('state' | 'strength').
 
 _R_SURFACE = f"0:{R_MAX!r}:80"
 _S_SURFACE = "0:0.98:80"
 _R_LINE = f"0:{R_MAX!r}:81"
 
 
-@dataclass(frozen=True)
-class FigureInfo:
-    """Plotting hints for one preset (not part of the sweep contract)."""
-
-    kind: str                     # 'surface' | 'lines'
-    focus: tuple[str, ...]        # measures the generated script plots
-    group_by: str = "state"      # line grouping: 'state' | 'strength'
-
-
-_PRESETS: dict[str, tuple[dict, FigureInfo]] = {
+_PRESETS = {
     "fig1a": (dict(system=TWO_QUBIT, initial_state="singlet",
                    r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              FigureInfo("surface", ("E_norm",))),
+              ("surface", ("E_norm",), "state")),
     "fig1b": (dict(system=TWO_QUBIT, initial_state="werner:0.7",
                    r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              FigureInfo("surface", ("E_norm",))),
+              ("surface", ("E_norm",), "state")),
     "fig2a": (dict(system=TWO_QUTRIT, initial_state="qutrit:1",
                    r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              FigureInfo("surface", ("E_norm",))),
+              ("surface", ("E_norm",), "state")),
     "fig2b": (dict(system=TWO_QUTRIT, initial_state="qutrit:0.5",
                    r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              FigureInfo("surface", ("E_norm",))),
+              ("surface", ("E_norm",), "state")),
     "fig3a": (dict(system=TWO_QUBIT, initial_state="singlet",
                    r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              FigureInfo("surface", ("I_coh_std",))),
+              ("surface", ("I_coh_std",), "state")),
     "fig3b": (dict(system=TWO_QUBIT, initial_state="singlet",
                    r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              FigureInfo("surface", ("I_a",))),
+              ("surface", ("I_a",), "state")),
     "fig4a": (dict(system=TWO_QUBIT, initial_state="singlet, werner:0.7",
                    r_grid=_R_LINE, strength_grid="0.5"),
-              FigureInfo("lines", ("I_a", "I_b"), group_by="state")),
+              ("lines", ("I_a", "I_b"), "state")),
     "fig4b": (dict(system=TWO_QUBIT, initial_state="singlet",
                    r_grid=_R_LINE, strength_grid="0.5, 0.8, 0.9"),
-              FigureInfo("lines", ("I_coh_std", "I_a"), group_by="strength")),
+              ("lines", ("I_coh_std", "I_a"), "strength")),
     "fig5a": (dict(system=TWO_QUTRIT, initial_state="qutrit:1",
                    r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              FigureInfo("surface", ("I_coh_std",))),
+              ("surface", ("I_coh_std",), "state")),
     "fig5b": (dict(system=TWO_QUTRIT, initial_state="qutrit:1",
                    r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              FigureInfo("surface", ("I_a",))),
+              ("surface", ("I_a",), "state")),
     "fig6a": (dict(system=TWO_QUTRIT, initial_state="qutrit:1, qutrit:0.5",
                    r_grid=_R_LINE, strength_grid="0.5"),
-              FigureInfo("lines", ("I_a", "I_b"), group_by="state")),
+              ("lines", ("I_a", "I_b"), "state")),
     "fig6b": (dict(system=TWO_QUTRIT, initial_state="qutrit:1",
                    r_grid=_R_LINE, strength_grid="0.5, 0.8, 0.9"),
-              FigureInfo("lines", ("I_coh_std", "I_a"), group_by="strength")),
+              ("lines", ("I_coh_std", "I_a"), "strength")),
 }
 
 FIGURE_PRESETS = tuple(sorted(_PRESETS))
@@ -387,7 +381,8 @@ def figure_preset(name: str) -> SweepConfig:
     return config_from_mapping(dict(raw))
 
 
-def figure_info(name: str) -> FigureInfo:
+def figure_info(name: str) -> tuple[str, tuple[str, ...], str]:
+    """A preset's plotting hints: (kind, focus measures, line grouping)."""
     if name not in _PRESETS:
         raise UnknownPreset(f"unknown figure preset {name!r}")
     return _PRESETS[name][1]
@@ -399,7 +394,7 @@ def plot_script(name: str, csv_name: str) -> str:
     The script is a standalone artifact: it re-reads the CSV next to it, so
     regenerating the plot needs only matplotlib.
     """
-    info = figure_info(name)
+    kind, focus, group_by = figure_info(name)
     header = (
         '"""Auto-generated plotting script; regenerate with '
         f"'unruhlab figure {name}'.\"\"\"\n"
@@ -411,9 +406,9 @@ def plot_script(name: str, csv_name: str) -> str:
         "import matplotlib.pyplot as plt\n\n"
         "HERE = os.path.dirname(os.path.abspath(__file__))\n"
         f"CSV = os.path.join(HERE, {csv_name!r})\n"
-        f"FOCUS = {info.focus!r}\n"
-        f"KIND = {info.kind!r}\n"
-        f"GROUP_BY = {info.group_by!r}\n"
+        f"FOCUS = {focus!r}\n"
+        f"KIND = {kind!r}\n"
+        f"GROUP_BY = {group_by!r}\n"
         f"OUT = os.path.join(HERE, {name + '.png'!r})\n\n"
         "rows = []\n"
         "with open(CSV, newline='') as fh:\n"
@@ -459,4 +454,4 @@ def plot_script(name: str, csv_name: str) -> str:
         "ax.legend()\n"
         "fig.savefig(OUT, dpi=150)\n"
     )
-    return header + (surface if info.kind == "surface" else lines)
+    return header + (surface if kind == "surface" else lines)

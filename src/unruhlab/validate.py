@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_SAMPLES, DEFAULT_SEED
 from .channel import (COMPLETENESS_TOL, AccelerationSpec, check_completeness, check_rindler,
                       kraus_for_dim, qubit_kraus)
 from .closedform import (
@@ -36,9 +37,6 @@ from .pipeline import (LADDER_FLOOR, chunk_points, filter_diagonal, ladder_block
 from .states import (QutritStateSpec, XStateSpec, check_x_coefficients, make_qutrit_state,
                      singlet, x_coefficients, x_eigenvalues, x_state_matrix)
 from .tensor import DensityMatrix, check_states, hermitian_eigenvalues, hermitian_part
-
-DEFAULT_SEED = 20240801
-DEFAULT_SAMPLES = 100
 
 EQUIV_TOL = 1e-12          # corrected closed form vs pipeline
 ZERO_ACCEL_TOL = 1e-13     # literal vs corrected at r = 0

@@ -78,6 +78,29 @@ def test_state_omega_without_accel_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where, message", [
+    (["--r", "0.3", "--alpha", "1.5"], "strength 1.5 outside [0, 1]"),
+    (["--r", "0.3", "--alpha", "nan"], "strength nan outside [0, 1]"),
+    (["--r", "0.3", "--beta", "-0.1"], "strength -0.1 outside [0, 1]"),
+    (["--r", "2"], "r=2.0 outside [0, pi/4]"),
+    (["--r", "nan"], "r=nan outside [0, pi/4]"),
+    (["--r", "0.3", "--phi", "nan"], "phi=nan is not finite"),
+    (["--accel", "-1", "--omega", "1"], "acceleration must be positive, got -1.0"),
+    (["--accel", "1", "--omega", "0"], "omega must be positive and finite, got 0.0"),
+    (["--accel", "1"], "--accel requires --omega"),
+])
+def test_state_bad_argument_exits_2(tmp_path, capsys, where, message):
+    # The values a sweep INI rejects with exit 2 are bad configuration on
+    # the command line too, and nothing is written.
+    out = tmp_path / "state.csv"
+    code = main(["state", "--preset", "singlet", *where, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset", ["x:1,1,1", "werner:-0.5"])
 def test_state_non_physical_preset_exits_2(tmp_path, capsys, preset):
     # Both coefficient triples lie in [-1, 1] but give an eigenvalue -1/4

@@ -298,8 +298,8 @@ def test_every_preset_resolves():
     for name in FIGURE_PRESETS:
         cfg = figure_preset(name)
         assert cfg.tie_policy == ALL_EQUAL
-        info = figure_info(name)
-        assert info.kind in ("surface", "lines")
+        kind, _, _ = figure_info(name)
+        assert kind in ("surface", "lines")
 
 
 def test_surface_presets_sample_80_by_80():
