@@ -24,7 +24,7 @@ _HOMES = {
     "closedform": ("corrected_final_qubit", "literal_final_qubit", "literal_final_qutrit"),
     "errors": ("ConfigError", "DegenerateOutcome", "UnknownPreset", "UnruhLabError"),
     "localops": ("REVERSE", "WEAK", "MeasurementStrengths", "tied"),
-    "measures": ("MeasuresReport", "measure_columns"),
+    "measures": ("measure_columns",),
     "pipeline": ("propagate", "propagate_point"),
     "states": ("parse_state_preset",),
     "sweep": ("FIGURE_PRESETS", "SweepConfig", "figure_preset", "load_config", "rows_to_csv",

@@ -39,6 +39,13 @@ COMPLETENESS_TOL = 1e-12
 LEVEL_VACUUM, LEVEL_UP, LEVEL_DOWN, LEVEL_PAIR = 0, 1, 2, 3
 
 
+def check_omega(omega: float) -> None:
+    """Raises :class:`BadPhysicalParam` unless the mode frequency ``omega``
+    is positive and finite."""
+    if not np.isfinite(omega) or omega <= 0.0:
+        raise BadPhysicalParam(f"omega must be positive and finite, got {omega}")
+
+
 def r_from_acceleration(a: float, omega: float, c: float = 1.0) -> float:
     """Rindler angle r = arctan(exp(-pi omega c / a)).
 
@@ -46,8 +53,7 @@ def r_from_acceleration(a: float, omega: float, c: float = 1.0) -> float:
     ``c`` the speed of light (1 in natural units).  All must be positive
     and finite, except that a = +inf is allowed and maps to r = pi/4.
     """
-    if not np.isfinite(omega) or omega <= 0.0:
-        raise BadPhysicalParam(f"omega must be positive and finite, got {omega}")
+    check_omega(omega)
     if not np.isfinite(c) or c <= 0.0:
         raise BadPhysicalParam(f"c must be positive and finite, got {c}")
     if np.isinf(a) and a > 0:

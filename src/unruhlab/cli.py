@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED
-from .channel import AccelerationSpec, r_from_acceleration
+from .channel import AccelerationSpec, check_omega, check_rindler, r_from_acceleration
 from .errors import (BadPhysicalParam, BadStrength, ConfigError, DegenerateOutcome,
                      UnknownPreset, UnruhLabError)
 from .localops import REVERSE, WEAK, tied
@@ -147,6 +147,15 @@ def _cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
+def _option(name: str, build, *args):
+    """``build(*args)``, turning a bad value into a :class:`ConfigError`
+    that names the command-line option ``name`` it came from."""
+    try:
+        return build(*args)
+    except (BadStrength, BadPhysicalParam) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _cmd_state(args) -> int:
     if args.r is not None and args.omega is not None:
         raise ConfigError("--omega needs --accel, not --r")
@@ -155,13 +164,15 @@ def _cmd_state(args) -> int:
     dim = rho0.dims[0]
     if args.r is None and args.omega is None:
         raise ConfigError("--accel requires --omega")
-    try:
-        r = args.r if args.r is not None else r_from_acceleration(args.accel, args.omega)
-        acc = AccelerationSpec(r, args.phi)
-        weak = tied(WEAK, args.alpha, dim)
-        reverse = tied(REVERSE, args.beta, dim)
-    except (BadStrength, BadPhysicalParam) as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.r is None:
+        _option("--omega", check_omega, args.omega)
+        r = _option("--accel", r_from_acceleration, args.accel, args.omega)
+    else:
+        r = args.r
+        _option("--r", check_rindler, r, 0.0)
+    acc = _option("--phi", AccelerationSpec, r, args.phi)
+    weak = _option("--alpha", tied, WEAK, args.alpha, dim)
+    reverse = _option("--beta", tied, REVERSE, args.beta, dim)
     try:
         out = propagate_point(rho0, weak, reverse, acc)
     except DegenerateOutcome as exc:

@@ -12,8 +12,6 @@ S(rho_ab) and in the published sign convention sum_i mu_i log2 mu_i =
 -S(rho_ab), which is non-positive and vanishes only on pure states.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import block_eigenvalues, shannon_entropy
@@ -22,7 +20,7 @@ from .tensor import block_eigenvalues, shannon_entropy
 _SPECTRUM_SUM_TOL = 1e-6
 _POPULATION_SUM_TOL = 1e-8
 
-# Column order of every measure array: the fields of MeasuresReport, in order.
+# Column order of every measure array.
 MEASURE_COLUMNS = ("neg_raw", "E_norm", "I_a", "I_b", "I_coh_std", "I_coh_lit",
                    "p_success")
 
@@ -40,22 +38,6 @@ def check_ranges(e_norm, p_success) -> None:
     bad = ~((0.0 < p_success) & (p_success <= 1.0 + 1e-12))
     if bad.any():
         raise ValueError(f"success probability {p_success[bad][0]} outside (0, 1]")
-
-
-@dataclass(frozen=True)
-class MeasuresReport:
-    """All scalar measures of one protocol run, in ``MEASURE_COLUMNS`` order."""
-
-    negativity_raw: float
-    entanglement_normalized: float
-    info_accelerated_bits: float
-    info_inertial_bits: float
-    coherent_info_standard_bits: float
-    coherent_info_literal_bits: float
-    success_probability: float
-
-    def __post_init__(self):
-        check_ranges(self.entanglement_normalized, self.success_probability)
 
 
 def measure_columns(out) -> np.ndarray:

@@ -13,7 +13,10 @@ points (:func:`propagate` does both for points that bring their own rows):
   solved block by block along each stack's own support
   (:func:`~unruhlab.tensor.block_eigenvalues`), which leaves out no entry;
 * a point whose post-selection probability falls below ``SUCCESS_FLOOR``
-  is degenerate; later steps skip it.
+  is degenerate; later steps skip it;
+* when the entering states and the channel are exactly real (every real
+  state at phi = 0), all of it runs on float64 stacks; otherwise on
+  complex128 ones, through the same code.
 
 :func:`~unruhlab.measures.measure_columns` then evaluates the measures on
 the final states.  The scalar Kraus pipeline this replaced lives beside
@@ -32,11 +35,15 @@ from .tensor import DensityMatrix, check_states
 LADDER_FLOOR = 1e-14
 
 # Bytes of one stacked state array; this bounds the working set on large
-# grids.  Measured on a 2-core host, two 15 s perfbench runs each: fig2a's
-# calibrated wall time is 0.21 s at 128 KiB, 0.18 s at 256 KiB and 0.18 s
-# at 512 KiB; a `figure fig6b` process (243 points) peaks at 38.2, 38.7
-# and 40.2 MB resident, and mixed_cli takes 0.086 s at 512 KiB against
-# 0.080 s at 256 KiB.
+# grids.  Measured on a 2-core host with complex128 stacks, two 15 s
+# perfbench runs each: fig2a's calibrated wall time is 0.21 s at 128 KiB,
+# 0.18 s at 256 KiB and 0.18 s at 512 KiB; a `figure fig6b` process (243
+# points) peaks at 38.2, 38.7 and 40.2 MB resident, and mixed_cli takes
+# 0.086 s at 512 KiB against 0.080 s at 256 KiB.  A float64 stack fits
+# twice the points in the same bytes: in process, median of 8 rounds,
+# fig2a's `run_sweep` takes 59 ms at 227 real 12 x 12 states a chunk
+# against 70 ms at 113, and fig1a's 12.9 ms at 2,048 real 4 x 4 states
+# against 14.6 ms at 1,024.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -61,9 +68,11 @@ class Prepared(NamedTuple):
     project: bool
 
 
-def chunk_points(state_dim: int) -> int:
-    """Points per chunk for joint states of dimension ``state_dim``."""
-    return max(1, CHUNK_BYTES // (16 * state_dim * state_dim))    # 16 B per complex128
+def chunk_points(state_dim: int, itemsize: int = 16) -> int:
+    """Points per chunk for joint states of dimension ``state_dim`` whose
+    entries take ``itemsize`` bytes: 16 for complex128 (the default, an
+    upper bound), 8 for float64."""
+    return max(1, CHUNK_BYTES // (itemsize * state_dim * state_dim))
 
 
 def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:
@@ -133,12 +142,20 @@ def prepare(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray, weak: np
     restricts each output to party 0's first ``da`` levels (its
     pre-acceleration ladder, :func:`ladder_block`) and renormalises; a
     point whose ladder weight is below ``LADDER_FLOOR`` is degenerate.
+
+    When the checked states and the channel superoperators are exactly real
+    (every imaginary part zero, as for every real state at phi = 0), the
+    tables are float64 and every later step runs in real arithmetic; any
+    other input keeps complex128.  The steps are the same either way.
     """
     rho0, _ = check_states(rho0)
+    channels = superoperator(kraus)
+    if not (np.any(rho0.imag) or np.any(channels.imag)):
+        rho0, channels = rho0.real, np.ascontiguousarray(channels.real)
     sigma = (weak[:, :, None] * rho0) * weak[:, None, :]
     p_weak = np.trace(sigma, axis1=-2, axis2=-1).real
     scale = np.where(p_weak >= SUCCESS_FLOOR, p_weak, 1.0)[:, None, None]
-    return Prepared(p_weak, sigma / scale, superoperator(kraus), reverse, dims, project)
+    return Prepared(p_weak, sigma / scale, channels, reverse, dims, project)
 
 
 def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray

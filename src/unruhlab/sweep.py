@@ -175,10 +175,12 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     Returns an ``(n_points, 7)`` array with columns in ``MEASURE_COLUMNS``
     order.  Each initial state is prepared once (the channel per r, the
     filters and the weak step per strength value) and its grid runs in
-    chunks of consecutive points.  A degenerate point's row is all NaN,
-    and a kept row never holds NaN in E_norm or p_success: NaN fails the
-    range checks of :func:`~unruhlab.measures.measure_columns`.  So a row
-    is all NaN exactly where its point is degenerate.
+    chunks of consecutive points, as many as ``CHUNK_BYTES`` holds in the
+    prepared stack's dtype (:func:`~unruhlab.pipeline.chunk_points`).  A
+    degenerate point's row is all NaN, and a kept row never holds NaN in
+    E_norm or p_success: NaN fails the range checks of
+    :func:`~unruhlab.measures.measure_columns`.  So a row is all NaN
+    exactly where its point is degenerate.
     """
     dim = config.levels + 1
     kraus = kraus_for_dim(dim, check_rindler(config.r_grid, config.phi), config.phi)
@@ -191,11 +193,11 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
                and config.qutrit_compare_sector == PROJECTED_SECTOR)
     n_s = len(config.strength_grid)
     n_points = len(config.r_grid) * n_s
-    size = chunk_points(out_dim * dim)
     measures = np.full((len(config.initial_state) * n_points, len(MEASURE_COLUMNS)), np.nan)
     for k, label in enumerate(config.initial_state):
         rho0 = parse_state_preset(label)
         grid = prepare(rho0.matrix, rho0.dims, kraus, weak, reverse, project)
+        size = chunk_points(out_dim * dim, grid.weakened.itemsize)
         offset = k * n_points
         for start in range(0, n_points, size):
             i_r, i_s = np.divmod(np.arange(start, min(start + size, n_points)), n_s)

@@ -2,12 +2,16 @@
 
 Everything here works on explicit ``numpy`` arrays; the systems treated by
 this package never exceed dimension 16, so dense algorithms are both exact
-enough and fast enough.  Matrices are complex128 throughout.  The checks
-below take one matrix or a stack of them (any leading axes) and each is
-defined once: :class:`DensityMatrix` runs them on the states that enter
-the package, :mod:`unruhlab.pipeline` on the stacks it takes and returns.
-Spectra are solved block by block, along the connected components of each
-stack's own support (:func:`block_eigenvalues`).
+enough and fast enough.  The checks and spectra keep the field of their
+input: a real stack is checked and solved as float64, in real arithmetic,
+any other as complex128.  :class:`DensityMatrix` always holds
+complex128; the pipeline passes float64 stacks when its inputs are exactly
+real.  The checks below take one matrix or a stack of them (any leading
+axes) and each is defined once: :class:`DensityMatrix` runs them on the
+states that enter the package, :mod:`unruhlab.pipeline` on the stacks it
+takes and returns.  Spectra are solved block by block, along the connected
+components of each stack's own support (:func:`block_eigenvalues`); a 2 x 2
+block in closed form.
 
 Conventions
 -----------
@@ -36,8 +40,10 @@ def hermitian_part(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
     Raises :class:`NotSquare`, ``ValueError`` on non-finite entries and
     :class:`NonHermitian` when any entry of ``M - M^dag`` exceeds ``tol``.
+    A real input gives a float64 result, any other a complex128 one.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m)
+    m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquare(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -69,19 +75,36 @@ def _blocks(support: bytes, d: int) -> tuple[np.ndarray, ...]:
     return blocks_of(np.frombuffer(support, dtype=bool).reshape(d, d))
 
 
+def _block_spectra(blocks: np.ndarray, size: int) -> np.ndarray:
+    """Ascending eigenvalues ``(..., size)`` of Hermitian ``size`` x ``size``
+    blocks ``(..., size, size)``.
+
+    A 1 x 1 block is its entry.  A 2 x 2 block with diagonal p, q and
+    off-diagonal b has h -/+ hypot((p - q)/2, |b|), h = (p + q)/2, the
+    spectrum of an X state's block (Yu and Eberly, Quantum Inf. Comput. 7,
+    459, 2007).  Larger blocks go to ``numpy.linalg.eigvalsh``, looked up
+    at call time.
+    """
+    if size == 1:
+        return blocks[..., 0].real
+    if size == 2:
+        p, q = blocks[..., 0, 0].real, blocks[..., 1, 1].real
+        h, g = 0.5 * (p + q), np.hypot(0.5 * (p - q), np.abs(blocks[..., 0, 1]))
+        return np.stack((h - g, h + g), axis=-1)
+    return np.linalg.eigvalsh(blocks)
+
+
 def block_eigenvalues(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix or of every member of a stack.
 
     The blocks are those of the union of the members' supports
     (:func:`blocks_of`): every entry outside them is zero in every member, so
-    each spectrum is exactly the union of its blocks' spectra.  A 1 x 1
-    block is its diagonal entry; each larger block size is one
-    ``numpy.linalg.eigvalsh`` call.
+    each spectrum is exactly the union of its blocks' spectra.  The blocks
+    of each size are solved together by :func:`_block_spectra`.
     """
     m = np.asarray(m)
     support = (m != 0).reshape((-1,) + m.shape[-2:]).any(axis=0)
-    parts = [m[..., idx[:, 0], idx[:, 0]].real if idx.shape[1] == 1 else
-             np.linalg.eigvalsh(m[..., idx[:, :, None], idx[:, None, :]])
+    parts = [_block_spectra(m[..., idx[:, :, None], idx[:, None, :]], idx.shape[1])
              .reshape(m.shape[:-2] + (idx.size,))
              for idx in _blocks(support.tobytes(), len(support))]
     return np.sort(np.concatenate(parts, axis=-1), axis=-1)

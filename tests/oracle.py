@@ -27,7 +27,7 @@ from unruhlab.closedform import (corrected_final_qubit, literal_final_qubit, qub
 from unruhlab.errors import BadArity, DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
 from unruhlab.localops import (REVERSE, SUCCESS_FLOOR, WEAK, MeasurementStrengths, filter_levels,
                                tied)
-from unruhlab.measures import MeasuresReport
+from unruhlab.measures import check_ranges
 from unruhlab.pipeline import LADDER_FLOOR, chunk_points, point_inputs, propagate
 from unruhlab.states import XStateSpec, make_x_state
 from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, STATE_EIGENVALUE_TOL, DensityMatrix,
@@ -397,6 +397,22 @@ def coherent_information(rho: DensityMatrix, variant: str = STANDARD) -> float:
     if variant == STANDARD:
         return von_neumann_entropy(partial_trace(rho, 1)) - s_ab
     raise ValueError(f"variant must be {STANDARD!r} or {LITERAL!r}, got {variant!r}")
+
+
+@dataclass(frozen=True)
+class MeasuresReport:
+    """All scalar measures of one protocol run, in ``MEASURE_COLUMNS`` order."""
+
+    negativity_raw: float
+    entanglement_normalized: float
+    info_accelerated_bits: float
+    info_inertial_bits: float
+    coherent_info_standard_bits: float
+    coherent_info_literal_bits: float
+    success_probability: float
+
+    def __post_init__(self):
+        check_ranges(self.entanglement_normalized, self.success_probability)
 
 
 def compute_report(rho: DensityMatrix, success_probability: float

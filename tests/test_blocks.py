@@ -5,15 +5,17 @@ connected components of the union of its members' supports.  Block spectra
 must equal a full ``numpy.linalg.eigvalsh`` to 1e-14 on the final states,
 their partial transposes and their marginals; a stack of r = 0 points may
 split into smaller blocks; an entry, however small, joins the blocks it
-couples; and a stack that every post-selection emptied must pass through as
-an empty stack.
+couples; a stack that every post-selection emptied must pass through as
+an empty stack; and the closed form of a 2 x 2 block must match
+``eigvalsh`` to 1e-14 on ties, zero coupling, rank-one blocks and entries
+near 1e-300 and near 1.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from unruhlab import pipeline, sweep
+from unruhlab import pipeline, sweep, tensor
 from unruhlab.channel import R_MAX, AccelerationSpec, kraus_for_dim
 from unruhlab.localops import REVERSE, WEAK, MeasurementStrengths, tied
 from unruhlab.measures import MEASURE_COLUMNS, measure_columns
@@ -47,21 +49,30 @@ def assert_block_spectra_match(out):
 
 def solved_sizes(monkeypatch, m) -> list[int]:
     """Sizes of the blocks ``block_eigenvalues`` solves a stack in, largest
-    first, from the matrices it passes to ``eigvalsh`` (shape ``(n, n_s, s,
-    s)``: ``n_s`` blocks of size ``s`` per member); the rest of the diagonal
-    are 1 x 1 blocks.  Also checks the spectra against the full solve."""
-    shapes, eigvalsh = [], np.linalg.eigvalsh
+    first, from the blocks it passes to the per-block solver
+    ``tensor._block_spectra`` (shape ``(n, n_s, s, s)``: ``n_s`` blocks of
+    size ``s`` per member).  Also checks that the blocks cover the diagonal,
+    that exactly the blocks of size 3 or more reach ``eigvalsh``, and the
+    spectra against the full solve."""
+    sizes, solved, block_spectra, eigvalsh = [], [], tensor._block_spectra, np.linalg.eigvalsh
 
-    def spy(a):
-        shapes.append(a.shape)
+    def spy(blocks, size):
+        assert blocks.shape[-2:] == (size, size)
+        sizes.extend([size] * blocks.shape[-3])
+        return block_spectra(blocks, size)
+
+    def eigvalsh_spy(a):
+        solved.extend([a.shape[-1]] * a.shape[-3])
         return eigvalsh(a)
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigvalsh", spy)
+        patch.setattr(tensor, "_block_spectra", spy)
+        patch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
         lam = block_eigenvalues(m)
     assert_matches_full(lam, m)
-    sizes = [shape[-1] for shape in shapes for _ in range(shape[-3])]
-    return sorted(sizes + [1] * (m.shape[-1] - sum(sizes)), reverse=True)
+    assert sum(sizes) == m.shape[-1]
+    assert sorted(solved) == sorted(s for s in sizes if s >= 3)
+    return sorted(sizes, reverse=True)
 
 
 # Presets that share a config (fig1a, fig3a, fig3b; fig2a, fig5a, fig5b) run once.
@@ -146,7 +157,7 @@ def test_pattern_is_the_same_with_and_without_r_zero(monkeypatch, label, project
     zero = solved_sizes(monkeypatch, states), solved_sizes(monkeypatch, transposes)
     if (label, project) == ("qutrit:1", False):
         # The unaccelerated pure state and its partial transpose: 1 + 3
-        # matrices a member reach eigvalsh, not 3 + 3.
+        # blocks larger than 1 x 1 a member, not 3 + 3.
         assert zero == ([3] + [1] * 9, [2, 2, 2] + [1] * 6)
     else:
         assert zero == (sizes, transpose_sizes)
@@ -215,3 +226,52 @@ def test_a_chunk_of_only_degenerate_points_is_an_empty_stack(system, label, sect
     assert out.kept.shape == (0,) and out.states.shape == (0, d, d)
     assert out.spectra.shape == (0, d)
     assert measure_columns(out).shape == (0, len(MEASURE_COLUMNS))
+
+
+# The 2 x 2 closed form (tensor._block_spectra) against eigvalsh: entries
+# from both ends of the range, ties, zero coupling and rank-one blocks.
+_ENTRIES = (st.sampled_from([0.0, 0.5, 1.0, -1.0, 1e-300, -1e-300, 1.0 - 2.0 ** -52])
+            | st.floats(-1.0, 1.0) | st.floats(-1e-290, 1e-290))
+
+
+@st.composite
+def two_by_two(draw):
+    """A Hermitian 2 x 2 block, real or complex, as a (1, 2, 2) stack."""
+    real = draw(st.booleans())
+    if draw(st.booleans()):                 # rank one: v v^dag
+        x, y = draw(_ENTRIES), draw(_ENTRIES)
+        if not real:
+            y = y * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+        m = np.outer([x, y], np.conj([x, y]))
+    else:
+        p = draw(_ENTRIES)
+        q = draw(st.just(p) | _ENTRIES)
+        b = draw(st.just(0.0) | _ENTRIES)
+        if not real:
+            b = b + 1j * draw(st.just(0.0) | _ENTRIES)
+        m = np.array([[p, b], [np.conj(b), q]])
+    m = m.astype(np.float64 if real else np.complex128)
+    return m[None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=two_by_two())
+def test_two_by_two_closed_form_matches_eigvalsh(m):
+    lam = tensor._block_spectra(m, 2)
+    assert lam.shape == (1, 2) and lam.dtype == np.float64
+    assert lam[0, 0] <= lam[0, 1]
+    assert_matches_full(lam, m)
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[0.5, -0.5], [-0.5, 0.5]]),               # the singlet's block at r = 0
+    np.array([[0.5, -0.5j], [0.5j, 0.5]]),
+    np.array([[0.3, 0.0], [0.0, 0.3]]),                 # p = q, b = 0
+    np.array([[1e-300, 1e-300], [1e-300, 1e-300]]),
+    np.array([[1.0, 0.0], [0.0, 1e-300]]),
+])
+def test_two_by_two_closed_form_edge_blocks(m):
+    lam = tensor._block_spectra(m[None], 2)
+    assert_matches_full(lam, m[None])
+    assert lam[0, 0] >= -tensor.STATE_EIGENVALUE_TOL
+    assert_matches_full(block_eigenvalues(m), m)

@@ -78,24 +78,37 @@ def test_state_omega_without_accel_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("where, message", [
-    (["--r", "0.3", "--alpha", "1.5"], "strength 1.5 outside [0, 1]"),
-    (["--r", "0.3", "--alpha", "nan"], "strength nan outside [0, 1]"),
-    (["--r", "0.3", "--beta", "-0.1"], "strength -0.1 outside [0, 1]"),
-    (["--r", "2"], "r=2.0 outside [0, pi/4]"),
-    (["--r", "nan"], "r=nan outside [0, pi/4]"),
-    (["--r", "0.3", "--phi", "nan"], "phi=nan is not finite"),
-    (["--accel", "-1", "--omega", "1"], "acceleration must be positive, got -1.0"),
-    (["--accel", "1", "--omega", "0"], "omega must be positive and finite, got 0.0"),
-    (["--accel", "1"], "--accel requires --omega"),
-])
-def test_state_bad_argument_exits_2(tmp_path, capsys, where, message):
+_BAD_STATE_ARGUMENTS = [    # (arguments, the option they make bad, the error message)
+    (["--r", "0.3", "--alpha", "1.5"], "--alpha", "--alpha: strength 1.5 outside [0, 1]"),
+    (["--r", "0.3", "--alpha", "nan"], "--alpha", "--alpha: strength nan outside [0, 1]"),
+    (["--r", "0.3", "--beta", "-0.1"], "--beta", "--beta: strength -0.1 outside [0, 1]"),
+    (["--r", "2"], "--r", "--r: r=2.0 outside [0, pi/4]"),
+    (["--r", "nan"], "--r", "--r: r=nan outside [0, pi/4]"),
+    (["--r", "0.3", "--phi", "nan"], "--phi", "--phi: phi=nan is not finite"),
+    (["--accel", "-1", "--omega", "1"], "--accel",
+     "--accel: acceleration must be positive, got -1.0"),
+    (["--accel", "1", "--omega", "0"], "--omega",
+     "--omega: omega must be positive and finite, got 0.0"),
+    (["--accel", "1"], "--accel", "--accel requires --omega"),
+    (["--r", "0.3", "--beta", "1.5"], "--beta", "--beta: strength 1.5 outside [0, 1]"),
+    (["--accel", "-1", "--omega", "0"], "--omega",
+     "--omega: omega must be positive and finite, got 0.0"),
+]
+
+
+# Each case is named by its message without the option's prefix.
+@pytest.mark.parametrize("where, option, message", _BAD_STATE_ARGUMENTS,
+                         ids=[f"where{i}-{message.removeprefix(option + ': ')}"
+                              for i, (_, option, message) in enumerate(_BAD_STATE_ARGUMENTS)])
+def test_state_bad_argument_exits_2(tmp_path, capsys, where, option, message):
     # The values a sweep INI rejects with exit 2 are bad configuration on
-    # the command line too, and nothing is written.
+    # the command line too, nothing is written, and the error names the
+    # option that holds the bad value.
     out = tmp_path / "state.csv"
     code = main(["state", "--preset", "singlet", *where, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
+    assert option in captured.err
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not out.exists()

@@ -25,8 +25,8 @@ from unruhlab.errors import DegenerateOutcome, NonHermitian, NotPositive
 from unruhlab.localops import REVERSE, WEAK, MeasurementStrengths, tied
 from unruhlab.measures import MEASURE_COLUMNS, measure_columns
 from unruhlab.states import parse_state_preset, x_coefficients, x_eigenvalues
-from unruhlab.sweep import (FIGURE_PRESETS, INDEPENDENT, PROJECTED_SECTOR, TWO_QUTRIT,
-                            WEAK_REVERSE_SPLIT, SweepConfig, config_from_mapping,
+from unruhlab.sweep import (FIGURE_PRESETS, FULL_SECTOR, INDEPENDENT, PROJECTED_SECTOR,
+                            TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, config_from_mapping,
                             chunk_points, figure_preset, rows_to_csv, run_sweep)
 from unruhlab.tensor import DensityMatrix, check_states
 
@@ -176,8 +176,8 @@ def test_grid_spanning_several_chunks(monkeypatch):
                          r_grid=(0.0, 0.2, 0.5, R_MAX), strength_grid=(0.0, 0.3, 0.6, 0.9, 1.0),
                          qutrit_compare_sector=PROJECTED_SECTOR)
     whole = sweep_of(config)
-    # Seven 12 x 12 states per chunk: 20 points a state give 7 + 7 + 6.
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 7 * 16 * 12 * 12)
+    # Seven real 12 x 12 states per chunk: 20 points a state give 7 + 7 + 6.
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 7 * 8 * 12 * 12)
     sizes = []
 
     def spy(grid, i_channel, i_filter):
@@ -311,39 +311,45 @@ def test_propagate_rejects_a_non_positive_input_the_weak_filter_would_hide():
 
 def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
     config = figure_preset("fig4b")
-    eigvalsh, matrices, krons = np.linalg.eigvalsh, [], []
+    block_spectra, eigvalsh = tensor._block_spectra, np.linalg.eigvalsh
+    matrices, solved, krons = [], [], []
 
-    def counting_eigvalsh(a, *args, **kwargs):
-        matrices.append(int(np.prod(np.shape(a)[:-2])))
-        return eigvalsh(a, *args, **kwargs)
+    def counting_blocks(blocks, size):
+        if size > 1:
+            matrices.append(int(np.prod(blocks.shape[:-2])))
+        return block_spectra(blocks, size)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(tensor, "_block_spectra", counting_blocks)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.shape) or eigvalsh(a))
     monkeypatch.setattr(np, "kron", lambda *args: krons.append(args))
     measures = run_sweep(config)
     n_states = len(config.initial_state)
     per_state = len(config.r_grid) * len(config.strength_grid)
     assert not np.isnan(measures).any()
-    # Counted in matrices passed to eigvalsh; a 1 x 1 block of a stack's
-    # support is its diagonal entry and each larger block one matrix.  The
-    # singlet's support is the block {|01>, |10>} and two zero diagonal
-    # entries: one matrix where it is parsed and one where it enters.  The
-    # filters are diagonal and the channel on party 0 moves population
-    # between |0> and |1> without making coherence, so each final state's
-    # support is the diagonal and |01><10|, blocks [2, 1, 1], and its
-    # partial transpose's the diagonal and |00><11|, again [2, 1, 1]: one
-    # matrix each.  Party b's marginal is diagonal: none.
+    # Counted in blocks passed to the per-block solver; a 1 x 1 block of a
+    # stack's support is its diagonal entry and each larger block one
+    # matrix.  The singlet's support is the block {|01>, |10>} and two zero
+    # diagonal entries: one matrix where it is parsed and one where it
+    # enters.  The filters are diagonal and the channel on party 0 moves
+    # population between |0> and |1> without making coherence, so each
+    # final state's support is the diagonal and |01><10|, blocks [2, 1, 1],
+    # and its partial transpose's the diagonal and |00><11|, again
+    # [2, 1, 1]: one matrix each.  Party b's marginal is diagonal: none.
+    # Every block is 2 x 2 or smaller, so none reaches eigvalsh.
     assert sum(matrices) == n_states * (1 + 1) + (1 + 1 + 0) * n_states * per_state
+    assert solved == []
     assert krons == []
 
 
 @pytest.mark.parametrize("chunk_bytes, chunks", [(pipeline.CHUNK_BYTES, 1),
-                                                  (100 * 16 * 4 * 4, 3)])
+                                                  (100 * 8 * 4 * 4, 3)])
 def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, chunk_bytes, chunks):
     # Every check symmetrises through hermitian_part, so counting it counts
     # the checks: one where each state is parsed, one where it enters
     # prepare, and one exit check per chunk; none between the steps.  The
     # name is patched in every module that could bind it, so a pass
-    # imported into another module is counted too.
+    # imported into another module is counted too.  The singlet's stacks
+    # are real: 8 B an entry.
     config = figure_preset("fig4b")
     monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
     calls = []
@@ -357,7 +363,7 @@ def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, chunk_
         monkeypatch.setattr(module, "hermitian_part", counting, raising=False)
     run_sweep(config)
     per_state = len(config.r_grid) * len(config.strength_grid)
-    assert -(-per_state // chunk_points(4)) == chunks
+    assert -(-per_state // chunk_points(4, 8)) == chunks
     assert len(calls) == len(config.initial_state) * (1 + 1 + chunks)
 
 
@@ -420,3 +426,75 @@ def test_batched_measures_do_not_depend_on_phi(point):
     (kept, first), (kept_again, second) = runs
     assert np.array_equal(kept, kept_again)
     np.testing.assert_allclose(second, first, rtol=0, atol=TOL)
+
+
+def _sweep_dtypes(monkeypatch, config: SweepConfig):
+    """``run_sweep(config)`` and the dtypes of the prepared tables and the
+    propagated states and spectra of each chunk."""
+    dtypes, propagate_points = [], sweep.propagate_points
+
+    def recording(grid, i_channel, i_filter):
+        out = propagate_points(grid, i_channel, i_filter)
+        dtypes.append((grid.weakened.dtype, grid.channels.dtype, out.states.dtype,
+                       out.spectra.dtype))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "propagate_points", recording)
+        measures = run_sweep(config)
+    return measures, set(dtypes)
+
+
+@pytest.mark.parametrize("name", FIGURE_PRESETS)
+def test_real_presets_propagate_in_real_arithmetic(monkeypatch, name):
+    # Every preset starts from real states and runs its channel at phi = 0,
+    # so every table and state of its sweep is float64.
+    config = figure_preset(name)
+    assert config.phi == 0.0
+    _, dtypes = _sweep_dtypes(monkeypatch, config)
+    assert dtypes == {(np.dtype(np.float64),) * 4}
+
+
+def _phased(label: str) -> DensityMatrix:
+    """``label``'s state under the local unitary diag(1, e^{0.7 i}, ...) on
+    party b: complex entries, the same measures."""
+    rho0 = parse_state_preset(label)
+    da, db = rho0.dims
+    u = np.kron(np.eye(da), np.diag(np.exp(0.7j * np.arange(db))))
+    return DensityMatrix(u @ rho0.matrix @ u.conj().T, rho0.dims)
+
+
+@pytest.mark.parametrize("system, states, sector", [
+    ("two_qubit", ("singlet", "x:-0.5,-0.2,0.3"), FULL_SECTOR),
+    ("two_qutrit", ("qutrit:1",), FULL_SECTOR),
+    ("two_qutrit", ("qutrit:1",), PROJECTED_SECTOR),
+])
+def test_complex_path_matches_real_path_and_oracle(monkeypatch, system, states, sector):
+    # The same grid through the real path (real states, phi = 0) and the
+    # complex one (phased states; the qutrit channel also at phi = 0.7).
+    # Local phases on party b and the channel phase change no measure.
+    config = SweepConfig(system=system, initial_state=states,
+                         r_grid=tuple(np.linspace(0.0, R_MAX, 5)),
+                         strength_grid=(0.0, 0.3, 0.7, 0.95, 1.0),
+                         qutrit_compare_sector=sector)
+    real, real_dtypes = _sweep_dtypes(monkeypatch, config)
+    monkeypatch.setattr(sweep, "parse_state_preset", _phased)
+    phased = dataclasses.replace(config, phi=0.7)
+    cplx, cplx_dtypes = _sweep_dtypes(monkeypatch, phased)
+    f8, c16 = np.dtype(np.float64), np.dtype(np.complex128)
+    assert real_dtypes == {(f8, f8, f8, f8)}
+    assert cplx_dtypes == {(c16, c16, c16, f8)}
+    dead = np.isnan(real).all(axis=1)
+    assert dead.any() and not dead.all()
+    assert np.array_equal(np.isnan(cplx), np.isnan(real))
+    np.testing.assert_allclose(cplx, real, rtol=0, atol=TOL)
+    for run_config, measures in ((config, real), (phased, cplx)):
+        for index, row in enumerate(measures):
+            i_state, rest = divmod(index, len(config.r_grid) * len(config.strength_grid))
+            i_r, i_s = divmod(rest, len(config.strength_grid))
+            expected = oracle(run_config, states[i_state], config.r_grid[i_r],
+                              config.strength_grid[i_s])
+            if expected is None:
+                assert np.isnan(row).all()
+            else:
+                np.testing.assert_allclose(row, dataclasses.astuple(expected), rtol=0, atol=TOL)

@@ -10,6 +10,7 @@ import pytest
 from oracle import (
     LITERAL,
     STANDARD,
+    MeasuresReport,
     coherent_information,
     compute_report,
     kron,
@@ -21,7 +22,7 @@ from unruhlab.channel import AccelerationSpec
 from unruhlab.closedform import QubitCoefficients, qubit_coefficients, x_state_spectrum
 from unruhlab.errors import NegativeDiscriminant
 from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
-from unruhlab.measures import MeasuresReport, measure_columns
+from unruhlab.measures import measure_columns
 from unruhlab.pipeline import propagate_point
 from unruhlab.states import (
     QutritStateSpec,

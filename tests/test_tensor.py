@@ -18,7 +18,7 @@ from oracle import (
     von_neumann_entropy,
 )
 from unruhlab.errors import NonHermitian, NotPositive, NotSquare
-from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
+from unruhlab.tensor import DensityMatrix, check_states, hermitian_eigenvalues, hermitian_part
 
 RNG_SEED = 91031
 EIG_TOL = 1e-12
@@ -124,6 +124,18 @@ def test_density_matrix_accepts_valid_state():
     rho = DensityMatrix(random_state_matrix(rng, 4), (2, 2))
     assert rho.dim == 4
     assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_checks_keep_the_field_of_their_input():
+    # A real stack stays float64 through the checks; a complex one, even
+    # with zero imaginary parts, stays complex128; DensityMatrix is complex.
+    real = np.diag([1.0, 0.0, 0.0, 0.0])
+    for m, dtype in ((real, np.float64), (real.astype(int), np.float64),
+                     (real.astype(np.float32), np.float64), (real + 0j, np.complex128)):
+        assert hermitian_part(m).dtype == dtype
+        h, lam = check_states(m[None])
+        assert h.dtype == dtype and lam.dtype == np.float64
+    assert DensityMatrix(real, (2, 2)).matrix.dtype == np.complex128
 
 
 def test_density_matrix_rejects_non_square():

@@ -41,11 +41,13 @@ def test_traced_state_command_counts_eigensolves_and_restores(capsys):
 def test_traced_figure_solves_blocks_through_the_looked_up_solver(tmp_path):
     # The block spectra call numpy.linalg.eigvalsh by attribute at call time,
     # so the tracer's wrapper sees them; the batched pipeline builds no kron.
+    # fig6b's qutrit states have 3 x 3 blocks, which reach eigvalsh (a 2 x 2
+    # block is solved in closed form).
     tracer = _load_tracer().Tracer()
     eigvalsh = np.linalg.eigvalsh
     tracer.install()
     try:
-        code = tracer.pass_span(lambda: cli.main(["figure", "fig4b", "--out-dir",
+        code = tracer.pass_span(lambda: cli.main(["figure", "fig6b", "--out-dir",
                                                   str(tmp_path)]))
     finally:
         tracer.uninstall()

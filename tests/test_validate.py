@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from unruhlab import pipeline, validate
+from unruhlab import pipeline, tensor, validate
 from unruhlab.channel import check_completeness, check_rindler, qubit_kraus
 from unruhlab.closedform import assemble_qubit, check_coefficients, qubit_table, x_state_spectrum
 from unruhlab.errors import (BadPhysicalParam, BadStrength, DegenerateOutcome, DimMismatch,
@@ -141,16 +141,19 @@ def test_block_draws_equal_per_call_draws():
 
 
 def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):
-    # Counted in matrices passed to eigvalsh.  Every state check and
-    # measure solves a stack block by block along its own support: a 1 x 1
-    # block is its diagonal entry and each larger block one matrix.  A
+    # Counted in matrices solved: the blocks larger than 1 x 1 passed to
+    # the per-block solver, and the full solves that call eigvalsh
+    # directly.  Every state check and measure solves a stack block by
+    # block along its own support: a 1 x 1 block is its diagonal entry and
+    # each larger block one matrix.  A
     # sampled X state, the pipeline's final X states and the corrected
     # closed forms have the X support, blocks [2, 2]: two matrices a check.
     # Per sample of the closed-form check: propagate's entry check, its exit
     # check and the strict check of the corrected closed form, 2 + 2 + 2;
-    # per sample of the spectrum check: the strict check of its state, whose
-    # spectrum is the eigensolver side, 2; per sample of the r = 0 check: the
-    # strict check of the corrected state, 2 (N // 5 samples).
+    # per sample of the spectrum check: the strict check of its state, 2,
+    # and its eigensolver side, a full solve of the 4 x 4 state, 1; per
+    # sample of the r = 0 check: the strict check of the corrected state, 2
+    # (N // 5 samples).
     # The fixed checks.  The singlet anchor, supported on the block
     # {|01>, |10>} and two zero diagonal entries: its parse, entry check,
     # exit check and partial transpose, one matrix each, 4.  The qutrit:1
@@ -164,18 +167,31 @@ def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):
     # ladder block's strict check, blocks [3, 1, 1, 1, 1, 1, 1], 1, and the
     # literal spectrum, a full solve, 1; 11 in all.
     fixed = 4 + 6 + 11
-    counted = []
-    eigvalsh = np.linalg.eigvalsh
+    counted, inside = [], []
+    block_spectra, eigvalsh = tensor._block_spectra, np.linalg.eigvalsh
+
+    def counting_blocks(blocks, size):
+        if size > 1:
+            counted.append(int(np.prod(blocks.shape[:-2])))
+        inside.append(size)
+        try:
+            return block_spectra(blocks, size)
+        finally:
+            inside.pop()
 
     def counting(a, *args, **kwargs):
-        counted.append(int(np.prod(np.shape(a)[:-2])))
+        if inside:
+            assert inside[-1] >= 3          # only blocks of 3 or more reach eigvalsh
+        else:
+            counted.append(int(np.prod(np.shape(a)[:-2])))
         return eigvalsh(a, *args, **kwargs)
 
+    monkeypatch.setattr(tensor, "_block_spectra", counting_blocks)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for samples in (100, 600):
         counted.clear()
         run_validation(seed=7, samples=samples)
-        assert sum(counted) == (2 + 2 + 2) * samples + 2 * samples + 2 * (samples // 5) + fixed
+        assert sum(counted) == (2 + 2 + 2) * samples + (2 + 1) * samples + 2 * (samples // 5) + fixed
 
 
 def _corrupt(member, value):
