@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 a validation check failed, 2 bad usage or config.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -105,11 +106,25 @@ def _output(path: str, directory: bool = False) -> Path:
     return out
 
 
+def _write_csv(path: Path, measures: np.ndarray, config) -> None:
+    """Stream the CSV of ``measures`` into a temporary file beside ``path``
+    and move it into place once complete, so that ``path`` never holds a
+    partial CSV and a failed run leaves it as it was."""
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with open(part, "wb") as fh:
+            rows_to_csv(measures, config, fh)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_sweep(args) -> int:
     out = _output(args.out)
     config = load_config(args.config, overrides=_parse_overrides(args.set))
     measures = run_sweep(config)
-    out.write_text(rows_to_csv(measures, config), encoding="utf-8")
+    _write_csv(out, measures, config)
     degenerate = int(np.isnan(measures).all(axis=1).sum())
     print(f"wrote {args.out}: {len(measures)} rows ({degenerate} degenerate)")
     return 0
@@ -121,7 +136,7 @@ def _cmd_figure(args) -> int:
     config = figure_preset(args.preset)
     measures = run_sweep(config)
     csv_name = f"{args.preset}.csv"
-    (out_dir / csv_name).write_text(rows_to_csv(measures, config), encoding="utf-8")
+    _write_csv(out_dir / csv_name, measures, config)
     (out_dir / f"plot_{args.preset}.py").write_text(
         plot_script(args.preset, csv_name), encoding="utf-8")
     (out_dir / f"{args.preset}.ini").write_text(config_to_text(config),

@@ -60,13 +60,15 @@ def measure_columns(out) -> np.ndarray:
     e_norm = 2.0 * neg_raw / (min(d0, db) - 1)
     check_ranges(e_norm, out.p_success)
     s_ab = shannon_entropy(out.spectra, _SPECTRUM_SUM_TOL)
-    marg_a = np.trace(t, axis1=2, axis2=4)
+    # Party a's populations need only the diagonal; party b's marginal is
+    # eigensolved whole.
+    pop_a = np.diagonal(out.states, axis1=1, axis2=2).real.reshape(-1, d0, db).sum(axis=-1)
     marg_b = np.trace(t, axis1=1, axis2=3)
     s_b = shannon_entropy(block_eigenvalues(marg_b), _SPECTRUM_SUM_TOL)
     return np.column_stack((
         neg_raw,
         e_norm,
-        shannon_entropy(np.diagonal(marg_a, axis1=1, axis2=2).real, _POPULATION_SUM_TOL),
+        shannon_entropy(pop_a, _POPULATION_SUM_TOL),
         shannon_entropy(np.diagonal(marg_b, axis1=1, axis2=2).real, _POPULATION_SUM_TOL),
         s_b - s_ab,
         -s_ab,

@@ -15,8 +15,13 @@ The three ``_check_*`` functions at the end are ``validate``'s sampled
 checks as they ran one sample at a time, on the scalar closed forms and
 per-sample state, strength, channel and acceleration objects; the tests
 compare the batched checks in :mod:`unruhlab.validate` against them.
+
+``rows_to_csv_reference`` is the CSV renderer as it ran one row at a time
+with ``%``; the tests compare the vectorised renderer against it byte for
+byte.
 """
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +32,7 @@ from unruhlab.closedform import (corrected_final_qubit, literal_final_qubit, qub
 from unruhlab.errors import BadArity, DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
 from unruhlab.localops import (REVERSE, SUCCESS_FLOOR, WEAK, MeasurementStrengths, filter_levels,
                                tied)
-from unruhlab.measures import check_ranges
+from unruhlab.measures import MEASURE_COLUMNS, check_ranges
 from unruhlab.pipeline import LADDER_FLOOR, chunk_points, point_inputs, propagate
 from unruhlab.states import XStateSpec, make_x_state
 from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, STATE_EIGENVALUE_TOL, DensityMatrix,
@@ -508,3 +513,39 @@ def _check_spectrum_formulas(rng: np.random.Generator,
         worst = max(worst, float(np.max(np.abs(mus - direct))))
     return CheckResult("x_state_spectrum_vs_eigensolver", worst <= SPECTRUM_TOL,
                        worst, SPECTRUM_TOL)
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell, quoted where ``csv.QUOTE_MINIMAL`` quotes."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def rows_to_csv_reference(measures: np.ndarray, config) -> str:
+    """:func:`unruhlab.sweep.rows_to_csv` as it rendered one row at a time
+    with ``%``, before the vectorised cell formatter replaced it."""
+    n_points = len(config.initial_state) * len(config.r_grid) * len(config.strength_grid)
+    if len(measures) != n_points:
+        raise ValueError(f"{len(measures)} measure rows for a grid of {n_points} points")
+    cols = (("state", "i_r", "i_s", "r") + config.strength_columns()
+            + config.measures + ("degenerate",))
+    r_cells = [f"{r:.17g}" for r in config.r_grid]
+    table = config.strength_table()
+    s_cells = [",".join(f"{v:.17g}" for v in row)
+               for row in table.reshape(len(table), -1).tolist()]
+    n_cols = len(config.measures)
+    kept_fmt = ",".join(["%.17g"] * n_cols) + ",0\n"
+    blank = "," * n_cols + "1\n"
+    values = measures[:, [MEASURE_COLUMNS.index(m) for m in config.measures]].tolist()
+    degenerate = np.isnan(measures).all(axis=1).tolist()
+    rows = zip(values, degenerate)
+    out = io.StringIO()
+    out.write(",".join(cols) + "\n")
+    for label in map(_csv_cell, config.initial_state):
+        for i_r, r in enumerate(r_cells):
+            for i_s, s in enumerate(s_cells):
+                row, dead = next(rows)
+                out.write(f"{label},{i_r},{i_s},{r},{s},")
+                out.write(blank if dead else kept_fmt % tuple(row))
+    return out.getvalue()

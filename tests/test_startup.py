@@ -66,6 +66,21 @@ def test_cli_import_leaves_out_validate_and_closed_forms():
     assert "unruhlab.closedform" not in loaded
 
 
+def test_cli_import_leaves_out_the_cell_formatter_and_exact_arithmetic():
+    out = _fresh("import sys\nimport unruhlab.cli\n"
+                 "print(' '.join(m for m in ('unruhlab.cellfmt', 'fractions', 'decimal')"
+                 " if m in sys.modules))")
+    assert out.split() == []
+
+
+def test_rendering_loads_the_cell_formatter_but_no_exact_arithmetic():
+    out = _fresh("import sys\nfrom unruhlab.sweep import figure_preset, rows_to_csv, run_sweep\n"
+                 "config = figure_preset('fig4b')\nrows_to_csv(run_sweep(config), config)\n"
+                 "print(' '.join(m for m in ('unruhlab.cellfmt', 'fractions', 'decimal')"
+                 " if m in sys.modules))")
+    assert out.split() == ["unruhlab.cellfmt"]
+
+
 def test_exports_resolve_lazily_in_a_fresh_interpreter():
     out = _fresh(
         "import unruhlab\n"
