@@ -20,12 +20,11 @@ DEFAULT_SAMPLES = 100
 # Each exported name by its home module, imported when the name is first read
 # (PEP 562): a command line run loads only the modules its command uses.
 _HOMES = {
-    "channel": ("AccelerationSpec", "r_from_acceleration"),
-    "closedform": ("corrected_final_qubit", "literal_final_qubit", "literal_final_qutrit"),
+    "channel": ("r_from_acceleration",),
     "errors": ("ConfigError", "DegenerateOutcome", "UnknownPreset", "UnruhLabError"),
-    "localops": ("REVERSE", "WEAK", "MeasurementStrengths", "tied"),
+    "localops": ("REVERSE", "WEAK"),
     "measures": ("measure_columns",),
-    "pipeline": ("propagate", "propagate_point"),
+    "pipeline": ("propagate",),
     "states": ("parse_state_preset",),
     "sweep": ("FIGURE_PRESETS", "SweepConfig", "figure_preset", "load_config", "rows_to_csv",
               "run_sweep"),

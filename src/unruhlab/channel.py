@@ -18,14 +18,17 @@ where kets are |region I, region II> and P is the doubly occupied pair
 state.  Tracing out region II yields the Kraus maps implemented here.  The
 qutrit output space is 4-dimensional (the pair level becomes reachable);
 all downstream processing keeps that enlarged factor.
-:func:`unruhlab.pipeline.propagate` applies the Kraus maps to party 0.
+
+The maps are built as stacks, one Kraus family per Rindler angle
+(:func:`kraus_for_dim`), and checked for completeness as a stack
+(:func:`check_completeness`); :func:`unruhlab.sweep.grid_inputs` builds
+them for every command, and :func:`unruhlab.pipeline.propagate` applies
+them to party 0.
 
 The Rindler angle r encodes the proper acceleration a through
 tan r = exp(-pi omega c / a), so r runs over [0, pi/4] with r -> pi/4 the
 infinite-acceleration limit.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,18 +66,6 @@ def r_from_acceleration(a: float, omega: float, c: float = 1.0) -> float:
     return float(np.arctan(np.exp(-np.pi * omega * c / a)))
 
 
-@dataclass(frozen=True)
-class AccelerationSpec:
-    """Rindler angle r in [0, pi/4] plus the Unruh mode phase phi."""
-
-    r: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", float(check_rindler(self.r, self.phi)))
-        object.__setattr__(self, "phi", float(self.phi))
-
-
 def check_rindler(r, phi) -> np.ndarray:
     """Rindler angles clamped into [0, pi/4]; raises :class:`BadPhysicalParam`
     unless every r lies there to 1e-12 and every phase phi is finite."""
@@ -96,28 +87,6 @@ def check_completeness(kraus) -> np.ndarray:
     if (defect > COMPLETENESS_TOL).any():
         raise DimMismatch(f"Kraus completeness defect {defect.max():.3e}")
     return defect
-
-
-@dataclass(frozen=True)
-class ChannelKraus:
-    """Kraus decomposition of one party's acceleration channel."""
-
-    in_dim: int
-    out_dim: int
-    kraus: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus)
-        for k in ops:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise DimMismatch(
-                    f"Kraus block {k.shape} vs ({self.out_dim}, {self.in_dim})"
-                )
-        object.__setattr__(self, "kraus", ops)
-        check_completeness(ops)
-
-    def completeness_defect(self) -> float:
-        return float(check_completeness(self.kraus))
 
 
 def qubit_kraus(r) -> np.ndarray:
@@ -166,18 +135,3 @@ def superoperator(kraus) -> np.ndarray:
     k = np.asarray(kraus)
     s = (k[..., :, None, :, None] * k.conj()[..., None, :, None, :]).sum(axis=-5)
     return s.reshape(s.shape[:-4] + (k.shape[-2] ** 2, k.shape[-1] ** 2))
-
-
-def qubit_channel(spec: AccelerationSpec) -> ChannelKraus:
-    """Two-outcome Kraus pair {diag(cos r, 1), sin r |1><0|}."""
-    return channel_for_dim(2, spec)
-
-
-def qutrit_channel(spec: AccelerationSpec) -> ChannelKraus:
-    """Four-outcome Kraus family of the accelerated qutrit (:func:`qutrit_kraus`)."""
-    return channel_for_dim(3, spec)
-
-
-def channel_for_dim(dim: int, spec: AccelerationSpec) -> ChannelKraus:
-    k = kraus_for_dim(dim, spec.r, spec.phi)
-    return ChannelKraus(dim, k.shape[-2], tuple(k))

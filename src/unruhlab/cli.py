@@ -18,16 +18,20 @@ from pathlib import Path
 import numpy as np
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED
-from .channel import AccelerationSpec, check_omega, check_rindler, r_from_acceleration
-from .errors import (BadPhysicalParam, BadStrength, ConfigError, DegenerateOutcome,
-                     UnknownPreset, UnruhLabError)
-from .localops import REVERSE, WEAK, tied
-from .pipeline import propagate_point
+from .channel import check_omega, check_rindler, r_from_acceleration
+from .errors import BadPhysicalParam, BadStrength, ConfigError, UnknownPreset, UnruhLabError
+from .localops import SUCCESS_FLOOR, check_strengths
+from .pipeline import propagate
 from .states import parse_state_preset
 from .sweep import (
     FIGURE_PRESETS,
+    TWO_QUBIT,
+    TWO_QUTRIT,
+    WEAK_REVERSE_SPLIT,
+    SweepConfig,
     config_to_text,
     figure_preset,
+    grid_inputs,
     load_config,
     plot_script,
     rows_to_csv,
@@ -176,7 +180,6 @@ def _cmd_state(args) -> int:
         raise ConfigError("--omega needs --accel, not --r")
     out_path = None if args.out is None else _output(args.out)
     rho0 = parse_state_preset(args.preset)
-    dim = rho0.dims[0]
     if args.r is None and args.omega is None:
         raise ConfigError("--accel requires --omega")
     if args.r is None:
@@ -185,13 +188,16 @@ def _cmd_state(args) -> int:
     else:
         r = args.r
         _option("--r", check_rindler, r, 0.0)
-    acc = _option("--phi", AccelerationSpec, r, args.phi)
-    weak = _option("--alpha", tied, WEAK, args.alpha, dim)
-    reverse = _option("--beta", tied, REVERSE, args.beta, dim)
-    try:
-        out = propagate_point(rho0, weak, reverse, acc)
-    except DegenerateOutcome as exc:
-        print(f"degenerate point: {exc}", file=sys.stderr)
+    _option("--phi", check_rindler, 0.0, args.phi)
+    _option("--alpha", check_strengths, args.alpha)
+    _option("--beta", check_strengths, args.beta)
+    # one point of a sweep: weak strengths alpha, reversing strengths beta
+    config = SweepConfig(TWO_QUTRIT if rho0.dims == (3, 3) else TWO_QUBIT, (args.preset,), (r,),
+                         (args.alpha,), tie_policy=WEAK_REVERSE_SPLIT, beta=args.beta,
+                         phi=args.phi)
+    out = propagate(rho0.matrix, rho0.dims, *grid_inputs(config))
+    if not len(out.kept):
+        print(f"degenerate point: success probability below {SUCCESS_FLOOR}", file=sys.stderr)
         return 1
     final = out.states[0]
     print(f"r = {r:.17g}")

@@ -14,55 +14,21 @@ Reversing filter (collapse toward the top of the ladder):
 
     qubit   diag(sqrt(1 - b), 1)
     qutrit  diag(sqrt((1 - b1)(1 - b2)), sqrt(1 - b1), sqrt(1 - b2))
-"""
 
-from dataclasses import dataclass
+Strengths are arrays, one per excited level of each party: a sweep's tie
+policy lays them out (:meth:`unruhlab.sweep.SweepConfig.strength_table`),
+:func:`check_strengths` checks them and :func:`filter_levels` turns them
+into the filters' diagonals.
+"""
 
 import numpy as np
 
-from .errors import BadArity, BadStrength
+from .errors import BadStrength
 
 WEAK = "weak"
 REVERSE = "reverse"
-_KINDS = (WEAK, REVERSE)
 
 SUCCESS_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class MeasurementStrengths:
-    """Strength assignment for one measurement step, both parties.
-
-    ``kind`` is ``'weak'`` or ``'reverse'``; each party carries one strength
-    per excited level (one for a qubit, two for a qutrit).
-    """
-
-    kind: str
-    party_a_levels: tuple[float, ...]
-    party_b_levels: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        a = tuple(float(v) for v in self.party_a_levels)
-        b = tuple(float(v) for v in self.party_b_levels)
-        if len(a) != len(b):
-            raise BadArity(f"parties disagree on level count: {len(a)} vs {len(b)}")
-        if len(a) not in (1, 2):
-            raise BadArity(f"one (qubit) or two (qutrit) strengths per party, got {len(a)}")
-        check_strengths(a + b)
-        object.__setattr__(self, "party_a_levels", a)
-        object.__setattr__(self, "party_b_levels", b)
-
-    @property
-    def dim(self) -> int:
-        return len(self.party_a_levels) + 1
-
-
-def tied(kind: str, value: float, dim: int) -> MeasurementStrengths:
-    """All strengths of both parties (and both qutrit levels) equal."""
-    levels = (float(value),) * (dim - 1)
-    return MeasurementStrengths(kind, levels, levels)
 
 
 def check_strengths(values) -> np.ndarray:

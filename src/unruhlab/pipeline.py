@@ -19,18 +19,21 @@ points (:func:`propagate` does both for points that bring their own rows):
   complex128 ones, through the same code.
 
 :func:`~unruhlab.measures.measure_columns` then evaluates the measures on
-the final states.  The scalar Kraus pipeline this replaced lives beside
-the tests (``tests/oracle.py``) as the reference it is compared against.
+the final states.  The grid's inputs come from one place,
+:func:`unruhlab.sweep.grid_inputs`, which turns a sweep config's r grid,
+phi and strengths into Kraus stacks and filter diagonals; ``state`` and
+``validate``'s fixed checks run one-point configs.  The scalar Kraus
+pipeline this replaced, and the per-point objects it took, live beside
+the tests (``tests/oracle.py``) as the reference they are compared against.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import AccelerationSpec, channel_for_dim, superoperator
-from .errors import DegenerateOutcome
-from .localops import REVERSE, SUCCESS_FLOOR, WEAK, MeasurementStrengths, filter_levels
-from .tensor import DensityMatrix, check_states
+from .channel import superoperator
+from .localops import SUCCESS_FLOOR, filter_levels
+from .tensor import check_states
 
 LADDER_FLOOR = 1e-14
 
@@ -86,17 +89,6 @@ def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:
     pad = np.ones(op_a.shape[:-1] + (out_dim_a - op_a.shape[-1],))
     op_a = np.concatenate((op_a, pad), axis=-1)
     return (op_a[..., :, None] * op_b[..., None, :]).reshape(op_a.shape[:-1] + (-1,))
-
-
-def point_inputs(weak: MeasurementStrengths, reverse: MeasurementStrengths,
-                 acc: AccelerationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kraus stack and both filter diagonals of one point, as :func:`propagate`
-    takes them without the leading point axis."""
-    chan = channel_for_dim(weak.dim, acc)
-    return (np.array(chan.kraus),
-            filter_diagonal(WEAK, (weak.party_a_levels, weak.party_b_levels), weak.dim),
-            filter_diagonal(REVERSE, (reverse.party_a_levels, reverse.party_b_levels),
-                            chan.out_dim))
 
 
 def ladder_block(states: np.ndarray, dims: tuple[int, int], levels: int) -> np.ndarray:
@@ -198,15 +190,3 @@ def propagate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,
     ``kraus``, ``weak`` and ``reverse`` (see :func:`prepare`)."""
     points = np.arange(len(weak))
     return propagate_points(prepare(rho0, dims, kraus, weak, reverse, project), points, points)
-
-
-def propagate_point(rho0: DensityMatrix, weak: MeasurementStrengths,
-                    reverse: MeasurementStrengths, acc: AccelerationSpec) -> Propagated:
-    """:func:`propagate` of one point; raises :class:`DegenerateOutcome`
-    when a post-selection fails."""
-    kraus, w, v = point_inputs(weak, reverse, acc)
-    out = propagate(rho0.matrix, rho0.dims, kraus[None], w[None], v[None])
-    if not len(out.kept):
-        raise DegenerateOutcome(f"success probability below {SUCCESS_FLOOR}")
-    return out
-

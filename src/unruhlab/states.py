@@ -68,14 +68,6 @@ class XStateSpec:
     def __post_init__(self):
         check_x_coefficients((self.c11, self.c22, self.c33))
 
-    def coefficients(self) -> tuple[float, float, float, float]:
-        """(B1, B2, B3, B4): populations and anti-diagonal couplings."""
-        return x_coefficients((self.c11, self.c22, self.c33))
-
-    def eigenvalues(self) -> tuple[float, float, float, float]:
-        """Spectrum {B1 +/- B2, B3 +/- B4} of the X-state."""
-        return x_eigenvalues(*self.coefficients())
-
 
 def make_x_state(spec: XStateSpec) -> DensityMatrix:
     """Assemble the 4x4 X-state for ``spec``.

@@ -12,13 +12,13 @@ columns.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import R_MAX, check_completeness, check_rindler, kraus_for_dim
 from .errors import BadPhysicalParam, BadStrength, ConfigError, UnknownPreset
-from .localops import REVERSE, WEAK, MeasurementStrengths, check_strengths
+from .localops import REVERSE, WEAK, check_strengths
 from .measures import MEASURE_COLUMNS, measure_columns
 from .pipeline import chunk_points, filter_diagonal, prepare, propagate_points
 from .states import parse_state_preset
@@ -71,7 +71,9 @@ class SweepConfig:
     ``weak_reverse_split`` drives every weak strength from the grid and
     every reversing strength from ``beta``; ``independent`` drives party
     a's weak strength from the grid and the rest from ``alpha_b`` /
-    ``beta_a`` / ``beta_b``.
+    ``beta_a`` / ``beta_b``.  ``parsed_states`` holds each initial state as
+    parsed and strictly checked here, where it enters, so that a run does
+    not parse it again; it is not part of the config's value.
     """
 
     system: str
@@ -86,6 +88,7 @@ class SweepConfig:
     alpha_b: float = 0.0
     beta_a: float = 0.0
     beta_b: float = 0.0
+    parsed_states: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.system not in (TWO_QUBIT, TWO_QUTRIT):
@@ -95,6 +98,7 @@ class SweepConfig:
         if not states:
             raise ConfigError("need at least one initial state", field="initial_state")
         want = (3, 3) if self.system == TWO_QUTRIT else (2, 2)
+        parsed = []
         for s in states:
             try:
                 rho = parse_state_preset(s)
@@ -105,7 +109,9 @@ class SweepConfig:
                     f"state {s!r} has dims {rho.dims}, system {self.system} needs {want}",
                     field="initial_state",
                 )
+            parsed.append(rho)
         object.__setattr__(self, "initial_state", states)
+        object.__setattr__(self, "parsed_states", tuple(parsed))
         for name, check in (("r_grid", lambda v: check_rindler(v, 0.0)),
                             ("strength_grid", check_strengths)):
             values = tuple(float(v) for v in getattr(self, name))
@@ -123,9 +129,11 @@ class SweepConfig:
         if self.tie_policy not in _TIE_POLICIES:
             raise ConfigError(f"unknown tie policy {self.tie_policy!r}", field="tie_policy")
         meas = tuple(self.measures)
-        for m in meas:
+        for i, m in enumerate(meas):
             if m not in MEASURE_COLUMNS:
                 raise ConfigError(f"unknown measure {m!r}", field="measures")
+            if m in meas[:i]:
+                raise ConfigError(f"measure {m!r} listed twice", field="measures")
         if not meas:
             raise ConfigError("empty measure list", field="measures")
         object.__setattr__(self, "measures", meas)
@@ -162,10 +170,20 @@ class SweepConfig:
         table = np.stack(np.broadcast_arrays(v, *rest), axis=-1).reshape(-1, 2, 2, 1)
         return np.repeat(table, self.levels, axis=-1)
 
-    def point_strengths(self, value: float
-                        ) -> tuple[MeasurementStrengths, MeasurementStrengths]:
-        w, r = self.strength_table((value,))[0]
-        return MeasurementStrengths(WEAK, *w), MeasurementStrengths(REVERSE, *r)
+
+def grid_inputs(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """What :func:`~unruhlab.pipeline.prepare` takes after the initial states:
+    one checked Kraus stack per r of the grid, the weak and reversing filter
+    diagonals of each strength value under the tie policy, and ``project``."""
+    dim = config.levels + 1
+    kraus = kraus_for_dim(dim, check_rindler(config.r_grid, config.phi), config.phi)
+    check_completeness(kraus)
+    table = config.strength_table()
+    weak = filter_diagonal(WEAK, table[:, 0], dim)
+    reverse = filter_diagonal(REVERSE, table[:, 1], kraus.shape[-2])
+    project = (config.system == TWO_QUTRIT
+               and config.qutrit_compare_sector == PROJECTED_SECTOR)
+    return kraus, weak, reverse, project
 
 
 def run_sweep(config: SweepConfig) -> np.ndarray:
@@ -181,21 +199,13 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     :func:`~unruhlab.measures.measure_columns`.  So a row is all NaN
     exactly where its point is degenerate.
     """
-    dim = config.levels + 1
-    kraus = kraus_for_dim(dim, check_rindler(config.r_grid, config.phi), config.phi)
-    check_completeness(kraus)
-    out_dim = kraus.shape[-2]
-    table = config.strength_table()
-    weak = filter_diagonal(WEAK, table[:, 0], dim)
-    reverse = filter_diagonal(REVERSE, table[:, 1], out_dim)
-    project = (config.system == TWO_QUTRIT
-               and config.qutrit_compare_sector == PROJECTED_SECTOR)
+    inputs = grid_inputs(config)
+    out_dim, dim = inputs[0].shape[-2:]
     n_s = len(config.strength_grid)
     n_points = len(config.r_grid) * n_s
     measures = np.full((len(config.initial_state) * n_points, len(MEASURE_COLUMNS)), np.nan)
-    for k, label in enumerate(config.initial_state):
-        rho0 = parse_state_preset(label)
-        grid = prepare(rho0.matrix, rho0.dims, kraus, weak, reverse, project)
+    for k, rho0 in enumerate(config.parsed_states):
+        grid = prepare(rho0.matrix, rho0.dims, *inputs)
         size = chunk_points(out_dim * dim, grid.weakened.itemsize)
         offset = k * n_points
         for start in range(0, n_points, size):

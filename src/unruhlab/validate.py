@@ -18,24 +18,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED
-from .channel import (COMPLETENESS_TOL, AccelerationSpec, check_completeness, check_rindler,
-                      kraus_for_dim, qubit_kraus)
+from .channel import (COMPLETENESS_TOL, check_completeness, check_rindler, kraus_for_dim,
+                      qubit_kraus)
 from .closedform import (
+    _trace,
     assemble_qubit,
+    assemble_qutrit,
     check_coefficients,
     discrepancy_report,
-    literal_final_qutrit,
-    qubit_coefficients,
     qubit_table,
+    qutrit_table,
     x_state_spectrum,
 )
 from .errors import DegenerateOutcome
-from .localops import REVERSE, WEAK, check_strengths, tied
-from .measures import MEASURE_COLUMNS, measure_columns
-from .pipeline import (LADDER_FLOOR, chunk_points, filter_diagonal, ladder_block, propagate,
-                       propagate_point)
-from .states import (QutritStateSpec, XStateSpec, check_x_coefficients, make_qutrit_state,
-                     singlet, x_coefficients, x_eigenvalues, x_state_matrix)
+from .localops import REVERSE, SUCCESS_FLOOR, WEAK, check_strengths
+from .measures import MEASURE_COLUMNS
+from .pipeline import LADDER_FLOOR, chunk_points, filter_diagonal, ladder_block, propagate
+from .states import check_x_coefficients, x_coefficients, x_eigenvalues, x_state_matrix
+from .sweep import TWO_QUBIT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, grid_inputs, run_sweep
 from .tensor import DensityMatrix, check_states, hermitian_eigenvalues, hermitian_part
 
 EQUIV_TOL = 1e-12          # corrected closed form vs pipeline
@@ -209,16 +209,13 @@ def _check_literal_qubit_defect_location() -> CheckResult:
     # with no filtering the only corrected term is the pair-creation weight
     # sin(r)^2 * B3 landing on |11><11|; verify the raw coefficient tables
     # differ there and nowhere else
-    spec = XStateSpec(-1.0, -1.0, -1.0)
-    weak = tied(WEAK, 0.0, 2)
-    reverse = tied(REVERSE, 0.0, 2)
-    acc = AccelerationSpec(0.5)
-    lit = qubit_coefficients(spec, weak, reverse, acc, variant="literal")
-    cor = qubit_coefficients(spec, weak, reverse, acc, variant="corrected")
-    expected = np.sin(0.5) ** 2 * (1.0 - spec.c33) / 4.0
-    gap = abs((cor.b7 - lit.b7) - expected)
-    others = max(abs(getattr(cor, f"b{i}") - getattr(lit, f"b{i}"))
-                 for i in (1, 2, 3, 4, 5, 6, 8))
+    c33 = -1.0
+    point = (-1.0, -1.0, c33), (0.0, 0.0), (0.0, 0.0), 0.5
+    lit = check_coefficients(qubit_table(*point, variant="literal"))
+    cor = check_coefficients(qubit_table(*point, variant="corrected"))
+    expected = np.sin(0.5) ** 2 * (1.0 - c33) / 4.0
+    gap = abs((cor[6] - lit[6]) - expected)
+    others = max(abs(cor[i] - lit[i]) for i in (0, 1, 2, 3, 4, 5, 7))
     return CheckResult("literal_defect_is_pair_population",
                        gap <= 1e-13 and others <= 1e-15,
                        max(gap, others), 1e-13)
@@ -227,23 +224,16 @@ def _check_literal_qubit_defect_location() -> CheckResult:
 def _check_entanglement_anchors() -> CheckResult:
     # unfiltered, unaccelerated maximally entangled inputs must give
     # normalized entanglement exactly 1
-    worst = 0.0
-    for rho0 in (singlet(), make_qutrit_state(QutritStateSpec(1.0))):
-        dim = rho0.dims[0]
-        out = propagate_point(rho0, tied(WEAK, 0.0, dim), tied(REVERSE, 0.0, dim),
-                              AccelerationSpec(0.0))
-        e_norm = measure_columns(out)[0, MEASURE_COLUMNS.index("E_norm")]
-        worst = max(worst, abs(e_norm - 1.0))
+    rows = np.concatenate([run_sweep(SweepConfig(system, (label,), (0.0,), (0.0,)))
+                           for system, label in ((TWO_QUBIT, "singlet"), (TWO_QUTRIT, "qutrit:1"))])
+    worst = float(np.max(np.abs(rows[:, MEASURE_COLUMNS.index("E_norm")] - 1.0)))  # NaN fails
     return CheckResult("maximal_entanglement_anchors", worst <= 1e-12,
                        worst, 1e-12)
 
 
 def _info_printed_normalization() -> CheckResult:
-    spec = XStateSpec(-1.0, -1.0, -1.0)
-    weak = tied(WEAK, 0.5, 2)
-    reverse = tied(REVERSE, 0.5, 2)
-    coeffs = qubit_coefficients(spec, weak, reverse, AccelerationSpec(0.0))
-    ratio = coeffs.normalization / coeffs.printed_normalization
+    table = check_coefficients(qubit_table((-1.0, -1.0, -1.0), (0.5, 0.5), (0.5, 0.5), 0.0))
+    ratio = float(_trace(table)) / float(_trace(table, 5))
     return CheckResult(
         "printed_vs_trace_normalization_ratio", None, ratio,
         detail="transcribed constant sums an off-diagonal term; unit trace "
@@ -254,10 +244,15 @@ def _info_qutrit_literal() -> list[CheckResult]:
     """The literal qutrit table against the pipeline at one point, on the
     ladder sector as it is and renormalised, and the literal state's
     lowest eigenvalue."""
-    spec = QutritStateSpec(1.0)
-    weak, reverse, acc = tied(WEAK, 0.3, 3), tied(REVERSE, 0.4, 3), AccelerationSpec(0.6)
-    lit = literal_final_qutrit(spec, weak, reverse, acc)
-    out = propagate_point(make_qutrit_state(spec), weak, reverse, acc)
+    config = SweepConfig(TWO_QUTRIT, ("qutrit:1",), (0.6,), (0.3,),
+                         tie_policy=WEAK_REVERSE_SPLIT, beta=0.4)
+    weak, reverse = config.strength_table()[0]
+    lit = DensityMatrix(assemble_qutrit(qutrit_table(1.0, weak, reverse, 0.6)), (3, 3),
+                        strict=False, flags=("literal",))
+    rho0 = config.parsed_states[0]
+    out = propagate(rho0.matrix, rho0.dims, *grid_inputs(config))
+    if not len(out.kept):
+        raise DegenerateOutcome(f"success probability below {SUCCESS_FLOOR}")
     block = ladder_block(out.states, out.dims, 3)[0]
     weight = float(np.trace(block).real)
     if weight < LADDER_FLOOR:

@@ -11,6 +11,18 @@ state; ``restrict_to_ladder`` cuts an accelerated qutrit output back to its
 tests compare the batched pipeline against it to 1e-12, and check it in
 turn against index-arithmetic, Stinespring and Jacobi oracles.
 
+The per-point objects come first: an acceleration (``AccelerationSpec``)
+and its channel (``ChannelKraus``), the strengths of one measurement step
+(``MeasurementStrengths``, ``tied``), one point's engine inputs
+(``point_inputs``, ``propagate_point``) and a sweep value's strengths
+(``point_strengths``), and the scalar closed forms (``QubitCoefficients``,
+``QutritCoefficients`` and the functions that build and assemble them).
+They are the input form ``state`` and ``validate`` used before both built
+their arrays the way ``run_sweep`` does
+(:func:`unruhlab.sweep.grid_inputs`, :mod:`unruhlab.closedform`); the
+scalar pipeline takes them, and the tests compare the array forms against
+them.
+
 The three ``_check_*`` functions at the end are ``validate``'s sampled
 checks as they ran one sample at a time, on the scalar closed forms and
 per-sample state, strength, channel and acceleration objects; the tests
@@ -26,15 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from unruhlab.channel import AccelerationSpec, ChannelKraus, channel_for_dim
-from unruhlab.closedform import (corrected_final_qubit, literal_final_qubit, qubit_coefficients,
-                                 x_state_spectrum)
+from unruhlab.channel import check_completeness, check_rindler, kraus_for_dim
+from unruhlab.closedform import (TRACE_NORM, _trace, assemble_qubit, check_coefficients,
+                                 qubit_table, x_state_spectrum)
 from unruhlab.errors import BadArity, DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
-from unruhlab.localops import (REVERSE, SUCCESS_FLOOR, WEAK, MeasurementStrengths, filter_levels,
-                               tied)
+from unruhlab.localops import REVERSE, SUCCESS_FLOOR, WEAK, check_strengths, filter_levels
 from unruhlab.measures import MEASURE_COLUMNS, check_ranges
-from unruhlab.pipeline import LADDER_FLOOR, chunk_points, point_inputs, propagate
-from unruhlab.states import XStateSpec, make_x_state
+from unruhlab.pipeline import LADDER_FLOOR, Propagated, chunk_points, filter_diagonal, propagate
+from unruhlab.states import QutritStateSpec, XStateSpec, make_x_state, x_coefficients, x_eigenvalues
 from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, STATE_EIGENVALUE_TOL, DensityMatrix,
                              hermitian_eigenvalues, hermitian_part)
 from unruhlab.validate import EQUIV_TOL, SPECTRUM_TOL, ZERO_ACCEL_TOL, CheckResult
@@ -43,10 +54,317 @@ ACCELERATED_PARTY = 0
 STANDARD = "standard"
 LITERAL = "literal"
 _NEG_CLAMP = 1e-12
+_KINDS = (WEAK, REVERSE)
 
 
 class InvalidSubsystem(UnruhLabError):
     """Subsystem index is out of range for the given dimension list."""
+
+
+@dataclass(frozen=True)
+class AccelerationSpec:
+    """Rindler angle r in [0, pi/4] plus the Unruh mode phase phi."""
+
+    r: float
+    phi: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", float(check_rindler(self.r, self.phi)))
+        object.__setattr__(self, "phi", float(self.phi))
+
+
+@dataclass(frozen=True)
+class ChannelKraus:
+    """Kraus decomposition of one party's acceleration channel."""
+
+    in_dim: int
+    out_dim: int
+    kraus: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus)
+        for k in ops:
+            if k.shape != (self.out_dim, self.in_dim):
+                raise DimMismatch(
+                    f"Kraus block {k.shape} vs ({self.out_dim}, {self.in_dim})"
+                )
+        object.__setattr__(self, "kraus", ops)
+        check_completeness(ops)
+
+    def completeness_defect(self) -> float:
+        return float(check_completeness(self.kraus))
+
+
+def qubit_channel(spec: AccelerationSpec) -> ChannelKraus:
+    """Two-outcome Kraus pair {diag(cos r, 1), sin r |1><0|}."""
+    return channel_for_dim(2, spec)
+
+
+def qutrit_channel(spec: AccelerationSpec) -> ChannelKraus:
+    """Four-outcome Kraus family of the accelerated qutrit (:func:`qutrit_kraus`)."""
+    return channel_for_dim(3, spec)
+
+
+def channel_for_dim(dim: int, spec: AccelerationSpec) -> ChannelKraus:
+    k = kraus_for_dim(dim, spec.r, spec.phi)
+    return ChannelKraus(dim, k.shape[-2], tuple(k))
+
+
+@dataclass(frozen=True)
+class MeasurementStrengths:
+    """Strength assignment for one measurement step, both parties.
+
+    ``kind`` is ``'weak'`` or ``'reverse'``; each party carries one strength
+    per excited level (one for a qubit, two for a qutrit).
+    """
+
+    kind: str
+    party_a_levels: tuple[float, ...]
+    party_b_levels: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        a = tuple(float(v) for v in self.party_a_levels)
+        b = tuple(float(v) for v in self.party_b_levels)
+        if len(a) != len(b):
+            raise BadArity(f"parties disagree on level count: {len(a)} vs {len(b)}")
+        if len(a) not in (1, 2):
+            raise BadArity(f"one (qubit) or two (qutrit) strengths per party, got {len(a)}")
+        check_strengths(a + b)
+        object.__setattr__(self, "party_a_levels", a)
+        object.__setattr__(self, "party_b_levels", b)
+
+    @property
+    def dim(self) -> int:
+        return len(self.party_a_levels) + 1
+
+
+def tied(kind: str, value: float, dim: int) -> MeasurementStrengths:
+    """All strengths of both parties (and both qutrit levels) equal."""
+    levels = (float(value),) * (dim - 1)
+    return MeasurementStrengths(kind, levels, levels)
+
+
+def point_inputs(weak: MeasurementStrengths, reverse: MeasurementStrengths,
+                 acc: AccelerationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kraus stack and both filter diagonals of one point, as :func:`propagate`
+    takes them without the leading point axis."""
+    chan = channel_for_dim(weak.dim, acc)
+    return (np.array(chan.kraus),
+            filter_diagonal(WEAK, (weak.party_a_levels, weak.party_b_levels), weak.dim),
+            filter_diagonal(REVERSE, (reverse.party_a_levels, reverse.party_b_levels),
+                            chan.out_dim))
+
+
+def propagate_point(rho0: DensityMatrix, weak: MeasurementStrengths,
+                    reverse: MeasurementStrengths, acc: AccelerationSpec) -> Propagated:
+    """:func:`propagate` of one point; raises :class:`DegenerateOutcome`
+    when a post-selection fails."""
+    kraus, w, v = point_inputs(weak, reverse, acc)
+    out = propagate(rho0.matrix, rho0.dims, kraus[None], w[None], v[None])
+    if not len(out.kept):
+        raise DegenerateOutcome(f"success probability below {SUCCESS_FLOOR}")
+    return out
+
+
+def point_strengths(config, value: float
+                    ) -> tuple[MeasurementStrengths, MeasurementStrengths]:
+    w, r = config.strength_table((value,))[0]
+    return MeasurementStrengths(WEAK, *w), MeasurementStrengths(REVERSE, *r)
+
+
+def _strength_pairs(weak: MeasurementStrengths, reverse: MeasurementStrengths,
+                    dim: int):
+    if weak.kind != WEAK or reverse.kind != REVERSE:
+        raise ValueError("strength kinds must be (weak, reverse)")
+    if weak.dim != dim or reverse.dim != dim:
+        raise DimMismatch(f"strengths are for dim {weak.dim}/{reverse.dim}, need {dim}")
+    return weak, reverse
+
+
+@dataclass(frozen=True)
+class QubitCoefficients:
+    """Decorated X-state coefficients of the final two-qubit state.
+
+    ``b1`` .. ``b8`` follow the published layout: b1/b3/b5/b7 are the
+    |00>/|01>/|10>/|11> populations, b2 = b8 couples |00><11| and
+    b4 = b6 couples |01><10|.  ``variant`` records whether b7 carries the
+    acceleration feed-through term (``corrected``) or not (``literal``).
+    """
+
+    b1: float
+    b2: float
+    b3: float
+    b4: float
+    b5: float
+    b6: float
+    b7: float
+    b8: float
+    variant: str
+
+    def __post_init__(self):
+        check_coefficients(self.table)
+
+    @property
+    def table(self) -> np.ndarray:
+        """b1 .. b8 as one row of a coefficient table."""
+        return np.array([getattr(self, f"b{i}") for i in range(1, 9)], dtype=np.float64)
+
+    @property
+    def normalization(self) -> float:
+        """Trace of the unnormalised state: b1 + b3 + b5 + b7."""
+        return float(_trace(self.table))
+
+    @property
+    def printed_normalization(self) -> float:
+        """Normalisation as printed, summing the off-diagonal b6 in place
+        of the fourth population b7."""
+        return float(_trace(self.table, 5))
+
+    def assemble(self, normalization: str = TRACE_NORM) -> DensityMatrix:
+        strict = self.variant == "corrected" and normalization == TRACE_NORM
+        flags = () if strict else ("literal",)
+        return DensityMatrix(assemble_qubit(self.table, normalization), (2, 2),
+                             strict=strict, flags=flags)
+
+
+def qubit_coefficients(spec: XStateSpec, weak: MeasurementStrengths,
+                       reverse: MeasurementStrengths, acc: AccelerationSpec,
+                       variant: str = "corrected") -> QubitCoefficients:
+    """:func:`qubit_table` of one two-qubit run, as checked coefficients."""
+    weak, reverse = _strength_pairs(weak, reverse, 2)
+    table = qubit_table((spec.c11, spec.c22, spec.c33), weak.party_a_levels + weak.party_b_levels,
+                        reverse.party_a_levels + reverse.party_b_levels, acc.r, variant)
+    return QubitCoefficients(*table, variant)
+
+
+def literal_final_qubit(spec: XStateSpec, weak: MeasurementStrengths,
+                        reverse: MeasurementStrengths, acc: AccelerationSpec,
+                        normalization: str = TRACE_NORM) -> DensityMatrix:
+    """Final two-qubit state assembled verbatim from the published table.
+
+    The printed normalisation constant sums an off-diagonal coefficient and
+    does not reproduce a unit-trace state even at r = 0, so the default here
+    divides by the actual trace; pass ``normalization='printed'`` for the
+    verbatim constant.  Output is flagged ``literal``.
+    """
+    coeffs = qubit_coefficients(spec, weak, reverse, acc, variant="literal")
+    return coeffs.assemble(normalization)
+
+
+def corrected_final_qubit(spec: XStateSpec, weak: MeasurementStrengths,
+                          reverse: MeasurementStrengths, acc: AccelerationSpec
+                          ) -> DensityMatrix:
+    """Repaired closed form; agrees with the pipeline to 1e-12."""
+    return qubit_coefficients(spec, weak, reverse, acc, "corrected").assemble()
+
+
+@dataclass(frozen=True)
+class QutritCoefficients:
+    """Published coefficient table of the final two-qutrit state.
+
+    ``d`` holds the eleven entry coefficients, ``a`` the nine filter
+    factors and ``r_weights`` the 3x3 table of reversing-filter weights
+    (accelerated party index first).  ``normalization`` is the sum of the
+    five printed diagonal coefficients, which here equals the trace by
+    construction.
+    """
+
+    d: tuple[float, ...]
+    a: tuple[float, ...]
+    r_weights: np.ndarray
+    normalization: float
+
+    def __post_init__(self):
+        if len(self.d) != 11 or len(self.a) != 9:
+            raise ValueError("need 11 entry and 9 filter coefficients")
+        for i in (1, 3, 5, 6, 9):
+            if self.d[i - 1] < -1e-14:
+                raise NotPositive(f"diagonal coefficient D{i}={self.d[i - 1]} negative")
+        if self.normalization <= 1e-14:
+            raise DegenerateOutcome(f"normalization {self.normalization} is zero")
+
+
+def qutrit_coefficients(spec: QutritStateSpec, weak: MeasurementStrengths,
+                        reverse: MeasurementStrengths, acc: AccelerationSpec
+                        ) -> QutritCoefficients:
+    """Evaluate the published two-qutrit coefficient table.
+
+    The published weak-measurement factors carry only two strengths, read
+    here as the two level strengths shared by both parties (party a's pair
+    is used); the reversing factors are resolved per party.  Odd cosine
+    powers are kept exactly as printed.
+    """
+    weak, reverse = _strength_pairs(weak, reverse, 3)
+    gamma = spec.gamma
+    big_n = 2.0 + gamma * gamma
+    aw1 = 1.0 - weak.party_a_levels[0]
+    aw2 = 1.0 - weak.party_a_levels[1]
+    c1, s1 = np.cos(acc.r), np.sin(acc.r)
+
+    def ladder(levels):
+        b1 = 1.0 - levels[0]
+        b2 = 1.0 - levels[1]
+        return np.array([np.sqrt(b1 * b2), np.sqrt(b1), np.sqrt(b2)])
+
+    ra = ladder(reverse.party_a_levels)
+    rb = ladder(reverse.party_b_levels)
+    rw = np.outer(ra, rb)
+
+    sq = np.sqrt(aw1) * np.sqrt(aw2)
+    a1 = 1.0 / big_n
+    a2 = sq / big_n
+    a3 = gamma * sq / big_n
+    a5 = aw1 * aw2 / big_n
+    a6 = gamma * aw1 * aw2 / big_n
+    a9 = gamma * gamma * aw1 * aw2 / big_n
+    a = (a1, a2, a3, a2, a5, a6, a3, a6, a9)
+
+    c2, c3 = c1 * c1, c1 * c1 * c1
+    d = (
+        c2 * rw[0, 0] ** 2 * a1,            # D1   |00><00|
+        c3 * rw[0, 0] * rw[1, 1] * a2,      # D2   |00><11|
+        c2 * s1 * s1 * rw[1, 0] ** 2 * a1,  # D3   |10><10|
+        c3 * rw[0, 0] * rw[1, 1] * a[3],    # D4   |11><00|
+        c3 * rw[1, 1] ** 2 * a5,            # D5   |11><11|
+        c2 * s1 * s1 * rw[2, 0] ** 2 * a1,  # D6   |20><20|
+        c3 * rw[2, 2] * rw[0, 0] * a[6],    # D7   |22><00|
+        c2 * rw[2, 2] * rw[1, 1] * a[7],    # D8   |22><11|
+        c2 * rw[2, 2] ** 2 * a9,            # D9   |22><22|
+        c3 * rw[0, 0] * rw[2, 2] * a3,      # D10  |00><22|
+        c2 * rw[1, 1] * rw[2, 2] * a6,      # D11  |11><22|
+    )
+    norm = d[0] + d[2] + d[4] + d[5] + d[8]
+    return QutritCoefficients(d, a, rw, norm)
+
+
+def literal_final_qutrit(spec: QutritStateSpec, weak: MeasurementStrengths,
+                         reverse: MeasurementStrengths, acc: AccelerationSpec
+                         ) -> DensityMatrix:
+    """Final two-qutrit state assembled verbatim from the published table.
+
+    Lives on the 3 x 3 ladder (the pair level reachable after acceleration
+    is absent from the published form).  Unit trace by construction, but
+    positivity is not guaranteed; flagged ``literal``.
+    """
+    c = qutrit_coefficients(spec, weak, reverse, acc)
+    d = c.d
+    m = np.zeros((9, 9), dtype=np.complex128)
+    # Basis index of |i j> is 3 i + j.
+    m[0, 0] = d[0]
+    m[0, 4] = d[1]
+    m[3, 3] = d[2]
+    m[4, 0] = d[3]
+    m[4, 4] = d[4]
+    m[6, 6] = d[5]
+    m[8, 0] = d[6]
+    m[8, 4] = d[7]
+    m[8, 8] = d[8]
+    m[0, 8] = d[9]
+    m[4, 8] = d[10]
+    return DensityMatrix(m / c.normalization, (3, 3), strict=False,
+                         flags=("literal",))
 
 
 def kron(*factors) -> np.ndarray:
@@ -443,7 +761,7 @@ def _random_x_spec(rng: np.random.Generator) -> XStateSpec:
     while True:
         c = rng.uniform(-1.0, 1.0, size=3)
         spec = XStateSpec(*c)
-        if min(spec.eigenvalues()) >= 1e-6:
+        if min(x_eigenvalues(*x_coefficients(c))) >= 1e-6:
             return spec
 
 
@@ -508,7 +826,7 @@ def _check_spectrum_formulas(rng: np.random.Generator,
                                        (rng.uniform(0, 0.9),))
         acc = AccelerationSpec(rng.uniform(0, np.pi / 4))
         coeffs = qubit_coefficients(spec, weak, reverse, acc)
-        mus = np.sort(np.array(x_state_spectrum(coeffs)))
+        mus = np.sort(np.array(x_state_spectrum(coeffs.table)))
         direct = np.sort(hermitian_eigenvalues(coeffs.assemble().matrix))
         worst = max(worst, float(np.max(np.abs(mus - direct))))
     return CheckResult("x_state_spectrum_vs_eigensolver", worst <= SPECTRUM_TOL,

@@ -40,17 +40,14 @@ import time
 import numpy as np
 import pytest
 
-from oracle import (_random_x_spec, accelerate, compute_report, negativity, restrict_to_ladder,
-                    run_protocol)
-from unruhlab.channel import (
-    AccelerationSpec,
-    R_MAX,
-    qubit_channel,
-    qutrit_channel,
-)
-from unruhlab.closedform import corrected_final_qubit, qubit_coefficients, x_state_spectrum
+from oracle import (AccelerationSpec, MeasurementStrengths, _random_x_spec, accelerate,
+                    compute_report, corrected_final_qubit, negativity, point_strengths,
+                    qubit_channel, qubit_coefficients, qutrit_channel, restrict_to_ladder,
+                    run_protocol, tied)
+from unruhlab.channel import R_MAX
+from unruhlab.closedform import x_state_spectrum
 from unruhlab.cli import main
-from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
+from unruhlab.localops import REVERSE, WEAK
 from unruhlab.states import (
     QutritStateSpec,
     XStateSpec,
@@ -140,7 +137,7 @@ def test_criterion_3_oracle_equivalence():
         worst_state = max(worst_state,
                           float(np.max(np.abs(closed.matrix - piped.matrix))))
         coeffs = qubit_coefficients(spec, weak, rev, acc)
-        mus = np.sort(np.asarray(x_state_spectrum(coeffs)))
+        mus = np.sort(np.asarray(x_state_spectrum(coeffs.table)))
         direct = np.sort(hermitian_eigenvalues(closed.matrix))
         worst_spec = max(worst_spec, float(np.max(np.abs(mus - direct))))
     ok = worst_state <= 1e-12 and worst_spec <= 1e-12
@@ -200,7 +197,7 @@ def test_criterion_6_filter_strength_trend():
     rho0 = singlet()
     weak_dev, e_dev, e_of_alpha = 0.0, 0.0, []
     for value in cfg.strength_grid:
-        weak, rev = cfg.point_strengths(value)
+        weak, rev = point_strengths(cfg, value)
         res = run_protocol(rho0, weak, rev, AccelerationSpec(r))
         weak_dev = max(weak_dev,
                        float(np.max(np.abs(res.after_weak.matrix - rho0.matrix))),
@@ -210,7 +207,7 @@ def test_criterion_6_filter_strength_trend():
         e_of_alpha.append(e_norm)
     largest_step = float(np.max(np.diff(e_of_alpha)))
 
-    res_high = run_protocol(rho0, *cfg.point_strengths(0.98),
+    res_high = run_protocol(rho0, *point_strengths(cfg, 0.98),
                             AccelerationSpec(r))
     e_high = negativity(res_high.final)[1]
 
@@ -227,7 +224,7 @@ def test_criterion_6_filter_strength_trend():
 
 def test_criterion_7_inertial_information_stability():
     cfg = figure_preset("fig4a")
-    weak, rev = cfg.point_strengths(0.5)
+    weak, rev = point_strengths(cfg, 0.5)
     i_b, i_a = [], []
     for r in cfg.r_grid:
         res = run_protocol(singlet(), weak, rev, AccelerationSpec(r))

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracle import AccelerationSpec, MeasurementStrengths, point_inputs, tied
 from unruhlab import pipeline, sweep, tensor
-from unruhlab.channel import R_MAX, AccelerationSpec, kraus_for_dim
-from unruhlab.localops import REVERSE, WEAK, MeasurementStrengths, tied
+from unruhlab.channel import R_MAX, kraus_for_dim
+from unruhlab.localops import REVERSE, WEAK
 from unruhlab.measures import MEASURE_COLUMNS, measure_columns
 from unruhlab.states import (QutritStateSpec, XStateSpec, make_qutrit_state, make_x_state,
                              parse_state_preset, x_coefficients, x_eigenvalues)
@@ -112,7 +113,7 @@ def points(draw):
     acc = AccelerationSpec(draw(st.sampled_from([0.0, R_MAX]) | st.floats(0.0, R_MAX)),
                            draw(st.floats(-2 * np.pi, 2 * np.pi)))
     project = dim == 3 and draw(st.booleans())
-    return rho0, pipeline.point_inputs(weak, reverse, acc), project
+    return rho0, point_inputs(weak, reverse, acc), project
 
 
 @settings(max_examples=100, deadline=None)
@@ -165,8 +166,8 @@ def test_pattern_is_the_same_with_and_without_r_zero(monkeypatch, label, project
 
 def test_an_entry_off_the_pattern_joins_its_block(monkeypatch):
     rho0 = parse_state_preset("qutrit:1")
-    kraus, w, v = pipeline.point_inputs(tied(WEAK, 0.3, 3), tied(REVERSE, 0.4, 3),
-                                        AccelerationSpec(0.6))
+    kraus, w, v = point_inputs(tied(WEAK, 0.3, 3), tied(REVERSE, 0.4, 3),
+                               AccelerationSpec(0.6))
     grid = pipeline.prepare(rho0.matrix, rho0.dims, kraus[None], w[None], v[None])
     one = np.arange(1)
     out = pipeline.propagate_points(grid, one, one)
@@ -217,8 +218,8 @@ def test_a_chunk_of_only_degenerate_points_is_an_empty_stack(system, label, sect
     assert np.isnan(run_sweep(config)).all()
     rho0 = parse_state_preset(label)
     dim = rho0.dims[0]
-    kraus, w, v = pipeline.point_inputs(tied(WEAK, 1.0, dim), tied(REVERSE, 1.0, dim),
-                                        AccelerationSpec(0.3))
+    kraus, w, v = point_inputs(tied(WEAK, 1.0, dim), tied(REVERSE, 1.0, dim),
+                               AccelerationSpec(0.3))
     n = 3
     out = pipeline.propagate(rho0.matrix, rho0.dims, np.stack([kraus] * n),
                              np.stack([w] * n), np.stack([v] * n), sector == PROJECTED_SECTOR)

@@ -11,16 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import accelerate
-from unruhlab.channel import (
+from oracle import (
     AccelerationSpec,
     ChannelKraus,
-    R_MAX,
+    accelerate,
     channel_for_dim,
     qubit_channel,
     qutrit_channel,
-    r_from_acceleration,
 )
+from unruhlab.channel import R_MAX, r_from_acceleration
 from unruhlab.errors import BadPhysicalParam, DimMismatch
 from unruhlab.states import make_qutrit_state, QutritStateSpec, singlet
 from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues

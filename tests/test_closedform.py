@@ -10,30 +10,41 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import restrict_to_ladder, run_protocol
-from unruhlab.channel import R_MAX, AccelerationSpec
-from unruhlab.closedform import (
-    PRINTED_NORM,
+from oracle import (
+    AccelerationSpec,
+    MeasurementStrengths,
     QubitCoefficients,
-    TRACE_NORM,
-    assemble_qubit,
     corrected_final_qubit,
-    discrepancy_report,
     literal_final_qubit,
     literal_final_qutrit,
     qubit_coefficients,
-    qubit_table,
     qutrit_coefficients,
+    restrict_to_ladder,
+    run_protocol,
+    tied,
+)
+from unruhlab.channel import R_MAX
+from unruhlab.closedform import (
+    PRINTED_NORM,
+    TRACE_NORM,
+    assemble_qubit,
+    assemble_qutrit,
+    discrepancy_report,
+    qubit_table,
+    qutrit_table,
     x_state_spectrum,
 )
 from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive
-from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
+from unruhlab.localops import REVERSE, WEAK
 from unruhlab.states import (
     QutritStateSpec,
     XStateSpec,
     make_qutrit_state,
     make_x_state,
+    x_coefficients,
+    x_eigenvalues,
 )
+from unruhlab.tensor import hermitian_part
 
 # Frozen by-hand values at spec c = (0.3, -0.5, 0.1), alpha = (0.2, 0.4),
 # beta = (0.1, 0.3), r = 0.5: B = (0.275, 0.2, 0.225, -0.05),
@@ -103,7 +114,7 @@ def test_corrected_matches_pipeline_random_tuples():
         while True:
             c = rng.uniform(-1.0, 1.0, size=3)
             spec = XStateSpec(*c)
-            if min(spec.eigenvalues()) >= 1e-6:
+            if min(x_eigenvalues(*x_coefficients(c))) >= 1e-6:
                 break
         weak = MeasurementStrengths(WEAK, (rng.uniform(0, 0.95),),
                                     (rng.uniform(0, 0.95),))
@@ -278,4 +289,44 @@ def test_array_form_equals_one_point_calls(points):
                      else literal_final_qubit)(*args)
             assert np.max(np.abs(table[i] - coeffs.table)) <= 1e-15
             assert np.max(np.abs(states[i] - state.matrix)) <= 1e-15
-            assert np.max(np.abs(spectra[i] - x_state_spectrum(coeffs))) <= 1e-15
+            assert np.max(np.abs(spectra[i] - x_state_spectrum(coeffs.table))) <= 1e-15
+
+
+def _qutrit_arrays(weak, reverse):
+    """Strength arrays ``(2, 2)`` (party, level) of two strength objects."""
+    return ([weak.party_a_levels, weak.party_b_levels],
+            [reverse.party_a_levels, reverse.party_b_levels])
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                 st.lists(_STRENGTH, min_size=6, max_size=6),
+                                 st.one_of(st.just(0.0), st.just(R_MAX), st.floats(0.0, R_MAX))),
+                       min_size=1, max_size=6))
+def test_qutrit_array_form_equals_the_object_form_exactly(points):
+    # validate's report.csv prints the literal qutrit state to 17 digits, so
+    # the array form must give the object form's bits, not just its values
+    objects = [(QutritStateSpec(g), MeasurementStrengths(WEAK, s[:2], s[:2]),
+                MeasurementStrengths(REVERSE, s[2:4], s[4:]), AccelerationSpec(r))
+               for g, s, r in points]
+    weak, reverse = (np.array(a) for a in zip(*(_qutrit_arrays(w, v) for _, w, v, _ in objects)))
+    gamma, r = (np.array([p[i] for p in points]) for i in (0, 2))
+    table = qutrit_table(gamma, weak, reverse, r)
+    states = assemble_qutrit(table)
+    for i, args in enumerate(objects):
+        one = qutrit_table(args[0].gamma, *_qutrit_arrays(*args[1:3]), args[3].r)
+        assert np.array_equal(one, qutrit_coefficients(*args).d)
+        assert np.array_equal(table[i], one)
+        # the object form's state is the Hermitian part, as validate takes it
+        assert np.array_equal(hermitian_part(assemble_qutrit(one)),
+                              literal_final_qutrit(*args).matrix)
+        assert np.array_equal(states[i], assemble_qutrit(one))
+
+
+def test_qutrit_table_checks_its_diagonal_and_trace():
+    weak, reverse = _qutrit_arrays(QT_WEAK, QT_REVERSE)
+    assert np.array_equal(qutrit_table(1.0, weak, reverse, 0.4), FROZEN_QUTRIT_D)
+    with np.errstate(invalid="ignore"), pytest.raises(NotPositive):
+        qutrit_table(1.0, [[1.5, 0.2], [1.5, 0.2]], reverse, 0.4)   # D5, D9 < 0
+    with pytest.raises(DegenerateOutcome):
+        qutrit_table(1.0, weak, [[1.0, 1.0], [1.0, 1.0]], 0.4)      # every rw = 0

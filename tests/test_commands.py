@@ -1,35 +1,43 @@
 """The `state` and `validate` commands on the batched pipeline, against the
-scalar Kraus pipeline in ``tests/oracle.py``, and the package's exports."""
+scalar Kraus pipeline in ``tests/oracle.py`` and against a one-point sweep,
+and the package's exports."""
 
 import numpy as np
 import pytest
 
 import unruhlab
-from oracle import _random_x_spec, run_protocol
-from unruhlab import cli, pipeline, validate
-from unruhlab.channel import AccelerationSpec, r_from_acceleration
+from oracle import (AccelerationSpec, MeasurementStrengths, _random_x_spec,
+                    corrected_final_qubit, run_protocol, tied)
+from unruhlab import cli, pipeline, sweep, validate
+from unruhlab.channel import r_from_acceleration
 from unruhlab.cli import main
-from unruhlab.closedform import corrected_final_qubit
-from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
+from unruhlab.localops import REVERSE, WEAK
+from unruhlab.measures import MEASURE_COLUMNS
 from unruhlab.states import make_x_state, parse_state_preset
+from unruhlab.sweep import TWO_QUBIT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, run_sweep
 from unruhlab.validate import run_validation
 
 TOL = 1e-12
 
-
-@pytest.mark.parametrize("preset, accel, r, alpha, beta, phi", [
+STATE_CASES = [     # preset, (acceleration, omega) or None, r, alpha, beta, phi
     ("x:-0.5,-0.2,0.3", None, 0.2, 0.3, 0.6, 0.0),
     ("qutrit:1", None, 0.7, 0.8, 0.3, 0.0),
     ("qutrit:1", (3.0, 1.0), None, 0.5, 0.5, 0.4),
     ("werner:0.9", (8.0, 0.5), None, 0.1, 0.9, 1.2),
-])
-def test_state_matches_oracle(tmp_path, capsys, preset, accel, r, alpha, beta, phi):
-    out = tmp_path / "state.csv"
+]
+
+
+def _state_argv(out, preset, accel, r, alpha, beta, phi) -> list[str]:
     where = (["--r", repr(r)] if accel is None
              else ["--accel", repr(accel[0]), "--omega", repr(accel[1])])
-    argv = ["state", "--preset", preset, *where, "--alpha", repr(alpha),
+    return ["state", "--preset", preset, *where, "--alpha", repr(alpha),
             "--beta", repr(beta), "--phi", repr(phi), "--out", str(out)]
-    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("preset, accel, r, alpha, beta, phi", STATE_CASES)
+def test_state_matches_oracle(tmp_path, capsys, preset, accel, r, alpha, beta, phi):
+    out = tmp_path / "state.csv"
+    assert main(_state_argv(out, preset, accel, r, alpha, beta, phi)) == 0
     lines = capsys.readouterr().out.splitlines()
 
     rho0 = parse_state_preset(preset)
@@ -53,6 +61,42 @@ def test_state_matches_oracle(tmp_path, capsys, preset, accel, r, alpha, beta, p
         assert (int(i), int(j)) == divmod(k, n)
         v = want.final.matrix[int(i), int(j)]
         assert abs(float(re) - v.real) <= TOL and abs(float(im) - v.imag) <= TOL
+
+
+@pytest.mark.parametrize("preset, accel, r, alpha, beta, phi", STATE_CASES)
+def test_state_is_exactly_a_one_point_sweep(tmp_path, capsys, monkeypatch, preset, accel, r,
+                                            alpha, beta, phi):
+    # `state` and a sweep of the one point share the engine and its inputs,
+    # so they give the same bits: %.17g round-trips a float exactly.
+    out = tmp_path / "state.csv"
+    assert main(_state_argv(out, preset, accel, r, alpha, beta, phi)) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    if accel is not None:
+        r = r_from_acceleration(*accel)
+    system = TWO_QUTRIT if preset.startswith("qutrit") else TWO_QUBIT
+    config = SweepConfig(system, (preset,), (r,), (alpha,), tie_policy=WEAK_REVERSE_SPLIT,
+                         beta=beta, phi=phi)
+    propagated, propagate_points = [], sweep.propagate_points
+
+    def recording(grid, i_channel, i_filter):
+        propagated.append(propagate_points(grid, i_channel, i_filter))
+        return propagated[-1]
+
+    monkeypatch.setattr(sweep, "propagate_points", recording)
+    measures = run_sweep(config)
+    (swept,) = propagated
+    assert list(swept.kept) == [0]
+    p_success = float(lines[1].removeprefix("p_success = "))
+    assert p_success == measures[0, MEASURE_COLUMNS.index("p_success")] == swept.p_success[0]
+
+    final = swept.states[0]
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == final.size
+    for k, row in enumerate(rows):
+        i, j, re, im = row.split(",")
+        assert (int(i), int(j)) == divmod(k, len(final))
+        assert (float(re), float(im)) == (final[int(i), int(j)].real, final[int(i), int(j)].imag)
 
 
 def test_state_degenerate_point_exits_1(tmp_path, capsys):
@@ -173,7 +217,7 @@ def test_unwritable_output_exits_2_before_the_work(tmp_path, capsys, monkeypatch
     def no_work(*args, **kwargs):
         raise AssertionError("the work ran before the output was checked")
 
-    for name in ("run_sweep", "run_validation", "propagate_point"):
+    for name in ("run_sweep", "run_validation", "propagate"):
         monkeypatch.setattr(cli, name, no_work)
     (tmp_path / "sweep.ini").write_text(
         "[sweep]\nsystem = two_qubit\ninitial_state = singlet\nr_grid = 0:0.5:3\n"

@@ -18,11 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracle import compute_report, restrict_to_ladder, run_protocol
+from oracle import (AccelerationSpec, MeasurementStrengths, compute_report, point_inputs,
+                    point_strengths, restrict_to_ladder, run_protocol, tied)
 from unruhlab import measures, pipeline, sweep, tensor
-from unruhlab.channel import R_MAX, AccelerationSpec
+from unruhlab.channel import R_MAX
 from unruhlab.errors import DegenerateOutcome, NonHermitian, NotPositive
-from unruhlab.localops import REVERSE, WEAK, MeasurementStrengths, tied
+from unruhlab.localops import REVERSE, WEAK
 from unruhlab.measures import MEASURE_COLUMNS, measure_columns
 from unruhlab.states import parse_state_preset, x_coefficients, x_eigenvalues
 from unruhlab.sweep import (FIGURE_PRESETS, FULL_SECTOR, INDEPENDENT, PROJECTED_SECTOR,
@@ -36,7 +37,7 @@ SAMPLE_ROWS = 40
 
 def oracle(config: SweepConfig, label: str, r: float, value: float):
     """Scalar report of one grid point, or None where it is degenerate."""
-    weak, reverse = config.point_strengths(value)
+    weak, reverse = point_strengths(config, value)
     try:
         result = run_protocol(parse_state_preset(label), weak, reverse,
                               AccelerationSpec(r, config.phi))
@@ -76,7 +77,7 @@ def assert_row_matches(config: SweepConfig, result: Sweep, index: int):
     i_state, rest = divmod(index, n_r * n_s)
     i_r, i_s = divmod(rest, n_s)
     label, r, value = config.initial_state[i_state], config.r_grid[i_r], config.strength_grid[i_s]
-    weak, reverse = config.point_strengths(value)
+    weak, reverse = point_strengths(config, value)
     strengths = (weak.party_a_levels + weak.party_b_levels
                  + reverse.party_a_levels + reverse.party_b_levels)
     head = ",".join([csv_cell(label), str(i_r), str(i_s)]
@@ -273,7 +274,7 @@ def filtered_channels(draw):
     reverse = MeasurementStrengths(REVERSE, draw(levels), draw(levels))
     acc = AccelerationSpec(draw(st.sampled_from([0.0, R_MAX]) | st.floats(0.0, R_MAX)),
                            draw(st.floats(-2 * np.pi, 2 * np.pi)))
-    return dim, pipeline.point_inputs(weak, reverse, acc)
+    return dim, point_inputs(weak, reverse, acc)
 
 
 @settings(max_examples=100, deadline=None)
@@ -303,8 +304,8 @@ def test_propagate_rejects_a_non_positive_input_the_weak_filter_would_hide():
     # Unit trace and Hermitian, but negative on |01> and |10>: a strength-1
     # weak filter keeps only |00>, so no state after it is negative.
     rho0 = np.diag([1.2, -0.1, -0.1, 0.0]).astype(complex)
-    kraus, w, v = pipeline.point_inputs(tied(WEAK, 1.0, 2), tied(REVERSE, 0.0, 2),
-                                        AccelerationSpec(0.3))
+    kraus, w, v = point_inputs(tied(WEAK, 1.0, 2), tied(REVERSE, 0.0, 2),
+                               AccelerationSpec(0.3))
     with pytest.raises(NotPositive):
         pipeline.propagate(rho0, (2, 2), kraus[None], w[None], v[None])
 
@@ -329,14 +330,15 @@ def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
     # Counted in blocks passed to the per-block solver; a 1 x 1 block of a
     # stack's support is its diagonal entry and each larger block one
     # matrix.  The singlet's support is the block {|01>, |10>} and two zero
-    # diagonal entries: one matrix where it is parsed and one where it
-    # enters.  The filters are diagonal and the channel on party 0 moves
-    # population between |0> and |1> without making coherence, so each
-    # final state's support is the diagonal and |01><10|, blocks [2, 1, 1],
-    # and its partial transpose's the diagonal and |00><11|, again
-    # [2, 1, 1]: one matrix each.  Party b's marginal is diagonal: none.
+    # diagonal entries: one matrix where it enters (the config parsed and
+    # checked it when it was built, before the count).  The filters are
+    # diagonal and the channel on party 0 moves population between |0> and
+    # |1> without making coherence, so each final state's support is the
+    # diagonal and |01><10|, blocks [2, 1, 1], and its partial transpose's
+    # the diagonal and |00><11|, again [2, 1, 1]: one matrix each.  Party
+    # b's marginal is diagonal: none.
     # Every block is 2 x 2 or smaller, so none reaches eigvalsh.
-    assert sum(matrices) == n_states * (1 + 1) + (1 + 1 + 0) * n_states * per_state
+    assert sum(matrices) == n_states * 1 + (1 + 1 + 0) * n_states * per_state
     assert solved == []
     assert krons == []
 
@@ -345,8 +347,9 @@ def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
                                                   (100 * 8 * 4 * 4, 3)])
 def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, chunk_bytes, chunks):
     # Every check symmetrises through hermitian_part, so counting it counts
-    # the checks: one where each state is parsed, one where it enters
-    # prepare, and one exit check per chunk; none between the steps.  The
+    # the checks: one where each state enters prepare and one exit check
+    # per chunk; none between the steps, and no second parse (the config
+    # parsed and checked each state when it was built).  The
     # name is patched in every module that could bind it, so a pass
     # imported into another module is counted too.  The singlet's stacks
     # are real: 8 B an entry.
@@ -364,7 +367,7 @@ def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, chunk_
     run_sweep(config)
     per_state = len(config.r_grid) * len(config.strength_grid)
     assert -(-per_state // chunk_points(4, 8)) == chunks
-    assert len(calls) == len(config.initial_state) * (1 + 1 + chunks)
+    assert len(calls) == len(config.initial_state) * (1 + chunks)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -419,7 +422,7 @@ def test_batched_measures_do_not_depend_on_phi(point):
     rho0 = parse_state_preset(label)
     runs = []
     for phi in phis:
-        kraus, w, v = pipeline.point_inputs(weak, reverse, AccelerationSpec(r, phi))
+        kraus, w, v = point_inputs(weak, reverse, AccelerationSpec(r, phi))
         out = pipeline.propagate(rho0.matrix, rho0.dims, kraus[None], w[None], v[None],
                                  project)
         runs.append((out.kept, measure_columns(out)))

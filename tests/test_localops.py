@@ -11,19 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import apply_local_pair, build_operator, embed_diagonal
+from oracle import MeasurementStrengths, apply_local_pair, build_operator, embed_diagonal, tied
 from unruhlab.errors import (
     BadArity,
     BadStrength,
     DegenerateOutcome,
     DimMismatch,
 )
-from unruhlab.localops import (
-    MeasurementStrengths,
-    REVERSE,
-    WEAK,
-    tied,
-)
+from unruhlab.localops import REVERSE, WEAK
 from unruhlab.states import make_qutrit_state, QutritStateSpec, singlet, werner
 from unruhlab.tensor import DensityMatrix
 

@@ -10,20 +10,24 @@ import pytest
 from oracle import (
     LITERAL,
     STANDARD,
+    AccelerationSpec,
+    MeasurementStrengths,
     MeasuresReport,
+    QubitCoefficients,
     coherent_information,
     compute_report,
     kron,
     local_information,
     negativity,
+    propagate_point,
+    qubit_coefficients,
     run_protocol,
+    tied,
 )
-from unruhlab.channel import AccelerationSpec
-from unruhlab.closedform import QubitCoefficients, qubit_coefficients, x_state_spectrum
+from unruhlab.closedform import x_state_spectrum
 from unruhlab.errors import NegativeDiscriminant
-from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
+from unruhlab.localops import REVERSE, WEAK
 from unruhlab.measures import measure_columns
-from unruhlab.pipeline import propagate_point
 from unruhlab.states import (
     QutritStateSpec,
     XStateSpec,
@@ -110,7 +114,7 @@ def test_x_state_spectrum_matches_eigensolver():
     weak = MeasurementStrengths(WEAK, (0.2,), (0.4,))
     rev = MeasurementStrengths(REVERSE, (0.1,), (0.3,))
     coeffs = qubit_coefficients(spec, weak, rev, AccelerationSpec(0.5))
-    mus = np.sort(x_state_spectrum(coeffs))
+    mus = np.sort(x_state_spectrum(coeffs.table))
     direct = np.sort(hermitian_eigenvalues(coeffs.assemble().matrix))
     assert np.allclose(mus, direct, atol=1e-14)
     assert np.sum(mus) == pytest.approx(1.0, abs=1e-14)
@@ -120,7 +124,7 @@ def test_x_state_spectrum_negative_discriminant():
     bad = QubitCoefficients(0.25, 0.5, 0.25, 0.0, 0.25, 0.0, 0.25, -0.5,
                             "corrected")
     with pytest.raises(NegativeDiscriminant):
-        x_state_spectrum(bad)
+        x_state_spectrum(bad.table)
 
 
 def test_measures_report_validation():

@@ -5,10 +5,11 @@ restriction."""
 import numpy as np
 import pytest
 
-from oracle import apply_local_pair, kron, partial_trace, restrict_to_ladder, run_protocol
-from unruhlab.channel import AccelerationSpec, R_MAX
+from oracle import (AccelerationSpec, MeasurementStrengths, apply_local_pair, kron, partial_trace,
+                    qubit_channel, restrict_to_ladder, run_protocol, tied)
+from unruhlab.channel import R_MAX
 from unruhlab.errors import DegenerateOutcome, DimMismatch
-from unruhlab.localops import MeasurementStrengths, REVERSE, WEAK, tied
+from unruhlab.localops import REVERSE, WEAK
 from unruhlab.states import make_qutrit_state, QutritStateSpec, singlet, werner
 from unruhlab.tensor import DensityMatrix
 
@@ -57,7 +58,6 @@ def test_weak_stage_precedes_channel():
     rev = tied(REVERSE, beta, 2)
     res = run_protocol(werner(0.7), weak, rev, AccelerationSpec(r))
 
-    from unruhlab.channel import qubit_channel
     from oracle import build_operator
 
     w = build_operator(WEAK, 2, (alpha,))

@@ -13,6 +13,8 @@ from unruhlab.states import (
     parse_state_preset,
     singlet,
     werner,
+    x_coefficients,
+    x_eigenvalues,
 )
 from unruhlab.tensor import hermitian_eigenvalues
 
@@ -41,7 +43,7 @@ def test_werner_interpolates_to_maximally_mixed():
 
 def test_x_spec_coefficient_mapping():
     spec = XStateSpec(0.3, -0.5, 0.1)
-    b1, b2, b3, b4 = spec.coefficients()
+    b1, b2, b3, b4 = x_coefficients((spec.c11, spec.c22, spec.c33))
     assert b1 == pytest.approx(0.275)
     assert b2 == pytest.approx(0.2)    # (c11 - c22)/4 couples |00><11|
     assert b3 == pytest.approx(0.225)
@@ -57,7 +59,8 @@ def test_x_spec_coefficient_mapping():
 def test_x_state_eigenvalues_match_formula():
     spec = XStateSpec(0.4, 0.2, -0.3)
     direct = np.sort(hermitian_eigenvalues(make_x_state(spec).matrix))
-    assert np.allclose(direct, np.sort(spec.eigenvalues()), atol=1e-14)
+    want = x_eigenvalues(*x_coefficients((spec.c11, spec.c22, spec.c33)))
+    assert np.allclose(direct, np.sort(want), atol=1e-14)
 
 
 def test_x_state_all_plus_one_is_unphysical():

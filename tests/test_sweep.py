@@ -7,6 +7,7 @@ import io
 import numpy as np
 import pytest
 
+from oracle import point_strengths
 from unruhlab.cli import main
 from unruhlab.errors import ConfigError, UnknownPreset
 from unruhlab.sweep import (
@@ -80,6 +81,8 @@ def test_config_validation_errors():
         small_config(measures=("E_norm", "fidelity"))
     with pytest.raises(ConfigError):
         small_config(measures=())
+    with pytest.raises(ConfigError, match="field 'measures'"):
+        small_config(measures=("E_norm", "I_a", "E_norm"))
     with pytest.raises(ConfigError):
         small_config(qutrit_compare_sector="ladder")
     with pytest.raises(ConfigError):
@@ -112,17 +115,17 @@ def test_config_error_carries_field():
 
 def test_tie_policies_resolve_strengths():
     cfg = small_config(tie_policy=ALL_EQUAL)
-    w, r = cfg.point_strengths(0.3)
+    w, r = point_strengths(cfg, 0.3)
     assert w.party_a_levels == (0.3,) and r.party_b_levels == (0.3,)
 
     cfg = small_config(tie_policy=WEAK_REVERSE_SPLIT, beta=0.6)
-    w, r = cfg.point_strengths(0.3)
+    w, r = point_strengths(cfg, 0.3)
     assert w.party_a_levels == (0.3,) and w.party_b_levels == (0.3,)
     assert r.party_a_levels == (0.6,) and r.party_b_levels == (0.6,)
 
     cfg = small_config(tie_policy=INDEPENDENT, alpha_b=0.1, beta_a=0.2,
                        beta_b=0.4)
-    w, r = cfg.point_strengths(0.3)
+    w, r = point_strengths(cfg, 0.3)
     assert w.party_a_levels == (0.3,) and w.party_b_levels == (0.1,)
     assert r.party_a_levels == (0.2,) and r.party_b_levels == (0.4,)
 
@@ -131,7 +134,7 @@ def test_qutrit_config_levels():
     cfg = SweepConfig(system="two_qutrit", initial_state=("qutrit:1",),
                       r_grid=(0.2,), strength_grid=(0.5,))
     assert cfg.levels == 2
-    w, r = cfg.point_strengths(0.5)
+    w, r = point_strengths(cfg, 0.5)
     assert w.party_a_levels == (0.5, 0.5)
     assert len(cfg.strength_columns()) == 8
 

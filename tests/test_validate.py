@@ -11,7 +11,7 @@ from unruhlab.channel import check_completeness, check_rindler, qubit_kraus
 from unruhlab.closedform import assemble_qubit, check_coefficients, qubit_table, x_state_spectrum
 from unruhlab.errors import (BadPhysicalParam, BadStrength, DegenerateOutcome, DimMismatch,
                              NegativeDiscriminant, NotPositive)
-from unruhlab.states import XStateSpec
+from unruhlab.states import x_coefficients, x_eigenvalues
 from unruhlab.tensor import check_states
 from unruhlab.validate import run_validation
 
@@ -126,7 +126,7 @@ def test_block_draws_equal_per_call_draws():
                 while True:
                     triple = ref.uniform(-1.0, 1.0, size=3)
                     used += 3
-                    if min(XStateSpec(*triple).eigenvalues()) >= 1e-6:
+                    if min(x_eigenvalues(*x_coefficients(triple))) >= 1e-6:
                         break
                 want_c.append(triple)
                 want_u.append([ref.uniform(lo, hi) for lo, hi in ranges])
