@@ -25,6 +25,7 @@ from .pipeline import propagate
 from .states import parse_state_preset
 from .sweep import (
     FIGURE_PRESETS,
+    GRID_POINT_BUDGET,
     TWO_QUBIT,
     TWO_QUTRIT,
     WEAK_REVERSE_SPLIT,
@@ -153,6 +154,8 @@ def _cmd_figure(args) -> int:
 def _cmd_validate(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be positive, got {args.samples}")
+    if args.samples > GRID_POINT_BUDGET:
+        raise ConfigError(f"--samples must be at most {GRID_POINT_BUDGET}, got {args.samples}")
     if args.seed < 0:
         raise ConfigError(f"--seed must not be negative, got {args.seed}")
     out_dir = None if args.out_dir is None else _output(args.out_dir, directory=True)

@@ -219,7 +219,7 @@ def discrepancy_report(closed_form: DensityMatrix, pipeline: DensityMatrix,
 
     Callers comparing the accelerated qutrit output must first restrict or
     project it onto the 3 x 3 ladder sector (see
-    :func:`unruhlab.pipeline.ladder_block`); mismatched dimensions
+    :func:`unruhlab.tensor.ladder_block`); mismatched dimensions
     raise :class:`DimMismatch`.
     """
     if closed_form.matrix.shape != pipeline.matrix.shape:

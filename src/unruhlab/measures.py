@@ -14,7 +14,7 @@ S(rho_ab) and in the published sign convention sum_i mu_i log2 mu_i =
 
 import numpy as np
 
-from .tensor import block_eigenvalues, shannon_entropy
+from .tensor import held_eigenvalues, partial_transpose, party_b_marginal, shannon_entropy
 
 # Tolerances on the probability sum: spectra, then populations.
 _SPECTRUM_SUM_TOL = 1e-6
@@ -45,31 +45,29 @@ def measure_columns(out) -> np.ndarray:
 
     ``out`` holds checked, exactly Hermitian states as
     :func:`~unruhlab.pipeline.propagate` returns them, so their partial
-    transposes and marginals (entries permuted, or summed in one order) are
-    exactly Hermitian too; both are eigensolved block by block
-    (:func:`~unruhlab.tensor.block_eigenvalues`).  The columns are
+    transposes and marginals (entries relabelled, or summed in one order)
+    are exactly Hermitian too; both are eigensolved block by block
+    (:func:`~unruhlab.tensor.held_eigenvalues`).  The columns are
     ``MEASURE_COLUMNS``, in order; party 0 is the accelerated party, and the
     partial transpose is taken on it.  Raises ``ValueError``
     through :func:`check_ranges` if any E_norm or p_success is out of range.
     """
     d0, db = out.dims
-    dim = d0 * db
-    t = out.states.reshape(-1, d0, db, d0, db)
-    lam = block_eigenvalues(t.transpose(0, 3, 2, 1, 4).reshape(-1, dim, dim))
+    lam = held_eigenvalues(partial_transpose(out.held, out.dims))
     neg_raw = -np.where(lam < 0.0, lam, 0.0).sum(axis=-1)
     e_norm = 2.0 * neg_raw / (min(d0, db) - 1)
     check_ranges(e_norm, out.p_success)
     s_ab = shannon_entropy(out.spectra, _SPECTRUM_SUM_TOL)
     # Party a's populations need only the diagonal; party b's marginal is
     # eigensolved whole.
-    pop_a = np.diagonal(out.states, axis1=1, axis2=2).real.reshape(-1, d0, db).sum(axis=-1)
-    marg_b = np.trace(t, axis1=1, axis2=3)
-    s_b = shannon_entropy(block_eigenvalues(marg_b), _SPECTRUM_SUM_TOL)
+    pop_a = out.held.diagonal().real.reshape(-1, d0, db).sum(axis=-1)
+    marg_b = party_b_marginal(out.held, out.dims)
+    s_b = shannon_entropy(held_eigenvalues(marg_b), _SPECTRUM_SUM_TOL)
     return np.column_stack((
         neg_raw,
         e_norm,
         shannon_entropy(pop_a, _POPULATION_SUM_TOL),
-        shannon_entropy(np.diagonal(marg_b, axis1=1, axis2=2).real, _POPULATION_SUM_TOL),
+        shannon_entropy(marg_b.diagonal().real, _POPULATION_SUM_TOL),
         s_b - s_ab,
         -s_ab,
         out.p_success,

@@ -2,16 +2,23 @@
 
 Every command runs the protocol on stacks of points: :func:`prepare` takes
 a grid's tables once and :func:`propagate_points` runs chunks of its
-points (:func:`propagate` does both for points that bring their own rows):
+points (:func:`propagate` does both for points that bring their own rows).
+States are held as the entries of their support
+(:class:`~unruhlab.tensor.Held`), which :func:`prepare` derives from its
+own tables:
 
-* the weak step, a broadcast scaling by the filter's diagonal, runs once
-  per filter row (a sweep's strength value), in :func:`prepare`;
+* the weak step, a scaling by the filter's diagonal, runs once per filter
+  row (a sweep's strength value), in :func:`prepare`; the weakened states
+  are held by the entries nonzero in some row;
 * the channel on party 0 is one Liouville superoperator per Rindler angle,
-  applied as one batched ``matmul``;
-* states are checked by :func:`~unruhlab.tensor.check_states` where they
+  gathered into a map from the weakened entries to every entry they reach
+  through a nonzero superoperator entry
+  (:func:`~unruhlab.tensor.party_a_maps`), and applied as one
+  ``(k_out, k_in)`` map per point;
+* states are checked by :func:`~unruhlab.tensor.check_held` where they
   enter and where they leave, and nowhere in between.  Their spectra are
-  solved block by block along each stack's own support
-  (:func:`~unruhlab.tensor.block_eigenvalues`), which leaves out no entry;
+  solved block by block along each chunk's nonzero held entries
+  (:func:`~unruhlab.tensor.held_eigenvalues`), which leaves out no entry;
 * a point whose post-selection probability falls below ``SUCCESS_FLOOR``
   is degenerate; later steps skip it;
 * when the entering states and the channel are exactly real (every real
@@ -33,21 +40,19 @@ import numpy as np
 
 from .channel import superoperator
 from .localops import SUCCESS_FLOOR, filter_levels
-from .tensor import check_states
+from .tensor import Held, check_held, hold, ladder_block, nonzero_support, party_a_maps
 
 LADDER_FLOOR = 1e-14
 
-# Bytes of one stacked state array; this bounds the working set on large
-# grids.  Measured on a 2-core host with complex128 stacks, two 15 s
-# perfbench runs each: fig2a's calibrated wall time is 0.21 s at 128 KiB,
-# 0.18 s at 256 KiB and 0.18 s at 512 KiB; a `figure fig6b` process (243
-# points) peaks at 38.2, 38.7 and 40.2 MB resident, and mixed_cli takes
-# 0.086 s at 512 KiB against 0.080 s at 256 KiB.  A float64 stack fits
-# twice the points in the same bytes: in process, median of 8 rounds,
-# fig2a's `run_sweep` takes 59 ms at 227 real 12 x 12 states a chunk
-# against 70 ms at 113, and fig1a's 12.9 ms at 2,048 real 4 x 4 states
-# against 14.6 ms at 1,024.
-CHUNK_BYTES = 256 * 1024
+# Bytes of one chunk's gathered channel maps, its widest per-point array
+# (k_out x k_in entries a point: 5 x 4 for the singlet, 17 x 9 for
+# qutrit:1); this bounds the working set on large grids.  Measured on a
+# 2-core host, median of three 12 s perfbench runs each: fig2a's
+# calibrated wall time is 0.061 s at 256 KiB, 0.050 s at 1 MiB and
+# 0.046 s at 4 MiB, fig1a's 0.026, 0.023 and 0.023 s, and mixed_cli's
+# 0.046, 0.040 and 0.041 s; the fig2a process peaks at 66.7, 66.7 and
+# 67.6 MB resident.
+CHUNK_BYTES = 1024 * 1024
 
 
 class Propagated(NamedTuple):
@@ -55,27 +60,36 @@ class Propagated(NamedTuple):
 
     kept: np.ndarray        # (m,) indices of the kept points, ascending
     p_success: np.ndarray   # (m,) product of both post-selection probabilities
-    states: np.ndarray      # (m, d, d) final states, checked and exactly Hermitian
+    held: Held              # (m, k) final states, checked and exactly Hermitian
     spectra: np.ndarray     # (m, d) their ascending eigenvalues
     dims: tuple[int, int]   # party dimensions of the final states
+
+    @property
+    def states(self) -> np.ndarray:
+        """The final states as ``(m, d, d)`` matrices."""
+        return self.held.dense()
 
 
 class Prepared(NamedTuple):
     """A grid's tables, as :func:`prepare` computes them once."""
 
     p_weak: np.ndarray      # (w,) weak post-selection probability of each filter row
-    weakened: np.ndarray    # (w, d, d) the renormalised states after the weak step
-    channels: np.ndarray    # (c, dao^2, da^2) channel superoperators on party 0
+    weakened: Held          # (w, k_in) the renormalised states after the weak step
+    channels: np.ndarray    # (c, k_out, k_in) channel maps on party 0, entry to entry
+    support: np.ndarray     # (k_out,) the entries the maps reach (party dims dao, db)
     reverse: np.ndarray     # (w, dao db) reversing filter diagonals
     dims: tuple[int, int]   # party dimensions of the initial states
     project: bool
 
+    def points_per_chunk(self) -> int:
+        """As many points as ``CHUNK_BYTES`` holds of their gathered channel maps."""
+        return max(1, CHUNK_BYTES // max(1, self.channels[0].nbytes))
 
-def chunk_points(state_dim: int, itemsize: int = 16) -> int:
-    """Points per chunk for joint states of dimension ``state_dim`` whose
-    entries take ``itemsize`` bytes: 16 for complex128 (the default, an
-    upper bound), 8 for float64."""
-    return max(1, CHUNK_BYTES // (itemsize * state_dim * state_dim))
+
+def chunk_points(state_dim: int) -> int:
+    """As many points as ``CHUNK_BYTES`` holds of complex128 matrices of
+    dimension ``state_dim``."""
+    return max(1, CHUNK_BYTES // (16 * state_dim * state_dim))
 
 
 def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:
@@ -91,35 +105,22 @@ def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:
     return (op_a[..., :, None] * op_b[..., None, :]).reshape(op_a.shape[:-1] + (-1,))
 
 
-def ladder_block(states: np.ndarray, dims: tuple[int, int], levels: int) -> np.ndarray:
-    """Block of party 0's first ``levels`` levels of a stack of states over ``dims``.
-
-    On accelerated 4 x 3 qutrit states, ``levels = 3`` drops the pair level
-    and keeps the pre-acceleration {vacuum, U, D} x 3 block, with its
-    weight (trace) as it is.
-    """
-    d0, db = dims
-    block = states.reshape(-1, d0, db, d0, db)[:, :levels, :, :levels, :]
-    return block.reshape(-1, levels * db, levels * db)
-
-
-def _post_select(sigma: np.ndarray, floor: float):
+def _post_select(state: Held, floor: float):
     """Keep the members whose trace is not below ``floor``, renormalised:
     (indices kept, traces, states).  A NaN trace is kept, so that the exit
     check rejects the non-finite state instead of a degenerate row hiding it.
     """
-    p = np.trace(sigma, axis1=-2, axis2=-1).real
+    p = state.trace().real
     kept = np.flatnonzero(~(p < floor))
     p = p[kept]
-    return kept, p, sigma[kept] / p[:, None, None]
+    return kept, p, state._replace(values=state.values[kept] / p[:, None])
 
 
-def _accelerate(channels: np.ndarray, states: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Each state over ``dims`` with its superoperator applied to party 0."""
-    n, (da, db), dao = len(states), dims, round(np.sqrt(channels.shape[-2]))
-    t = states.reshape(n, da, db, da, db).transpose(0, 1, 3, 2, 4).reshape(n, da * da, db * db)
-    t = (channels @ t).reshape(n, dao, dao, db, db).transpose(0, 1, 3, 2, 4)
-    return t.reshape(n, dao * db, dao * db)
+def _accelerate(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray) -> Held:
+    """The weakened states of rows ``i_filter`` through the channel maps of
+    rows ``i_channel``, one gathered map per point."""
+    values = grid.channels[i_channel] @ grid.weakened.values[i_filter, :, None]
+    return Held(values[..., 0], grid.support, grid.reverse.shape[-1])
 
 
 def prepare(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
@@ -132,22 +133,31 @@ def prepare(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray, weak: np
     ``weak``, ``reverse``: ``(w, da db)`` and ``(w, dao db)``, the filter
     diagonals (:func:`filter_diagonal`) of each filter row.  ``project``
     restricts each output to party 0's first ``da`` levels (its
-    pre-acceleration ladder, :func:`ladder_block`) and renormalises; a
-    point whose ladder weight is below ``LADDER_FLOOR`` is degenerate.
+    pre-acceleration ladder, :func:`~unruhlab.tensor.ladder_block`) and
+    renormalises; a point whose ladder weight is below ``LADDER_FLOOR`` is
+    degenerate.
 
-    When the checked states and the channel superoperators are exactly real
-    (every imaginary part zero, as for every real state at phi = 0), the
-    tables are float64 and every later step runs in real arithmetic; any
-    other input keeps complex128.  The steps are the same either way.
+    States are held as the entries of their support
+    (:class:`~unruhlab.tensor.Held`): the weakened states by the entries
+    nonzero in some row, the channel's images by every entry those reach
+    through a nonzero superoperator entry
+    (:func:`~unruhlab.tensor.party_a_maps`).  When the checked states and
+    the channel superoperators are exactly real (every imaginary part zero,
+    as for every real state at phi = 0), the tables are float64 and every
+    later step runs in real arithmetic; any other input keeps complex128.
+    The steps are the same either way.
     """
-    rho0, _ = check_states(rho0)
-    channels = superoperator(kraus)
-    if not (np.any(rho0.imag) or np.any(channels.imag)):
-        rho0, channels = rho0.real, np.ascontiguousarray(channels.real)
-    sigma = (weak[:, :, None] * rho0) * weak[:, None, :]
-    p_weak = np.trace(sigma, axis1=-2, axis2=-1).real
-    scale = np.where(p_weak >= SUCCESS_FLOOR, p_weak, 1.0)[:, None, None]
-    return Prepared(p_weak, sigma / scale, channels, reverse, dims, project)
+    rho0, _ = check_held(hold(rho0))
+    supers = superoperator(kraus)
+    if not (np.any(rho0.values.imag) or np.any(supers.imag)):
+        rho0, supers = rho0._replace(values=rho0.values.real), supers.real
+    sigma = rho0.scaled(weak)
+    p_weak = sigma.trace().real
+    scale = np.where(p_weak >= SUCCESS_FLOOR, p_weak, 1.0)[:, None]
+    sigma = nonzero_support(sigma)
+    channels, support = party_a_maps(sigma.index, dims, supers)
+    return Prepared(p_weak, sigma._replace(values=sigma.values / scale), channels, support,
+                    reverse, dims, project)
 
 
 def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
@@ -158,8 +168,8 @@ def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
     States are checked only where they enter (:func:`prepare`) and where
     they leave (under ``project``, the ladder blocks); the exit check's
     Hermitian parts and spectra are returned.  In between a state is only
-    scaled and renormalised, with no check at all.  That rests on the entry
-    and exit checks alone: the filters are real diagonals
+    mapped, scaled and renormalised, with no check at all.  That rests on
+    the entry and exit checks alone: the filters are real diagonals
     (:func:`~unruhlab.localops.filter_levels`) and the channel a Kraus sum
     complete to 1e-12 (checked when it is built), so the map is completely
     positive (Choi, Linear Algebra Appl. 10, 285, 1975) and a positive
@@ -169,18 +179,17 @@ def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
     measures use.  A non-finite trace is not degenerate: its state reaches
     the exit check, which rejects it.
     """
-    (da, db), dao = grid.dims, grid.reverse.shape[-1] // grid.dims[1]
+    db = grid.dims[1]
     live = np.flatnonzero(grid.p_weak[i_filter] >= SUCCESS_FLOOR)
     i_channel, i_filter = i_channel[live], i_filter[live]
-    state = _accelerate(grid.channels[i_channel], grid.weakened[i_filter], grid.dims)
-    rev = grid.reverse[i_filter]
-    kept, p_rev, state = _post_select((rev[:, :, None] * state) * rev[:, None, :],
-                                      SUCCESS_FLOOR)
-    live, p_success, dims = live[kept], grid.p_weak[i_filter[kept]] * p_rev, (dao, db)
+    state = _accelerate(grid, i_channel, i_filter).scaled(grid.reverse[i_filter])
+    kept, p_rev, state = _post_select(state, SUCCESS_FLOOR)
+    live, p_success = live[kept], grid.p_weak[i_filter[kept]] * p_rev
+    dims = (state.dim // db, db)
     if grid.project:
-        kept, _, state = _post_select(ladder_block(state, dims, da), LADDER_FLOOR)
+        kept, _, state = _post_select(ladder_block(state, dims, grid.dims[0]), LADDER_FLOOR)
         live, p_success, dims = live[kept], p_success[kept], grid.dims
-    return Propagated(live, p_success, *check_states(state), dims)
+    return Propagated(live, p_success, *check_held(state), dims)
 
 
 def propagate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,

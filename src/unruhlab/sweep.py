@@ -20,7 +20,7 @@ from .channel import R_MAX, check_completeness, check_rindler, kraus_for_dim
 from .errors import BadPhysicalParam, BadStrength, ConfigError, UnknownPreset
 from .localops import REVERSE, WEAK, check_strengths
 from .measures import MEASURE_COLUMNS, measure_columns
-from .pipeline import chunk_points, filter_diagonal, prepare, propagate_points
+from .pipeline import filter_diagonal, prepare, propagate_points
 from .states import parse_state_preset
 
 TWO_QUBIT = "two_qubit"
@@ -192,21 +192,20 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     Returns an ``(n_points, 7)`` array with columns in ``MEASURE_COLUMNS``
     order.  Each initial state is prepared once (the channel per r, the
     filters and the weak step per strength value) and its grid runs in
-    chunks of consecutive points, as many as ``CHUNK_BYTES`` holds in the
-    prepared stack's dtype (:func:`~unruhlab.pipeline.chunk_points`).  A
+    chunks of consecutive points, as many as ``CHUNK_BYTES`` holds of their
+    gathered channel maps (:meth:`~unruhlab.pipeline.Prepared.points_per_chunk`).  A
     degenerate point's row is all NaN, and a kept row never holds NaN in
     E_norm or p_success: NaN fails the range checks of
     :func:`~unruhlab.measures.measure_columns`.  So a row is all NaN
     exactly where its point is degenerate.
     """
     inputs = grid_inputs(config)
-    out_dim, dim = inputs[0].shape[-2:]
     n_s = len(config.strength_grid)
     n_points = len(config.r_grid) * n_s
     measures = np.full((len(config.initial_state) * n_points, len(MEASURE_COLUMNS)), np.nan)
     for k, rho0 in enumerate(config.parsed_states):
         grid = prepare(rho0.matrix, rho0.dims, *inputs)
-        size = chunk_points(out_dim * dim, grid.weakened.itemsize)
+        size = grid.points_per_chunk()
         offset = k * n_points
         for start in range(0, n_points, size):
             i_r, i_s = np.divmod(np.arange(start, min(start + size, n_points)), n_s)

@@ -1,17 +1,22 @@
-"""Density matrices and the batched checks every state passes through.
+"""Density matrices, held stacks, and the checks every state passes through.
 
-Everything here works on explicit ``numpy`` arrays; the systems treated by
-this package never exceed dimension 16, so dense algorithms are both exact
-enough and fast enough.  The checks and spectra keep the field of their
-input: a real stack is checked and solved as float64, in real arithmetic,
-any other as complex128.  :class:`DensityMatrix` always holds
-complex128; the pipeline passes float64 stacks when its inputs are exactly
-real.  The checks below take one matrix or a stack of them (any leading
-axes) and each is defined once: :class:`DensityMatrix` runs them on the
-states that enter the package, :mod:`unruhlab.pipeline` on the stacks it
-takes and returns.  Spectra are solved block by block, along the connected
-components of each stack's own support (:func:`block_eigenvalues`); a 2 x 2
-block in closed form.
+A stack of states is held as the entries of its support (:class:`Held`):
+the values ``(n, k)`` of the k entries that may be nonzero, at ascending
+flat indices into the d x d matrix.  Only this module reads those
+indices.  The steps the package takes on a held stack are entrywise:
+diagonal filters scale held values (:meth:`Held.scaled`), a map on party
+a is one gathered ``(k_out, k_in)`` matrix per point
+(:func:`party_a_maps`), a trace sums held diagonal entries, the ladder
+block and the partial transpose relabel the indices, and party b's
+marginal sums held entries.  The checks and spectra keep the field of
+their input: a real stack is checked and solved as float64, in real
+arithmetic, any other as complex128.  :class:`DensityMatrix` always
+holds complex128.  Each check is defined once, on held stacks
+(:func:`check_held`); the dense :func:`check_states`,
+:func:`block_eigenvalues` and :func:`hermitian_part` hold their input by
+its own support and run the same code.  Spectra are solved block by
+block, along the connected components of each stack's nonzero entries
+(:func:`held_eigenvalues`); a 2 x 2 block in closed form.
 
 Conventions
 -----------
@@ -21,7 +26,9 @@ Conventions
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +42,99 @@ STATE_EIGENVALUE_TOL = 1e-10
 ENTROPY_EIGENVALUE_FLOOR = 1e-15
 
 
+class Held(NamedTuple):
+    """A stack of ``dim`` x ``dim`` matrices held as the entries of a support.
+
+    ``values[..., i]`` is each member's entry at flat index ``index[i]``
+    (row * dim + column).  ``index`` ascends, holds the transpose of each
+    entry it holds, and every entry it leaves out is zero in every member.
+    """
+
+    values: np.ndarray      # (..., k)
+    index: np.ndarray       # (k,)
+    dim: int
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    def entries(self, flat) -> np.ndarray:
+        """Each member's entries at the flat indices ``flat`` (any shape),
+        zero where not held: shape ``values.shape[:-1] + flat.shape``."""
+        pos = _positions(self.index.astype(np.int64, copy=False).tobytes(), self.dim)[flat]
+        pad = np.zeros(self.values.shape[:-1] + (1,), dtype=self.values.dtype)
+        return np.concatenate((self.values, pad), axis=-1)[..., pos]
+
+    def dense(self) -> np.ndarray:
+        d = self.dim
+        return self.entries(np.arange(d * d)).reshape(self.values.shape[:-1] + (d, d))
+
+    def diagonal(self) -> np.ndarray:
+        return self.entries(np.arange(self.dim) * (self.dim + 1))
+
+    def trace(self) -> np.ndarray:
+        return self.diagonal().sum(axis=-1)
+
+    def transposes(self) -> np.ndarray:
+        """The flat index of each held entry's transpose."""
+        rows, cols = np.divmod(self.index, self.dim)
+        return cols * self.dim + rows
+
+    def scaled(self, diagonals) -> "Held":
+        """``D M D`` for diagonal matrices ``D`` given by ``diagonals`` ``(..., dim)``."""
+        rows, cols = np.divmod(self.index, self.dim)
+        return self._replace(values=(diagonals[..., rows] * self.values) * diagonals[..., cols])
+
+
+@functools.lru_cache(maxsize=1024)
+def _positions(index: bytes, dim: int) -> np.ndarray:
+    """Position in a held index (as int64 bytes) of each flat index of
+    ``dim`` x ``dim``; the index's length where it holds none."""
+    index = np.frombuffer(index, dtype=np.int64)
+    pos = np.full(dim * dim, len(index))
+    pos[index] = np.arange(len(index))
+    pos.flags.writeable = False
+    return pos
+
+
+def hold(m) -> Held:
+    """A matrix or a stack of them (any leading axes) held by its own support:
+    the union of the members' nonzero entries, closed under transposition.
+    A real input is held as float64, any other as complex128."""
+    m = np.asarray(m)
+    m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSquare(f"expected square matrices, got shape {m.shape}")
+    d = m.shape[-1]
+    nz = (m != 0).reshape(-1, d, d).any(axis=0)
+    index = np.flatnonzero(nz | nz.T)
+    return Held(m.reshape(m.shape[:-2] + (d * d,))[..., index], index, d)
+
+
+def _nonzero(h: Held) -> np.ndarray:
+    """Which held entries are nonzero in some member."""
+    return (h.values != 0).any(axis=tuple(range(h.values.ndim - 1)))
+
+
+def nonzero_support(h: Held) -> Held:
+    """``h`` held by the entries nonzero in some member, and their transposes."""
+    nz = _nonzero(h)
+    keep = nz | np.isin(h.index, h.transposes()[nz])
+    return Held(h.values[..., keep], h.index[keep], h.dim)
+
+
+def _hermitian(h: Held, tol: float) -> Held:
+    """Hermitian parts of held matrices with finite entries that are
+    Hermitian within ``tol``; raises ``ValueError`` or :class:`NonHermitian`."""
+    if not np.isfinite(h.values).all():
+        raise ValueError("matrix contains non-finite entries")
+    vt = h.entries(h.transposes()).conj()
+    asym = np.abs(h.values - vt).max(axis=-1, initial=0.0)
+    if np.any(asym > tol):
+        raise NonHermitian(f"matrix deviates from Hermiticity by {asym.max():.3e}")
+    return h._replace(values=0.5 * (h.values + vt))
+
+
 def hermitian_part(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Hermitian parts of finite square matrices that are Hermitian within ``tol``.
 
@@ -42,17 +142,7 @@ def hermitian_part(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     :class:`NonHermitian` when any entry of ``M - M^dag`` exceeds ``tol``.
     A real input gives a float64 result, any other a complex128 one.
     """
-    m = np.asarray(m)
-    m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise NotSquare(f"expected square matrices, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    md = m.conj().swapaxes(-1, -2)
-    asym = np.abs(m - md).max(axis=(-2, -1), initial=0.0)
-    if np.any(asym > tol):
-        raise NonHermitian(f"matrix deviates from Hermiticity by {asym.max():.3e}")
-    return 0.5 * (m + md)
+    return _hermitian(hold(m), tol).dense()
 
 
 def blocks_of(pattern) -> tuple[np.ndarray, ...]:
@@ -69,10 +159,15 @@ def blocks_of(pattern) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _blocks(support: bytes, d: int) -> tuple[np.ndarray, ...]:
-    """:func:`blocks_of`, memoised on the pattern's bytes: a sweep's chunks
-    share a few supports."""
-    return blocks_of(np.frombuffer(support, dtype=bool).reshape(d, d))
+def _blocks(support: bytes, d: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """The blocks of a pattern (its bytes), memoised: a sweep's chunks share
+    a few supports.  Returns the flat indices of every block's entries, all
+    blocks of one size after another (:func:`blocks_of`), and (number, size)
+    of each size's blocks."""
+    blocks = blocks_of(np.frombuffer(support, dtype=bool).reshape(d, d))
+    flat = np.concatenate([(idx[:, :, None] * d + idx[:, None, :]).ravel() for idx in blocks])
+    flat.flags.writeable = False
+    return flat, tuple(idx.shape for idx in blocks)
 
 
 def _block_spectra(blocks: np.ndarray, size: int) -> np.ndarray:
@@ -94,42 +189,122 @@ def _block_spectra(blocks: np.ndarray, size: int) -> np.ndarray:
     return np.linalg.eigvalsh(blocks)
 
 
-def block_eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix or of every member of a stack.
+def held_eigenvalues(h: Held) -> np.ndarray:
+    """Ascending eigenvalues of every member of a held Hermitian stack.
 
-    The blocks are those of the union of the members' supports
-    (:func:`blocks_of`): every entry outside them is zero in every member, so
-    each spectrum is exactly the union of its blocks' spectra.  The blocks
-    of each size are solved together by :func:`_block_spectra`.
+    The blocks are those of the members' nonzero entries (:func:`blocks_of`):
+    every entry outside them is zero in every member, so each spectrum is
+    exactly the union of its blocks' spectra.  The blocks of each size are
+    solved together by :func:`_block_spectra`.
     """
-    m = np.asarray(m)
-    support = (m != 0).reshape((-1,) + m.shape[-2:]).any(axis=0)
-    parts = [_block_spectra(m[..., idx[:, :, None], idx[:, None, :]], idx.shape[1])
-             .reshape(m.shape[:-2] + (idx.size,))
-             for idx in _blocks(support.tobytes(), len(support))]
+    d, lead = h.dim, h.values.shape[:-1]
+    pattern = np.zeros(d * d, dtype=bool)
+    pattern[h.index[_nonzero(h)]] = True
+    flat, shapes = _blocks(pattern.tobytes(), d)
+    entries, parts, start = h.entries(flat), [], 0
+    for n_s, s in shapes:
+        blocks = entries[..., start:start + n_s * s * s].reshape(lead + (n_s, s, s))
+        parts.append(_block_spectra(blocks, s).reshape(lead + (n_s * s,)))
+        start += n_s * s * s
     return np.sort(np.concatenate(parts, axis=-1), axis=-1)
 
 
-def check_states(m) -> tuple[np.ndarray, np.ndarray]:
-    """Strict density-matrix check of a matrix or of every member of a stack.
+def block_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of every member of a
+    stack: :func:`held_eigenvalues` of the stack held by its own support."""
+    return held_eigenvalues(hold(m))
+
+
+def check_held(h: Held) -> tuple[Held, np.ndarray]:
+    """Strict density-matrix check of every member of a held stack.
 
     Finite entries (``ValueError``), Hermitian to 1e-10
     (:class:`NonHermitian`), unit trace to 1e-10 (``ValueError``), lowest
     eigenvalue at least -1e-10 (:class:`NotPositive`).  Returns the
     Hermitian parts and their ascending spectra, solved block by block
-    along the stack's own support (:func:`block_eigenvalues`), so
-    positivity is checked on every whole member.
+    (:func:`held_eigenvalues`), so positivity is checked on every whole
+    member.
     """
-    h = hermitian_part(m, STATE_HERMITICITY_TOL)
-    tr = np.trace(h, axis1=-2, axis2=-1)
+    h = _hermitian(h, STATE_HERMITICITY_TOL)
+    tr = h.trace()
     off = np.abs(tr - 1.0) > STATE_TRACE_TOL
     if np.any(off):
         raise ValueError(f"trace {tr[off][0]} is not 1 within {STATE_TRACE_TOL}")
-    lam = block_eigenvalues(h)
+    lam = held_eigenvalues(h)
     lo = lam[..., 0]
     if np.any(lo < -STATE_EIGENVALUE_TOL):
         raise NotPositive(f"negative eigenvalue {lo.min():.3e}")
     return h, lam
+
+
+def check_states(m) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`check_held` of a matrix or a stack of them (any leading axes),
+    held by its own support: the Hermitian parts, as matrices, and their
+    spectra."""
+    h, lam = check_held(hold(m))
+    return h.dense(), lam
+
+
+# ----------------------------------------- held states of two parties (a, b)
+
+def _parties(index, dims) -> tuple[np.ndarray, ...]:
+    """(a, b, a', b') of each flat index of entry |a b><a' b'| over ``dims``."""
+    db = dims[1]
+    row, col = np.divmod(index, dims[0] * db)
+    return (*np.divmod(row, db), *np.divmod(col, db))
+
+
+def party_a_maps(index, dims, superops) -> tuple[np.ndarray, np.ndarray]:
+    """Liouville superoperators ``(..., dao^2, da^2)`` on party a, as maps
+    ``(..., k_out, k_in)`` from the entries ``index`` of states over
+    ``dims = (da, db)`` to the entries of their images over ``(dao, db)``,
+    and those entries' ascending flat indices.
+
+    The images' support is every entry that some held entry reaches through
+    some nonzero superoperator entry; every entry it leaves out is a sum of
+    products that each have an exact zero factor.
+    """
+    (da, db), dao = dims, math.isqrt(superops.shape[-2])
+    a, b, a2, b2 = _parties(index, dims)
+    pair_in = a * da + a2
+    reach = (superops != 0).reshape((-1,) + superops.shape[-2:]).any(axis=0)
+    pair_out, i = np.nonzero(reach[:, pair_in])
+    out = np.unique((pair_out // dao * db + b[i]) * (dao * db) + pair_out % dao * db + b2[i])
+    oa, ob, oa2, ob2 = _parties(out, (dao, db))
+    same = (ob[:, None] == b) & (ob2[:, None] == b2)
+    return np.where(same, superops[..., (oa * dao + oa2)[:, None], pair_in], 0), out
+
+
+def ladder_block(h: Held, dims, levels: int) -> Held:
+    """Block of party a's first ``levels`` levels of held states over ``dims``.
+
+    On accelerated 4 x 3 qutrit states, ``levels = 3`` drops the pair level
+    and keeps the pre-acceleration {vacuum, U, D} x 3 block, with its
+    weight (trace) as it is.
+    """
+    a, b, a2, b2 = _parties(h.index, dims)
+    keep = (a < levels) & (a2 < levels)
+    dim = levels * dims[1]
+    flat = (a * dims[1] + b) * dim + a2 * dims[1] + b2
+    return Held(h.values[..., keep], flat[keep], dim)
+
+
+def partial_transpose(h: Held, dims) -> Held:
+    """Partial transposes on party a of held states over ``dims``."""
+    a, b, a2, b2 = _parties(h.index, dims)
+    flat = (a2 * dims[1] + b) * h.dim + a * dims[1] + b2
+    order = np.argsort(flat)
+    return Held(h.values[..., order], flat[order], h.dim)
+
+
+def party_b_marginal(h: Held, dims) -> Held:
+    """Party b's reduced states of held states over ``dims``: each entry the
+    sum over party a's levels, in order."""
+    (da, db), a = dims, np.arange(dims[0])
+    pa, pb, pa2, pb2 = _parties(h.index, dims)
+    out = np.unique((pb * db + pb2)[pa == pa2])
+    b, b2 = (x[:, None] for x in np.divmod(out, db))
+    return Held(h.entries((a * db + b) * (da * db) + a * db + b2).sum(axis=-1), out, db)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

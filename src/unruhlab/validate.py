@@ -33,10 +33,11 @@ from .closedform import (
 from .errors import DegenerateOutcome
 from .localops import REVERSE, SUCCESS_FLOOR, WEAK, check_strengths
 from .measures import MEASURE_COLUMNS
-from .pipeline import LADDER_FLOOR, chunk_points, filter_diagonal, ladder_block, propagate
+from .pipeline import LADDER_FLOOR, chunk_points, filter_diagonal, propagate
 from .states import check_x_coefficients, x_coefficients, x_eigenvalues, x_state_matrix
 from .sweep import TWO_QUBIT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, grid_inputs, run_sweep
-from .tensor import DensityMatrix, check_states, hermitian_eigenvalues, hermitian_part
+from .tensor import (DensityMatrix, check_states, hermitian_eigenvalues, hermitian_part,
+                     ladder_block)
 
 EQUIV_TOL = 1e-12          # corrected closed form vs pipeline
 ZERO_ACCEL_TOL = 1e-13     # literal vs corrected at r = 0
@@ -253,7 +254,7 @@ def _info_qutrit_literal() -> list[CheckResult]:
     out = propagate(rho0.matrix, rho0.dims, *grid_inputs(config))
     if not len(out.kept):
         raise DegenerateOutcome(f"success probability below {SUCCESS_FLOOR}")
-    block = ladder_block(out.states, out.dims, 3)[0]
+    block = ladder_block(out.held, out.dims, 3).dense()[0]
     weight = float(np.trace(block).real)
     if weight < LADDER_FLOOR:
         raise DegenerateOutcome(f"ladder sector weight {weight:.3e} is zero")

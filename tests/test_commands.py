@@ -197,6 +197,23 @@ def test_validate_non_positive_samples_exits_2(tmp_path, capsys, samples):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("samples", [sweep.GRID_POINT_BUDGET + 1, 10**12])
+def test_validate_samples_above_the_grid_budget_exit_2(monkeypatch, tmp_path, capsys, samples):
+    # A sweep's grid has the same bound; nothing is drawn or allocated.
+    def drawing(*args, **kwargs):
+        raise AssertionError("samples were drawn")
+
+    monkeypatch.setattr(cli, "run_validation", drawing)
+    monkeypatch.setattr(validate, "_draw", drawing)
+    code = main(["validate", "--samples", str(samples), "--out-dir", str(tmp_path / "v")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"error: --samples must be at most {sweep.GRID_POINT_BUDGET}, "
+                            f"got {samples}\n")
+    assert captured.out == ""
+    assert not (tmp_path / "v").exists()
+
+
 def test_validate_negative_seed_exits_2(tmp_path, capsys):
     code = main(["validate", "--seed", "-1", "--out-dir", str(tmp_path / "v")])
     captured = capsys.readouterr()

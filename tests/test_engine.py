@@ -28,7 +28,7 @@ from unruhlab.measures import MEASURE_COLUMNS, measure_columns
 from unruhlab.states import parse_state_preset, x_coefficients, x_eigenvalues
 from unruhlab.sweep import (FIGURE_PRESETS, FULL_SECTOR, INDEPENDENT, PROJECTED_SECTOR,
                             TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, config_from_mapping,
-                            chunk_points, figure_preset, rows_to_csv, run_sweep)
+                            figure_preset, grid_inputs, rows_to_csv, run_sweep)
 from unruhlab.tensor import DensityMatrix, check_states
 
 TOL = 1e-12
@@ -177,8 +177,11 @@ def test_grid_spanning_several_chunks(monkeypatch):
                          r_grid=(0.0, 0.2, 0.5, R_MAX), strength_grid=(0.0, 0.3, 0.6, 0.9, 1.0),
                          qutrit_compare_sector=PROJECTED_SECTOR)
     whole = sweep_of(config)
-    # Seven real 12 x 12 states per chunk: 20 points a state give 7 + 7 + 6.
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 7 * 8 * 12 * 12)
+    # Seven points' real channel maps per chunk: 20 points a state give
+    # 7 + 7 + 6.  Both states hold the same entries, so their maps are alike.
+    (per_point,) = {pipeline.prepare(rho0.matrix, rho0.dims, *grid_inputs(config))
+                    .channels[0].nbytes for rho0 in config.parsed_states}
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 7 * per_point)
     sizes = []
 
     def spy(grid, i_channel, i_filter):
@@ -300,6 +303,38 @@ def test_filtered_channel_is_completely_positive_and_trace_non_increasing(point)
     assert np.linalg.eigvalsh(kept)[-1] <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_a_full_support_input_matches_the_oracle(dim, real):
+    # No preset reaches it, but a full-rank input holds every entry of the
+    # weakened states (k = d^2), the held form's widest case.  Final states
+    # and measures agree with the scalar oracle.  A real input runs at
+    # phi = 0, so in float64.
+    rng = np.random.default_rng(17 * dim + real)
+    d = dim * dim
+    for _ in range(3):
+        g = rng.normal(size=(d, d)) + (0.0 if real else 1j * rng.normal(size=(d, d)))
+        rho0 = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real, (dim, dim))
+        u = [tuple(row) for row in rng.uniform(0.0, 0.9, size=(4, dim - 1))]
+        weak, reverse = MeasurementStrengths(WEAK, *u[:2]), MeasurementStrengths(REVERSE, *u[2:])
+        phi = 0.0 if real else rng.uniform(-np.pi, np.pi)
+        acc = AccelerationSpec(rng.uniform(0.0, R_MAX), phi)
+        kraus, w, v = point_inputs(weak, reverse, acc)
+        grid = pipeline.prepare(rho0.matrix, rho0.dims, kraus[None], w[None], v[None])
+        assert len(grid.weakened.index) == d * d
+        assert grid.weakened.dtype == (np.float64 if real else np.complex128)
+        for project in (False, True) if dim == 3 else (False,):
+            one = np.zeros(1, dtype=int)
+            out = pipeline.propagate_points(grid._replace(project=project), one, one)
+            result = run_protocol(rho0, weak, reverse, acc)
+            final = result.final
+            if project:
+                final, _ = restrict_to_ladder(final, renormalize=True)
+            assert np.abs(out.states[0] - final.matrix).max() <= TOL
+            want = dataclasses.astuple(compute_report(final, result.p_success))
+            assert np.abs(measure_columns(out)[0] - want).max() <= TOL
+
+
 def test_propagate_rejects_a_non_positive_input_the_weak_filter_would_hide():
     # Unit trace and Hermitian, but negative on |01> and |10>: a strength-1
     # weak filter keeps only |00>, so no state after it is negative.
@@ -343,37 +378,39 @@ def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
     assert krons == []
 
 
-@pytest.mark.parametrize("chunk_bytes, chunks", [(pipeline.CHUNK_BYTES, 1),
-                                                  (100 * 8 * 4 * 4, 3)])
-def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, chunk_bytes, chunks):
-    # Every check symmetrises through hermitian_part, so counting it counts
-    # the checks: one where each state enters prepare and one exit check
-    # per chunk; none between the steps, and no second parse (the config
-    # parsed and checked each state when it was built).  The
-    # name is patched in every module that could bind it, so a pass
-    # imported into another module is counted too.  The singlet's stacks
-    # are real: 8 B an entry.
+@pytest.mark.parametrize("points, chunks", [(None, 1), (100, 3)])
+def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, points, chunks):
+    # Every check is one check_held call, so counting it counts the checks:
+    # one where each state enters prepare and one exit check per chunk;
+    # none between the steps, and no second parse (the config parsed and
+    # checked each state when it was built).  The name is patched in every
+    # module that could bind it, so a pass imported into another module is
+    # counted too.  ``points`` sets the chunk to that many points' channel
+    # maps; None keeps the default.
     config = figure_preset("fig4b")
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", chunk_bytes)
+    grids = [pipeline.prepare(rho0.matrix, rho0.dims, *grid_inputs(config))
+             for rho0 in config.parsed_states]
+    if points is not None:
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", points * grids[0].channels[0].nbytes)
     calls = []
-    hermitian_part = tensor.hermitian_part
+    check_held = tensor.check_held
 
     def counting(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return hermitian_part(*args, **kwargs)
+        calls.append(np.shape(args[0].values))
+        return check_held(*args, **kwargs)
 
     for module in (tensor, pipeline, measures, sweep):
-        monkeypatch.setattr(module, "hermitian_part", counting, raising=False)
+        monkeypatch.setattr(module, "check_held", counting, raising=False)
     run_sweep(config)
     per_state = len(config.r_grid) * len(config.strength_grid)
-    assert -(-per_state // chunk_points(4, 8)) == chunks
+    assert [-(-per_state // grid.points_per_chunk()) for grid in grids] == [chunks] * len(grids)
     assert len(calls) == len(config.initial_state) * (1 + chunks)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("entry, value, error, match", [
     ((1, 2), 1e-6, NonHermitian, "Hermiticity"),
-    ((0, 0), np.nan, ValueError, "non-finite"),
+    ((1, 1), np.nan, ValueError, "non-finite"),
 ], ids=["asymmetric", "nan_diagonal"])
 def test_the_exit_check_rejects_a_member_corrupted_between_the_steps(monkeypatch, entry, value,
                                                                     error, match):
@@ -381,12 +418,15 @@ def test_the_exit_check_rejects_a_member_corrupted_between_the_steps(monkeypatch
     # asymmetry, or a NaN on the diagonal, of one member of a chunk must
     # still fail the sweep there.  The NaN makes that member's trace NaN,
     # which post-selection keeps, so it can never become a degenerate row.
+    # Both entries are held: |00> is never populated from the singlet, so
+    # the NaN goes on |01><01|.
     config = figure_preset("fig4b")
     accelerate = pipeline._accelerate
 
-    def corrupting(channels, states, dims):
-        t = accelerate(channels, states, dims)
-        t[len(t) // 2][entry] += value
+    def corrupting(*args):
+        t = accelerate(*args)
+        (at,) = np.flatnonzero(t.index == entry[0] * t.dim + entry[1])
+        t.values[len(t.values) // 2, at] += value
         return t
 
     monkeypatch.setattr(pipeline, "_accelerate", corrupting)

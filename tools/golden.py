@@ -11,13 +11,15 @@ directory, and writes the sha256 of every output to ``OUT.json``:
   script;
 * ``validate`` at seeds 7, 20240801 and 101000-101029, each at 100 and at
   1,000 samples: exit code, ``report.txt`` and ``report.csv``;
+* ``sweep`` on each INI of ``perfbench/workloads.py``'s ``INIS``: exit
+  code, stdout and the CSV;
 * ``state`` at each point of ``perfbench/workloads.py``'s ``STATE_POINTS``:
   exit code, stdout and ``--out``;
 * ``state`` with each bad argument list of ``_BAD_STATE_ARGUMENTS`` in
   ``tests/test_commands.py``, and at one degenerate point: exit code,
   stdout and stderr.
 
-The state points and bad arguments are read from those files with
+The INIs, state points and bad arguments are read from those files with
 ``ast``, not imported.  ``diff`` prints each key whose hash differs or
 that only one side has, and exits 1 if there is one.  Neither command
 is part of the test suite.
@@ -52,14 +54,17 @@ def _assigned(path: Path, name: str):
     raise SystemExit(f"error: no assignment to {name} in {path}")
 
 
-def _run(main, argv, files=()) -> dict[str, str]:
-    """Run ``main(argv)`` in a fresh directory: exit code, the hashes of
-    stdout and stderr, and the hash of each of ``files`` it wrote."""
+def _run(main, argv, files=(), inputs=None) -> dict[str, str]:
+    """Run ``main(argv)`` in a fresh directory holding the files ``inputs``
+    (name to text): exit code, the hashes of stdout and stderr, and the
+    hash of each of ``files`` it wrote."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
+            for name, text in (inputs or {}).items():
+                Path(name).write_text(text, encoding="utf-8")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(list(argv))
             written = {f: _sha(Path(f).read_bytes()) if Path(f).is_file() else None
@@ -85,6 +90,9 @@ def fingerprint(root: Path) -> dict[str, str]:
             runs[f"validate {seed} {samples}"] = _run(
                 main, ["validate", "--seed", str(seed), "--samples", str(samples),
                        "--out-dir", "out"], ["out/report.txt", "out/report.csv"])
+    for name, text in _assigned(root / "perfbench" / "workloads.py", "INIS").items():
+        runs[f"sweep {name}"] = _run(main, ["sweep", "--config", "sweep.ini", "--out", "out.csv"],
+                                     ["out.csv"], {"sweep.ini": text})
     points = _assigned(root / "perfbench" / "workloads.py", "STATE_POINTS")
     for kind, argvs in points.items():
         for i, argv in enumerate(argvs):
