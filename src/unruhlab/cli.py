@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 a validation check failed, 2 bad usage or config.
 """
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -47,6 +48,7 @@ def run_validation(seed: int, samples: int):
     return run(seed=seed, samples=samples)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unruhlab",

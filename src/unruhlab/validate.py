@@ -42,6 +42,7 @@ from .tensor import (DensityMatrix, check_states, hermitian_eigenvalues, hermiti
 EQUIV_TOL = 1e-12          # corrected closed form vs pipeline
 ZERO_ACCEL_TOL = 1e-13     # literal vs corrected at r = 0
 SPECTRUM_TOL = 1e-12       # closed-form x-state spectrum vs eigensolver
+TRIPLE_DRAWS = 12          # first-block draws a sample's X-state triples get; 9 on average
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,15 @@ def _draw(rng: np.random.Generator, samples: int, ranges) -> tuple[np.ndarray, n
     high)`` per range.  The values are drawn in one block and are those,
     bit for bit, that these calls would give, and ``rng`` is left where
     they would leave it.
+
+    A triple is accepted with probability 1/3, so a sample uses ``9 +
+    len(ranges)`` draws on average; a first block of that mean ran short on
+    about half the calls.  It holds ``TRIPLE_DRAWS + len(ranges)`` a sample,
+    64 more and a ``tail``, so that a redraw, twice as long from the same
+    state and so with the same values, is rare.
     """
     start, tail = rng.bit_generator.state, 3 + len(ranges)
-    size = samples * (9 + len(ranges)) + tail
+    size = samples * (TRIPLE_DRAWS + len(ranges)) + 64 + tail
     while True:
         rng.bit_generator.state = start
         u = rng.random(size)                # the same stream, longer on each pass

@@ -4,6 +4,7 @@ pytest has imported the whole package before any test runs, so a missing
 lazy import only shows in a new process: these tests start one.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -127,6 +128,42 @@ def test_wrapping_the_perfbench_names_sees_every_command(tmp_path, monkeypatch, 
 def _outputs(directory: Path) -> dict[str, bytes]:
     return {str(p.relative_to(directory)): p.read_bytes()
             for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_a_reused_parser_keeps_commands_independent(tmp_path, monkeypatch, capsys):
+    # main builds its parser once a process, so an option given to one
+    # call (--set's list, --out) must not reach the next: each run here
+    # must give what it gives in a new interpreter.
+    runs = [["sweep", "--config", "sweep.ini", "--set", "phi=0.3", "--out", "sweep.csv"],
+            ["sweep", "--config", "sweep.ini", "--out", "sweep.csv"],
+            ["state", "--preset", "singlet", "--r", "0.3", "--alpha", "0.4", "--out", "f.csv"],
+            ["state", "--preset", "singlet", "--r", "0.3", "--alpha", "0.4"]]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    main(["state", "--preset", "singlet", "--r", "0"])
+    capsys.readouterr()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for i, argv in enumerate(runs):
+        fresh, here = tmp_path / f"fresh{i}", tmp_path / f"here{i}"
+        for d in (fresh, here):
+            d.mkdir()
+            (d / "sweep.ini").write_text(SWEEP_INI, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "unruhlab.cli", *argv], cwd=fresh,
+                              env=_env(), capture_output=True)
+        monkeypatch.chdir(here)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")) \
+            == (code, captured.out, captured.err)
+        assert _outputs(fresh) == _outputs(here)
+    assert built == []
+    assert len(_outputs(tmp_path / "here0")) == len(_outputs(tmp_path / "here2")) == 2
+    assert _outputs(tmp_path / "here0") != _outputs(tmp_path / "here1")
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

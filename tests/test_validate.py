@@ -113,31 +113,71 @@ def test_sampled_checks_match_the_one_sample_oracle(monkeypatch, seed):
         assert abs(batched.value - scalar.value) <= 1e-15
 
 
-def test_block_draws_equal_per_call_draws():
+def _counting_blocks(monkeypatch) -> list[int]:
+    """Wrap ``validate.x_coefficients``, which ``_draw`` calls once per
+    block it draws; the returned list counts those calls."""
+    blocks, coefficients = [0], validate.x_coefficients
+
+    def counted(triples):
+        blocks[0] += 1
+        return coefficients(triples)
+
+    monkeypatch.setattr(validate, "x_coefficients", counted)
+    return blocks
+
+
+def test_block_draws_equal_per_call_draws(monkeypatch):
     ranges = [(0.0, 0.95)] * 4 + [(0.0, np.pi / 4), (0.0, 2 * np.pi)]
+    blocks = _counting_blocks(monkeypatch)
     grew = False
-    for seed in range(40):
-        for samples in (1, 3, 50):
-            rng = np.random.default_rng(seed)
-            c, u = validate._draw(rng, samples, ranges)
-            ref = np.random.default_rng(seed)
-            want_c, want_u, used = [], [], 0
-            for _ in range(samples):
-                while True:
-                    triple = ref.uniform(-1.0, 1.0, size=3)
-                    used += 3
-                    if min(x_eigenvalues(*x_coefficients(triple))) >= 1e-6:
-                        break
-                want_c.append(triple)
-                want_u.append([ref.uniform(lo, hi) for lo, hi in ranges])
-                used += len(ranges)
-            assert np.array_equal(c, want_c) and np.array_equal(u, want_u)
-            assert rng.random() == ref.random()
-            grew |= used > samples * (9 + len(ranges)) + 3 + len(ranges)
-    # The first block holds 9 + len(ranges) draws a sample and one sample's
-    # 3 + len(ranges) more; some cases need more, so the path that draws a
-    # longer block ran too.
+    # At no triple draws budgeted a sample, the first block runs short
+    # for most calls, so the path that draws a longer block runs too.
+    for budget in (validate.TRIPLE_DRAWS, 0):
+        monkeypatch.setattr(validate, "TRIPLE_DRAWS", budget)
+        for seed in range(40):
+            for samples in (1, 3, 50):
+                rng = np.random.default_rng(seed)
+                blocks[0] = 0
+                c, u = validate._draw(rng, samples, ranges)
+                grew |= blocks[0] > 1
+                ref = np.random.default_rng(seed)
+                want_c, want_u = [], []
+                for _ in range(samples):
+                    while True:
+                        triple = ref.uniform(-1.0, 1.0, size=3)
+                        if min(x_eigenvalues(*x_coefficients(triple))) >= 1e-6:
+                            break
+                    want_c.append(triple)
+                    want_u.append([ref.uniform(lo, hi) for lo, hi in ranges])
+                assert np.array_equal(c, want_c) and np.array_equal(u, want_u)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert rng.random() == ref.random()
     assert grew
+
+
+def test_the_first_block_suffices(monkeypatch):
+    # The range lists of the three sampled checks, as run_validation
+    # passes them.
+    draw, range_lists = validate._draw, []
+
+    def recording(rng, samples, ranges):
+        range_lists.append(ranges)
+        return draw(rng, samples, ranges)
+
+    monkeypatch.setattr(validate, "_draw", recording)
+    run_validation(samples=1)
+    monkeypatch.setattr(validate, "_draw", draw)
+    assert len(range_lists) == 3
+    blocks = _counting_blocks(monkeypatch)
+    calls = 0
+    for ranges in range_lists:
+        for seed in range(50):
+            for samples in (1, 10, 200, 1000):
+                validate._draw(np.random.default_rng(seed), samples, ranges)
+                calls += 1
+    # A first block of the mean size drew about 30 % more blocks than
+    # calls here.
+    assert blocks[0] - calls <= 0.01 * calls
 
 
 def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):
