@@ -10,64 +10,58 @@ k = floor(log10|x|) and 10^(16-k) = hi + lo held to about 2^-106,
 
 and the digits are D = p + floor(t), plus one if frac(t) > 0.5.  t is off
 by at most ~1e-14, so D is proven wherever frac(t) stays further than
-``_GUARD`` from a tie and D has exactly 17 digits.  Every other value
-(non-finite, outside 1e+-279, near a tie, or a k that log10 got wrong)
-goes to ``'%.17g' % x`` itself: the fast path knows when it cannot prove
-its answer, as in Grisu (Loitsch, PLDI 2010).
+``_GUARD`` from a tie and D has exactly 17 digits.  The fast path takes
+zero and 1e-279 <= |x| < 10, the range every measure lies in, where k <= 0
+and so every digit after d0 follows the point.  Every other value
+(non-finite, outside that range, near a tie, or with a k that log10 got
+wrong) goes to ``'%.17g' % x`` itself: the fast path knows when it cannot
+prove its answer, as in Grisu (Loitsch, PLDI 2010).
 
-A cell is laid out in ``CELL_WIDTH`` fixed columns, unused ones NUL:
+A cell is ``CELL_WIDTH`` = 32 columns, four 8-byte words, each built by
+table lookup and NUL-padded:
 
-    sign | "0.000" prefix | d0 . d1 . d2 ... d15 . d16 | "e+ddd"
+    sign "0.000"-prefix d0 point | d1 ... d8 | d9 ... d16 | "e-ddd"
 
-with a point slot after every digit but the last.  Deleting the NULs
-leaves the ``%g`` text: fixed notation for -4 <= k < 17, exponent
-notation otherwise, trailing zeros and a bare point stripped.  The lookup
-tables are built on the first call.
+The head word is looked up by (sign, form, d0, whether a later digit is
+nonzero), the form being k = 0, -1, ..., -4 (fixed notation) or exponent
+notation; each group of four digits by the group and whether every later
+group is zero, so trailing zeros come out NUL; the exponent word by k.
+Deleting the NULs leaves the ``%g`` text.  The tables are built on the
+first call.
 """
 
 import numpy as np
 
-CELL_WIDTH = 44
+CELL_WIDTH = 32
 
-_K_MIN, _K_MAX = -279, 279   # decimal exponents the double-double path takes
+_MAG_MAX = 279               # greatest -k the double-double path takes (|x| >= 1e-279)
 _GUARD = 1e-6                # distance from a rounding tie that counts as proven
 _SPLIT = 134217729.0         # 2**27 + 1, Veltkamp's splitter
 _ZERO = ord("0")
-_TENS = 10 ** np.arange(17, dtype=np.int64)
+_FORMS = 6                   # k = 0, -1, -2, -3, -4, then exponent notation
 
-_quads = _stripped = _whole = _exponent = None
-_pow_built = _pow = None     # per k: (hi_high, hi_low, lo) of 10^(16 - k)
+_head = _groups = _exponent = None
+_pow = None                  # rows hi_high, hi_low, lo of 10^(16 - k), by -k
 
 
 def _build_tables() -> None:
-    global _quads, _stripped, _whole, _exponent, _pow_built, _pow
-    chars = np.empty((10,) * 4 + (4,), np.uint8)   # "0000" ... "9999"
-    for j in range(4):
-        chars[..., j] = np.arange(_ZERO, _ZERO + 10).reshape((10,) + (1,) * (3 - j))
-    chars = chars.reshape(-1, 4)
-    _quads = chars.view(np.uint32).ravel()
-    # The same groups with their trailing zeros NUL: what a group shows when
-    # every digit after it is zero.
-    trailing = chars == _ZERO
-    for j in (2, 1, 0):
-        trailing[:, j] &= trailing[:, j + 1]
-    _stripped = np.where(trailing, 0, chars).view(np.uint32).ravel()
-    # Row k: the bytes of each group that are integer digits in fixed
-    # notation (digits 1..k, shown even when zero).
-    place = np.arange(1, 17).reshape(4, 4)
-    _whole = np.where(place <= np.arange(17)[:, None, None], 0xFF, 0).astype(np.uint8)
-    _whole = _whole.reshape(17, 16).view(np.uint32)
-    # Row k - _K_MIN holds "e+XX" / "e-XXX" for k.
-    k = np.arange(_K_MIN, _K_MAX + 1)
-    mag = np.abs(k)
-    _exponent = np.zeros((len(k), 5), np.uint8)
-    _exponent[:, 0] = ord("e")
-    _exponent[:, 1] = np.where(k < 0, ord("-"), ord("+"))
-    _exponent[:, 2] = np.where(mag >= 100, mag // 100 + _ZERO, 0)
-    _exponent[:, 3] = mag // 10 % 10 + _ZERO
-    _exponent[:, 4] = mag % 10 + _ZERO
-    _pow_built = np.zeros(len(k), bool)
-    _pow = np.zeros((3, len(k)))
+    global _head, _groups, _exponent, _pow
+    # By form: the text before d0, and the point after it (shown if a
+    # later digit is nonzero).
+    prefixes = (b"", b"0.", b"0.0", b"0.00", b"0.000", b"")
+    points = (b".", b"", b"", b"", b"", b".")
+    _head = np.array([sign + prefix + b"%d" % d0 + point * nonzero
+                      for sign in (b"", b"-") for prefix, point in zip(prefixes, points)
+                      for d0 in range(10) for nonzero in (0, 1)], "S8").view(np.uint64)
+    # "0000" ... "9999" with their trailing zeros NUL (what a group shows
+    # when every digit after it is zero), then as they are.
+    digits = np.indices((10,) * 4).reshape(4, -1).T.copy()
+    chars = (digits + _ZERO).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    _groups = np.concatenate([np.where(trailing, 0, chars), chars]).view(np.uint32).ravel()
+    _exponent = np.array([b"e-%02d" % mag if mag >= _FORMS - 1 else b""
+                          for mag in range(_MAG_MAX + 1)], "S8").view(np.uint64)
+    _pow = np.array([_power_of_ten(16 + mag) for mag in range(_MAG_MAX + 1)]).T.copy()
 
 
 def _split(a):
@@ -78,43 +72,26 @@ def _split(a):
 
 
 def _power_of_ten(m: int) -> tuple[float, float, float]:
-    """10^m as hi + lo to about 2^-106 (hi split for the two-product), with
-    exact integer arithmetic: int to float and int / int are correctly
-    rounded."""
-    if m >= 0:
-        hi = float(10 ** m)
-        lo = float(10 ** m - int(hi))
-    else:
-        scale = 10 ** -m
-        hi = 1 / scale
-        num, den = hi.as_integer_ratio()
-        lo = (den - num * scale) / (den * scale)
-    return (*_split(hi), lo)
-
-
-def _powers(k: np.ndarray) -> np.ndarray:
-    """(hi_high, hi_low, lo) of 10^(16 - k) for each k, building the table
-    entries from the least to the greatest k present if not yet built."""
-    idx = k - _K_MIN
-    if idx.size:
-        low = int(idx.min())
-        for i in (np.flatnonzero(~_pow_built[low:idx.max() + 1]) + low).tolist():
-            _pow[:, i] = _power_of_ten(16 - _K_MIN - i)
-            _pow_built[i] = True
-    return np.take(_pow, idx, axis=1)
+    """10^m, m >= 0, as hi + lo to about 2^-106 (hi split for the
+    two-product), with exact integer arithmetic."""
+    hi = float(10 ** m)
+    return (*_split(hi), float(10 ** m - int(hi)))
 
 
 def format_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``'%.17g' % v`` for each ``v`` of ``x`` into ``out[..., :CELL_WIDTH]``,
-    which must hold only NULs; ``out`` has shape ``x.shape + (>= CELL_WIDTH,)``.
-    Returns the mask of the values that were left to ``%``."""
-    if _quads is None:
+    NUL-padded, whatever ``out`` held; ``out`` has shape ``x.shape + (>=
+    CELL_WIDTH,)``.  A cell's last column is always NUL (no such text is
+    longer than 24 characters), free for a separator.  Returns the mask of
+    the values that were left to ``%``."""
+    if _head is None:
         _build_tables()
     a = np.abs(x)
-    fast = (a >= 1e-279) & (a <= 1e279)
+    fast = (a >= 1e-279) & (a < 10)
     a = np.where(fast, a, 1.0)
-    k = np.clip(np.floor(np.log10(a)), _K_MIN, _K_MAX).astype(np.int64)
-    hi_high, hi_low, lo = _powers(k)
+    mag = np.minimum(np.maximum(-np.floor(np.log10(a)), 0), _MAG_MAX).astype(np.int64)
+    # Every table index here and below is in range, so take need not check.
+    hi_high, hi_low, lo = (row.take(mag, mode="clip") for row in _pow)
     # Dekker's two-product: a * (hi_high + hi_low) = p + e exactly.
     p = a * (hi_high + hi_low)
     a_high, a_low = _split(a)
@@ -128,48 +105,35 @@ def format_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
              & (np.abs(frac - 0.5) > _GUARD))
     # Zeros, and the values left to '%', lay out as "0": k = 0, no digits.
     digits = np.where(fast, digits, 0)
-    k = np.where(fast, k, 0)
-    fixed = (k >= -4) & (k < 17)
-    # The point follows digit k (fixed notation) or digit 0 (exponent
-    # notation); it shows if a nonzero digit follows it.
-    point = np.where(fixed, k, 0)
-    dotted = (point >= 0) & (digits % _TENS[16 - np.maximum(point, 0)] != 0)
+    mag = np.where(fast, mag, 0)
 
     lead = digits // 10 ** 16
     rest = digits - lead * 10 ** 16
     high = rest // 10 ** 8
     low = rest - high * 10 ** 8
-    groups = np.empty(x.shape + (4,), np.int64)
-    groups[..., 0] = high // 10 ** 4
-    groups[..., 1] = high - groups[..., 0] * 10 ** 4
-    groups[..., 2] = low // 10 ** 4
-    groups[..., 3] = low - groups[..., 2] * 10 ** 4
-    zero = groups == 0
-    tail = np.empty_like(zero)   # every group after this one is zero
-    tail[..., 3] = True
-    tail[..., 2] = zero[..., 3]
-    tail[..., 1] = tail[..., 2] & zero[..., 2]
-    tail[..., 0] = tail[..., 1] & zero[..., 1]
-    quads = np.where(tail, np.take(_stripped, groups), np.take(_quads, groups))
-    integral = fixed & (k > 0)
-    quads[integral] |= _quads[groups[integral]] & _whole[k[integral]]
+    g0 = high // 10 ** 4
+    g1 = high - g0 * 10 ** 4
+    g2 = low // 10 ** 4
+    g3 = low - g2 * 10 ** 4
 
+    # In each table index, min(n, 1) is 0 where n, the digits after d0 or
+    # after a group, are all zero: no point, the group's trailing zeros NUL.
+    words = np.empty(x.shape + (4,), np.uint64)
+    quads = words[..., 1:3].view(np.uint32)
+    words[..., 0] = _head.take(((np.signbit(x) * _FORMS + np.minimum(mag, _FORMS - 1)) * 10
+                                + lead) * 2 + np.minimum(rest, 1), mode="clip")
+    quads[..., 0] = _groups.take(g0 + 10 ** 4 * np.minimum(g1 + low, 1), mode="clip")
+    quads[..., 1] = _groups.take(g1 + 10 ** 4 * np.minimum(low, 1), mode="clip")
+    quads[..., 2] = _groups.take(g2 + 10 ** 4 * np.minimum(g3, 1), mode="clip")
+    quads[..., 3] = _groups.take(g3, mode="clip")
+    words[..., 3] = _exponent.take(mag, mode="clip")
     cell = out[..., :CELL_WIDTH]
-    cell[..., 0] = np.signbit(x) * np.uint8(ord("-"))
-    small = fixed & (k < 0)
-    cell[..., 1] = small * np.uint8(_ZERO)
-    cell[..., 2] = small * np.uint8(ord("."))
-    for j in range(2, 5):   # the zeros between the point and digit 0
-        cell[..., j + 1] = (fixed & (k <= -j)) * np.uint8(_ZERO)
-    cell[..., 6] = lead + _ZERO
-    cell[..., 8:39:2] = quads.view(np.uint8).reshape(x.shape + (16,))
-    cell[(*np.nonzero(dotted), 7 + 2 * point[dotted])] = ord(".")
-    large = ~fixed
-    cell[large, 39:] = _exponent[k[large] - _K_MIN]
+    cell[...] = words.view(np.uint8).reshape(cell.shape)
 
     slow = ~fast & (x != 0)
-    for where, v in zip(zip(*np.nonzero(slow)), x[slow].tolist()):
-        text = np.frombuffer(("%.17g" % v).encode(), np.uint8)
-        cell[where] = 0
-        cell[where][:len(text)] = text
+    if slow.any():
+        for where, v in zip(zip(*np.nonzero(slow)), x[slow].tolist()):
+            text = np.frombuffer(("%.17g" % v).encode(), np.uint8)
+            cell[where] = 0
+            cell[where][:len(text)] = text
     return slow

@@ -29,10 +29,6 @@ class BadStrength(UnruhLabError):
     """Measurement strength lies outside [0, 1]."""
 
 
-class BadArity(UnruhLabError):
-    """Wrong number of strength parameters for the local dimension."""
-
-
 class DegenerateOutcome(UnruhLabError):
     """Post-selected filtering left (numerically) zero success probability.
 

@@ -233,9 +233,10 @@ def _byte_rows(texts: list[str]) -> np.ndarray:
     return np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
 
 
-# Rows rendered, and written, at a time.  Rendering fig1a and fig2a to a
-# file took 11-13 ms at 1,024 rows, against 12-15 ms at 4,096 and 13-16 ms
-# at 256 (2-core host, numpy 2.4).
+# Rows rendered, and written, at a time.  Rendering fig1a and fig2a to text
+# took 9.9 and 10.0 ms at 1,024 rows (medians of 25), against 10.7 and 10.6
+# ms at 512, 10.3 and 11.0 ms at 2,048 and 13.9 ms at 4,096 (2-core host,
+# numpy 2.4).
 BLOCK_ROWS = 1024
 
 
@@ -244,8 +245,10 @@ def _csv_blocks(measures: np.ndarray, config: SweepConfig):
 
     Each block is laid out as a NUL-padded uint8 matrix, one row per line:
     the label, ``i_r``, ``i_s``, ``r`` and the strengths (rendered once per
-    index), the measure cells (:func:`~unruhlab.cellfmt.format_cells`)
-    and the flag.  Deleting the NULs leaves the text.
+    index), the measure cells (:func:`~unruhlab.cellfmt.format_cells`, the
+    comma in each cell's last column, which a cell leaves NUL) and the
+    flag.  Every byte of a row is written, so one buffer serves every
+    block.  Deleting the NULs leaves the text.
     """
     from .cellfmt import CELL_WIDTH, format_cells
 
@@ -257,32 +260,42 @@ def _csv_blocks(measures: np.ndarray, config: SweepConfig):
     cols = (("state", "i_r", "i_s", "r") + config.strength_columns()
             + config.measures + ("degenerate",))
     yield (",".join(cols) + "\n").encode("utf-8")
+
+    def float_rows(values: np.ndarray) -> np.ndarray:
+        """Each row of ``values`` as comma-ended cells, without the columns
+        that are NUL in every row."""
+        cells = np.empty(values.shape + (CELL_WIDTH,), np.uint8)
+        format_cells(values, cells)
+        cells[..., -1] = ord(",")
+        cells = cells.reshape(len(values), -1)
+        return cells.compress(cells.any(axis=0), axis=1)
+
     table = config.strength_table()
     index = _byte_rows([f"{i}," for i in range(max(len(config.r_grid), n_s))])
     parts = (
         _byte_rows([_csv_cell(label) + "," for label in config.initial_state]),
         index, index,
-        _byte_rows([_fmt(r) + "," for r in config.r_grid]),
-        _byte_rows(["".join(_fmt(v) + "," for v in row)
-                    for row in table.reshape(len(table), -1).tolist()]),
+        float_rows(np.array(config.r_grid)[:, None]),
+        float_rows(table.reshape(len(table), -1)),
     )
     picked = [MEASURE_COLUMNS.index(m) for m in config.measures]
-    width = sum(part.shape[1] for part in parts) + len(picked) * (CELL_WIDTH + 1) + 2
+    width = sum(part.shape[1] for part in parts) + len(picked) * CELL_WIDTH + 2
+    buffer = np.empty((min(BLOCK_ROWS, len(measures)), width), np.uint8)
     for start in range(0, len(measures), BLOCK_ROWS):
         values = measures[start:start + BLOCK_ROWS]
         dead = np.isnan(values).all(axis=1)
         values = np.where(dead[:, None], 0.0, values[:, picked])
         state, point = np.divmod(np.arange(start, start + len(values)), n_points)
         i_r, i_s = np.divmod(point, n_s)
-        block = np.zeros((len(values), width), np.uint8)
+        block = buffer[:len(values)]
         at = 0
         for part, rows in zip(parts, (state, i_r, i_s, i_r, i_s)):
-            block[:, at:at + part.shape[1]] = part[rows]
+            block[:, at:at + part.shape[1]] = part.take(rows, axis=0)
             at += part.shape[1]
-        cells = block[:, at:-2].reshape(len(values), len(picked), CELL_WIDTH + 1)
+        cells = block[:, at:-2].reshape(len(values), len(picked), CELL_WIDTH)
         format_cells(values, cells)
         cells[dead] = 0
-        cells[..., CELL_WIDTH] = ord(",")
+        cells[..., -1] = ord(",")
         block[:, -2] = ord("0") + dead
         block[:, -1] = ord("\n")
         yield block.tobytes().translate(None, b"\0")

@@ -12,11 +12,11 @@ marginal sums held entries.  The checks and spectra keep the field of
 their input: a real stack is checked and solved as float64, in real
 arithmetic, any other as complex128.  :class:`DensityMatrix` always
 holds complex128.  Each check is defined once, on held stacks
-(:func:`check_held`); the dense :func:`check_states`,
-:func:`block_eigenvalues` and :func:`hermitian_part` hold their input by
-its own support and run the same code.  Spectra are solved block by
-block, along the connected components of each stack's nonzero entries
-(:func:`held_eigenvalues`); a 2 x 2 block in closed form.
+(:func:`check_held`); the dense :func:`check_states` and
+:func:`hermitian_part` hold their input by its own support and run the
+same code.  Spectra are solved block by block, along the connected
+components of each stack's nonzero entries (:func:`held_eigenvalues`); a
+2 x 2 block in closed form.
 
 Conventions
 -----------
@@ -207,12 +207,6 @@ def held_eigenvalues(h: Held) -> np.ndarray:
         parts.append(_block_spectra(blocks, s).reshape(lead + (n_s * s,)))
         start += n_s * s * s
     return np.sort(np.concatenate(parts, axis=-1), axis=-1)
-
-
-def block_eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix or of every member of a
-    stack: :func:`held_eigenvalues` of the stack held by its own support."""
-    return held_eigenvalues(hold(m))
 
 
 def check_held(h: Held) -> tuple[Held, np.ndarray]:

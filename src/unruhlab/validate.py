@@ -43,6 +43,7 @@ EQUIV_TOL = 1e-12          # corrected closed form vs pipeline
 ZERO_ACCEL_TOL = 1e-13     # literal vs corrected at r = 0
 SPECTRUM_TOL = 1e-12       # closed-form x-state spectrum vs eigensolver
 TRIPLE_DRAWS = 12          # first-block draws a sample's X-state triples get; 9 on average
+SCAN_PIECE = 1 << 16       # window positions _draw tests at a time
 
 
 @dataclass(frozen=True)
@@ -106,30 +107,39 @@ def _draw(rng: np.random.Generator, samples: int, ranges) -> tuple[np.ndarray, n
     len(ranges)`` draws on average; a first block of that mean ran short on
     about half the calls.  It holds ``TRIPLE_DRAWS + len(ranges)`` a sample,
     64 more and a ``tail``, so that a redraw, twice as long from the same
-    state and so with the same values, is rare.
+    state and so with the same values, is rare.  The block's windows are
+    tested ``SCAN_PIECE`` at a time, up to the last head, so that memory
+    does not grow with the block.
     """
     start, tail = rng.bit_generator.state, 3 + len(ranges)
     size = samples * (TRIPLE_DRAWS + len(ranges)) + 64 + tail
     while True:
         rng.bit_generator.state = start
         u = rng.random(size)                # the same stream, longer on each pass
-        c = -1.0 + 2.0 * u
-        triples = np.lib.stride_tricks.sliding_window_view(c, 3)
-        ok = (np.minimum.reduce(x_eigenvalues(*x_coefficients(triples))) >= 1e-6).tolist()
         heads, pos = [], 0
-        for _ in range(samples):
-            while pos < len(ok) and not ok[pos]:
-                pos += 3
-            heads.append(pos)
-            pos += tail
-        if pos <= size:
+        for low in range(0, size - 2, SCAN_PIECE):   # the windows, a piece at a time
+            c = -1.0 + 2.0 * u[low:low + SCAN_PIECE + 2]
+            triples = np.lib.stride_tricks.sliding_window_view(c, 3)
+            ok = (np.minimum.reduce(x_eigenvalues(*x_coefficients(triples))) >= 1e-6).tolist()
+            i = pos - low
+            for _ in range(samples - len(heads)):
+                while i < len(ok) and not ok[i]:
+                    i += 3
+                if i >= len(ok):
+                    break
+                heads.append(low + i)
+                i += tail
+            pos = low + i
+            if len(heads) == samples:
+                break
+        if len(heads) == samples and pos <= size:
             break
         size *= 2
     rng.bit_generator.state = start
     rng.bit_generator.advance(pos)
     lows, highs = np.array(ranges, dtype=np.float64).T
     heads = np.array(heads, dtype=np.intp)[:, None]
-    return c[heads + np.arange(3)], lows + (highs - lows) * u[heads + np.arange(3, tail)]
+    return -1.0 + 2.0 * u[heads + np.arange(3)], lows + (highs - lows) * u[heads + np.arange(3, tail)]
 
 
 def _chunks(samples: int):

@@ -41,7 +41,7 @@ import numpy as np
 from unruhlab.channel import check_completeness, check_rindler, kraus_for_dim
 from unruhlab.closedform import (TRACE_NORM, _trace, assemble_qubit, check_coefficients,
                                  qubit_table, x_state_spectrum)
-from unruhlab.errors import BadArity, DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
+from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
 from unruhlab.localops import REVERSE, SUCCESS_FLOOR, WEAK, check_strengths, filter_levels
 from unruhlab.measures import MEASURE_COLUMNS, check_ranges
 from unruhlab.pipeline import LADDER_FLOOR, Propagated, chunk_points, filter_diagonal, propagate
@@ -59,6 +59,10 @@ _KINDS = (WEAK, REVERSE)
 
 class InvalidSubsystem(UnruhLabError):
     """Subsystem index is out of range for the given dimension list."""
+
+
+class BadArity(UnruhLabError):
+    """Wrong number of strength parameters for the local dimension."""
 
 
 @dataclass(frozen=True)
@@ -322,16 +326,19 @@ def qutrit_coefficients(spec: QutritStateSpec, weak: MeasurementStrengths,
     a = (a1, a2, a3, a2, a5, a6, a3, a6, a9)
 
     c2, c3 = c1 * c1, c1 * c1 * c1
+    # Squared as an array, x * x as the array form squares: a scalar's
+    # ** 2 calls pow, which can round a near-tie the other way.
+    rw2 = rw ** 2
     d = (
-        c2 * rw[0, 0] ** 2 * a1,            # D1   |00><00|
+        c2 * rw2[0, 0] * a1,                # D1   |00><00|
         c3 * rw[0, 0] * rw[1, 1] * a2,      # D2   |00><11|
-        c2 * s1 * s1 * rw[1, 0] ** 2 * a1,  # D3   |10><10|
+        c2 * s1 * s1 * rw2[1, 0] * a1,      # D3   |10><10|
         c3 * rw[0, 0] * rw[1, 1] * a[3],    # D4   |11><00|
-        c3 * rw[1, 1] ** 2 * a5,            # D5   |11><11|
-        c2 * s1 * s1 * rw[2, 0] ** 2 * a1,  # D6   |20><20|
+        c3 * rw2[1, 1] * a5,                # D5   |11><11|
+        c2 * s1 * s1 * rw2[2, 0] * a1,      # D6   |20><20|
         c3 * rw[2, 2] * rw[0, 0] * a[6],    # D7   |22><00|
         c2 * rw[2, 2] * rw[1, 1] * a[7],    # D8   |22><11|
-        c2 * rw[2, 2] ** 2 * a9,            # D9   |22><22|
+        c2 * rw2[2, 2] * a9,                # D9   |22><22|
         c3 * rw[0, 0] * rw[2, 2] * a3,      # D10  |00><22|
         c2 * rw[1, 1] * rw[2, 2] * a6,      # D11  |11><22|
     )

@@ -31,7 +31,7 @@ from unruhlab.states import (QutritStateSpec, XStateSpec, make_qutrit_state, mak
                              parse_state_preset, x_coefficients, x_eigenvalues)
 from unruhlab.sweep import (FIGURE_PRESETS, FULL_SECTOR, PROJECTED_SECTOR, SweepConfig,
                             figure_preset, run_sweep)
-from unruhlab.tensor import block_eigenvalues, blocks_of, check_states
+from unruhlab.tensor import blocks_of, check_states, held_eigenvalues, hold
 
 TOL = 1e-14
 
@@ -49,14 +49,14 @@ def assert_matches_full(lam, m):
 def assert_block_spectra_match(out):
     assert_matches_full(out.spectra, out.states)
     pt = partial_transposes(out)
-    assert_matches_full(block_eigenvalues(pt), pt)
+    assert_matches_full(held_eigenvalues(hold(pt)), pt)
     d0, db = out.dims
     marginal = np.trace(out.states.reshape(-1, d0, db, d0, db), axis1=1, axis2=3)
-    assert_matches_full(block_eigenvalues(marginal), marginal)
+    assert_matches_full(held_eigenvalues(hold(marginal)), marginal)
 
 
 def solved_sizes(monkeypatch, m) -> list[int]:
-    """Sizes of the blocks ``block_eigenvalues`` solves a stack in, largest
+    """Sizes of the blocks ``held_eigenvalues`` solves a stack in, largest
     first, from the blocks it passes to the per-block solver
     ``tensor._block_spectra`` (shape ``(n, n_s, s, s)``: ``n_s`` blocks of
     size ``s`` per member).  Also checks that the blocks cover the diagonal,
@@ -76,7 +76,7 @@ def solved_sizes(monkeypatch, m) -> list[int]:
     with monkeypatch.context() as patch:
         patch.setattr(tensor, "_block_spectra", spy)
         patch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
-        lam = block_eigenvalues(m)
+        lam = held_eigenvalues(hold(m))
     assert_matches_full(lam, m)
     assert sum(sizes) == m.shape[-1]
     assert sorted(solved) == sorted(s for s in sizes if s >= 3)
@@ -309,4 +309,4 @@ def test_two_by_two_closed_form_edge_blocks(m):
     lam = tensor._block_spectra(m[None], 2)
     assert_matches_full(lam, m[None])
     assert lam[0, 0] >= -tensor.STATE_EIGENVALUE_TOL
-    assert_matches_full(block_eigenvalues(m), m)
+    assert_matches_full(held_eigenvalues(hold(m)), m)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import MeasurementStrengths, apply_local_pair, build_operator, embed_diagonal, tied
+from oracle import (BadArity, MeasurementStrengths, apply_local_pair, build_operator,
+                    embed_diagonal, tied)
 from unruhlab.errors import (
-    BadArity,
     BadStrength,
     DegenerateOutcome,
     DimMismatch,

@@ -165,6 +165,50 @@ def test_only_unprovable_cells_are_left_to_percent():
     assert _format(x)[1].tolist() == [True] * 6 + [False] * 4
 
 
+def _near_a_tie(v: float) -> bool:
+    """Whether ``|v| * 10^(16 - k)`` (k the decimal exponent of ``v``) lies
+    within the formatter's guard of a rounding tie, exactly."""
+    d = abs(Decimal(v))
+    scaled = d.scaleb(16 - d.adjusted())
+    return abs(scaled - int(scaled) - Decimal("0.5")) <= Decimal(cellfmt._GUARD) * 2
+
+
+@pytest.mark.parametrize("name", [*FIGURE_PRESETS, *SWEEPS])
+def test_every_float_cell_is_vectorised_unless_near_a_tie(name):
+    # The measures of every preset and test sweep, and the r and strength
+    # values, take the fast path; only a value the guard cannot prove (one
+    # measure cell of fig1b) is left to '%'.
+    config = figure_preset(name) if name in FIGURE_PRESETS else config_from_mapping(SWEEPS[name])
+    measures = run_sweep(config)
+    values = np.concatenate([measures[~np.isnan(measures).all(axis=1)].ravel(),
+                             config.r_grid, config.strength_table().ravel()])
+    texts, slow = _format(values)
+    assert texts == ["%.17g" % v for v in values.tolist()]
+    assert all(_near_a_tie(v) for v in values[slow].tolist())
+    assert slow.sum() <= 1
+
+
+def test_the_fast_path_ends_below_ten():
+    x = np.array([np.nextafter(10.0, 0.0), -np.nextafter(10.0, 0.0), 10.0, -10.0,
+                  np.nextafter(10.0, np.inf), 9.5, 1.0, 0.1, 1e-5])
+    texts, slow = _format(x)
+    assert texts == ["%.17g" % v for v in x.tolist()]
+    assert slow.tolist() == [False, False, True, True, True, False, False, False, False]
+
+
+def test_cells_overwrite_what_out_held():
+    rng = np.random.default_rng(9)
+    x = np.concatenate([rng.uniform(-10.0, 10.0, 300), 10.0 ** rng.uniform(-300, 300, 100),
+                        [0.0, -0.0, np.nan, -np.inf, 1e300, 5e-324, 1e-7, 123.0, 1.0]])
+    out = np.full(x.shape + (cellfmt.CELL_WIDTH,), 0xFF, np.uint8)
+    cellfmt.format_cells(x, out)
+    # The last column is NUL in every cell, the '%' ones too: the CSV puts
+    # its comma there.
+    assert not out[:, -1].any()
+    assert [bytes(c).replace(b"\0", b"").decode() for c in out] == \
+        ["%.17g" % v for v in x.tolist()]
+
+
 # ---------------------------------------------------------- atomic output
 
 SMALL_INI = ("[sweep]\nsystem = two_qubit\ninitial_state = singlet\n"

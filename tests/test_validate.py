@@ -115,7 +115,8 @@ def test_sampled_checks_match_the_one_sample_oracle(monkeypatch, seed):
 
 def _counting_blocks(monkeypatch) -> list[int]:
     """Wrap ``validate.x_coefficients``, which ``_draw`` calls once per
-    block it draws; the returned list counts those calls."""
+    ``SCAN_PIECE`` windows it scans, so once per block it draws at the
+    sizes these tests draw; the returned list counts those calls."""
     blocks, coefficients = [0], validate.x_coefficients
 
     def counted(triples):
@@ -178,6 +179,50 @@ def test_the_first_block_suffices(monkeypatch):
     # A first block of the mean size drew about 30 % more blocks than
     # calls here.
     assert blocks[0] - calls <= 0.01 * calls
+
+
+_RANGES = [(0.0, 0.95)] * 4 + [(0.0, np.pi / 4), (0.0, 2 * np.pi)]
+
+
+def test_a_scan_in_pieces_draws_as_one_piece(monkeypatch):
+    blocks = _counting_blocks(monkeypatch)
+    grew = split = False
+    # At no triple draws budgeted a sample, most calls draw a longer block.
+    for budget in (validate.TRIPLE_DRAWS, 0):
+        monkeypatch.setattr(validate, "TRIPLE_DRAWS", budget)
+        for seed in range(8):
+            for samples in (1, 7, 60):
+                monkeypatch.setattr(validate, "SCAN_PIECE", 10 ** 9)
+                one = np.random.default_rng(seed)
+                blocks[0] = 0
+                want = validate._draw(one, samples, _RANGES)
+                grew |= blocks[0] > 1
+                for piece in (1, 5, 64):
+                    monkeypatch.setattr(validate, "SCAN_PIECE", piece)
+                    rng = np.random.default_rng(seed)
+                    blocks[0] = 0
+                    got = validate._draw(rng, samples, _RANGES)
+                    split |= blocks[0] > 1
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+                    assert rng.bit_generator.state == one.bit_generator.state
+    assert grew and split
+
+
+def test_a_scan_holds_one_piece_at_a_time(monkeypatch):
+    import tracemalloc
+
+    samples = 20_000
+    monkeypatch.setattr(validate, "SCAN_PIECE", 4096)
+    block = 8 * (samples * (validate.TRIPLE_DRAWS + len(_RANGES)) + 64 + 3 + len(_RANGES))
+    tracemalloc.start()
+    try:
+        validate._draw(np.random.default_rng(3), samples, _RANGES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The block, the heads and the draws: about twice the block.  Testing
+    # every window of the block at once peaked at about 11 times it.
+    assert peak < 3 * block
 
 
 def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):

@@ -21,8 +21,8 @@ directory, and writes the sha256 of every output to ``OUT.json``:
 
 The INIs, state points and bad arguments are read from those files with
 ``ast``, not imported.  ``diff`` prints each key whose hash differs or
-that only one side has, and exits 1 if there is one.  Neither command
-is part of the test suite.
+that only one side has, and exits 1 if there is one
+(``tests/test_golden.py``); ``write`` is not part of the test suite.
 """
 
 import argparse
