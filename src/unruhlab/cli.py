@@ -196,11 +196,11 @@ def _cmd_state(args) -> int:
     _option("--phi", check_rindler, 0.0, args.phi)
     _option("--alpha", check_strengths, args.alpha)
     _option("--beta", check_strengths, args.beta)
-    # one point of a sweep: weak strengths alpha, reversing strengths beta
+    # one point of a sweep of the state parsed above: weak alpha, reversing beta
     config = SweepConfig(TWO_QUTRIT if rho0.dims == (3, 3) else TWO_QUBIT, (args.preset,), (r,),
                          (args.alpha,), tie_policy=WEAK_REVERSE_SPLIT, beta=args.beta,
-                         phi=args.phi)
-    out = propagate(rho0.matrix, rho0.dims, *grid_inputs(config))
+                         phi=args.phi, parsed=(rho0,))
+    out = propagate(rho0, rho0.dims, *grid_inputs(config))
     if not len(out.kept):
         print(f"degenerate point: success probability below {SUCCESS_FLOOR}", file=sys.stderr)
         return 1

@@ -16,8 +16,9 @@ own tables:
   (:func:`~unruhlab.tensor.party_a_maps`), and applied as one
   ``(k_out, k_in)`` map per point;
 * states are checked by :func:`~unruhlab.tensor.check_held` where they
-  enter and where they leave, and nowhere in between.  Their spectra are
-  solved block by block along each chunk's nonzero held entries
+  enter (a preset where it is parsed, matrices in :func:`prepare`) and
+  where they leave, and nowhere in between.  Their spectra are solved
+  block by block along each chunk's nonzero held entries
   (:func:`~unruhlab.tensor.held_eigenvalues`), which leaves out no entry;
 * a point whose post-selection probability falls below ``SUCCESS_FLOOR``
   is degenerate; later steps skip it;
@@ -40,7 +41,8 @@ import numpy as np
 
 from .channel import superoperator
 from .localops import SUCCESS_FLOOR, filter_levels
-from .tensor import Held, check_held, hold, ladder_block, nonzero_support, party_a_maps
+from .tensor import (DensityMatrix, Held, check_held, hold, ladder_block, nonzero_support,
+                     party_a_maps)
 
 LADDER_FLOOR = 1e-14
 
@@ -123,12 +125,13 @@ def _accelerate(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray) -> 
     return Held(values[..., 0], grid.support, grid.reverse.shape[-1])
 
 
-def prepare(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
+def prepare(rho0, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
             reverse: np.ndarray, project: bool = False) -> Prepared:
     """Tables of a grid of points for :func:`propagate_points`.
 
-    ``rho0``: initial states over ``dims = (da, db)``, strictly checked
-    here, one shared by every filter row or one per row.  ``kraus``:
+    ``rho0``: initial states over ``dims = (da, db)``, one shared by every
+    filter row or one per row: a strict :class:`~unruhlab.tensor.DensityMatrix`
+    runs as checked when built, anything else is strictly checked here.  ``kraus``:
     ``(c, k, dao, da)``, one Kraus stack on party 0 per channel row.
     ``weak``, ``reverse``: ``(w, da db)`` and ``(w, dao db)``, the filter
     diagonals (:func:`filter_diagonal`) of each filter row.  ``project``
@@ -147,7 +150,8 @@ def prepare(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray, weak: np
     later step runs in real arithmetic; any other input keeps complex128.
     The steps are the same either way.
     """
-    rho0, _ = check_held(hold(rho0))
+    strict = isinstance(rho0, DensityMatrix) and rho0.strict
+    rho0 = rho0.held if strict else check_held(hold(getattr(rho0, "matrix", rho0)))[0]
     supers = superoperator(kraus)
     if not (np.any(rho0.values.imag) or np.any(supers.imag)):
         rho0, supers = rho0._replace(values=rho0.values.real), supers.real
@@ -165,8 +169,8 @@ def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
     """Channel and reversing filter on the points ``(i_channel, i_filter)`` of
     a prepared grid; a point whose weak row is degenerate is skipped.
 
-    States are checked only where they enter (:func:`prepare`) and where
-    they leave (under ``project``, the ladder blocks); the exit check's
+    States are checked only where they enter (see :func:`prepare`) and
+    where they leave (under ``project``, the ladder blocks); the exit check's
     Hermitian parts and spectra are returned.  In between a state is only
     mapped, scaled and renormalised, with no check at all.  That rests on
     the entry and exit checks alone: the filters are real diagonals
@@ -192,10 +196,11 @@ def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
     return Propagated(live, p_success, *check_held(state), dims)
 
 
-def propagate(rho0: np.ndarray, dims: tuple[int, int], kraus: np.ndarray,
+def propagate(rho0, dims: tuple[int, int], kraus: np.ndarray,
               weak: np.ndarray, reverse: np.ndarray, project: bool = False
               ) -> Propagated:
     """:func:`propagate_points` on a stack of points, each with its own row of
-    ``kraus``, ``weak`` and ``reverse`` (see :func:`prepare`)."""
+    ``kraus``, ``weak`` and ``reverse`` (see :func:`prepare`): the entry
+    point for initial states given as matrices, which are checked here."""
     points = np.arange(len(weak))
     return propagate_points(prepare(rho0, dims, kraus, weak, reverse, project), points, points)

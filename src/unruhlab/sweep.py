@@ -12,7 +12,7 @@ columns.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class SweepConfig:
     every reversing strength from ``beta``; ``independent`` drives party
     a's weak strength from the grid and the rest from ``alpha_b`` /
     ``beta_a`` / ``beta_b``.  ``parsed_states`` holds each initial state as
-    parsed and strictly checked here, where it enters, so that a run does
-    not parse it again; it is not part of the config's value.
+    parsed and strictly checked where it enters, here or, for ``parsed``
+    states, by the caller; it is not part of the config's value.
     """
 
     system: str
@@ -89,8 +89,9 @@ class SweepConfig:
     beta_a: float = 0.0
     beta_b: float = 0.0
     parsed_states: tuple = field(init=False, repr=False, compare=False)
+    parsed: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, parsed):
         if self.system not in (TWO_QUBIT, TWO_QUTRIT):
             raise ConfigError(f"unknown system {self.system!r}", field="system")
         states = tuple(self.initial_state) if not isinstance(self.initial_state, str) \
@@ -98,20 +99,21 @@ class SweepConfig:
         if not states:
             raise ConfigError("need at least one initial state", field="initial_state")
         want = (3, 3) if self.system == TWO_QUTRIT else (2, 2)
-        parsed = []
-        for s in states:
-            try:
-                rho = parse_state_preset(s)
-            except UnknownPreset as exc:
-                raise ConfigError(str(exc), field="initial_state") from exc
+        checked = []
+        for s, rho in zip(states, parsed or (None,) * len(states), strict=True):
+            if rho is None:
+                try:
+                    rho = parse_state_preset(s)
+                except UnknownPreset as exc:
+                    raise ConfigError(str(exc), field="initial_state") from exc
             if rho.dims != want:
                 raise ConfigError(
                     f"state {s!r} has dims {rho.dims}, system {self.system} needs {want}",
                     field="initial_state",
                 )
-            parsed.append(rho)
+            checked.append(rho)
         object.__setattr__(self, "initial_state", states)
-        object.__setattr__(self, "parsed_states", tuple(parsed))
+        object.__setattr__(self, "parsed_states", tuple(checked))
         for name, check in (("r_grid", lambda v: check_rindler(v, 0.0)),
                             ("strength_grid", check_strengths)):
             values = tuple(float(v) for v in getattr(self, name))
@@ -204,7 +206,7 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     n_points = len(config.r_grid) * n_s
     measures = np.full((len(config.initial_state) * n_points, len(MEASURE_COLUMNS)), np.nan)
     for k, rho0 in enumerate(config.parsed_states):
-        grid = prepare(rho0.matrix, rho0.dims, *inputs)
+        grid = prepare(rho0, rho0.dims, *inputs)
         size = grid.points_per_chunk()
         offset = k * n_points
         for start in range(0, n_points, size):

@@ -344,12 +344,14 @@ class DensityMatrix:
     dims:
         Local dimension of each tensor factor, leftmost first.
     strict:
-        When True (default) the constructor runs :func:`check_states`:
+        When True (default) the constructor runs :func:`check_held`:
         Hermiticity to 1e-10, unit trace to 1e-10 and positivity down to
         -1e-10, raising :class:`NonHermitian` / :class:`NotPositive` /
-        ``ValueError``.  When False only shape and Hermiticity (to 1e-8)
-        are enforced; used for closed-form states assembled verbatim from
-        published coefficient tables, which are not always normalised.
+        ``ValueError``; ``held`` keeps the checked state, which
+        :func:`unruhlab.pipeline.prepare` runs without a second check.
+        When False only shape and Hermiticity (to 1e-8) are enforced
+        (``held`` is None); used for closed-form states assembled verbatim
+        from published coefficient tables, which are not always normalised.
     flags:
         Free-form markers (e.g. ``("literal",)``) carried along for
         reporting; no behavioural effect.
@@ -359,6 +361,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
     strict: bool = True
     flags: tuple[str, ...] = field(default=())
+    held: Held | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -370,9 +373,13 @@ class DensityMatrix:
         n = int(np.prod(dims))
         if m.shape != (n, n):
             raise ValueError(f"matrix is {m.shape} but dims {dims} require ({n}, {n})")
-        m = check_states(m)[0] if self.strict else hermitian_part(m)
+        held = check_held(hold(m))[0] if self.strict else None
+        m = hermitian_part(m) if held is None else held.dense()
         m.flags.writeable = False
+        if held is not None:
+            held.values.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "held", held)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "flags", tuple(self.flags))
 

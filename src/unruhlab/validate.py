@@ -268,7 +268,7 @@ def _info_qutrit_literal() -> list[CheckResult]:
     lit = DensityMatrix(assemble_qutrit(qutrit_table(1.0, weak, reverse, 0.6)), (3, 3),
                         strict=False, flags=("literal",))
     rho0 = config.parsed_states[0]
-    out = propagate(rho0.matrix, rho0.dims, *grid_inputs(config))
+    out = propagate(rho0, rho0.dims, *grid_inputs(config))
     if not len(out.kept):
         raise DegenerateOutcome(f"success probability below {SUCCESS_FLOOR}")
     block = ladder_block(out.held, out.dims, 3).dense()[0]

@@ -346,7 +346,6 @@ def test_propagate_rejects_a_non_positive_input_the_weak_filter_would_hide():
 
 
 def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
-    config = figure_preset("fig4b")
     block_spectra, eigvalsh = tensor._block_spectra, np.linalg.eigvalsh
     matrices, solved, krons = [], [], []
 
@@ -358,6 +357,7 @@ def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
     monkeypatch.setattr(tensor, "_block_spectra", counting_blocks)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.shape) or eigvalsh(a))
     monkeypatch.setattr(np, "kron", lambda *args: krons.append(args))
+    config = figure_preset("fig4b")         # the states enter here, inside the count
     measures = run_sweep(config)
     n_states = len(config.initial_state)
     per_state = len(config.r_grid) * len(config.strength_grid)
@@ -365,13 +365,13 @@ def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
     # Counted in blocks passed to the per-block solver; a 1 x 1 block of a
     # stack's support is its diagonal entry and each larger block one
     # matrix.  The singlet's support is the block {|01>, |10>} and two zero
-    # diagonal entries: one matrix where it enters (the config parsed and
-    # checked it when it was built, before the count).  The filters are
-    # diagonal and the channel on party 0 moves population between |0> and
-    # |1> without making coherence, so each final state's support is the
-    # diagonal and |01><10|, blocks [2, 1, 1], and its partial transpose's
-    # the diagonal and |00><11|, again [2, 1, 1]: one matrix each.  Party
-    # b's marginal is diagonal: none.
+    # diagonal entries: one matrix where it enters, in the check when the
+    # config parses it (prepare runs that checked state as it is).  The
+    # filters are diagonal and the channel on party 0 moves population
+    # between |0> and |1> without making coherence, so each final state's
+    # support is the diagonal and |01><10|, blocks [2, 1, 1], and its
+    # partial transpose's the diagonal and |00><11|, again [2, 1, 1]: one
+    # matrix each.  Party b's marginal is diagonal: none.
     # Every block is 2 x 2 or smaller, so none reaches eigvalsh.
     assert sum(matrices) == n_states * 1 + (1 + 1 + 0) * n_states * per_state
     assert solved == []
@@ -381,14 +381,14 @@ def test_fig4b_eigensolves_only_the_entering_and_leaving_states(monkeypatch):
 @pytest.mark.parametrize("points, chunks", [(None, 1), (100, 3)])
 def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, points, chunks):
     # Every check is one check_held call, so counting it counts the checks:
-    # one where each state enters prepare and one exit check per chunk;
-    # none between the steps, and no second parse (the config parsed and
-    # checked each state when it was built).  The name is patched in every
-    # module that could bind it, so a pass imported into another module is
+    # one where each state enters, when the config parses it, and one exit
+    # check per chunk; none in prepare, which runs the parsed state as it
+    # is, and none between the steps.  The name is patched in every module
+    # that could bind it, so a pass imported into another module is
     # counted too.  ``points`` sets the chunk to that many points' channel
     # maps; None keeps the default.
     config = figure_preset("fig4b")
-    grids = [pipeline.prepare(rho0.matrix, rho0.dims, *grid_inputs(config))
+    grids = [pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))
              for rho0 in config.parsed_states]
     if points is not None:
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", points * grids[0].channels[0].nbytes)
@@ -401,6 +401,7 @@ def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, points
 
     for module in (tensor, pipeline, measures, sweep):
         monkeypatch.setattr(module, "check_held", counting, raising=False)
+    config = figure_preset("fig4b")         # the states enter here, inside the count
     run_sweep(config)
     per_state = len(config.r_grid) * len(config.strength_grid)
     assert [-(-per_state // grid.points_per_chunk()) for grid in grids] == [chunks] * len(grids)

@@ -239,19 +239,21 @@ def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):
     # and its eigensolver side, a full solve of the 4 x 4 state, 1; per
     # sample of the r = 0 check: the strict check of the corrected state, 2
     # (N // 5 samples).
-    # The fixed checks.  The singlet anchor, supported on the block
-    # {|01>, |10>} and two zero diagonal entries: its parse, entry check,
-    # exit check and partial transpose, one matrix each, 4.  The qutrit:1
-    # anchor, supported on the block {|00>, |11>, |22>}: its parse, entry
-    # check and exit check (at r = 0 the state is unchanged), one each, and
-    # its partial transpose, the three blocks {|ij>, |ji>} for i < j, 3; 6
-    # in all.  Both anchors' party-b marginals are diagonal: none.  The one
-    # qutrit literal point: its parse and entry check, 1 + 1, its exit
-    # check, blocks [3, 2, 2, 1, 1, 1, 1, 1], 3, two full spectra for each of
-    # the restricted and projected discrepancy reports, 4, the projected
-    # ladder block's strict check, blocks [3, 1, 1, 1, 1, 1, 1], 1, and the
-    # literal spectrum, a full solve, 1; 11 in all.
-    fixed = 4 + 6 + 11
+    # The fixed checks.  Each preset is checked once where it enters, when
+    # its config parses it; prepare runs that checked state as it is.  The
+    # singlet anchor, supported on the block {|01>, |10>} and two zero
+    # diagonal entries: its entry check at parse, exit check and partial
+    # transpose, one matrix each, 3.  The qutrit:1 anchor, supported on the
+    # block {|00>, |11>, |22>}: its entry check at parse and exit check (at
+    # r = 0 the state is unchanged), one each, and its partial transpose,
+    # the three blocks {|ij>, |ji>} for i < j, 3; 5 in all.  Both anchors'
+    # party-b marginals are diagonal: none.  The one qutrit literal point:
+    # its entry check at parse, 1, its exit check, blocks
+    # [3, 2, 2, 1, 1, 1, 1, 1], 3, two full spectra for each of the
+    # restricted and projected discrepancy reports, 4, the projected ladder
+    # block's strict check, blocks [3, 1, 1, 1, 1, 1, 1], 1, and the
+    # literal spectrum, a full solve, 1; 10 in all.
+    fixed = 3 + 5 + 10
     counted, inside = [], []
     block_spectra, eigvalsh = tensor._block_spectra, np.linalg.eigvalsh
 
