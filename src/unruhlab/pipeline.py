@@ -13,8 +13,10 @@ own tables:
 * the channel on party 0 is one Liouville superoperator per Rindler angle,
   gathered into a map from the weakened entries to every entry they reach
   through a nonzero superoperator entry
-  (:func:`~unruhlab.tensor.party_a_maps`), and applied as one
-  ``(k_out, k_in)`` map per point;
+  (:func:`~unruhlab.tensor.party_a_maps`); a chunk is a slab of channel
+  rows, each with the same filter rows, and the map of each row is applied
+  to the weakened states of its filter rows as one ``(k_out, k_in)``
+  product;
 * states are checked by :func:`~unruhlab.tensor.check_held` where they
   enter (a preset where it is parsed, matrices in :func:`prepare`) and
   where they leave, and nowhere in between.  Their spectra are solved
@@ -46,15 +48,17 @@ from .tensor import (DensityMatrix, Held, check_held, hold, ladder_block, nonzer
 
 LADDER_FLOOR = 1e-14
 
-# Bytes of one chunk's gathered channel maps, its widest per-point array
-# (k_out x k_in entries a point: 5 x 4 for the singlet, 17 x 9 for
-# qutrit:1); this bounds the working set on large grids.  Measured on a
-# 2-core host, median of three 12 s perfbench runs each: fig2a's
-# calibrated wall time is 0.061 s at 256 KiB, 0.050 s at 1 MiB and
-# 0.046 s at 4 MiB, fig1a's 0.026, 0.023 and 0.023 s, and mixed_cli's
-# 0.046, 0.040 and 0.041 s; the fig2a process peaks at 66.7, 66.7 and
-# 67.6 MB resident.
-CHUNK_BYTES = 1024 * 1024
+# Bytes of one chunk's held output values (k_out entries a point: 5 for
+# the singlet, 17 for qutrit:1, 8 or 16 bytes each); this bounds the
+# working set on large grids, about 5 (qutrit) to 19 (qubit) times this.
+# Measured on a 2-core host, two 15 s perfbench runs each: fig2a's
+# calibrated wall time is 0.039-0.041 s at 128 KiB (7 chunks), 0.036-0.037
+# s at 256 KiB (4 chunks) and 0.034 s at 1 MiB (1 chunk), against
+# 0.041 s when each point gathered its own channel map.  Peak resident
+# set of a fresh process: a 1000 x 1000 qubit run_sweep takes 86.4,
+# 87.5-87.9 and 96.5 MB (88.8 MB with the gathered maps), `figure fig2a`
+# 35.8-36.0, 35.9-36.0 and 39.5 MB (35.6-35.8 MB).
+CHUNK_BYTES = 256 * 1024
 
 
 class Propagated(NamedTuple):
@@ -84,14 +88,9 @@ class Prepared(NamedTuple):
     project: bool
 
     def points_per_chunk(self) -> int:
-        """As many points as ``CHUNK_BYTES`` holds of their gathered channel maps."""
-        return max(1, CHUNK_BYTES // max(1, self.channels[0].nbytes))
-
-
-def chunk_points(state_dim: int) -> int:
-    """As many points as ``CHUNK_BYTES`` holds of complex128 matrices of
-    dimension ``state_dim``."""
-    return max(1, CHUNK_BYTES // (16 * state_dim * state_dim))
+        """As many points as ``CHUNK_BYTES`` holds of their held output values,
+        ``k_out`` entries a point."""
+        return max(1, CHUNK_BYTES // max(1, len(self.support) * self.channels.itemsize))
 
 
 def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:
@@ -118,11 +117,12 @@ def _post_select(state: Held, floor: float):
     return kept, p, state._replace(values=state.values[kept] / p[:, None])
 
 
-def _accelerate(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray) -> Held:
-    """The weakened states of rows ``i_filter`` through the channel maps of
-    rows ``i_channel``, one gathered map per point."""
-    values = grid.channels[i_channel] @ grid.weakened.values[i_filter, :, None]
-    return Held(values[..., 0], grid.support, grid.reverse.shape[-1])
+def _accelerate(grid: Prepared, rows: np.ndarray, cols: np.ndarray) -> Held:
+    """The weakened states of filter rows ``cols`` ``(n or 1, g)`` through the
+    channel maps of rows ``rows`` ``(n,)``: ``(n, g, k_out)``, one product
+    per channel row."""
+    values = grid.weakened.values[cols] @ grid.channels[rows].swapaxes(-1, -2)
+    return Held(values, grid.support, grid.reverse.shape[-1])
 
 
 def prepare(rho0, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
@@ -164,10 +164,11 @@ def prepare(rho0, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
                     reverse, dims, project)
 
 
-def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
-                     ) -> Propagated:
-    """Channel and reversing filter on the points ``(i_channel, i_filter)`` of
-    a prepared grid; a point whose weak row is degenerate is skipped.
+def propagate_points(grid: Prepared, rows: np.ndarray, cols: np.ndarray) -> Propagated:
+    """Channel and reversing filter on a slab of a prepared grid: the points
+    ``(rows[i], cols[i, j])`` for channel rows ``rows`` ``(n,)`` and filter
+    rows ``cols`` ``(n or 1, g)``, in row-major order, which ``kept``
+    indexes.  A point whose weak row is degenerate is skipped.
 
     States are checked only where they enter (see :func:`prepare`) and
     where they leave (under ``project``, the ladder blocks); the exit check's
@@ -184,11 +185,13 @@ def propagate_points(grid: Prepared, i_channel: np.ndarray, i_filter: np.ndarray
     the exit check, which rejects it.
     """
     db = grid.dims[1]
+    i_filter = np.broadcast_to(cols, (len(rows), cols.shape[-1])).ravel()
     live = np.flatnonzero(grid.p_weak[i_filter] >= SUCCESS_FLOOR)
-    i_channel, i_filter = i_channel[live], i_filter[live]
-    state = _accelerate(grid, i_channel, i_filter).scaled(grid.reverse[i_filter])
+    state = _accelerate(grid, rows, cols).scaled(grid.reverse[cols])
+    state = state._replace(values=state.values.reshape(len(i_filter), len(grid.support))[live])
     kept, p_rev, state = _post_select(state, SUCCESS_FLOOR)
-    live, p_success = live[kept], grid.p_weak[i_filter[kept]] * p_rev
+    live = live[kept]
+    p_success = grid.p_weak[i_filter[live]] * p_rev
     dims = (state.dim // db, db)
     if grid.project:
         kept, _, state = _post_select(ladder_block(state, dims, grid.dims[0]), LADDER_FLOOR)
@@ -203,4 +206,5 @@ def propagate(rho0, dims: tuple[int, int], kraus: np.ndarray,
     ``kraus``, ``weak`` and ``reverse`` (see :func:`prepare`): the entry
     point for initial states given as matrices, which are checked here."""
     points = np.arange(len(weak))
-    return propagate_points(prepare(rho0, dims, kraus, weak, reverse, project), points, points)
+    return propagate_points(prepare(rho0, dims, kraus, weak, reverse, project),
+                            points, points[:, None])

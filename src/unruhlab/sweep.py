@@ -188,31 +188,40 @@ def grid_inputs(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return kraus, weak, reverse, project
 
 
+def _slabs(n_r: int, n_s: int, size: int):
+    """A ``(n_r, n_s)`` grid in rectangles of at most ``size`` points (at
+    least one) that are contiguous in row-major order: whole r rows, or one
+    r row's strengths a slice at a time when a row holds more than ``size``.
+    Yields (first point, channel rows ``(n,)``, filter rows ``(1, g)``)."""
+    rows, width = max(1, size // n_s), min(size, n_s)
+    for r in range(0, n_r, rows):
+        for s in range(0, n_s, width):
+            yield (r * n_s + s, np.arange(r, min(r + rows, n_r)),
+                   np.arange(s, min(s + width, n_s))[None])
+
+
 def run_sweep(config: SweepConfig) -> np.ndarray:
     """Every measure of every grid point, in deterministic (state, r, strength) order.
 
     Returns an ``(n_points, 7)`` array with columns in ``MEASURE_COLUMNS``
     order.  Each initial state is prepared once (the channel per r, the
     filters and the weak step per strength value) and its grid runs in
-    chunks of consecutive points, as many as ``CHUNK_BYTES`` holds of their
-    gathered channel maps (:meth:`~unruhlab.pipeline.Prepared.points_per_chunk`).  A
+    slabs (:func:`_slabs`), each as many points as ``CHUNK_BYTES`` holds of
+    their held output values (:meth:`~unruhlab.pipeline.Prepared.points_per_chunk`).  A
     degenerate point's row is all NaN, and a kept row never holds NaN in
     E_norm or p_success: NaN fails the range checks of
     :func:`~unruhlab.measures.measure_columns`.  So a row is all NaN
     exactly where its point is degenerate.
     """
     inputs = grid_inputs(config)
-    n_s = len(config.strength_grid)
-    n_points = len(config.r_grid) * n_s
+    n_r, n_s = len(config.r_grid), len(config.strength_grid)
+    n_points = n_r * n_s
     measures = np.full((len(config.initial_state) * n_points, len(MEASURE_COLUMNS)), np.nan)
     for k, rho0 in enumerate(config.parsed_states):
         grid = prepare(rho0, rho0.dims, *inputs)
-        size = grid.points_per_chunk()
-        offset = k * n_points
-        for start in range(0, n_points, size):
-            i_r, i_s = np.divmod(np.arange(start, min(start + size, n_points)), n_s)
-            out = propagate_points(grid, i_r, i_s)
-            measures[offset + start + out.kept] = measure_columns(out)
+        for start, rows, cols in _slabs(n_r, n_s, grid.points_per_chunk()):
+            out = propagate_points(grid, rows, cols)
+            measures[k * n_points + start + out.kept] = measure_columns(out)
     return measures
 
 

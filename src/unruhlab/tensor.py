@@ -5,13 +5,13 @@ the values ``(n, k)`` of the k entries that may be nonzero, at ascending
 flat indices into the d x d matrix.  Only this module reads those
 indices.  The steps the package takes on a held stack are entrywise:
 diagonal filters scale held values (:meth:`Held.scaled`), a map on party
-a is one gathered ``(k_out, k_in)`` matrix per point
-(:func:`party_a_maps`), a trace sums held diagonal entries, the ladder
-block and the partial transpose relabel the indices, and party b's
-marginal sums held entries.  The checks and spectra keep the field of
-their input: a real stack is checked and solved as float64, in real
-arithmetic, any other as complex128.  :class:`DensityMatrix` always
-holds complex128.  Each check is defined once, on held stacks
+a is one gathered ``(k_out, k_in)`` matrix, applied to a stack of held
+values by one product (:func:`party_a_maps`), a trace sums held diagonal
+entries, the ladder block and the partial transpose relabel the indices,
+and party b's marginal sums held entries.  The checks and spectra keep
+the field of their input: a real stack is checked and solved as float64,
+in real arithmetic, any other as complex128.  :class:`DensityMatrix`
+always holds complex128.  Each check is defined once, on held stacks
 (:func:`check_held`); the dense :func:`check_states` and
 :func:`hermitian_part` hold their input by its own support and run the
 same code.  Spectra are solved block by block, along the connected
@@ -333,9 +333,12 @@ def shannon_entropy(p, tol: float = 1e-8) -> np.ndarray:
     return np.where(h < 0.0, 0.0, h)    # max(h, 0.0), keeping the sign of a zero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density operator on a tensor product of small subsystems.
+
+    Equality is identity and instances hash by identity, so they can be
+    compared and used as keys; two states with equal matrices are not equal.
 
     Parameters
     ----------
@@ -361,7 +364,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
     strict: bool = True
     flags: tuple[str, ...] = field(default=())
-    held: Held | None = field(init=False, repr=False, compare=False)
+    held: Held | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)

@@ -44,7 +44,8 @@ from unruhlab.closedform import (TRACE_NORM, _trace, assemble_qubit, check_coeff
 from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
 from unruhlab.localops import REVERSE, SUCCESS_FLOOR, WEAK, check_strengths, filter_levels
 from unruhlab.measures import MEASURE_COLUMNS, check_ranges
-from unruhlab.pipeline import LADDER_FLOOR, Propagated, chunk_points, filter_diagonal, propagate
+from unruhlab import validate
+from unruhlab.pipeline import LADDER_FLOOR, Propagated, filter_diagonal, propagate
 from unruhlab.states import QutritStateSpec, XStateSpec, make_x_state, x_coefficients, x_eigenvalues
 from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, STATE_EIGENVALUE_TOL, DensityMatrix,
                              hermitian_eigenvalues, hermitian_part)
@@ -786,7 +787,7 @@ def _check_corrected_vs_pipeline(rng: np.random.Generator,
         points.append((spec, weak, reverse, AccelerationSpec(r, phi)))
     worst = 0.0
     worst_detail = ""
-    size = chunk_points(4)
+    size = validate.SAMPLES_PER_CHUNK
     for start in range(0, len(points), size):
         chunk = points[start:start + size]
         rho0 = np.array([make_x_state(spec).matrix for spec, *_ in chunk])

@@ -180,7 +180,8 @@ def _stacks(label: str, r, project: bool) -> tuple[np.ndarray, np.ndarray]:
     kraus = kraus_for_dim(da, np.asarray(r), 0.4)
     grid = pipeline.prepare(rho0.matrix, rho0.dims, kraus, np.ones((1, da * db)),
                             np.ones((1, kraus.shape[-2] * db)), project)
-    out = pipeline.propagate_points(grid, np.arange(len(kraus)), np.zeros(len(kraus), int))
+    # Every channel row with the one filter row: a slab of len(r) rows of one point.
+    out = pipeline.propagate_points(grid, np.arange(len(kraus)), np.zeros((1, 1), int))
     assert len(out.kept) == len(kraus)
     return out.states, partial_transposes(out)
 
@@ -218,7 +219,7 @@ def test_an_entry_off_the_pattern_joins_its_block(monkeypatch):
                                AccelerationSpec(0.6))
     grid = pipeline.prepare(rho0.matrix, rho0.dims, kraus[None], w[None], v[None])
     one = np.arange(1)
-    out = pipeline.propagate_points(grid, one, one)
+    out = pipeline.propagate_points(grid, one, one[:, None])
     assert solved_sizes(monkeypatch, out.states) == [3, 2, 2, 1, 1, 1, 1, 1]
     groups = blocks_of(out.states[0] != 0)
     i, j = groups[-1][0, 0], groups[0][0, 0]        # in the 3 x 3 block and a 1 x 1 one

@@ -8,7 +8,7 @@ import pytest
 import unruhlab
 from oracle import (AccelerationSpec, MeasurementStrengths, _random_x_spec,
                     corrected_final_qubit, run_protocol, tied)
-from unruhlab import cli, pipeline, sweep, validate
+from unruhlab import cli, sweep, validate
 from unruhlab.channel import r_from_acceleration
 from unruhlab.cli import main
 from unruhlab.localops import REVERSE, WEAK
@@ -79,8 +79,8 @@ def test_state_is_exactly_a_one_point_sweep(tmp_path, capsys, monkeypatch, prese
                          beta=beta, phi=phi)
     propagated, propagate_points = [], sweep.propagate_points
 
-    def recording(grid, i_channel, i_filter):
-        propagated.append(propagate_points(grid, i_channel, i_filter))
+    def recording(grid, rows, cols):
+        propagated.append(propagate_points(grid, rows, cols))
         return propagated[-1]
 
     monkeypatch.setattr(sweep, "propagate_points", recording)
@@ -268,13 +268,9 @@ def _oracle_corrected_vs_pipeline(seed: int, samples: int) -> float:
     return worst
 
 
-# 512 qubit points a chunk, so that 600 samples span two chunks.
-TWO_CHUNKS = 512 * 16 * 4 * 4
-
-
 @pytest.mark.parametrize("seed", [7, 20240801])
 def test_batched_closed_form_check_matches_oracle_loop(monkeypatch, seed):
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", TWO_CHUNKS)
+    monkeypatch.setattr(validate, "SAMPLES_PER_CHUNK", 512)   # 600 samples: two chunks
     samples = 600     # two chunks of qubit points
     check = run_validation(seed=seed, samples=samples).checks[0]
     assert check.name == "corrected_closed_form_vs_pipeline"
@@ -286,7 +282,7 @@ def test_closed_form_check_sees_every_chunk(monkeypatch):
     # Shift the closed-form state of sample 550, in the second chunk, by
     # diag(1e-9, -1e-9, 0, 0): the check must fail on it, by that amount.
     # The first check is the first caller, so its 600 samples come first.
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", TWO_CHUNKS)
+    monkeypatch.setattr(validate, "SAMPLES_PER_CHUNK", 512)   # 600 samples: two chunks
     closed_forms = validate._closed_forms
     rows, shifted_r = [], []
 
@@ -302,7 +298,7 @@ def test_closed_form_check_sees_every_chunk(monkeypatch):
 
     monkeypatch.setattr(validate, "_closed_forms", shifted)
     check = validate.run_validation(seed=7, samples=600).checks[0]
-    assert rows[:2] == [validate.chunk_points(4), 600 - validate.chunk_points(4)]
+    assert rows[:2] == [512, 600 - 512]
     assert len(shifted_r) == 1
     assert check.passed is False
     assert abs(check.value - 1e-9) <= 1e-15

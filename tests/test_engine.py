@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import io
 import random
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -177,24 +178,106 @@ def test_grid_spanning_several_chunks(monkeypatch):
                          r_grid=(0.0, 0.2, 0.5, R_MAX), strength_grid=(0.0, 0.3, 0.6, 0.9, 1.0),
                          qutrit_compare_sector=PROJECTED_SECTOR)
     whole = sweep_of(config)
-    # Seven points' real channel maps per chunk: 20 points a state give
-    # 7 + 7 + 6.  Both states hold the same entries, so their maps are alike.
-    (per_point,) = {pipeline.prepare(rho0.matrix, rho0.dims, *grid_inputs(config))
-                    .channels[0].nbytes for rho0 in config.parsed_states}
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 7 * per_point)
-    sizes = []
+    # Seventeen points' real held output values per chunk: a slab is whole
+    # r rows of 5 strengths, so 3 rows, and the 4 rows of a state give
+    # slabs of 3 and 1.  Both states hold the same entries, so their
+    # outputs are alike.
+    (per_point,) = {len(grid.support) * grid.channels.itemsize
+                    for grid in (pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))
+                                 for rho0 in config.parsed_states)}
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 17 * per_point)
+    shapes = []
 
-    def spy(grid, i_channel, i_filter):
-        sizes.append(len(i_filter))
-        return pipeline.propagate_points(grid, i_channel, i_filter)
+    def spy(grid, rows, cols):
+        shapes.append((list(rows), cols.tolist()))
+        return pipeline.propagate_points(grid, rows, cols)
 
     monkeypatch.setattr(sweep, "propagate_points", spy)
     result = sweep_of(config)
-    assert sizes == [7, 7, 6, 7, 7, 6]
+    assert shapes == [([0, 1, 2], [[0, 1, 2, 3, 4]]), ([3], [[0, 1, 2, 3, 4]])] * 2
     assert_all_rows_match(config, result)
     assert [line.split(",")[:3] + line.split(",")[-1:] for line in result.lines] == \
         [line.split(",")[:3] + line.split(",")[-1:] for line in whole.lines]
     assert degenerate_rows(result) == degenerate_rows(whole)
+
+
+def test_a_row_wider_than_a_chunk_runs_in_strength_slices(monkeypatch):
+    # One r row of 2,000 strengths and 250 points' held output values a
+    # chunk: the row runs as 8 slices of 250 strengths, in order.  The rows
+    # equal the one-chunk run's bit for bit, the last point (strength 1)
+    # degenerate in both.  Each slice's working set, from its channel step
+    # to its measures, stays within 16 chunks' bytes (about 7 measured);
+    # one slab of the whole row takes about 55.
+    config = SweepConfig("two_qubit", ("singlet",), (0.5,), tuple(np.linspace(0.0, 1.0, 2000)))
+    rho0 = config.parsed_states[0]
+    grid = pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))
+    per_point = len(grid.support) * grid.channels.itemsize
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 2000 * per_point)
+    whole = run_sweep(config)
+    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 250 * per_point)
+    slices, starts, peaks = [], [], []
+
+    def spy(grid, rows, cols):
+        slices.append((rows.tolist(), cols.shape, int(cols[0, 0])))
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return pipeline.propagate_points(grid, rows, cols)
+
+    def measuring(out):
+        columns = measure_columns(out)
+        peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        return columns
+
+    monkeypatch.setattr(sweep, "propagate_points", spy)
+    monkeypatch.setattr(sweep, "measure_columns", measuring)
+    tracemalloc.start()
+    try:
+        sliced = run_sweep(config)
+    finally:
+        tracemalloc.stop()
+    assert slices == [([0], (1, 250), start) for start in range(0, 2000, 250)]
+    assert whole.tobytes() == sliced.tobytes()
+    assert np.isnan(sliced[-1]).all() and not np.isnan(sliced[:-1]).any()
+    assert len(peaks) == 8 and max(peaks) < 16 * pipeline.CHUNK_BYTES
+
+
+def _one_by_one(grid, rows, cols) -> pipeline.Propagated:
+    """The points of a slab, each its own channel row with one filter row."""
+    g = cols.shape[-1]
+    return pipeline.propagate_points(grid, np.repeat(rows, g),
+                                     np.broadcast_to(cols, (len(rows), g)).reshape(-1, 1))
+
+
+@pytest.mark.parametrize("label, phi, strengths", [
+    ("singlet", 0.0, (0.0, 0.5, 1.0)),
+    ("phased:singlet", 0.7, (0.0, 0.5, 1.0)),
+    ("qutrit:1", 0.0, (0.0, 0.5, 1.0)),
+    ("phased:qutrit:0.5", 0.7, (0.0, 0.5, 1.0)),
+    ("singlet", 0.0, (1.0,)),
+], ids=["qubit", "qubit-complex", "qutrit", "qutrit-complex", "all-degenerate"])
+@pytest.mark.parametrize("project", [False, True])
+def test_a_slab_gives_the_bits_of_its_points_one_by_one(label, phi, strengths, project):
+    # A slab takes one product per channel row; the same points one by one
+    # take one each.  Every output bit is the same.  The singlet's weak row
+    # at strength 1 is degenerate and skipped alike, and a grid whose every
+    # weak row is degenerate holds no entry at all (k_in = k_out = 0).
+    base = label.removeprefix("phased:")
+    config = SweepConfig(TWO_QUTRIT if base.startswith("qutrit") else "two_qubit", (base,),
+                         (0.0, 0.3, R_MAX), strengths, phi=phi)
+    rho0 = _phased(base) if base != label else config.parsed_states[0]
+    grid = pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))._replace(project=project)
+    assert grid.channels.dtype == (np.complex128 if phi else np.float64)
+    rows, cols = np.arange(3), np.arange(len(strengths))[None]
+    slab, points = pipeline.propagate_points(grid, rows, cols), _one_by_one(grid, rows, cols)
+    if base == "singlet":
+        live = [i for i in range(3 * len(strengths)) if strengths[i % len(strengths)] < 1.0]
+        assert list(slab.kept) == live
+        assert (len(grid.support) == 0) == (live == [])
+    assert slab.dims == points.dims and slab.held.dim == points.held.dim
+    for a, b in ((slab.kept, points.kept), (slab.p_success, points.p_success),
+                 (slab.held.index, points.held.index), (slab.held.values, points.held.values),
+                 (slab.spectra, points.spectra)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 _POINT_STATES = {"two_qubit": st.sampled_from(["singlet", "werner:0.3", "werner:0.9"]),
@@ -325,7 +408,7 @@ def test_a_full_support_input_matches_the_oracle(dim, real):
         assert grid.weakened.dtype == (np.float64 if real else np.complex128)
         for project in (False, True) if dim == 3 else (False,):
             one = np.zeros(1, dtype=int)
-            out = pipeline.propagate_points(grid._replace(project=project), one, one)
+            out = pipeline.propagate_points(grid._replace(project=project), one, one[:, None])
             result = run_protocol(rho0, weak, reverse, acc)
             final = result.final
             if project:
@@ -385,13 +468,15 @@ def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, points
     # check per chunk; none in prepare, which runs the parsed state as it
     # is, and none between the steps.  The name is patched in every module
     # that could bind it, so a pass imported into another module is
-    # counted too.  ``points`` sets the chunk to that many points' channel
-    # maps; None keeps the default.
+    # counted too.  ``points`` sets the chunk to that many points' held
+    # output values; None keeps the default.  A chunk is whole r rows of 3
+    # strengths: 100 points are 33 rows, and 81 rows make 3 chunks.
     config = figure_preset("fig4b")
     grids = [pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))
              for rho0 in config.parsed_states]
     if points is not None:
-        monkeypatch.setattr(pipeline, "CHUNK_BYTES", points * grids[0].channels[0].nbytes)
+        per_point = len(grids[0].support) * grids[0].channels.itemsize
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", points * per_point)
     calls = []
     check_held = tensor.check_held
 
@@ -403,8 +488,9 @@ def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, points
         monkeypatch.setattr(module, "check_held", counting, raising=False)
     config = figure_preset("fig4b")         # the states enter here, inside the count
     run_sweep(config)
-    per_state = len(config.r_grid) * len(config.strength_grid)
-    assert [-(-per_state // grid.points_per_chunk()) for grid in grids] == [chunks] * len(grids)
+    n_r, n_s = len(config.r_grid), len(config.strength_grid)
+    assert [-(-n_r // (grid.points_per_chunk() // n_s)) for grid in grids] == \
+        [chunks] * len(grids)
     assert len(calls) == len(config.initial_state) * (1 + chunks)
 
 
@@ -427,7 +513,8 @@ def test_the_exit_check_rejects_a_member_corrupted_between_the_steps(monkeypatch
     def corrupting(*args):
         t = accelerate(*args)
         (at,) = np.flatnonzero(t.index == entry[0] * t.dim + entry[1])
-        t.values[len(t.values) // 2, at] += value
+        member = t.values[..., at]      # a view: one entry of every point of the slab
+        member.flat[member.size // 2] += value
         return t
 
     monkeypatch.setattr(pipeline, "_accelerate", corrupting)
@@ -477,8 +564,8 @@ def _sweep_dtypes(monkeypatch, config: SweepConfig):
     propagated states and spectra of each chunk."""
     dtypes, propagate_points = [], sweep.propagate_points
 
-    def recording(grid, i_channel, i_filter):
-        out = propagate_points(grid, i_channel, i_filter)
+    def recording(grid, rows, cols):
+        out = propagate_points(grid, rows, cols)
         dtypes.append((grid.weakened.dtype, grid.channels.dtype, out.states.dtype,
                        out.spectra.dtype))
         return out

@@ -18,6 +18,7 @@ from oracle import (
     von_neumann_entropy,
 )
 from unruhlab.errors import NonHermitian, NotPositive, NotSquare
+from unruhlab.states import singlet
 from unruhlab.tensor import DensityMatrix, check_states, hermitian_eigenvalues, hermitian_part
 
 RNG_SEED = 91031
@@ -176,6 +177,16 @@ def test_density_matrix_array_is_frozen():
     rho = DensityMatrix(np.eye(2, dtype=np.complex128) / 2, (2,))
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0
+
+
+def test_density_matrix_equality_is_identity():
+    # Comparing the array fields raised ValueError (an array's truth value
+    # is ambiguous), and hashing them TypeError (ndarray is unhashable).
+    rho, other = singlet(), singlet()
+    assert rho == rho and rho != other
+    assert len({rho, other, rho}) == 2
+    assert hash(rho) == hash(rho)
+    assert {rho: "a"}[rho] == "a"
 
 
 def test_density_matrix_rejects_nonfinite():

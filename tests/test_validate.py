@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from unruhlab import pipeline, tensor, validate
+from unruhlab import tensor, validate
 from unruhlab.channel import check_completeness, check_rindler, qubit_kraus
 from unruhlab.closedform import assemble_qubit, check_coefficients, qubit_table, x_state_spectrum
 from unruhlab.errors import (BadPhysicalParam, BadStrength, DegenerateOutcome, DimMismatch,
@@ -94,8 +94,8 @@ def test_sampled_checks_match_the_one_sample_oracle(monkeypatch, seed):
     # samples once, so the generator's state after each draw must be the
     # one the per-sample draws leave.
     samples = 600
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 512 * 16 * 4 * 4)    # 512 points a chunk
-    assert samples > validate.chunk_points(4)
+    monkeypatch.setattr(validate, "SAMPLES_PER_CHUNK", 512)
+    assert samples > validate.SAMPLES_PER_CHUNK
     draw, states = validate._draw, []
 
     def recording(rng, *args):
