@@ -91,9 +91,9 @@ def check_completeness(kraus) -> np.ndarray:
 
 def qubit_kraus(r) -> np.ndarray:
     """Kraus pairs {diag(cos r, 1), sin r |1><0|} for Rindler angles ``r``,
-    unchecked: shape ``r.shape + (2, 2, 2)``."""
+    unchecked: float64 (they carry no phase), shape ``r.shape + (2, 2, 2)``."""
     r = np.asarray(r, dtype=np.float64)
-    k = np.zeros(r.shape + (2, 2, 2), dtype=np.complex128)
+    k = np.zeros(r.shape + (2, 2, 2))
     k[..., 0, 0, 0] = np.cos(r)
     k[..., 0, 1, 1] = 1.0
     k[..., 1, 1, 0] = np.sin(r)

@@ -209,12 +209,8 @@ def _cmd_state(args) -> int:
     print(f"p_success = {out.p_success[0]:.17g}")
     print(f"final dims = {out.dims}")
     if out_path is not None:
-        lines = ["i,j,re,im"]
-        n = len(final)
-        for i in range(n):
-            for j in range(n):
-                v = final[i, j]
-                lines.append(f"{i},{j},{v.real:.17g},{v.imag:.17g}")
+        lines = ["i,j,re,im", *(f"{i},{j},{v.real:.17g},{v.imag:.17g}"
+                                for (i, j), v in np.ndenumerate(final))]
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     return 0
@@ -223,12 +219,8 @@ def _cmd_state(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "sweep": _cmd_sweep,
-        "figure": _cmd_figure,
-        "validate": _cmd_validate,
-        "state": _cmd_state,
-    }
+    handlers = {"sweep": _cmd_sweep, "figure": _cmd_figure, "validate": _cmd_validate,
+                "state": _cmd_state}
     try:
         return handlers[args.command](args)
     except (ConfigError, UnknownPreset) as exc:

@@ -24,9 +24,9 @@ own tables:
   (:func:`~unruhlab.tensor.held_eigenvalues`), which leaves out no entry;
 * a point whose post-selection probability falls below ``SUCCESS_FLOOR``
   is degenerate; later steps skip it;
-* when the entering states and the channel are exactly real (every real
-  state at phi = 0), all of it runs on float64 stacks; otherwise on
-  complex128 ones, through the same code.
+* the qubit channel is always real, the qutrit one at phi = 0; when the
+  entering states are exactly real too, all of it runs on float64 stacks;
+  otherwise on complex128 ones, through the same code.
 
 :func:`~unruhlab.measures.measure_columns` then evaluates the measures on
 the final states.  The grid's inputs come from one place,
@@ -90,7 +90,8 @@ class Prepared(NamedTuple):
     def points_per_chunk(self) -> int:
         """As many points as ``CHUNK_BYTES`` holds of their held output values,
         ``k_out`` entries a point."""
-        return max(1, CHUNK_BYTES // max(1, len(self.support) * self.channels.itemsize))
+        item = np.result_type(self.weakened.dtype, self.channels.dtype).itemsize
+        return max(1, CHUNK_BYTES // max(1, len(self.support) * item))
 
 
 def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:
@@ -145,10 +146,10 @@ def prepare(rho0, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
     nonzero in some row, the channel's images by every entry those reach
     through a nonzero superoperator entry
     (:func:`~unruhlab.tensor.party_a_maps`).  When the checked states and
-    the channel superoperators are exactly real (every imaginary part zero,
-    as for every real state at phi = 0), the tables are float64 and every
-    later step runs in real arithmetic; any other input keeps complex128.
-    The steps are the same either way.
+    the channel superoperators are exactly real (the qubit channel always,
+    the qutrit one at phi = 0), the tables are float64 and every later step
+    runs in real arithmetic; any other input keeps complex128, and a complex
+    state's product promotes real maps.  The steps are the same either way.
     """
     strict = isinstance(rho0, DensityMatrix) and rho0.strict
     rho0 = rho0.held if strict else check_held(hold(getattr(rho0, "matrix", rho0)))[0]

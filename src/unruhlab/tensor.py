@@ -111,6 +111,13 @@ def hold(m) -> Held:
     return Held(m.reshape(m.shape[:-2] + (d * d,))[..., index], index, d)
 
 
+def _mask(flat, size: int) -> np.ndarray:
+    """A boolean array over ``size`` flat positions, true at ``flat``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[flat] = True
+    return mask
+
+
 def _nonzero(h: Held) -> np.ndarray:
     """Which held entries are nonzero in some member."""
     return (h.values != 0).any(axis=tuple(range(h.values.ndim - 1)))
@@ -119,7 +126,7 @@ def _nonzero(h: Held) -> np.ndarray:
 def nonzero_support(h: Held) -> Held:
     """``h`` held by the entries nonzero in some member, and their transposes."""
     nz = _nonzero(h)
-    keep = nz | np.isin(h.index, h.transposes()[nz])
+    keep = nz | _mask(h.transposes()[nz], h.dim * h.dim)[h.index]
     return Held(h.values[..., keep], h.index[keep], h.dim)
 
 
@@ -129,8 +136,8 @@ def _hermitian(h: Held, tol: float) -> Held:
     if not np.isfinite(h.values).all():
         raise ValueError("matrix contains non-finite entries")
     vt = h.entries(h.transposes()).conj()
-    asym = np.abs(h.values - vt).max(axis=-1, initial=0.0)
-    if np.any(asym > tol):
+    asym = np.abs(h.values - vt)
+    if (asym > tol).any():
         raise NonHermitian(f"matrix deviates from Hermiticity by {asym.max():.3e}")
     return h._replace(values=0.5 * (h.values + vt))
 
@@ -198,9 +205,7 @@ def held_eigenvalues(h: Held) -> np.ndarray:
     solved together by :func:`_block_spectra`.
     """
     d, lead = h.dim, h.values.shape[:-1]
-    pattern = np.zeros(d * d, dtype=bool)
-    pattern[h.index[_nonzero(h)]] = True
-    flat, shapes = _blocks(pattern.tobytes(), d)
+    flat, shapes = _blocks(_mask(h.index[_nonzero(h)], d * d).tobytes(), d)
     entries, parts, start = h.entries(flat), [], 0
     for n_s, s in shapes:
         blocks = entries[..., start:start + n_s * s * s].reshape(lead + (n_s, s, s))
@@ -263,7 +268,8 @@ def party_a_maps(index, dims, superops) -> tuple[np.ndarray, np.ndarray]:
     pair_in = a * da + a2
     reach = (superops != 0).reshape((-1,) + superops.shape[-2:]).any(axis=0)
     pair_out, i = np.nonzero(reach[:, pair_in])
-    out = np.unique((pair_out // dao * db + b[i]) * (dao * db) + pair_out % dao * db + b2[i])
+    out = np.flatnonzero(_mask((pair_out // dao * db + b[i]) * (dao * db)
+                               + pair_out % dao * db + b2[i], (dao * db) ** 2))
     oa, ob, oa2, ob2 = _parties(out, (dao, db))
     same = (ob[:, None] == b) & (ob2[:, None] == b2)
     return np.where(same, superops[..., (oa * dao + oa2)[:, None], pair_in], 0), out
@@ -296,7 +302,7 @@ def party_b_marginal(h: Held, dims) -> Held:
     sum over party a's levels, in order."""
     (da, db), a = dims, np.arange(dims[0])
     pa, pb, pa2, pb2 = _parties(h.index, dims)
-    out = np.unique((pb * db + pb2)[pa == pa2])
+    out = np.flatnonzero(_mask((pb * db + pb2)[pa == pa2], db * db))
     b, b2 = (x[:, None] for x in np.divmod(out, db))
     return Held(h.entries((a * db + b) * (da * db) + a * db + b2).sum(axis=-1), out, db)
 

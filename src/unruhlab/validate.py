@@ -34,7 +34,7 @@ from .errors import DegenerateOutcome
 from .localops import REVERSE, SUCCESS_FLOOR, WEAK, check_strengths
 from .measures import MEASURE_COLUMNS
 from .pipeline import LADDER_FLOOR, filter_diagonal, propagate
-from .states import check_x_coefficients, x_coefficients, x_eigenvalues, x_state_matrix
+from .states import check_x_coefficients, x_coefficients, x_state_matrix
 from .sweep import TWO_QUBIT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, grid_inputs, run_sweep
 from .tensor import (DensityMatrix, check_states, hermitian_eigenvalues, hermitian_part,
                      ladder_block)
@@ -125,12 +125,13 @@ def _draw(rng: np.random.Generator, samples: int, ranges) -> tuple[np.ndarray, n
         for low in range(0, size - 2, SCAN_PIECE):   # the windows, a piece at a time
             c = -1.0 + 2.0 * u[low:low + SCAN_PIECE + 2]
             triples = np.lib.stride_tricks.sliding_window_view(c, 3)
-            ok = (np.minimum.reduce(x_eigenvalues(*x_coefficients(triples))) >= 1e-6).tolist()
-            i = pos - low
+            b1, b2, b3, b4 = x_coefficients(triples)   # B1 - |B2| is B1 -/+ B2, bit for bit
+            ok = (np.minimum(b1 - np.abs(b2), b3 - np.abs(b4)) >= 1e-6).tolist()
+            i, n = pos - low, len(ok)
             for _ in range(samples - len(heads)):
-                while i < len(ok) and not ok[i]:
+                while i < n and not ok[i]:
                     i += 3
-                if i >= len(ok):
+                if i >= n:
                     break
                 heads.append(low + i)
                 i += tail
@@ -168,8 +169,7 @@ def _check_corrected_vs_pipeline(rng: np.random.Generator,
     c, u = _draw(rng, samples, [(0.0, 0.95)] * 4 + [(0.0, np.pi / 4), (0.0, 2 * np.pi)])
     c, weak, reverse = check_x_coefficients(c), check_strengths(u[:, :2]), check_strengths(u[:, 2:4])
     r = check_rindler(u[:, 4], u[:, 5])
-    worst = 0.0
-    worst_detail = ""
+    worst, worst_detail = 0.0, ""
     for chunk in _chunks(samples):
         kraus = qubit_kraus(r[chunk])
         check_completeness(kraus)

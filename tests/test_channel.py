@@ -19,7 +19,7 @@ from oracle import (
     qubit_channel,
     qutrit_channel,
 )
-from unruhlab.channel import R_MAX, r_from_acceleration
+from unruhlab.channel import R_MAX, check_completeness, qubit_kraus, r_from_acceleration
 from unruhlab.errors import BadPhysicalParam, DimMismatch
 from unruhlab.states import make_qutrit_state, QutritStateSpec, singlet
 from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
@@ -157,6 +157,20 @@ def test_kraus_completeness_over_r_grid():
             spec = AccelerationSpec(r, phi)
             assert qubit_channel(spec).completeness_defect() <= 1e-12
             assert qutrit_channel(spec).completeness_defect() <= 1e-12
+
+
+@pytest.mark.parametrize("r", [
+    np.meshgrid(np.linspace(0.0, R_MAX, 9), (0.0, 0.7, np.pi), indexing="ij")[0],
+    np.random.default_rng(RNG_SEED).uniform(0.0, R_MAX, 100_000),
+], ids=["validate-grid", "random"])
+def test_real_qubit_kraus_has_the_complex_completeness_bits(r):
+    # The qubit pair carries no phase, so it is built float64; its
+    # completeness defects (validate's kraus_completeness) are those of the
+    # same stack in complex arithmetic, bit for bit.
+    kraus = qubit_kraus(r)
+    assert kraus.dtype == np.float64
+    real, cplx = check_completeness(kraus), check_completeness(kraus.astype(np.complex128))
+    assert (real.dtype, real.shape, real.tobytes()) == (cplx.dtype, cplx.shape, cplx.tobytes())
 
 
 def test_channel_kraus_rejects_incomplete_family():

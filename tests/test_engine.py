@@ -260,13 +260,17 @@ def test_a_slab_gives_the_bits_of_its_points_one_by_one(label, phi, strengths, p
     # A slab takes one product per channel row; the same points one by one
     # take one each.  Every output bit is the same.  The singlet's weak row
     # at strength 1 is degenerate and skipped alike, and a grid whose every
-    # weak row is degenerate holds no entry at all (k_in = k_out = 0).
+    # weak row is degenerate holds no entry at all (k_in = k_out = 0).  The
+    # qubit channel's maps are real at every phi, the qutrit's complex iff
+    # phi != 0; a phased state's product promotes real maps.
     base = label.removeprefix("phased:")
     config = SweepConfig(TWO_QUTRIT if base.startswith("qutrit") else "two_qubit", (base,),
                          (0.0, 0.3, R_MAX), strengths, phi=phi)
     rho0 = _phased(base) if base != label else config.parsed_states[0]
     grid = pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))._replace(project=project)
-    assert grid.channels.dtype == (np.complex128 if phi else np.float64)
+    qutrit = base.startswith("qutrit")
+    assert grid.channels.dtype == (np.complex128 if phi and qutrit else np.float64)
+    assert grid.weakened.dtype == (np.complex128 if base != label else np.float64)
     rows, cols = np.arange(3), np.arange(len(strengths))[None]
     slab, points = pipeline.propagate_points(grid, rows, cols), _one_by_one(grid, rows, cols)
     if base == "singlet":
@@ -603,7 +607,8 @@ def _phased(label: str) -> DensityMatrix:
 def test_complex_path_matches_real_path_and_oracle(monkeypatch, system, states, sector):
     # The same grid through the real path (real states, phi = 0) and the
     # complex one (phased states; the qutrit channel also at phi = 0.7).
-    # Local phases on party b and the channel phase change no measure.
+    # Local phases on party b and the channel phase change no measure.  The
+    # qubit channel's maps stay real; the states' product promotes them.
     config = SweepConfig(system=system, initial_state=states,
                          r_grid=tuple(np.linspace(0.0, R_MAX, 5)),
                          strength_grid=(0.0, 0.3, 0.7, 0.95, 1.0),
@@ -614,7 +619,7 @@ def test_complex_path_matches_real_path_and_oracle(monkeypatch, system, states, 
     cplx, cplx_dtypes = _sweep_dtypes(monkeypatch, phased)
     f8, c16 = np.dtype(np.float64), np.dtype(np.complex128)
     assert real_dtypes == {(f8, f8, f8, f8)}
-    assert cplx_dtypes == {(c16, c16, c16, f8)}
+    assert cplx_dtypes == {(c16, f8 if system == "two_qubit" else c16, c16, f8)}
     dead = np.isnan(real).all(axis=1)
     assert dead.any() and not dead.all()
     assert np.array_equal(np.isnan(cplx), np.isnan(real))

@@ -1,6 +1,7 @@
 """The benchmark's traced mode (``perfbench/run.py --trace 1``) against this
 package: its tracer wraps layer functions and counts ``numpy.linalg.eigvalsh``
-calls, which only works if the pipeline looks the solver up at call time."""
+calls, which only works if the pipeline looks the solver up at call time.
+Beside it, the numpy calls the small commands must not make."""
 
 import importlib.util
 from pathlib import Path
@@ -56,3 +57,21 @@ def test_traced_figure_solves_blocks_through_the_looked_up_solver(tmp_path):
     summary = tracer.summary()
     assert summary["numpy.eigvalsh.calls"] > 0
     assert summary["numpy.kron.calls"] == 0
+
+
+def test_small_commands_build_index_sets_without_isin_or_unique(monkeypatch, tmp_path):
+    # Index sets are boolean masks over the d^2 flat positions, read back in
+    # order; no command of a single operating point or a line preset sorts
+    # or searches an index array through numpy.isin or numpy.unique.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.isin / numpy.unique called")
+
+    monkeypatch.setattr(np, "isin", forbidden)
+    monkeypatch.setattr(np, "unique", forbidden)
+    for argv in (["state", "--preset", "singlet", "--r", "0.3", "--alpha", "0.2"],
+                 ["state", "--preset", "qutrit:1", "--r", "0.3", "--alpha", "0.2",
+                  "--beta", "0.5"],
+                 ["figure", "fig4b", "--out-dir", str(tmp_path)],
+                 ["figure", "fig6b", "--out-dir", str(tmp_path)],
+                 ["validate", "--samples", "50", "--out-dir", str(tmp_path)]):
+        assert cli.main(argv) == 0, argv
