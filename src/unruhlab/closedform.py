@@ -16,22 +16,19 @@ explicitly provided:
 Every formula exists once, in array form, elementwise over stacks of
 points: :func:`qubit_table`, :func:`check_coefficients`,
 :func:`assemble_qubit`, :func:`x_state_spectrum`, :func:`qutrit_table` and
-:func:`assemble_qutrit`.  One point is a stack of one.  Literal states
-need not be normalised or positive, so nothing here checks them as
-states.  The per-point objects these replaced live beside the tests
-(``tests/oracle.py``) as the reference they are compared against.
+:func:`assemble_qutrit`.  One point is a stack of one.  Everything here
+returns plain arrays: literal states need not be normalised or positive,
+so nothing here checks them as states; :mod:`unruhlab.validate` checks
+and compares them.  The printed normalisation is ``_trace(table, 5)``.
+The per-point objects these replaced, and the per-state discrepancy
+report, live beside the tests (``tests/oracle.py``) as the reference they
+are compared against.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateOutcome, DimMismatch, NegativeDiscriminant, NotPositive
+from .errors import DegenerateOutcome, NegativeDiscriminant, NotPositive
 from .states import x_coefficients, x_matrix
-from .tensor import DensityMatrix, hermitian_eigenvalues
-
-TRACE_NORM = "trace"
-PRINTED_NORM = "printed"
 
 
 def qubit_table(c, weak, reverse, r, variant: str = "corrected") -> np.ndarray:
@@ -80,12 +77,11 @@ def check_coefficients(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def assemble_qubit(table: np.ndarray, normalization: str = TRACE_NORM) -> np.ndarray:
-    """4x4 states from coefficient tables, divided by their trace or by the
-    printed constant (``normalization='printed'``), unchecked."""
-    n = _trace(table, {TRACE_NORM: 6, PRINTED_NORM: 5}[normalization])
+def assemble_qubit(table: np.ndarray) -> np.ndarray:
+    """4x4 states from coefficient tables, divided by their trace, unchecked."""
+    n = _trace(table)
     if np.any(np.abs(n) <= 1e-14):
-        raise DegenerateOutcome(f"{normalization} normalization is zero")
+        raise DegenerateOutcome("trace normalization is zero")
     return x_matrix(table) / np.asarray(n)[..., None, None]
 
 
@@ -184,57 +180,3 @@ def assemble_qutrit(d) -> np.ndarray:
     # basis index of |i j> is 3 i + j
     m[..., [0, 0, 3, 4, 4, 6, 8, 8, 8, 0, 4], [0, 4, 3, 0, 4, 6, 0, 4, 8, 8, 8]] = d
     return m / _qutrit_trace(d)[..., None, None]
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    """Entrywise comparison of a closed-form state against the pipeline."""
-
-    label: str
-    max_abs_diff: float
-    max_entry: tuple[int, int]
-    trace_a: float
-    trace_b: float
-    min_eig_a: float
-    min_eig_b: float
-    entry_diffs: np.ndarray
-
-    @property
-    def trace_deficit(self) -> float:
-        return abs(self.trace_a - self.trace_b)
-
-    def to_text(self) -> str:
-        i, j = self.max_entry
-        return (
-            f"{self.label}: max |diff| = {self.max_abs_diff:.6e} at entry "
-            f"({i}, {j}); traces {self.trace_a:.12f} vs {self.trace_b:.12f} "
-            f"(deficit {self.trace_deficit:.6e}); min eigenvalues "
-            f"{self.min_eig_a:.3e} vs {self.min_eig_b:.3e}"
-        )
-
-
-def discrepancy_report(closed_form: DensityMatrix, pipeline: DensityMatrix,
-                       label: str = "closed-form vs pipeline") -> DiscrepancyReport:
-    """Compare two states of equal ambient dimension entry by entry.
-
-    Callers comparing the accelerated qutrit output must first restrict or
-    project it onto the 3 x 3 ladder sector (see
-    :func:`unruhlab.tensor.ladder_block`); mismatched dimensions
-    raise :class:`DimMismatch`.
-    """
-    if closed_form.matrix.shape != pipeline.matrix.shape:
-        raise DimMismatch(
-            f"shape {closed_form.matrix.shape} vs {pipeline.matrix.shape}"
-        )
-    diff = np.abs(closed_form.matrix - pipeline.matrix)
-    idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    return DiscrepancyReport(
-        label=label,
-        max_abs_diff=float(diff[idx]),
-        max_entry=(int(idx[0]), int(idx[1])),
-        trace_a=float(np.trace(closed_form.matrix).real),
-        trace_b=float(np.trace(pipeline.matrix).real),
-        min_eig_a=float(hermitian_eigenvalues(closed_form.matrix)[0]),
-        min_eig_b=float(hermitian_eigenvalues(pipeline.matrix)[0]),
-        entry_diffs=diff,
-    )

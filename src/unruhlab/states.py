@@ -10,9 +10,11 @@ which fills the diagonal (B1, B3, B3, B1) and the two anti-diagonals:
 B2 = (c11 - c22)/4 couples |00><11|, B4 = (c11 + c22)/4 couples |01><10|.
 The singlet is (-1, -1, -1); Werner states with singlet fidelity x are
 (-x, -x, -x).
-"""
 
-from dataclasses import dataclass
+:func:`x_state` and :func:`qutrit_state` check their parameters and build
+a strict :class:`~unruhlab.tensor.DensityMatrix`, the one check a preset
+gets (:func:`parse_state_preset`).
+"""
 
 import numpy as np
 
@@ -37,11 +39,6 @@ def x_coefficients(c) -> tuple[np.ndarray, ...]:
     return 0.25 * (1.0 + c33), 0.25 * (c11 - c22), 0.25 * (1.0 - c33), 0.25 * (c11 + c22)
 
 
-def x_eigenvalues(b1, b2, b3, b4) -> tuple[np.ndarray, ...]:
-    """Spectra {B1 +/- B2, B3 +/- B4} of X-states with coefficients B1 .. B4."""
-    return b1 + b2, b1 - b2, b3 + b4, b3 - b4
-
-
 def x_matrix(t) -> np.ndarray:
     """4x4 X-form matrices of entries b1 .. b8 (last axis) in the published
     layout: b1/b3/b5/b7 on the diagonal, b2/b8 at |00><11|/|11><00| and
@@ -57,59 +54,39 @@ def x_state_matrix(c) -> np.ndarray:
     return x_matrix(np.stack((b1, b2, b3, b4, b3, b4, b1, b2), axis=-1))
 
 
-@dataclass(frozen=True)
-class XStateSpec:
-    """Diagonal correlation coefficients of an X-form two-qubit state."""
+def x_state(c11: float, c22: float, c33: float) -> DensityMatrix:
+    """The 4x4 X-state of coefficients (c11, c22, c33).
 
-    c11: float
-    c22: float
-    c33: float
-
-    def __post_init__(self):
-        check_x_coefficients((self.c11, self.c22, self.c33))
-
-
-def make_x_state(spec: XStateSpec) -> DensityMatrix:
-    """Assemble the 4x4 X-state for ``spec``.
-
-    Raises :class:`NotPositive` when the coefficient triple does not
-    describe a physical state (any eigenvalue below -1e-10), through the
-    strict :class:`DensityMatrix` check.
+    Raises ``ValueError`` unless each is finite and in [-1, 1]
+    (:func:`check_x_coefficients`), and :class:`NotPositive` when the
+    triple describes no physical state (an eigenvalue below -1e-10),
+    through the strict :class:`DensityMatrix` check.
     """
-    return DensityMatrix(x_state_matrix((spec.c11, spec.c22, spec.c33)), (2, 2))
+    return DensityMatrix(x_state_matrix(check_x_coefficients((c11, c22, c33))), (2, 2))
 
 
 def singlet() -> DensityMatrix:
     """Two-qubit singlet (|01> - |10>)/sqrt(2) as an X-state."""
-    return make_x_state(XStateSpec(-1.0, -1.0, -1.0))
+    return x_state(-1.0, -1.0, -1.0)
 
 
 def werner(x: float) -> DensityMatrix:
     """Werner-type X-state (-x, -x, -x) with singlet weight ``x``."""
-    return make_x_state(XStateSpec(-x, -x, -x))
+    return x_state(-x, -x, -x)
 
 
-@dataclass(frozen=True)
-class QutritStateSpec:
-    """Pure two-qutrit state (|00> + |11> + gamma |22>) / sqrt(2 + gamma^2)."""
+def qutrit_state(gamma: float) -> DensityMatrix:
+    """The pure two-qutrit state (|00> + |11> + gamma |22>) / sqrt(2 + gamma^2).
 
-    gamma: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.gamma):
-            raise ValueError(f"gamma={self.gamma} is not finite")
-
-    def amplitudes(self) -> np.ndarray:
-        n = np.sqrt(2.0 + self.gamma * self.gamma)
-        return np.array([1.0, 1.0, self.gamma], dtype=np.complex128) / n
-
-
-def make_qutrit_state(spec: QutritStateSpec) -> DensityMatrix:
-    """Assemble the 9x9 density matrix of the gamma-family pure state."""
-    amp = spec.amplitudes()
+    Raises ``ValueError`` unless ``gamma`` is finite and 2 + gamma^2 is too.
+    """
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma={gamma} is not finite")
+    norm2 = 2.0 + gamma * gamma
+    if not np.isfinite(norm2):
+        raise ValueError(f"gamma={gamma} is too large: 2 + gamma^2 overflows")
     ket = np.zeros(9, dtype=np.complex128)
-    for i in range(3):
-        ket[4 * i] = amp[i]  # |ii> sits at index 3*i + i
+    ket[[0, 4, 8]] = np.array([1.0, 1.0, gamma], dtype=np.complex128) / np.sqrt(norm2)  # |ii>
     return DensityMatrix(np.outer(ket, ket.conj()), (3, 3))
 
 
@@ -139,9 +116,9 @@ def parse_state_preset(text: str) -> DensityMatrix:
             parts = [float(p) for p in arg.split(",")]
             if len(parts) != 3:
                 raise UnknownPreset(f"'x:' needs three coefficients, got {text!r}")
-            return make_x_state(XStateSpec(*parts))
+            return x_state(*parts)
         if name == "qutrit":
-            return make_qutrit_state(QutritStateSpec(float(arg)))
+            return qutrit_state(float(arg))
     except (ValueError, TypeError, NotPositive) as exc:
         raise UnknownPreset(f"cannot parse state preset {text!r}: {exc}") from exc
     raise UnknownPreset(f"unknown state preset {text!r}")

@@ -12,11 +12,10 @@ and party b's marginal sums held entries.  The checks and spectra keep
 the field of their input: a real stack is checked and solved as float64,
 in real arithmetic, any other as complex128.  :class:`DensityMatrix`
 always holds complex128.  Each check is defined once, on held stacks
-(:func:`check_held`); the dense :func:`check_states` and
-:func:`hermitian_part` hold their input by its own support and run the
-same code.  Spectra are solved block by block, along the connected
-components of each stack's nonzero entries (:func:`held_eigenvalues`); a
-2 x 2 block in closed form.
+(:func:`check_held`); a matrix is checked by holding it by its own
+support (:func:`hold`).  Spectra are solved block by block, along the
+connected components of each stack's nonzero entries
+(:func:`held_eigenvalues`); a 2 x 2 block in closed form.
 
 Conventions
 -----------
@@ -142,16 +141,6 @@ def _hermitian(h: Held, tol: float) -> Held:
     return h._replace(values=0.5 * (h.values + vt))
 
 
-def hermitian_part(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Hermitian parts of finite square matrices that are Hermitian within ``tol``.
-
-    Raises :class:`NotSquare`, ``ValueError`` on non-finite entries and
-    :class:`NonHermitian` when any entry of ``M - M^dag`` exceeds ``tol``.
-    A real input gives a float64 result, any other a complex128 one.
-    """
-    return _hermitian(hold(m), tol).dense()
-
-
 def blocks_of(pattern) -> tuple[np.ndarray, ...]:
     """Blocks of a ``(d, d)`` boolean support pattern: the connected components
     of the graph whose edges are its entries, as one ``(n_s, s)`` index array
@@ -236,14 +225,6 @@ def check_held(h: Held) -> tuple[Held, np.ndarray]:
     return h, lam
 
 
-def check_states(m) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`check_held` of a matrix or a stack of them (any leading axes),
-    held by its own support: the Hermitian parts, as matrices, and their
-    spectra."""
-    h, lam = check_held(hold(m))
-    return h.dense(), lam
-
-
 # ----------------------------------------- held states of two parties (a, b)
 
 def _parties(index, dims) -> tuple[np.ndarray, ...]:
@@ -307,18 +288,6 @@ def party_b_marginal(h: Held, dims) -> Held:
     return Held(h.entries((a * db + b) * (da * db) + a * db + b2).sum(axis=-1), out, db)
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix or of a stack of them.
-
-    The input is symmetrised after a Hermiticity check at tolerance 1e-8;
-    deviations beyond that raise :class:`NonHermitian`.  Dimensions in this
-    package never exceed 16, for which the LAPACK solver behind
-    ``numpy.linalg.eigvalsh`` is exact to machine precision; the tests
-    cross-check it against an independent Jacobi eigensolver.
-    """
-    return np.linalg.eigvalsh(hermitian_part(m))
-
-
 def shannon_entropy(p, tol: float = 1e-8) -> np.ndarray:
     """Shannon entropies in bits of the probability vectors along the last axis.
 
@@ -358,18 +327,14 @@ class DensityMatrix:
         -1e-10, raising :class:`NonHermitian` / :class:`NotPositive` /
         ``ValueError``; ``held`` keeps the checked state, which
         :func:`unruhlab.pipeline.prepare` runs without a second check.
-        When False only shape and Hermiticity (to 1e-8) are enforced
-        (``held`` is None); used for closed-form states assembled verbatim
-        from published coefficient tables, which are not always normalised.
-    flags:
-        Free-form markers (e.g. ``("literal",)``) carried along for
-        reporting; no behavioural effect.
+        When False only shape and Hermiticity (to 1e-8) are enforced and
+        the matrix is symmetrised (``held`` is None), for matrices that
+        need not be normalised or positive.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     strict: bool = True
-    flags: tuple[str, ...] = field(default=())
     held: Held | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -383,14 +348,13 @@ class DensityMatrix:
         if m.shape != (n, n):
             raise ValueError(f"matrix is {m.shape} but dims {dims} require ({n}, {n})")
         held = check_held(hold(m))[0] if self.strict else None
-        m = hermitian_part(m) if held is None else held.dense()
+        m = (_hermitian(hold(m), HERMITICITY_TOL) if held is None else held).dense()
         m.flags.writeable = False
         if held is not None:
             held.values.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "held", held)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "flags", tuple(self.flags))
 
     @property
     def dim(self) -> int:

@@ -25,7 +25,6 @@ from .closedform import (
     assemble_qubit,
     assemble_qutrit,
     check_coefficients,
-    discrepancy_report,
     qubit_table,
     qutrit_table,
     x_state_spectrum,
@@ -36,8 +35,7 @@ from .measures import MEASURE_COLUMNS
 from .pipeline import LADDER_FLOOR, filter_diagonal, propagate
 from .states import check_x_coefficients, x_coefficients, x_state_matrix
 from .sweep import TWO_QUBIT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, grid_inputs, run_sweep
-from .tensor import (DensityMatrix, check_states, hermitian_eigenvalues, hermitian_part,
-                     ladder_block)
+from .tensor import HERMITICITY_TOL, _hermitian, check_held, hold, ladder_block
 
 EQUIV_TOL = 1e-12          # corrected closed form vs pipeline
 ZERO_ACCEL_TOL = 1e-13     # literal vs corrected at r = 0
@@ -158,10 +156,11 @@ def _closed_forms(c, weak, reverse, r, variant: str = "corrected"):
     corrected ones strictly checked, with their spectra, the literal ones
     as non-strict states (spectra None)."""
     table = check_coefficients(qubit_table(c, weak, reverse, r, variant))
-    states = assemble_qubit(table)
+    states = hold(assemble_qubit(table))
     if variant == "corrected":
-        return (table, *check_states(states))
-    return table, hermitian_part(states), None
+        states, spectra = check_held(states)
+        return table, states.dense(), spectra
+    return table, _hermitian(states, HERMITICITY_TOL).dense(), None
 
 
 def _check_corrected_vs_pipeline(rng: np.random.Generator,
@@ -213,9 +212,9 @@ def _check_spectrum_formulas(rng: np.random.Generator,
     for chunk in _chunks(samples):
         table, states, _ = _closed_forms(c[chunk], weak[chunk], reverse[chunk], r[chunk])
         mus = np.sort(x_state_spectrum(table), axis=-1)
-        # a full LAPACK solve: the strict check's own spectra solve the two
-        # 2x2 blocks by the formula under test
-        direct = hermitian_eigenvalues(states)
+        # a full LAPACK solve of the checked states: the strict check's own
+        # spectra solve the two 2x2 blocks by the formula under test
+        direct = np.linalg.eigvalsh(states)
         worst = max(worst, float(np.max(np.abs(mus - direct))))
     return CheckResult("x_state_spectrum_vs_eigensolver", worst <= SPECTRUM_TOL,
                        worst, SPECTRUM_TOL)
@@ -266,12 +265,14 @@ def _info_printed_normalization() -> CheckResult:
 def _info_qutrit_literal() -> list[CheckResult]:
     """The literal qutrit table against the pipeline at one point, on the
     ladder sector as it is and renormalised, and the literal state's
-    lowest eigenvalue."""
+    lowest eigenvalue.  Each matrix is cast to complex128 before it is
+    symmetrised and solved, the projected block only after it is divided
+    by its weight: the printed rounding-level values depend on both."""
     config = SweepConfig(TWO_QUTRIT, ("qutrit:1",), (0.6,), (0.3,),
                          tie_policy=WEAK_REVERSE_SPLIT, beta=0.4)
     weak, reverse = config.strength_table()[0]
-    lit = DensityMatrix(assemble_qutrit(qutrit_table(1.0, weak, reverse, 0.6)), (3, 3),
-                        strict=False, flags=("literal",))
+    lit = _hermitian(hold(assemble_qutrit(qutrit_table(1.0, weak, reverse, 0.6))),
+                     HERMITICITY_TOL).dense()
     rho0 = config.parsed_states[0]
     out = propagate(rho0, rho0.dims, *grid_inputs(config))
     if not len(out.kept):
@@ -280,16 +281,22 @@ def _info_qutrit_literal() -> list[CheckResult]:
     weight = float(np.trace(block).real)
     if weight < LADDER_FLOOR:
         raise DegenerateOutcome(f"ladder sector weight {weight:.3e} is zero")
+    lit_low = float(np.linalg.eigvalsh(lit)[0])
     checks = []
-    for sector, piped in (("restricted", DensityMatrix(block, (3, 3), strict=False,
-                                                       flags=("sector",))),
-                          ("projected", DensityMatrix(block / weight, (3, 3)))):
-        rep = discrepancy_report(lit, piped, label=f"qutrit_literal_{sector}")
-        checks.append(CheckResult(f"qutrit_literal_vs_pipeline_{sector}", None,
-                                  rep.max_abs_diff, detail=rep.to_text()
-                                  + f"\nladder sector weight {weight:.6f}"))
-    eigs = hermitian_eigenvalues(lit.matrix)
-    return checks + [CheckResult("qutrit_literal_min_eigenvalue", None, float(eigs[0]),
+    for sector, piped in (
+            ("restricted", _hermitian(hold(block.astype(np.complex128)), HERMITICITY_TOL)),
+            ("projected", check_held(hold((block / weight).astype(np.complex128)))[0])):
+        piped = piped.dense()
+        diff = np.abs(lit - piped)
+        i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        traces = float(np.trace(lit).real), float(np.trace(piped).real)
+        checks.append(CheckResult(
+            f"qutrit_literal_vs_pipeline_{sector}", None, float(diff[i, j]),
+            detail=f"qutrit_literal_{sector}: max |diff| = {diff[i, j]:.6e} at entry "
+                   f"({i}, {j}); traces {traces[0]:.12f} vs {traces[1]:.12f} (deficit "
+                   f"{abs(traces[0] - traces[1]):.6e}); min eigenvalues {lit_low:.3e} vs "
+                   f"{np.linalg.eigvalsh(piped)[0]:.3e}\nladder sector weight {weight:.6f}"))
+    return checks + [CheckResult("qutrit_literal_min_eigenvalue", None, lit_low,
                                  detail="negative values flag non-physical transcribed "
                                         "coefficients at this operating point")]
 

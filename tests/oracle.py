@@ -11,7 +11,12 @@ state; ``restrict_to_ladder`` cuts an accelerated qutrit output back to its
 tests compare the batched pipeline against it to 1e-12, and check it in
 turn against index-arithmetic, Stinespring and Jacobi oracles.
 
-The per-point objects come first: an acceleration (``AccelerationSpec``)
+The per-point objects come first: an initial state's parameters
+(``XStateSpec``, ``QutritStateSpec``, which ``x_state`` and
+``qutrit_state`` take unpacked), the dense spectra of X-states
+(``x_eigenvalues``) and of Hermitian matrices (``hermitian_eigenvalues``,
+one full LAPACK solve, the reference the block solver and the Jacobi
+eigensolver are checked against), an acceleration (``AccelerationSpec``)
 and its channel (``ChannelKraus``), the strengths of one measurement step
 (``MeasurementStrengths``, ``tied``), one point's engine inputs
 (``point_inputs``, ``propagate_point``) and a sweep value's strengths
@@ -27,6 +32,9 @@ The three ``_check_*`` functions at the end are ``validate``'s sampled
 checks as they ran one sample at a time, on the scalar closed forms and
 per-sample state, strength, channel and acceleration objects; the tests
 compare the batched checks in :mod:`unruhlab.validate` against them.
+``_info_qutrit_literal`` builds ``validate``'s qutrit-literal entries on
+:class:`DensityMatrix` objects and a ``DiscrepancyReport``, the form
+``validate`` compares its array expressions against, bit for bit.
 
 ``rows_to_csv_reference`` is the CSV renderer as it ran one row at a time
 with ``%``; the tests compare the vectorised renderer against it byte for
@@ -35,20 +43,22 @@ byte.
 
 import io
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from unruhlab.channel import check_completeness, check_rindler, kraus_for_dim
-from unruhlab.closedform import (TRACE_NORM, _trace, assemble_qubit, check_coefficients,
-                                 qubit_table, x_state_spectrum)
+from unruhlab.closedform import (_trace, assemble_qubit, assemble_qutrit, check_coefficients,
+                                 qubit_table, qutrit_table, x_state_spectrum)
 from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
 from unruhlab.localops import REVERSE, SUCCESS_FLOOR, WEAK, check_strengths, filter_levels
 from unruhlab.measures import MEASURE_COLUMNS, check_ranges
 from unruhlab import validate
 from unruhlab.pipeline import LADDER_FLOOR, Propagated, filter_diagonal, propagate
-from unruhlab.states import QutritStateSpec, XStateSpec, make_x_state, x_coefficients, x_eigenvalues
-from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, STATE_EIGENVALUE_TOL, DensityMatrix,
-                             hermitian_eigenvalues, hermitian_part)
+from unruhlab.states import x_coefficients, x_matrix, x_state
+from unruhlab.sweep import TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, grid_inputs
+from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, HERMITICITY_TOL, STATE_EIGENVALUE_TOL,
+                             DensityMatrix, _hermitian, hold, ladder_block)
 from unruhlab.validate import EQUIV_TOL, SPECTRUM_TOL, ZERO_ACCEL_TOL, CheckResult
 
 ACCELERATED_PARTY = 0
@@ -56,6 +66,8 @@ STANDARD = "standard"
 LITERAL = "literal"
 _NEG_CLAMP = 1e-12
 _KINDS = (WEAK, REVERSE)
+TRACE_NORM = "trace"
+PRINTED_NORM = "printed"
 
 
 class InvalidSubsystem(UnruhLabError):
@@ -64,6 +76,43 @@ class InvalidSubsystem(UnruhLabError):
 
 class BadArity(UnruhLabError):
     """Wrong number of strength parameters for the local dimension."""
+
+
+class XStateSpec(NamedTuple):
+    """Diagonal correlation coefficients of an X-form two-qubit state,
+    unchecked: ``x_state(*spec)`` checks and builds it."""
+
+    c11: float
+    c22: float
+    c33: float
+
+
+class QutritStateSpec(NamedTuple):
+    """The gamma of a two-qutrit gamma-family state, unchecked:
+    ``qutrit_state(*spec)`` checks and builds it."""
+
+    gamma: float
+
+
+def x_eigenvalues(b1, b2, b3, b4) -> tuple[np.ndarray, ...]:
+    """Spectra {B1 +/- B2, B3 +/- B4} of X-states with coefficients B1 .. B4."""
+    return b1 + b2, b1 - b2, b3 + b4, b3 - b4
+
+
+def hermitian_part(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Hermitian parts of finite square matrices that are Hermitian within
+    ``tol``, as the package symmetrises a non-strict state; a real input
+    gives a float64 result, any other a complex128 one."""
+    return _hermitian(hold(m), tol).dense()
+
+
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of a stack of them,
+    by one full LAPACK solve of the Hermitian part (:func:`hermitian_part`).
+    Dimensions here never exceed 16, for which ``numpy.linalg.eigvalsh``
+    is exact to machine precision; the tests cross-check it against
+    :func:`jacobi_eigenvalues`."""
+    return np.linalg.eigvalsh(hermitian_part(m))
 
 
 @dataclass(frozen=True)
@@ -228,10 +277,13 @@ class QubitCoefficients:
         return float(_trace(self.table, 5))
 
     def assemble(self, normalization: str = TRACE_NORM) -> DensityMatrix:
-        strict = self.variant == "corrected" and normalization == TRACE_NORM
-        flags = () if strict else ("literal",)
-        return DensityMatrix(assemble_qubit(self.table, normalization), (2, 2),
-                             strict=strict, flags=flags)
+        if normalization == TRACE_NORM:
+            return DensityMatrix(assemble_qubit(self.table), (2, 2),
+                                 strict=self.variant == "corrected")
+        if normalization != PRINTED_NORM:
+            raise ValueError(f"normalization must be {TRACE_NORM!r} or {PRINTED_NORM!r}")
+        return DensityMatrix(x_matrix(self.table) / self.printed_normalization, (2, 2),
+                             strict=False)
 
 
 def qubit_coefficients(spec: XStateSpec, weak: MeasurementStrengths,
@@ -252,7 +304,7 @@ def literal_final_qubit(spec: XStateSpec, weak: MeasurementStrengths,
     The printed normalisation constant sums an off-diagonal coefficient and
     does not reproduce a unit-trace state even at r = 0, so the default here
     divides by the actual trace; pass ``normalization='printed'`` for the
-    verbatim constant.  Output is flagged ``literal``.
+    verbatim constant.  The output is not strictly checked.
     """
     coeffs = qubit_coefficients(spec, weak, reverse, acc, variant="literal")
     return coeffs.assemble(normalization)
@@ -354,7 +406,7 @@ def literal_final_qutrit(spec: QutritStateSpec, weak: MeasurementStrengths,
 
     Lives on the 3 x 3 ladder (the pair level reachable after acceleration
     is absent from the published form).  Unit trace by construction, but
-    positivity is not guaranteed; flagged ``literal``.
+    positivity is not guaranteed, so it is not strictly checked.
     """
     c = qutrit_coefficients(spec, weak, reverse, acc)
     d = c.d
@@ -371,8 +423,7 @@ def literal_final_qutrit(spec: QutritStateSpec, weak: MeasurementStrengths,
     m[8, 8] = d[8]
     m[0, 8] = d[9]
     m[4, 8] = d[10]
-    return DensityMatrix(m / c.normalization, (3, 3), strict=False,
-                         flags=("literal",))
+    return DensityMatrix(m / c.normalization, (3, 3), strict=False)
 
 
 def kron(*factors) -> np.ndarray:
@@ -431,7 +482,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         removed += 1
     new_dims = tuple(rho.dims[k] for k in keep_idx)
     n = int(np.prod(new_dims))
-    return DensityMatrix(t.reshape(n, n), new_dims, strict=False, flags=rho.flags)
+    return DensityMatrix(t.reshape(n, n), new_dims, strict=False)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
@@ -676,7 +727,7 @@ def restrict_to_ladder(rho: DensityMatrix, renormalize: bool
     Drops party a's pair level, keeping the {vacuum, U, D} block.  Returns
     the 3 x 3-party state together with the weight retained.  With
     ``renormalize`` False the block is returned as-is (trace < 1 possible,
-    state flagged non-strict); with True it is scaled back to unit trace.
+    state not strictly checked); with True it is scaled back to unit trace.
     """
     if rho.dims != (4, 3):
         raise DimMismatch(f"expected dims (4, 3), got {rho.dims}")
@@ -689,7 +740,7 @@ def restrict_to_ladder(rho: DensityMatrix, renormalize: bool
         if weight < LADDER_FLOOR:
             raise DegenerateOutcome(f"ladder sector weight {weight:.3e} is zero")
         return DensityMatrix(block / weight, (3, 3)), weight
-    return DensityMatrix(block, (3, 3), strict=False, flags=("sector",)), weight
+    return DensityMatrix(block, (3, 3), strict=False), weight
 
 
 def negativity(rho: DensityMatrix, transpose_party: int = 0
@@ -790,7 +841,7 @@ def _check_corrected_vs_pipeline(rng: np.random.Generator,
     size = validate.SAMPLES_PER_CHUNK
     for start in range(0, len(points), size):
         chunk = points[start:start + size]
-        rho0 = np.array([make_x_state(spec).matrix for spec, *_ in chunk])
+        rho0 = np.array([x_state(*spec).matrix for spec, *_ in chunk])
         kraus, weak, reverse = (np.array(a) for a in
                                 zip(*(point_inputs(*point[1:]) for point in chunk)))
         out = propagate(rho0, (2, 2), kraus, weak, reverse)
@@ -839,6 +890,80 @@ def _check_spectrum_formulas(rng: np.random.Generator,
         worst = max(worst, float(np.max(np.abs(mus - direct))))
     return CheckResult("x_state_spectrum_vs_eigensolver", worst <= SPECTRUM_TOL,
                        worst, SPECTRUM_TOL)
+
+
+@dataclass(frozen=True)
+class DiscrepancyReport:
+    """Entrywise comparison of a closed-form state against the pipeline."""
+
+    label: str
+    max_abs_diff: float
+    max_entry: tuple[int, int]
+    trace_a: float
+    trace_b: float
+    min_eig_a: float
+    min_eig_b: float
+    entry_diffs: np.ndarray
+
+    @property
+    def trace_deficit(self) -> float:
+        return abs(self.trace_a - self.trace_b)
+
+    def to_text(self) -> str:
+        i, j = self.max_entry
+        return (
+            f"{self.label}: max |diff| = {self.max_abs_diff:.6e} at entry "
+            f"({i}, {j}); traces {self.trace_a:.12f} vs {self.trace_b:.12f} "
+            f"(deficit {self.trace_deficit:.6e}); min eigenvalues "
+            f"{self.min_eig_a:.3e} vs {self.min_eig_b:.3e}"
+        )
+
+
+def discrepancy_report(closed_form: DensityMatrix, pipeline: DensityMatrix,
+                       label: str = "closed-form vs pipeline") -> DiscrepancyReport:
+    """Compare two states of equal ambient dimension entry by entry;
+    mismatched dimensions raise :class:`DimMismatch`."""
+    if closed_form.matrix.shape != pipeline.matrix.shape:
+        raise DimMismatch(f"shape {closed_form.matrix.shape} vs {pipeline.matrix.shape}")
+    diff = np.abs(closed_form.matrix - pipeline.matrix)
+    idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    return DiscrepancyReport(
+        label=label,
+        max_abs_diff=float(diff[idx]),
+        max_entry=(int(idx[0]), int(idx[1])),
+        trace_a=float(np.trace(closed_form.matrix).real),
+        trace_b=float(np.trace(pipeline.matrix).real),
+        min_eig_a=float(hermitian_eigenvalues(closed_form.matrix)[0]),
+        min_eig_b=float(hermitian_eigenvalues(pipeline.matrix)[0]),
+        entry_diffs=diff,
+    )
+
+
+def _info_qutrit_literal() -> list[CheckResult]:
+    """``validate``'s qutrit-literal entries as they were built on
+    :class:`DensityMatrix` objects and :func:`discrepancy_report`: the
+    engine's ladder block of the one point, restricted as it is and
+    projected by a strict state, against the literal table's state."""
+    config = SweepConfig(TWO_QUTRIT, ("qutrit:1",), (0.6,), (0.3,),
+                         tie_policy=WEAK_REVERSE_SPLIT, beta=0.4)
+    weak, reverse = config.strength_table()[0]
+    lit = DensityMatrix(assemble_qutrit(qutrit_table(1.0, weak, reverse, 0.6)), (3, 3),
+                        strict=False)
+    rho0 = config.parsed_states[0]
+    out = propagate(rho0, rho0.dims, *grid_inputs(config))
+    block = ladder_block(out.held, out.dims, 3).dense()[0]
+    weight = float(np.trace(block).real)
+    checks = []
+    for sector, piped in (("restricted", DensityMatrix(block, (3, 3), strict=False)),
+                          ("projected", DensityMatrix(block / weight, (3, 3)))):
+        rep = discrepancy_report(lit, piped, label=f"qutrit_literal_{sector}")
+        checks.append(CheckResult(f"qutrit_literal_vs_pipeline_{sector}", None,
+                                  rep.max_abs_diff, detail=rep.to_text()
+                                  + f"\nladder sector weight {weight:.6f}"))
+    eigs = hermitian_eigenvalues(lit.matrix)
+    return checks + [CheckResult("qutrit_literal_min_eigenvalue", None, float(eigs[0]),
+                                 detail="negative values flag non-physical transcribed "
+                                        "coefficients at this operating point")]
 
 
 def _csv_cell(text: str) -> str:

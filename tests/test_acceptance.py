@@ -40,23 +40,17 @@ import time
 import numpy as np
 import pytest
 
-from oracle import (AccelerationSpec, MeasurementStrengths, _random_x_spec, accelerate,
-                    compute_report, corrected_final_qubit, negativity, point_strengths,
-                    qubit_channel, qubit_coefficients, qutrit_channel, restrict_to_ladder,
-                    run_protocol, tied)
+from oracle import (AccelerationSpec, MeasurementStrengths, XStateSpec, _random_x_spec,
+                    accelerate, compute_report, corrected_final_qubit, hermitian_eigenvalues,
+                    negativity, point_strengths, qubit_channel, qubit_coefficients,
+                    qutrit_channel, restrict_to_ladder, run_protocol, tied)
 from unruhlab.channel import R_MAX
 from unruhlab.closedform import x_state_spectrum
 from unruhlab.cli import main
 from unruhlab.localops import REVERSE, WEAK
-from unruhlab.states import (
-    QutritStateSpec,
-    XStateSpec,
-    make_qutrit_state,
-    make_x_state,
-    singlet,
-)
+from unruhlab.states import qutrit_state, singlet, x_state
 from unruhlab.sweep import figure_preset, run_sweep
-from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
+from unruhlab.tensor import DensityMatrix
 from unruhlab.validate import run_validation
 
 ACCEPTANCE_SEED = 424243
@@ -103,7 +97,7 @@ def test_criterion_2_identity_fixed_point():
     res_q = run_protocol(singlet(), tied(WEAK, 0.0, 2), tied(REVERSE, 0.0, 2), rest)
     qubit_dev = float(np.max(np.abs(res_q.final.matrix - singlet().matrix)))
 
-    rho3 = make_qutrit_state(QutritStateSpec(1.0))
+    rho3 = qutrit_state(1.0)
     res_t = run_protocol(rho3, tied(WEAK, 0.0, 3), tied(REVERSE, 0.0, 3), rest)
     block, weight = restrict_to_ladder(res_t.final, renormalize=False)
     qutrit_dev = max(float(np.max(np.abs(block.matrix - rho3.matrix))),
@@ -133,7 +127,7 @@ def test_criterion_3_oracle_equivalence():
                                    (rng.uniform(0, 0.95),))
         acc = AccelerationSpec(rng.uniform(0, R_MAX), rng.uniform(0, 2 * np.pi))
         closed = corrected_final_qubit(spec, weak, rev, acc)
-        piped = run_protocol(make_x_state(spec), weak, rev, acc).final
+        piped = run_protocol(x_state(*spec), weak, rev, acc).final
         worst_state = max(worst_state,
                           float(np.max(np.abs(closed.matrix - piped.matrix))))
         coeffs = qubit_coefficients(spec, weak, rev, acc)
@@ -245,7 +239,7 @@ def test_criterion_8_phase_invariance():
         if system == "two_qubit":
             rho0, dim = singlet(), 2
         else:
-            rho0, dim = make_qutrit_state(QutritStateSpec(1.0)), 3
+            rho0, dim = qutrit_state(1.0), 3
         weak, rev = tied(WEAK, 0.35, dim), tied(REVERSE, 0.25, dim)
         reports = []
         for phi in (0.0, np.pi / 3, np.pi):

@@ -21,17 +21,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracle import (AccelerationSpec, MeasurementStrengths, point_inputs, restrict_to_ladder,
-                    run_protocol, tied)
+                    run_protocol, tied, x_eigenvalues)
 from unruhlab import pipeline, sweep, tensor
 from unruhlab.channel import R_MAX, kraus_for_dim
 from unruhlab.errors import DegenerateOutcome
 from unruhlab.localops import REVERSE, WEAK
 from unruhlab.measures import MEASURE_COLUMNS, measure_columns
-from unruhlab.states import (QutritStateSpec, XStateSpec, make_qutrit_state, make_x_state,
-                             parse_state_preset, x_coefficients, x_eigenvalues)
+from unruhlab.states import parse_state_preset, qutrit_state, x_coefficients, x_state
 from unruhlab.sweep import (FIGURE_PRESETS, FULL_SECTOR, PROJECTED_SECTOR, SweepConfig,
                             figure_preset, run_sweep)
-from unruhlab.tensor import blocks_of, check_states, held_eigenvalues, hold
+from unruhlab.tensor import blocks_of, check_held, held_eigenvalues, hold
 
 TOL = 1e-14
 
@@ -110,10 +109,9 @@ def protocol_points(draw):
     if dim == 2:
         c = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
         assume(min(x_eigenvalues(*x_coefficients(c))) >= 0.0)
-        rho0 = make_x_state(XStateSpec(*c))
+        rho0 = x_state(*c)
     else:
-        rho0 = make_qutrit_state(QutritStateSpec(draw(st.sampled_from([0.0, 1.0])
-                                                      | st.floats(-3.0, 3.0))))
+        rho0 = qutrit_state(draw(st.sampled_from([0.0, 1.0]) | st.floats(-3.0, 3.0)))
     levels = st.tuples(*[unit] * (dim - 1))
     weak = MeasurementStrengths(WEAK, draw(levels), draw(levels))
     reverse = MeasurementStrengths(REVERSE, draw(levels), draw(levels))
@@ -226,7 +224,7 @@ def test_an_entry_off_the_pattern_joins_its_block(monkeypatch):
     bad = out.states.copy()
     bad[0, i, j] = bad[0, j, i] = 1e-300
     assert solved_sizes(monkeypatch, bad) == [4, 2, 2, 1, 1, 1, 1]
-    assert_matches_full(check_states(bad)[1], bad)
+    assert_matches_full(check_held(hold(bad))[1], bad)
     np.testing.assert_allclose(measure_columns(out._replace(held=tensor.hold(bad))),
                                measure_columns(out), rtol=0, atol=TOL)
 
@@ -237,7 +235,7 @@ def test_members_with_different_supports_solve_along_their_union(monkeypatch):
     assert solved_sizes(monkeypatch, stack[:1]) == [2, 1, 1]
     assert solved_sizes(monkeypatch, stack[1:]) == [2, 2]
     assert solved_sizes(monkeypatch, stack) == [2, 2]
-    assert_matches_full(check_states(stack)[1], stack)
+    assert_matches_full(check_held(hold(stack))[1], stack)
 
 
 @pytest.mark.parametrize("system, label, sector", [

@@ -16,13 +16,14 @@ from oracle import (
     ChannelKraus,
     accelerate,
     channel_for_dim,
+    hermitian_eigenvalues,
     qubit_channel,
     qutrit_channel,
 )
 from unruhlab.channel import R_MAX, check_completeness, qubit_kraus, r_from_acceleration
 from unruhlab.errors import BadPhysicalParam, DimMismatch
-from unruhlab.states import make_qutrit_state, QutritStateSpec, singlet
-from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
+from unruhlab.states import qutrit_state, singlet
+from unruhlab.tensor import DensityMatrix
 
 RNG_SEED = 47711
 
@@ -195,7 +196,7 @@ def test_accelerate_identity_at_r_zero():
 
 
 def test_accelerate_expands_qutrit_party():
-    rho = make_qutrit_state(QutritStateSpec(1.0))
+    rho = qutrit_state(1.0)
     out = accelerate(rho, 0, qutrit_channel(AccelerationSpec(0.5)))
     assert out.dims == (4, 3)
     assert out.trace() == pytest.approx(1.0, abs=1e-12)
@@ -240,7 +241,7 @@ def test_accelerate_preserves_trace_and_psd_random_inputs():
 def test_phase_is_a_gauge_of_the_channel():
     # every Kraus block carries one uniform power of e^{i phi}, which
     # cancels in K rho K^dag: the channel output is exactly phi-independent
-    rho = make_qutrit_state(QutritStateSpec(1.0))
+    rho = qutrit_state(1.0)
     out0 = accelerate(rho, 0, qutrit_channel(AccelerationSpec(0.5, 0.0)))
     for phi in (0.7, np.pi / 3, np.pi, 5.1):
         out = accelerate(rho, 0, qutrit_channel(AccelerationSpec(0.5, phi)))
@@ -251,6 +252,6 @@ def test_phase_is_a_gauge_of_the_channel():
 @given(st.floats(min_value=0.0, max_value=float(R_MAX)),
        st.floats(min_value=0.0, max_value=2 * np.pi))
 def test_channel_property_trace_preserving(r, phi):
-    rho = make_qutrit_state(QutritStateSpec(1.0))
+    rho = qutrit_state(1.0)
     out = accelerate(rho, 0, qutrit_channel(AccelerationSpec(r, phi)))
     assert out.trace() == pytest.approx(1.0, abs=1e-12)

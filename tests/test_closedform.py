@@ -11,10 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import (
+    PRINTED_NORM,
+    TRACE_NORM,
     AccelerationSpec,
     MeasurementStrengths,
     QubitCoefficients,
+    QutritStateSpec,
+    XStateSpec,
     corrected_final_qubit,
+    discrepancy_report,
+    hermitian_part,
     literal_final_qubit,
     literal_final_qutrit,
     qubit_coefficients,
@@ -22,29 +28,19 @@ from oracle import (
     restrict_to_ladder,
     run_protocol,
     tied,
+    x_eigenvalues,
 )
 from unruhlab.channel import R_MAX
 from unruhlab.closedform import (
-    PRINTED_NORM,
-    TRACE_NORM,
     assemble_qubit,
     assemble_qutrit,
-    discrepancy_report,
     qubit_table,
     qutrit_table,
     x_state_spectrum,
 )
 from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive
 from unruhlab.localops import REVERSE, WEAK
-from unruhlab.states import (
-    QutritStateSpec,
-    XStateSpec,
-    make_qutrit_state,
-    make_x_state,
-    x_coefficients,
-    x_eigenvalues,
-)
-from unruhlab.tensor import hermitian_part
+from unruhlab.states import qutrit_state, x_coefficients, x_state
 
 # Frozen by-hand values at spec c = (0.3, -0.5, 0.1), alpha = (0.2, 0.4),
 # beta = (0.1, 0.3), r = 0.5: B = (0.275, 0.2, 0.225, -0.05),
@@ -103,7 +99,7 @@ def test_qubit_coefficients_frozen_point():
 
 def test_corrected_matches_pipeline_at_frozen_point():
     closed = corrected_final_qubit(POINT_SPEC, POINT_WEAK, POINT_REVERSE, POINT_ACC)
-    piped = run_protocol(make_x_state(POINT_SPEC), POINT_WEAK, POINT_REVERSE,
+    piped = run_protocol(x_state(*POINT_SPEC), POINT_WEAK, POINT_REVERSE,
                          POINT_ACC).final
     assert np.max(np.abs(closed.matrix - piped.matrix)) <= 1e-14
 
@@ -122,7 +118,7 @@ def test_corrected_matches_pipeline_random_tuples():
                                    (rng.uniform(0, 0.95),))
         acc = AccelerationSpec(rng.uniform(0, np.pi / 4), rng.uniform(0, 2 * np.pi))
         closed = corrected_final_qubit(spec, weak, rev, acc)
-        piped = run_protocol(make_x_state(spec), weak, rev, acc).final
+        piped = run_protocol(x_state(*spec), weak, rev, acc).final
         assert np.max(np.abs(closed.matrix - piped.matrix)) <= 1e-12
 
 
@@ -157,7 +153,6 @@ def test_printed_normalization_sums_an_off_diagonal():
 def test_printed_normalization_breaks_unit_trace():
     state = literal_final_qubit(POINT_SPEC, POINT_WEAK, POINT_REVERSE,
                                 AccelerationSpec(0.0), normalization=PRINTED_NORM)
-    assert "literal" in state.flags
     assert abs(state.trace() - 1.0) > 1e-3
 
 
@@ -198,7 +193,7 @@ def test_qutrit_literal_reduces_to_input_at_rest():
         spec = QutritStateSpec(gamma)
         lit = literal_final_qutrit(spec, tied(WEAK, 0.0, 3), tied(REVERSE, 0.0, 3),
                                    AccelerationSpec(0.0))
-        assert np.allclose(lit.matrix, make_qutrit_state(spec).matrix, atol=1e-15)
+        assert np.allclose(lit.matrix, qutrit_state(*spec).matrix, atol=1e-15)
 
 
 def test_qutrit_literal_matches_pipeline_at_rest_with_tied_strengths():
@@ -207,23 +202,22 @@ def test_qutrit_literal_matches_pipeline_at_rest_with_tied_strengths():
     spec = QutritStateSpec(0.8)
     weak, rev = tied(WEAK, 0.35, 3), tied(REVERSE, 0.15, 3)
     lit = literal_final_qutrit(spec, weak, rev, AccelerationSpec(0.0))
-    res = run_protocol(make_qutrit_state(spec), weak, rev, AccelerationSpec(0.0))
+    res = run_protocol(qutrit_state(*spec), weak, rev, AccelerationSpec(0.0))
     proj, weight = restrict_to_ladder(res.final, renormalize=True)
     assert weight == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(lit.matrix - proj.matrix)) <= 1e-13
 
 
-def test_qutrit_literal_unit_trace_and_flag():
+def test_qutrit_literal_unit_trace_and_dims():
     lit = literal_final_qutrit(QT_SPEC, QT_WEAK, QT_REVERSE, QT_ACC)
     assert lit.trace() == pytest.approx(1.0, abs=1e-13)
-    assert "literal" in lit.flags
     assert lit.dims == (3, 3)
 
 
 def test_qutrit_literal_deviates_from_pipeline_under_acceleration():
     # odd cosine powers and the missing pair sector are kept as printed, so
     # away from r = 0 the deviation is genuine and must be visible
-    res = run_protocol(make_qutrit_state(QT_SPEC), QT_WEAK, QT_REVERSE, QT_ACC)
+    res = run_protocol(qutrit_state(*QT_SPEC), QT_WEAK, QT_REVERSE, QT_ACC)
     proj, _ = restrict_to_ladder(res.final, renormalize=True)
     lit = literal_final_qutrit(QT_SPEC, QT_WEAK, QT_REVERSE, QT_ACC)
     rep = discrepancy_report(lit, proj, label="qutrit")

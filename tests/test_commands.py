@@ -2,6 +2,9 @@
 scalar Kraus pipeline in ``tests/oracle.py`` and against a one-point sweep,
 and the package's exports."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from unruhlab.channel import r_from_acceleration
 from unruhlab.cli import main
 from unruhlab.localops import REVERSE, WEAK
 from unruhlab.measures import MEASURE_COLUMNS
-from unruhlab.states import make_x_state, parse_state_preset
+from unruhlab.states import parse_state_preset, x_state
 from unruhlab.sweep import TWO_QUBIT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, run_sweep
 from unruhlab.validate import run_validation
 
@@ -158,9 +161,55 @@ def test_state_bad_argument_exits_2(tmp_path, capsys, where, option, message):
     assert not out.exists()
 
 
+# (preset, the error message): presets that parse to no state, each
+# rejected where it is parsed, with exit 2, by `state` and by a sweep INI.
+# Kept apart from _BAD_STATE_ARGUMENTS, whose every entry tools/golden.py
+# fingerprints.
+_BAD_PRESETS = [
+    ("x:1,1,1", "cannot parse state preset 'x:1,1,1': negative eigenvalue -5.000e-01"),
+    ("werner:-0.5", "cannot parse state preset 'werner:-0.5': negative eigenvalue -1.250e-01"),
+    ("werner:2", "cannot parse state preset 'werner:2': X-state coefficient -2.0 outside [-1, 1]"),
+    ("x:1.5,0,0",
+     "cannot parse state preset 'x:1.5,0,0': X-state coefficient 1.5 outside [-1, 1]"),
+    ("x:0,0", "'x:' needs three coefficients, got 'x:0,0'"),
+    ("qutrit:nan", "cannot parse state preset 'qutrit:nan': gamma=nan is not finite"),
+    ("qutrit:inf", "cannot parse state preset 'qutrit:inf': gamma=inf is not finite"),
+    ("singlet:0.5", "'singlet' takes no argument, got 'singlet:0.5'"),
+    ("bell", "unknown state preset 'bell'"),
+]
+
+
+@pytest.mark.parametrize("preset, message", _BAD_PRESETS)
+def test_bad_preset_exits_2_with_its_message(tmp_path, capsys, preset, message):
+    code = main(["state", "--preset", preset, "--r", "0.1", "--out", str(tmp_path / "s.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    (tmp_path / "sweep.ini").write_text(
+        f"[sweep]\nsystem = two_qubit\ninitial_state = {preset}\nr_grid = 0:0.5:3\n"
+        "strength_grid = 0:0.5:3\ntie_policy = all_equal\n", encoding="utf-8")
+    code = main(["sweep", "--config", str(tmp_path / "sweep.ini"),
+                 "--out", str(tmp_path / "s.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message} (field 'initial_state')\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
+
+
+def test_qutrit_gamma_whose_square_overflows_exits_2(tmp_path, capsys):
+    # 2 + gamma^2 is infinite: the error names gamma, not the zero trace
+    # of the ket it would give
+    code = main(["state", "--preset", "qutrit:1e200", "--r", "0.1",
+                 "--out", str(tmp_path / "s.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: cannot parse state preset 'qutrit:1e200': "
+                            "gamma=1e+200 is too large: 2 + gamma^2 overflows\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("preset", ["x:1,1,1", "werner:-0.5"])
 def test_state_non_physical_preset_exits_2(tmp_path, capsys, preset):
-    # Both coefficient triples lie in [-1, 1] but give an eigenvalue -1/4
+    # Both coefficient triples lie in [-1, 1] but give an eigenvalue -1/2
     # (x:1,1,1) or -1/8 (werner:-0.5): bad configuration, not a failed run.
     out = tmp_path / "state.csv"
     code = main(["state", "--preset", preset, "--r", "0.1", "--out", str(out)])
@@ -263,7 +312,7 @@ def _oracle_corrected_vs_pipeline(seed: int, samples: int) -> float:
         reverse = MeasurementStrengths(REVERSE, (betas[0],), (betas[1],))
         acc = AccelerationSpec(r, phi)
         closed = corrected_final_qubit(spec, weak, reverse, acc)
-        piped = run_protocol(make_x_state(spec), weak, reverse, acc).final
+        piped = run_protocol(x_state(*spec), weak, reverse, acc).final
         worst = max(worst, float(np.max(np.abs(closed.matrix - piped.matrix))))
     return worst
 
@@ -309,3 +358,33 @@ def test_every_exported_name_resolves():
     assert len(set(unruhlab.__all__)) == len(unruhlab.__all__)
     for name in unruhlab.__all__:
         assert getattr(unruhlab, name) is not None, name
+
+
+def _top_level_names(tree: ast.Module) -> list[str]:
+    """The names a module's top-level defs, classes and assignments bind."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                names += [t.id for t in getattr(target, "elts", [target]) if isinstance(t, ast.Name)]
+    return names
+
+
+def test_every_public_name_is_read_in_src_or_exported():
+    # A public top-level name of the package that no module reads (as a
+    # name or an attribute) and that the package does not export is dead.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(unruhlab.__file__).parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{module}.{name}" for module, tree in trees.items()
+              for name in _top_level_names(tree)
+              if not name.startswith("_") and name not in read and name not in unruhlab.__all__]
+    assert unread == []

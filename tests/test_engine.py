@@ -20,17 +20,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracle import (AccelerationSpec, MeasurementStrengths, compute_report, point_inputs,
-                    point_strengths, restrict_to_ladder, run_protocol, tied)
+                    point_strengths, restrict_to_ladder, run_protocol, tied, x_eigenvalues)
 from unruhlab import measures, pipeline, sweep, tensor
 from unruhlab.channel import R_MAX
 from unruhlab.errors import DegenerateOutcome, NonHermitian, NotPositive
 from unruhlab.localops import REVERSE, WEAK
 from unruhlab.measures import MEASURE_COLUMNS, measure_columns
-from unruhlab.states import parse_state_preset, x_coefficients, x_eigenvalues
+from unruhlab.states import parse_state_preset, x_coefficients
 from unruhlab.sweep import (FIGURE_PRESETS, FULL_SECTOR, INDEPENDENT, PROJECTED_SECTOR,
                             TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, config_from_mapping,
                             figure_preset, grid_inputs, rows_to_csv, run_sweep)
-from unruhlab.tensor import DensityMatrix, check_states
+from unruhlab.tensor import DensityMatrix, check_held, hold
 
 TOL = 1e-12
 SAMPLE_ROWS = 40
@@ -344,12 +344,12 @@ def _corrupt_positivity_off_the_others_support(m):
 def test_batched_state_check_rejects_one_bad_member(corrupt, error):
     stack = np.array([parse_state_preset(s).matrix
                       for s in ("singlet", "werner:0.7", "werner:0.2", "x:0.1,0.2,0.3")])
-    np.testing.assert_allclose(check_states(stack)[0], stack, atol=0)
+    np.testing.assert_allclose(check_held(hold(stack))[0].dense(), stack, atol=0)
     corrupt(stack[2])
     with pytest.raises(error):
         DensityMatrix(stack[2], (2, 2))
     with pytest.raises(error):
-        check_states(stack)
+        check_held(hold(stack))
 
 
 # ------------------------------------------ the map between entry and exit

@@ -19,7 +19,7 @@ from unruhlab.errors import (
     DimMismatch,
 )
 from unruhlab.localops import REVERSE, WEAK
-from unruhlab.states import make_qutrit_state, QutritStateSpec, singlet, werner
+from unruhlab.states import qutrit_state, singlet, werner
 from unruhlab.tensor import DensityMatrix
 
 
@@ -110,7 +110,7 @@ def test_apply_local_pair_asymmetric_operators():
 
 
 def test_apply_local_pair_qutrit_shapes():
-    rho = make_qutrit_state(QutritStateSpec(1.0))
+    rho = qutrit_state(1.0)
     w = build_operator(WEAK, 3, (0.2, 0.4))
     out, p = apply_local_pair(rho, w, w)
     assert out.dims == (3, 3)

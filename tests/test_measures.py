@@ -14,8 +14,10 @@ from oracle import (
     MeasurementStrengths,
     MeasuresReport,
     QubitCoefficients,
+    XStateSpec,
     coherent_information,
     compute_report,
+    hermitian_eigenvalues,
     kron,
     local_information,
     negativity,
@@ -28,15 +30,8 @@ from unruhlab.closedform import x_state_spectrum
 from unruhlab.errors import NegativeDiscriminant
 from unruhlab.localops import REVERSE, WEAK
 from unruhlab.measures import measure_columns
-from unruhlab.states import (
-    QutritStateSpec,
-    XStateSpec,
-    make_qutrit_state,
-    make_x_state,
-    singlet,
-    werner,
-)
-from unruhlab.tensor import DensityMatrix, hermitian_eigenvalues
+from unruhlab.states import qutrit_state, singlet, werner
+from unruhlab.tensor import DensityMatrix
 
 WERNER07_JOINT_ENTROPY = 1.125809391675274
 
@@ -68,7 +63,7 @@ def test_negativity_of_werner_states():
 
 
 def test_negativity_of_qutrit_mes():
-    raw, norm = negativity(make_qutrit_state(QutritStateSpec(1.0)))
+    raw, norm = negativity(qutrit_state(1.0))
     assert raw == pytest.approx(1.0, abs=1e-13)
     assert norm == pytest.approx(1.0, abs=1e-13)
 
@@ -80,7 +75,7 @@ def test_negativity_party_choice_is_irrelevant():
 
 def test_negativity_normalization_uses_smaller_party():
     # accelerated qutrit output is 4 x 3; the MES value must stay 1 at rest
-    res = run_protocol(make_qutrit_state(QutritStateSpec(1.0)),
+    res = run_protocol(qutrit_state(1.0),
                        tied(WEAK, 0.0, 3), tied(REVERSE, 0.0, 3),
                        AccelerationSpec(0.0))
     assert res.final.dims == (4, 3)
@@ -93,7 +88,7 @@ def test_local_information_known_values():
     assert local_information(singlet(), 0) == pytest.approx(1.0, abs=1e-14)
     assert local_information(singlet(), 1) == pytest.approx(1.0, abs=1e-14)
     assert local_information(product_state(), 0) == pytest.approx(0.0, abs=1e-14)
-    mes3 = make_qutrit_state(QutritStateSpec(1.0))
+    mes3 = qutrit_state(1.0)
     assert local_information(mes3, 0) == pytest.approx(np.log2(3), abs=1e-13)
 
 

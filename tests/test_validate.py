@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import oracle
+from oracle import x_eigenvalues
 from unruhlab import tensor, validate
 from unruhlab.channel import check_completeness, check_rindler, qubit_kraus
 from unruhlab.closedform import assemble_qubit, check_coefficients, qubit_table, x_state_spectrum
 from unruhlab.errors import (BadPhysicalParam, BadStrength, DegenerateOutcome, DimMismatch,
                              NegativeDiscriminant, NotPositive)
-from unruhlab.states import x_coefficients, x_eigenvalues
-from unruhlab.tensor import check_states
+from unruhlab.states import x_coefficients
+from unruhlab.tensor import check_held, hold
 from unruhlab.validate import run_validation
 
 
@@ -71,6 +72,21 @@ def test_seed_controls_reproducibility():
     a = run_validation(seed=7, samples=5)
     b = run_validation(seed=7, samples=5)
     assert a.to_csv() == b.to_csv()
+
+
+def test_qutrit_literal_entries_match_the_discrepancy_reports():
+    # The entries as the oracle builds them, on DensityMatrix states and
+    # discrepancy reports: the same values, bit for bit, and the same
+    # detail text, byte for byte.  The printed rounding-level eigenvalues
+    # and the projected block's entries move if a block is solved in real
+    # arithmetic or divided by its weight after the cast to complex.
+    got, want = validate._info_qutrit_literal(), oracle._info_qutrit_literal()
+    assert [c.name for c in got] == ["qutrit_literal_vs_pipeline_restricted",
+                                     "qutrit_literal_vs_pipeline_projected",
+                                     "qutrit_literal_min_eigenvalue"]
+    for g, w in zip(got, want, strict=True):
+        assert (g.name, g.passed, g.threshold, g.detail) == (w.name, w.passed, w.threshold, w.detail)
+        assert np.float64(g.value).tobytes() == np.float64(w.value).tobytes()
 
 
 # ----------------------------------------------------- the batched checks
@@ -249,11 +265,12 @@ def test_validate_eigensolves_each_sampled_state_once_per_check(monkeypatch):
     # the three blocks {|ij>, |ji>} for i < j, 3; 5 in all.  Both anchors'
     # party-b marginals are diagonal: none.  The one qutrit literal point:
     # its entry check at parse, 1, its exit check, blocks
-    # [3, 2, 2, 1, 1, 1, 1, 1], 3, two full spectra for each of the
-    # restricted and projected discrepancy reports, 4, the projected ladder
-    # block's strict check, blocks [3, 1, 1, 1, 1, 1, 1], 1, and the
-    # literal spectrum, a full solve, 1; 10 in all.
-    fixed = 3 + 5 + 10
+    # [3, 2, 2, 1, 1, 1, 1, 1], 3, the projected ladder block's strict
+    # check, blocks [3, 1, 1, 1, 1, 1, 1], 1, and one full solve each of the
+    # literal state, the restricted block and the projected block, 3; 8 in
+    # all.  The literal spectrum is solved once, for both comparisons and
+    # its own entry.
+    fixed = 3 + 5 + 8
     counted, inside = [], []
     block_spectra, eigvalsh = tensor._block_spectra, np.linalg.eigvalsh
 
@@ -349,5 +366,5 @@ def test_stack_checks_raise_on_one_bad_member():
     states = assemble_qubit(table)
     states[2] += np.diag([0.2, -0.2, 0.0, 0.0])
     with pytest.raises(NotPositive):
-        check_states(states)
+        check_held(hold(states))
     assert np.array_equal(check_rindler([0.1, np.pi / 4 + 1e-13], 0.0), [0.1, np.pi / 4])
