@@ -13,15 +13,18 @@ split into smaller blocks; an entry, however small, joins the blocks it
 couples; a stack that every post-selection emptied must pass through as
 an empty stack; and the closed form of a 2 x 2 block must match
 ``eigvalsh`` to 1e-14 on ties, zero coupling, rank-one blocks and entries
-near 1e-300 and near 1.
+near 1e-300 and near 1.  The closed form of a real 3 x 3 block must match
+``eigvalsh`` and the Jacobi oracle to 1e-14 x max(1, ||A||) on A = qI,
+double roots at either end, rank-one and rank-two blocks, gaps from 1e-16
+to 1e-2 and entries near 1e-150, and raise no floating-point warning.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracle import (AccelerationSpec, MeasurementStrengths, point_inputs, restrict_to_ladder,
-                    run_protocol, tied, x_eigenvalues)
+from oracle import (AccelerationSpec, MeasurementStrengths, jacobi_eigenvalues, point_inputs,
+                    restrict_to_ladder, run_protocol, tied, x_eigenvalues)
 from unruhlab import pipeline, sweep, tensor
 from unruhlab.channel import R_MAX, kraus_for_dim
 from unruhlab.errors import DegenerateOutcome
@@ -54,18 +57,30 @@ def assert_block_spectra_match(out):
     assert_matches_full(held_eigenvalues(hold(marginal)), marginal)
 
 
+def by_eigvalsh(blocks: np.ndarray, size: int) -> bool:
+    """Whether ``tensor._block_spectra`` sends a stack of ``size`` x ``size``
+    blocks to ``eigvalsh``: a complex 3 x 3 stack, a real one of fewer than
+    ``CLOSED_FORM_MIN_BLOCKS`` blocks, or any stack of larger blocks."""
+    if size != 3:
+        return size > 3
+    return blocks.dtype != np.float64 or blocks.size // 9 < tensor.CLOSED_FORM_MIN_BLOCKS
+
+
 def solved_sizes(monkeypatch, m) -> list[int]:
     """Sizes of the blocks ``held_eigenvalues`` solves a stack in, largest
     first, from the blocks it passes to the per-block solver
     ``tensor._block_spectra`` (shape ``(n, n_s, s, s)``: ``n_s`` blocks of
     size ``s`` per member).  Also checks that the blocks cover the diagonal,
-    that exactly the blocks of size 3 or more reach ``eigvalsh``, and the
-    spectra against the full solve."""
-    sizes, solved, block_spectra, eigvalsh = [], [], tensor._block_spectra, np.linalg.eigvalsh
+    that exactly the blocks :func:`by_eigvalsh` names reach ``eigvalsh``,
+    and the spectra against the full solve."""
+    sizes, expected, solved = [], [], []
+    block_spectra, eigvalsh = tensor._block_spectra, np.linalg.eigvalsh
 
     def spy(blocks, size):
         assert blocks.shape[-2:] == (size, size)
         sizes.extend([size] * blocks.shape[-3])
+        if by_eigvalsh(blocks, size):
+            expected.extend([size] * blocks.shape[-3])
         return block_spectra(blocks, size)
 
     def eigvalsh_spy(a):
@@ -78,7 +93,7 @@ def solved_sizes(monkeypatch, m) -> list[int]:
         lam = held_eigenvalues(hold(m))
     assert_matches_full(lam, m)
     assert sum(sizes) == m.shape[-1]
-    assert sorted(solved) == sorted(s for s in sizes if s >= 3)
+    assert sorted(solved) == sorted(expected)
     return sorted(sizes, reverse=True)
 
 
@@ -170,12 +185,12 @@ def test_the_derived_support_holds_every_nonzero_entry(point):
     assert np.abs(out.held.values[0] - entries[out.held.index]).max(initial=0.0) <= 1e-12
 
 
-def _stacks(label: str, r, project: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Final states of ``label`` at each angle of ``r``, unfiltered, as one
-    stack, and their partial transposes."""
+def _stacks(label: str, r, project: bool, phi: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
+    """Final states of ``label`` at each angle of ``r`` and the phase ``phi``,
+    unfiltered, as one stack, and their partial transposes."""
     rho0 = parse_state_preset(label)
     da, db = rho0.dims
-    kraus = kraus_for_dim(da, np.asarray(r), 0.4)
+    kraus = kraus_for_dim(da, np.asarray(r), phi)
     grid = pipeline.prepare(rho0.matrix, rho0.dims, kraus, np.ones((1, da * db)),
                             np.ones((1, kraus.shape[-2] * db)), project)
     # Every channel row with the one filter row: a slab of len(r) rows of one point.
@@ -209,6 +224,35 @@ def test_pattern_is_the_same_with_and_without_r_zero(monkeypatch, label, project
         assert zero == ([3] + [1] * 9, [2, 2, 2] + [1] * 6)
     else:
         assert zero == (sizes, transpose_sizes)
+
+
+@pytest.mark.parametrize("label, project, transposed", [
+    ("qutrit:1", False, False),
+    ("qutrit:1", False, True),
+    ("qutrit:0.5", True, False),
+])
+def test_real_3x3_blocks_leave_eigvalsh_at_the_crossover(monkeypatch, label, project,
+                                                          transposed):
+    # Accelerated real qutrit states (and the full sector's partial
+    # transposes) hold one 3 x 3 block each.  A stack of
+    # CLOSED_FORM_MIN_BLOCKS of them solves it in closed form; one state
+    # fewer, by eigvalsh.  Both match the full solve (solved_sizes).
+    n = tensor.CLOSED_FORM_MIN_BLOCKS
+    m = _stacks(label, np.linspace(0.0, R_MAX, n + 1)[1:], project, phi=0.0)[transposed]
+    assert m.dtype == np.float64
+    eigvalsh = np.linalg.eigvalsh
+    for members, shapes in ((m, []), (m[1:], [(n - 1, 1, 3, 3)])):
+        calls = []
+
+        def spy(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", spy)
+            tensor.held_eigenvalues(hold(members))
+        assert calls == shapes
+        assert solved_sizes(monkeypatch, members)[0] == 3
 
 
 def test_an_entry_off_the_pattern_joins_its_block(monkeypatch):
@@ -309,3 +353,90 @@ def test_two_by_two_closed_form_edge_blocks(m):
     assert_matches_full(lam, m[None])
     assert lam[0, 0] >= -tensor.STATE_EIGENVALUE_TOL
     assert_matches_full(held_eigenvalues(hold(m)), m)
+
+
+# The closed form of a real 3 x 3 block (tensor._real_3x3_spectra), called
+# directly so that no crossover hides it, against eigvalsh and the Jacobi
+# oracle, with every floating-point warning raised.
+
+def assert_closed_form_matches(m):
+    """The closed form's spectra of the real 3 x 3 blocks ``m`` ``(n, 3, 3)``
+    are ascending and within 1e-14 x max(1, ||A||) of eigvalsh and Jacobi."""
+    with np.errstate(all="raise"):
+        lam = tensor._real_3x3_spectra(m)
+    assert lam.shape == (len(m), 3) and lam.dtype == np.float64
+    assert (np.diff(lam, axis=-1) >= 0.0).all()
+    for a, mine in zip(m, lam):
+        tol = TOL * max(1.0, np.linalg.norm(a))
+        assert np.abs(mine - np.linalg.eigvalsh(a)).max() <= tol
+        assert np.abs(mine - jacobi_eigenvalues(a)).max() <= tol
+
+
+def rotation(x, y, z) -> np.ndarray:
+    """The rotation by Euler angles x, y, z (about the axes z, y, z)."""
+    def about(t, i, j):
+        g = np.eye(3)
+        g[i, i] = g[j, j] = np.cos(t)
+        g[i, j], g[j, i] = -np.sin(t), np.sin(t)
+        return g
+    return about(x, 0, 1) @ about(y, 0, 2) @ about(z, 0, 1)
+
+
+_TINY = 2.0 ** -498        # ~1.2e-150: squares are normal, cubes underflow
+
+
+@pytest.mark.parametrize("m", [
+    np.zeros((3, 3)),                                       # p = 0
+    0.25 * np.eye(3),
+    -np.eye(3),
+    _TINY * np.eye(3),
+    np.diag([1.0, 1.0, 4.0]),                               # double root, low end
+    np.diag([-1.0, 2.0, 2.0]),                              # double root, high end
+    np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]),    # 0, 1, 1
+    np.full((3, 3), 1.0 / 3.0),                             # rank one: 0, 0, 1
+    np.full((3, 3), 1.0),                                   # rank one: 0, 0, 3
+    np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),    # rank two: 0, 1, 2
+    np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 5.0]]),    # 1, 3, 5
+    parse_state_preset("qutrit:1").matrix.real[[0, 4, 8]][:, [0, 4, 8]],    # its block, rank one
+])
+@pytest.mark.parametrize("scale", [1.0, _TINY])
+def test_real_3x3_closed_form_edge_blocks(m, scale):
+    assert_closed_form_matches(scale * m[None])
+
+
+@pytest.mark.parametrize("q", [0.0, 0.25, -1.0, _TINY])
+def test_real_3x3_closed_form_of_qi_is_q_three_times(q):
+    with np.errstate(all="raise"):
+        lam = tensor._real_3x3_spectra(q * np.eye(3)[None])
+    assert lam.tolist() == [[q, q, q]]
+
+
+_UNIT = (st.sampled_from([0.0, 1.0, -1.0, 0.5, 1.0 / 3.0])
+         | st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 1e-3))
+_ANGLE = st.just(0.0) | st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3)
+_GAP = st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-8, 1e-4, 1e-2]) | st.floats(1e-16, 1e-2)
+
+
+@st.composite
+def near_degenerate(draw):
+    """A rotated real symmetric block with roots x, x + gap and y (the pair
+    at the low end when x < y, at the high end when x > y), as a (1, 3, 3)
+    stack."""
+    x, y, gap = draw(_UNIT), draw(_UNIT), draw(_GAP)
+    g = rotation(draw(_ANGLE), draw(_ANGLE), draw(_ANGLE))
+    m = (g * [x, x + gap, y]) @ g.T
+    return (0.5 * (m + m.T))[None]
+
+
+@st.composite
+def low_rank(draw):
+    """v v^T, or v v^T + w w^T, as a (1, 3, 3) stack."""
+    rank = draw(st.sampled_from([1, 2]))
+    vs = [np.array(draw(st.tuples(_UNIT, _UNIT, _UNIT))) for _ in range(rank)]
+    return sum(np.outer(v, v) for v in vs)[None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=near_degenerate() | low_rank())
+def test_real_3x3_closed_form_matches_eigvalsh_and_jacobi(m):
+    assert_closed_form_matches(m)

@@ -1,7 +1,9 @@
 """``tools/golden.py diff``, the byte-identity check between the output
 fingerprints of two checkouts: identical fingerprints exit 0 and say how
 many hashes agree; any changed key, or a key only one side has, exits 1
-and is named."""
+and is named.  ``tools/golden.py compare`` on two small CSVs: the largest
+|a - b| and ulp distance of each column's differing numbers, blank cells
+counted on their own, and text cells that differ."""
 
 import importlib.util
 import json
@@ -41,3 +43,44 @@ def test_each_differing_key_is_named(tmp_path, capsys):
         "figure fig1a | out/fig1a.csv: 9f2c != 77aa",
         "state degenerate | exit: None != 0",
     ]
+
+
+CSV_A = ("state,r,I_a,note\n"
+         "singlet,0.5,0.25,x\n"
+         "singlet,,1,y\n"
+         "singlet,,,z\n")
+CSV_B = ("state,r,I_a,note\n"
+         "singlet,0.5,0.25000000000000006,x\n"
+         "singlet,0.1,1.0000000000000004,w\n"
+         "singlet,,,z\n")
+
+
+def test_compare_csv_reports_each_differing_column():
+    # 0.25 + 2^-54 is 1 ulp from 0.25; 1 + 2^-51 is 2 ulp (4.44e-16) from 1.
+    assert golden.compare_csv(CSV_A, CSV_B) == [
+        "r: 0 numbers differ, max |d| 0, max ulp 0; blank 1, blank on one side 1, "
+        "text differs 0",
+        "I_a: 2 numbers differ, max |d| 4.44e-16, max ulp 2; blank 1, blank on one side 0, "
+        "text differs 0",
+        "note: 0 numbers differ, max |d| 0, max ulp 0; blank 0, blank on one side 0, "
+        "text differs 1",
+        "1 other columns identical",
+    ]
+
+
+def test_compare_csv_names_a_changed_shape():
+    assert golden.compare_csv(CSV_A, CSV_A.replace("note", "other")) == [
+        "headers differ: [['state', 'r', 'I_a', 'note']] != [['state', 'r', 'I_a', 'other']]"]
+    assert golden.compare_csv(CSV_A, CSV_B + "singlet,,,z\n") == ["rows differ: 3 != 4"]
+
+
+def test_compare_exits_1_and_names_each_differing_csv(monkeypatch, capsys):
+    outputs = {"a": {"figure fig1a | out/fig1a.csv": CSV_A, "sweep ini | out.csv": CSV_A},
+               "b": {"figure fig1a | out/fig1a.csv": CSV_A, "sweep ini | out.csv": CSV_B}}
+    monkeypatch.setattr(golden, "csv_outputs", lambda root: outputs[root.name])
+    assert golden.main(["compare", "a", "a"]) == 0
+    assert capsys.readouterr().out == "identical CSVs\n"
+    assert golden.main(["compare", "a", "b"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sweep ini | out.csv"
+    assert lines[1:] == ["  " + line for line in golden.compare_csv(CSV_A, CSV_B)]

@@ -42,8 +42,10 @@ def test_traced_state_command_counts_eigensolves_and_restores(capsys):
 def test_traced_figure_solves_blocks_through_the_looked_up_solver(tmp_path):
     # The block spectra call numpy.linalg.eigvalsh by attribute at call time,
     # so the tracer's wrapper sees them; the batched pipeline builds no kron.
-    # fig6b's qutrit states have 3 x 3 blocks, which reach eigvalsh (a 2 x 2
-    # block is solved in closed form).
+    # fig6b's qutrit states have 3 x 3 blocks, which reach eigvalsh: the
+    # entry check's one complex block, and its real stacks of 243 points,
+    # which are below tensor.CLOSED_FORM_MIN_BLOCKS (1 x 1 and 2 x 2 blocks,
+    # and real 3 x 3 ones in larger stacks, are solved in closed form).
     tracer = _load_tracer().Tracer()
     eigvalsh = np.linalg.eigvalsh
     tracer.install()
@@ -75,3 +77,19 @@ def test_small_commands_build_index_sets_without_isin_or_unique(monkeypatch, tmp
                  ["figure", "fig6b", "--out-dir", str(tmp_path)],
                  ["validate", "--samples", "50", "--out-dir", str(tmp_path)]):
         assert cli.main(argv) == 0, argv
+
+
+def test_figure_fig2a_solves_no_real_block_through_eigvalsh(monkeypatch, tmp_path):
+    # fig2a's real stacks (1,920 and 640 points a chunk) are at or above
+    # tensor.CLOSED_FORM_MIN_BLOCKS, so their 3 x 3 blocks are solved in
+    # closed form.  Only the entry check of qutrit:1, one complex 3 x 3
+    # block, reaches eigvalsh.
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append((a.shape, a.dtype))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert cli.main(["figure", "fig2a", "--out-dir", str(tmp_path)]) == 0
+    assert calls == [((1, 3, 3), np.dtype(np.complex128))]

@@ -2,6 +2,7 @@
 
     python tools/golden.py write --root CHECKOUT OUT.json
     python tools/golden.py diff A.json B.json
+    python tools/golden.py compare ROOT_A ROOT_B
 
 ``write`` imports ``unruhlab`` from ``CHECKOUT/src``, runs these commands
 in process through ``unruhlab.cli.main``, each in a fresh temporary
@@ -23,11 +24,22 @@ The INIs, state points and bad arguments are read from those files with
 ``ast``, not imported.  ``diff`` prints each key whose hash differs or
 that only one side has, and exits 1 if there is one
 (``tests/test_golden.py``); ``write`` is not part of the test suite.
+
+``compare`` runs the 12 presets and the INI sweeps in both checkouts as
+``write`` does and reads their CSVs.  For each CSV that differs it prints,
+per column whose cells differ, the largest |a - b| and the largest
+distance in units in the last place, |a - b| / spacing(max(|a|, |b|))
+(``numpy.spacing``; near zero a tiny |a - b| is many units), of the cells
+both sides give as numbers, how many such cells differ, how many cells
+are blank on both sides, how many on one side only, and how many other
+cells differ as text.  It exits 1 if a CSV differs
+(``tests/test_golden.py`` runs it on two small CSVs).
 """
 
 import argparse
 import ast
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -35,6 +47,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 VALIDATE_SEEDS = (7, 20240801, *range(101000, 101030))
 VALIDATE_SAMPLES = (100, 1000)
@@ -54,10 +68,11 @@ def _assigned(path: Path, name: str):
     raise SystemExit(f"error: no assignment to {name} in {path}")
 
 
-def _run(main, argv, files=(), inputs=None) -> dict[str, str]:
+def _run(main, argv, files=(), inputs=None, read=_sha) -> dict[str, str]:
     """Run ``main(argv)`` in a fresh directory holding the files ``inputs``
-    (name to text): exit code, the hashes of stdout and stderr, and the
-    hash of each of ``files`` it wrote."""
+    (name to text): exit code, the hashes of stdout and stderr, and
+    ``read`` (by default the hash) of the bytes of each of ``files`` it
+    wrote."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -67,7 +82,7 @@ def _run(main, argv, files=(), inputs=None) -> dict[str, str]:
                 Path(name).write_text(text, encoding="utf-8")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(list(argv))
-            written = {f: _sha(Path(f).read_bytes()) if Path(f).is_file() else None
+            written = {f: read(Path(f).read_bytes()) if Path(f).is_file() else None
                        for f in files}
         finally:
             os.chdir(cwd)
@@ -108,6 +123,85 @@ def fingerprint(root: Path) -> dict[str, str]:
             for item, value in items.items()}
 
 
+def _checkout_main(root: Path):
+    """``unruhlab.cli.main`` and ``FIGURE_PRESETS`` of ``root/src``, imported
+    afresh: any ``unruhlab`` modules already loaded are dropped first."""
+    for name in [m for m in sys.modules if m == "unruhlab" or m.startswith("unruhlab.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(root / "src"))
+    try:
+        from unruhlab.cli import main
+        from unruhlab.sweep import FIGURE_PRESETS
+    finally:
+        sys.path.remove(str(root / "src"))
+    return main, FIGURE_PRESETS
+
+
+def csv_outputs(root: Path) -> dict[str, str | None]:
+    """The CSV text of each preset's ``figure`` and each INI's ``sweep`` in
+    ``root``, keyed as ``write`` keys their hashes."""
+    main, presets = _checkout_main(root)
+    out = {}
+    for name in presets:
+        csv_file = f"out/{name}.csv"
+        out[f"figure {name} | {csv_file}"] = _run(
+            main, ["figure", name, "--out-dir", "out"], [csv_file], read=bytes.decode)[csv_file]
+    for name, ini in _assigned(root / "perfbench" / "workloads.py", "INIS").items():
+        out[f"sweep {name} | out.csv"] = _run(
+            main, ["sweep", "--config", "sweep.ini", "--out", "out.csv"], ["out.csv"],
+            {"sweep.ini": ini}, read=bytes.decode)["out.csv"]
+    return out
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare_csv(a: str, b: str) -> list[str]:
+    """One line per column whose cells differ between the CSV texts ``a`` and
+    ``b`` (see the module docstring) and a count of the others, or why the
+    two cannot be compared."""
+    rows_a, rows_b = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
+    if rows_a[:1] != rows_b[:1]:
+        return [f"headers differ: {rows_a[:1]} != {rows_b[:1]}"]
+    if len(rows_a) != len(rows_b):
+        return [f"rows differ: {len(rows_a) - 1} != {len(rows_b) - 1}"]
+    lines, same = [], 0
+    for j, column in enumerate(rows_a[0]):
+        cells = [(ra[j], rb[j]) for ra, rb in zip(rows_a[1:], rows_b[1:])]
+        pairs = [(x, y) for x, y in cells if x != y]
+        if not pairs:
+            same += 1
+            continue
+        blank = sum(x == y == "" for x, y in cells)
+        one_blank = sum("" in pair for pair in pairs)
+        parsed = [(_number(x), _number(y)) for x, y in pairs]       # a blank cell is None
+        numbers = np.array([n for n in parsed if None not in n], dtype=np.float64).reshape(-1, 2)
+        delta = np.abs(numbers[:, 0] - numbers[:, 1])
+        ulp = delta / np.spacing(np.abs(numbers).max(axis=1))
+        lines.append(f"{column}: {len(numbers)} numbers differ, max |d| "
+                     f"{delta.max(initial=0.0):.3g}, max ulp {ulp.max(initial=0.0):.3g}; "
+                     f"blank {blank}, blank on one side {one_blank}, "
+                     f"text differs {len(pairs) - one_blank - len(numbers)}")
+    return lines + [f"{same} other columns identical"]
+
+
+def compare(root_a: Path, root_b: Path) -> list[str]:
+    """``compare_csv`` of every CSV of :func:`csv_outputs` that differs
+    between the checkouts, under its key."""
+    a, b = csv_outputs(root_a), csv_outputs(root_b)
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        if a.get(key) != b.get(key):
+            found = None in (a.get(key), b.get(key))
+            lines += [key] + ["  " + line for line in (
+                ["written by one side only"] if found else compare_csv(a[key], b[key]))]
+    return lines
+
+
 def diff(a: dict[str, str], b: dict[str, str]) -> list[str]:
     return [f"{key}: {a.get(key)} != {b.get(key)}"
             for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
@@ -123,6 +217,9 @@ def main(argv=None) -> int:
     p_diff = sub.add_parser("diff", help="compare two fingerprints")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
+    p_compare = sub.add_parser("compare", help="compare two checkouts' CSVs column by column")
+    p_compare.add_argument("root_a")
+    p_compare.add_argument("root_b")
     args = parser.parse_args(argv)
     if args.command == "write":
         prints = fingerprint(Path(args.root).resolve())
@@ -130,6 +227,10 @@ def main(argv=None) -> int:
                                   encoding="utf-8")
         print(f"wrote {args.out}: {len(prints)} hashes")
         return 0
+    if args.command == "compare":
+        lines = compare(Path(args.root_a).resolve(), Path(args.root_b).resolve())
+        print("\n".join(lines) if lines else "identical CSVs")
+        return 1 if lines else 0
     a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in (args.a, args.b))
     lines = diff(a, b)
     print("\n".join(lines) if lines else f"identical: {len(a)} hashes")
