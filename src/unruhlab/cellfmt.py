@@ -26,8 +26,8 @@ The head word is looked up by (sign, form, d0, whether a later digit is
 nonzero), the form being k = 0, -1, ..., -4 (fixed notation) or exponent
 notation; each group of four digits by the group and whether every later
 group is zero, so trailing zeros come out NUL; the exponent word by k.
-Deleting the NULs leaves the ``%g`` text.  The tables are built on the
-first call.
+Deleting the NULs leaves the ``%g`` text.  The tables are built on
+import, which the first render does.
 """
 
 import numpy as np
@@ -39,29 +39,6 @@ _GUARD = 1e-6                # distance from a rounding tie that counts as prove
 _SPLIT = 134217729.0         # 2**27 + 1, Veltkamp's splitter
 _ZERO = ord("0")
 _FORMS = 6                   # k = 0, -1, -2, -3, -4, then exponent notation
-
-_head = _groups = _exponent = None
-_pow = None                  # rows hi_high, hi_low, lo of 10^(16 - k), by -k
-
-
-def _build_tables() -> None:
-    global _head, _groups, _exponent, _pow
-    # By form: the text before d0, and the point after it (shown if a
-    # later digit is nonzero).
-    prefixes = (b"", b"0.", b"0.0", b"0.00", b"0.000", b"")
-    points = (b".", b"", b"", b"", b"", b".")
-    _head = np.array([sign + prefix + b"%d" % d0 + point * nonzero
-                      for sign in (b"", b"-") for prefix, point in zip(prefixes, points)
-                      for d0 in range(10) for nonzero in (0, 1)], "S8").view(np.uint64)
-    # "0000" ... "9999" with their trailing zeros NUL (what a group shows
-    # when every digit after it is zero), then as they are.
-    digits = np.indices((10,) * 4).reshape(4, -1).T.copy()
-    chars = (digits + _ZERO).astype(np.uint8)
-    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
-    _groups = np.concatenate([np.where(trailing, 0, chars), chars]).view(np.uint32).ravel()
-    _exponent = np.array([b"e-%02d" % mag if mag >= _FORMS - 1 else b""
-                          for mag in range(_MAG_MAX + 1)], "S8").view(np.uint64)
-    _pow = np.array([_power_of_ten(16 + mag) for mag in range(_MAG_MAX + 1)]).T.copy()
 
 
 def _split(a):
@@ -78,14 +55,31 @@ def _power_of_ten(m: int) -> tuple[float, float, float]:
     return (*_split(hi), float(10 ** m - int(hi)))
 
 
+# The head words by form: the text before d0, and the point after it
+# (shown if a later digit is nonzero).
+_head = np.array([sign + prefix + b"%d" % d0 + point * nonzero for sign in (b"", b"-")
+                  for prefix, point in zip((b"", b"0.", b"0.0", b"0.00", b"0.000", b""),
+                                           (b".", b"", b"", b"", b"", b"."))
+                  for d0 in range(10) for nonzero in (0, 1)], "S8").view(np.uint64)
+# The group words: "0000" ... "9999" with their trailing zeros NUL (what a
+# group shows when every digit after it is zero), then as they are.
+_digits = np.indices((10,) * 4).reshape(4, -1).T.copy()
+_chars = (_digits + _ZERO).astype(np.uint8)
+_trailing = np.logical_and.accumulate(_digits[:, ::-1] == 0, axis=1)[:, ::-1]
+_groups = np.concatenate([np.where(_trailing, 0, _chars), _chars]).view(np.uint32).ravel()
+del _digits, _chars, _trailing
+_exponent = np.array([b"e-%02d" % mag if mag >= _FORMS - 1 else b""
+                      for mag in range(_MAG_MAX + 1)], "S8").view(np.uint64)
+# Rows hi_high, hi_low, lo of 10^(16 - k), by -k.
+_pow = np.array([_power_of_ten(16 + mag) for mag in range(_MAG_MAX + 1)]).T.copy()
+
+
 def format_cells(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write ``'%.17g' % v`` for each ``v`` of ``x`` into ``out[..., :CELL_WIDTH]``,
     NUL-padded, whatever ``out`` held; ``out`` has shape ``x.shape + (>=
     CELL_WIDTH,)``.  A cell's last column is always NUL (no such text is
     longer than 24 characters), free for a separator.  Returns the mask of
     the values that were left to ``%``."""
-    if _head is None:
-        _build_tables()
     a = np.abs(x)
     fast = (a >= 1e-279) & (a < 10)
     a = np.where(fast, a, 1.0)

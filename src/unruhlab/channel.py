@@ -26,8 +26,8 @@ them for every command, and :func:`unruhlab.pipeline.propagate` applies
 them to party 0.
 
 The Rindler angle r encodes the proper acceleration a through
-tan r = exp(-pi omega c / a), so r runs over [0, pi/4] with r -> pi/4 the
-infinite-acceleration limit.
+tan r = exp(-pi omega / a) in natural units (c = 1), so r runs over
+[0, pi/4] with r -> pi/4 the infinite-acceleration limit.
 """
 
 import numpy as np
@@ -49,21 +49,19 @@ def check_omega(omega: float) -> None:
         raise BadPhysicalParam(f"omega must be positive and finite, got {omega}")
 
 
-def r_from_acceleration(a: float, omega: float, c: float = 1.0) -> float:
-    """Rindler angle r = arctan(exp(-pi omega c / a)).
+def r_from_acceleration(a: float, omega: float) -> float:
+    """Rindler angle r = arctan(exp(-pi omega / a)), in natural units.
 
-    ``a`` is the proper acceleration, ``omega`` the mode frequency and
-    ``c`` the speed of light (1 in natural units).  All must be positive
-    and finite, except that a = +inf is allowed and maps to r = pi/4.
+    ``a`` is the proper acceleration and ``omega`` the mode frequency.
+    Both must be positive and finite, except that a = +inf is allowed and
+    maps to r = pi/4.
     """
     check_omega(omega)
-    if not np.isfinite(c) or c <= 0.0:
-        raise BadPhysicalParam(f"c must be positive and finite, got {c}")
     if np.isinf(a) and a > 0:
         return R_MAX
     if not np.isfinite(a) or a <= 0.0:
         raise BadPhysicalParam(f"acceleration must be positive, got {a}")
-    return float(np.arctan(np.exp(-np.pi * omega * c / a)))
+    return float(np.arctan(np.exp(-np.pi * omega / a)))
 
 
 def check_rindler(r, phi) -> np.ndarray:

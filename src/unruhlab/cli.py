@@ -104,10 +104,13 @@ def _output(path: str, directory: bool = False) -> Path:
     """``path``, checked to be a file in an existing directory, or a
     directory that exists or can be created."""
     out = Path(path)
-    if directory:
-        ok = next(p for p in (out, *out.parents) if p.exists()).is_dir()
-    else:
-        ok = out.parent.is_dir() and not out.is_dir()
+    try:
+        if directory:
+            ok = next(p for p in (out, *out.parents) if p.exists()).is_dir()
+        else:
+            ok = out.parent.is_dir() and not out.is_dir()
+    except OSError:             # a path the system refuses to look up, such as too long a name
+        ok = False
     if not ok:
         raise ConfigError(f"cannot write output {'directory' if directory else 'file'} {out}")
     return out
@@ -226,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, UnknownPreset) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnruhLabError as exc:
+    except (UnruhLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

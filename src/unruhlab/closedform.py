@@ -20,9 +20,8 @@ points: :func:`qubit_table`, :func:`check_coefficients`,
 returns plain arrays: literal states need not be normalised or positive,
 so nothing here checks them as states; :mod:`unruhlab.validate` checks
 and compares them.  The printed normalisation is ``_trace(table, 5)``.
-The per-point objects these replaced, and the per-state discrepancy
-report, live beside the tests (``tests/oracle.py``) as the reference they
-are compared against.
+Scalar per-point forms and a per-state discrepancy report live beside the
+tests (``tests/oracle.py``) as the reference these are compared against.
 """
 
 import numpy as np

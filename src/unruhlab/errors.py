@@ -30,10 +30,10 @@ class BadStrength(UnruhLabError):
 
 
 class DegenerateOutcome(UnruhLabError):
-    """Post-selected filtering left (numerically) zero success probability.
+    """Post-selection or a closed form's normalisation found (numerically) zero.
 
-    Recoverable: sweep drivers catch this and flag the grid point instead
-    of aborting.
+    ``validate`` raises it for a point it cannot check (exit code 1); a
+    sweep flags such a grid point in its row instead of raising.
     """
 
 

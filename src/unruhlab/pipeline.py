@@ -33,8 +33,8 @@ the final states.  The grid's inputs come from one place,
 :func:`unruhlab.sweep.grid_inputs`, which turns a sweep config's r grid,
 phi and strengths into Kraus stacks and filter diagonals; ``state`` and
 ``validate``'s fixed checks run one-point configs.  The scalar Kraus
-pipeline this replaced, and the per-point objects it took, live beside
-the tests (``tests/oracle.py``) as the reference they are compared against.
+pipeline and its per-point objects live beside the tests
+(``tests/oracle.py``) as the reference this module is compared against.
 """
 
 from typing import NamedTuple

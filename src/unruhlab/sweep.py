@@ -12,7 +12,7 @@ columns.
 """
 
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import MISSING, InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -144,7 +144,7 @@ class SweepConfig:
                 f"qutrit_compare_sector must be {FULL_SECTOR}|{PROJECTED_SECTOR}",
                 field="qutrit_compare_sector",
             )
-        for name in ("phi", "beta", "alpha_b", "beta_a", "beta_b"):
+        for name in (n for n, f in _FIELDS.items() if f.type is float):
             v = float(getattr(self, name))
             if name == "phi" and not np.isfinite(v):
                 raise ConfigError(f"phi={v} is not finite", field=name)
@@ -162,15 +162,20 @@ class SweepConfig:
         return ("alpha_a1", "alpha_a2", "alpha_b1", "alpha_b2",
                 "beta_a1", "beta_a2", "beta_b1", "beta_b2")
 
-    def strength_table(self, values=None) -> np.ndarray:
-        """Every strength of each of ``values`` (default: the strength grid)
-        under the tie policy: shape ``(n, 2, 2, levels)``, indexed by step
-        (weak, reverse), party (a, b) and level."""
-        v = np.array(self.strength_grid if values is None else values, dtype=np.float64)
+    def strength_table(self) -> np.ndarray:
+        """Every strength of each strength grid value under the tie policy:
+        shape ``(n, 2, 2, levels)``, indexed by step (weak, reverse), party
+        (a, b) and level."""
+        v = np.array(self.strength_grid, dtype=np.float64)
         rest = {ALL_EQUAL: (v, v, v), WEAK_REVERSE_SPLIT: (v, self.beta, self.beta),
                 INDEPENDENT: (self.alpha_b, self.beta_a, self.beta_b)}[self.tie_policy]
         table = np.stack(np.broadcast_arrays(v, *rest), axis=-1).reshape(-1, 2, 2, 1)
         return np.repeat(table, self.levels, axis=-1)
+
+
+# The INI keys, in the order ``config_to_text`` writes them; each key's
+# type picks its reader in ``config_from_mapping``.
+_FIELDS = {f.name: f for f in fields(SweepConfig) if f.init}
 
 
 def grid_inputs(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -329,53 +334,44 @@ def rows_to_csv(measures: np.ndarray, config: SweepConfig, fh=None) -> str | Non
     return None
 
 
+def _text(value) -> str:
+    """A config value as ``config_from_mapping`` reads it back."""
+    if isinstance(value, tuple):
+        return ", ".join(map(_text, value))
+    return _fmt(value) if isinstance(value, float) else value
+
+
 def config_to_text(config: SweepConfig) -> str:
     """Serialise a config back to the INI form accepted by ``load_config``."""
-    lines = ["[sweep]"]
-    lines.append(f"system = {config.system}")
-    lines.append(f"initial_state = {', '.join(config.initial_state)}")
-    lines.append(f"r_grid = {', '.join(_fmt(v) for v in config.r_grid)}")
-    lines.append(f"strength_grid = {', '.join(_fmt(v) for v in config.strength_grid)}")
-    lines.append(f"tie_policy = {config.tie_policy}")
-    lines.append(f"phi = {_fmt(config.phi)}")
-    lines.append(f"measures = {', '.join(config.measures)}")
-    lines.append(f"qutrit_compare_sector = {config.qutrit_compare_sector}")
-    for name in ("beta", "alpha_b", "beta_a", "beta_b"):
-        lines.append(f"{name} = {_fmt(getattr(config, name))}")
+    lines = ["[sweep]"] + [f"{name} = {_text(getattr(config, name))}" for name in _FIELDS]
     return "\n".join(lines) + "\n"
 
 
-_LIST_FIELDS = {"initial_state", "measures"}
-_FLOAT_FIELDS = {"phi", "beta", "alpha_b", "beta_a", "beta_b"}
-_GRID_FIELDS = {"r_grid", "strength_grid"}
-_STR_FIELDS = {"system", "tie_policy", "qutrit_compare_sector"}
-_REQUIRED = ("system", "initial_state", "r_grid", "strength_grid")
+def _read(kind, text: str, key: str):
+    """``text`` as a value of a field of type ``kind``."""
+    if kind == tuple[float, ...]:
+        return parse_grid(text, key)
+    if kind == tuple[str, ...]:
+        # A comma followed by a number continues an ``x:`` preset's coefficients.
+        return tuple(p.strip() for p in re.split(r",(?!\s*[-+.\d])", text) if p.strip())
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad float {text!r}", field=key) from exc
 
 
 def config_from_mapping(mapping: dict) -> SweepConfig:
-    """Build a validated config from string key/value pairs."""
+    """Build a validated config from string key/value pairs, each read by
+    its field's type."""
     kwargs = {}
     for key, raw in mapping.items():
         key = key.strip()
-        value = raw.strip()
-        if key in _GRID_FIELDS:
-            kwargs[key] = parse_grid(value, field_name=key)
-        elif key in _LIST_FIELDS:
-            # A comma followed by a number continues an ``x:`` preset's coefficients.
-            parts = re.split(r",(?!\s*[-+.\d])", value)
-            kwargs[key] = tuple(p.strip() for p in parts if p.strip())
-        elif key in _FLOAT_FIELDS:
-            try:
-                kwargs[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad float {value!r}", field=key) from exc
-        elif key in _STR_FIELDS:
-            kwargs[key] = value
-        else:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}", field=key)
-    for req in _REQUIRED:
-        if req not in kwargs:
-            raise ConfigError(f"missing required key {req!r}", field=req)
+        kwargs[key] = _read(_FIELDS[key].type, raw.strip(), key)
+    for name, f in _FIELDS.items():
+        if f.default is MISSING and name not in kwargs:
+            raise ConfigError(f"missing required key {name!r}", field=name)
     return SweepConfig(**kwargs)
 
 
@@ -383,11 +379,11 @@ def load_config(path: str, overrides: dict | None = None) -> SweepConfig:
     """Load a config file (single ``[sweep]`` section) with CLI overrides."""
     import configparser
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         line = getattr(exc, "lineno", None)
@@ -453,22 +449,23 @@ _PRESETS = {
 FIGURE_PRESETS = tuple(sorted(_PRESETS))
 
 
-def figure_preset(name: str) -> SweepConfig:
-    """Resolved sweep config of a named figure preset."""
+def _preset(name: str):
     try:
-        raw, _ = _PRESETS[name]
+        return _PRESETS[name]
     except KeyError:
         raise UnknownPreset(
             f"unknown figure preset {name!r}; choose from {', '.join(FIGURE_PRESETS)}"
         ) from None
-    return config_from_mapping(dict(raw))
+
+
+def figure_preset(name: str) -> SweepConfig:
+    """Resolved sweep config of a named figure preset."""
+    return config_from_mapping(dict(_preset(name)[0]))
 
 
 def figure_info(name: str) -> tuple[str, tuple[str, ...], str]:
     """A preset's plotting hints: (kind, focus measures, line grouping)."""
-    if name not in _PRESETS:
-        raise UnknownPreset(f"unknown figure preset {name!r}")
-    return _PRESETS[name][1]
+    return _preset(name)[1]
 
 
 def plot_script(name: str, csv_name: str) -> str:

@@ -114,9 +114,7 @@ def hold(m) -> Held:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSquare(f"expected square matrices, got shape {m.shape}")
     d = m.shape[-1]
-    nz = (m != 0).reshape(-1, d, d).any(axis=0)
-    index = np.flatnonzero(nz | nz.T)
-    return Held(m.reshape(m.shape[:-2] + (d * d,))[..., index], index, d)
+    return nonzero_support(Held(m.reshape(m.shape[:-2] + (d * d,)), np.arange(d * d), d))
 
 
 def _mask(flat, size: int) -> np.ndarray:

@@ -153,14 +153,12 @@ def _chunks(samples: int):
 
 def _closed_forms(c, weak, reverse, r, variant: str = "corrected"):
     """Checked coefficient tables of a stack of points and their states: the
-    corrected ones strictly checked, with their spectra, the literal ones
-    as non-strict states (spectra None)."""
+    corrected ones strictly checked, the literal ones as non-strict states."""
     table = check_coefficients(qubit_table(c, weak, reverse, r, variant))
     states = hold(assemble_qubit(table))
     if variant == "corrected":
-        states, spectra = check_held(states)
-        return table, states.dense(), spectra
-    return table, _hermitian(states, HERMITICITY_TOL).dense(), None
+        return table, check_held(states)[0].dense()
+    return table, _hermitian(states, HERMITICITY_TOL).dense()
 
 
 def _check_corrected_vs_pipeline(rng: np.random.Generator,
@@ -210,7 +208,7 @@ def _check_spectrum_formulas(rng: np.random.Generator,
     r = check_rindler(u[:, 4], 0.0)
     worst = 0.0
     for chunk in _chunks(samples):
-        table, states, _ = _closed_forms(c[chunk], weak[chunk], reverse[chunk], r[chunk])
+        table, states = _closed_forms(c[chunk], weak[chunk], reverse[chunk], r[chunk])
         mus = np.sort(x_state_spectrum(table), axis=-1)
         # a full LAPACK solve of the checked states: the strict check's own
         # spectra solve the two 2x2 blocks by the formula under test

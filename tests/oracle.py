@@ -56,7 +56,8 @@ from unruhlab.measures import MEASURE_COLUMNS, check_ranges
 from unruhlab import validate
 from unruhlab.pipeline import LADDER_FLOOR, Propagated, filter_diagonal, propagate
 from unruhlab.states import x_coefficients, x_matrix, x_state
-from unruhlab.sweep import TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, grid_inputs
+from unruhlab.sweep import (ALL_EQUAL, INDEPENDENT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig,
+                            grid_inputs)
 from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, HERMITICITY_TOL, STATE_EIGENVALUE_TOL,
                              DensityMatrix, _hermitian, hold, ladder_block)
 from unruhlab.validate import EQUIV_TOL, SPECTRUM_TOL, ZERO_ACCEL_TOL, CheckResult
@@ -224,8 +225,20 @@ def propagate_point(rho0: DensityMatrix, weak: MeasurementStrengths,
 
 def point_strengths(config, value: float
                     ) -> tuple[MeasurementStrengths, MeasurementStrengths]:
-    w, r = config.strength_table((value,))[0]
-    return MeasurementStrengths(WEAK, *w), MeasurementStrengths(REVERSE, *r)
+    """The weak and reversing strengths of sweep value ``value`` under the
+    config's tie policy, laid out from the policy's definition: the value
+    drives every strength (``all_equal``), the weak ones with ``beta`` for
+    both reversing ones (``weak_reverse_split``), or party a's weak one
+    with ``alpha_b``, ``beta_a`` and ``beta_b`` for the rest
+    (``independent``); each party's levels are tied."""
+    weak_b, reverse_a, reverse_b = {
+        ALL_EQUAL: (value, value, value),
+        WEAK_REVERSE_SPLIT: (value, config.beta, config.beta),
+        INDEPENDENT: (config.alpha_b, config.beta_a, config.beta_b),
+    }[config.tie_policy]
+    levels = config.levels
+    return (MeasurementStrengths(WEAK, (value,) * levels, (weak_b,) * levels),
+            MeasurementStrengths(REVERSE, (reverse_a,) * levels, (reverse_b,) * levels))
 
 
 def _strength_pairs(weak: MeasurementStrengths, reverse: MeasurementStrengths,

@@ -3,6 +3,7 @@ scalar Kraus pipeline in ``tests/oracle.py`` and against a one-point sweep,
 and the package's exports."""
 
 import ast
+import errno
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,39 @@ def test_unwritable_output_exits_2_before_the_work(tmp_path, capsys, monkeypatch
     assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "{dir}/sweep.ini", "--out", "{dir}/{long}"],
+    ["state", "--preset", "singlet", "--r", "0.3", "--out", "{dir}/{long}"],
+    ["figure", "fig4b", "--out-dir", "{dir}/{long}"],
+    ["validate", "--out-dir", "{dir}/{long}"],
+])
+def test_an_output_name_the_os_refuses_exits_2(tmp_path, capsys, argv):
+    # A 300-byte name is longer than any common file system allows, so
+    # looking it up fails with ENAMETOOLONG.
+    (tmp_path / "sweep.ini").write_text(
+        "[sweep]\nsystem = two_qubit\ninitial_state = singlet\nr_grid = 0.2\n"
+        "strength_grid = 0.5\n", encoding="utf-8")
+    code = main([arg.format(dir=tmp_path, long="x" * 300) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot write output ")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
+
+
+def test_an_os_error_while_writing_is_reported_with_exit_1(tmp_path, capsys, monkeypatch):
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", disk_full)
+    code = main(["figure", "fig4b", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def _oracle_corrected_vs_pipeline(seed: int, samples: int) -> float:
     """The scalar loop the check ran before it was batched, on the same draws."""
     rng = np.random.default_rng(seed)
@@ -336,14 +370,14 @@ def test_closed_form_check_sees_every_chunk(monkeypatch):
     rows, shifted_r = [], []
 
     def shifted(c, weak, reverse, r, variant="corrected"):
-        table, states, spectra = closed_forms(c, weak, reverse, r, variant)
+        table, states = closed_forms(c, weak, reverse, r, variant)
         i = 550 - sum(rows)
         rows.append(len(states))
         if 0 <= i < len(states):
             states = states.copy()
             states[i] += np.diag([1e-9, -1e-9, 0.0, 0.0])
             shifted_r.append(r[i])
-        return table, states, spectra
+        return table, states
 
     monkeypatch.setattr(validate, "_closed_forms", shifted)
     check = validate.run_validation(seed=7, samples=600).checks[0]

@@ -230,14 +230,22 @@ def test_x_state_config_round_trips_through_text():
 
 
 def test_config_round_trips_through_text():
-    cfg = small_config(tie_policy=WEAK_REVERSE_SPLIT, beta=0.25, phi=0.5,
-                       measures=("E_norm", "I_a"))
-    text = config_to_text(cfg)
-    mapping = {}
-    for line in text.strip().splitlines()[1:]:
-        key, _, value = line.partition("=")
-        mapping[key.strip()] = value.strip()
-    assert config_from_mapping(mapping) == cfg
+    for cfg in (
+        small_config(tie_policy=WEAK_REVERSE_SPLIT, beta=0.25, phi=0.5,
+                     measures=("E_norm", "I_a")),
+        # every init field away from its default
+        SweepConfig(system="two_qutrit", initial_state=("qutrit:1", "qutrit:0.5"),
+                    r_grid=(0.1, 0.3), strength_grid=(0.2,), tie_policy=INDEPENDENT, phi=0.7,
+                    measures=("p_success", "I_b", "E_norm"),
+                    qutrit_compare_sector=PROJECTED_SECTOR,
+                    beta=0.15, alpha_b=0.35, beta_a=0.45, beta_b=0.55),
+    ):
+        text = config_to_text(cfg)
+        mapping = {}
+        for line in text.strip().splitlines()[1:]:
+            key, _, value = line.partition("=")
+            mapping[key.strip()] = value.strip()
+        assert config_from_mapping(mapping) == cfg
 
 
 # ---------------------------------------------------------------- config io
@@ -292,6 +300,36 @@ def test_load_config_failures(tmp_path):
     incomplete.write_text("[sweep]\nsystem = two_qubit\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(str(incomplete))
+
+
+def test_a_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    ini = tmp_path / "cfg.ini"
+    ini.write_bytes(b"[sweep]\nsystem = two_qubit\ninitial_state = singlet\xff\n"
+                    b"r_grid = 0.2\nstrength_grid = 0.5\n")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {ini}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("phi", ["5%", "%(system)s"])
+def test_config_file_values_are_read_literally(tmp_path, capsys, phi):
+    # '%' has no meaning in a value: a file and --set read it alike.
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(
+        "[sweep]\nsystem = two_qubit\ninitial_state = singlet\n"
+        f"r_grid = 0.2\nstrength_grid = 0.5\nphi = {phi}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(ini), "--out", str(out)]) == 2
+    from_file = capsys.readouterr().err
+    assert from_file == f"error: bad float {phi!r} (field 'phi')\n"
+    ini.write_text(ini.read_text(encoding="utf-8").replace(f"phi = {phi}\n", ""),
+                   encoding="utf-8")
+    assert main(["sweep", "--config", str(ini), "--out", str(out), "--set", f"phi={phi}"]) == 2
+    assert capsys.readouterr().err == from_file
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- presets
