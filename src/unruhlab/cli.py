@@ -100,19 +100,20 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
-def _output(path: str, directory: bool = False) -> Path:
-    """``path``, checked to be a file in an existing directory, or a
-    directory that exists or can be created."""
+def _output(path: str, names: tuple[str, ...] = ()) -> Path:
+    """``path``, checked to be a file in an existing directory; or, given the
+    ``names`` of the files to be written into it, a directory that exists or
+    can be created and holds no directory by one of those names."""
     out = Path(path)
+    files = [out / name for name in names] or [out]
     try:
-        if directory:
-            ok = next(p for p in (out, *out.parents) if p.exists()).is_dir()
-        else:
-            ok = out.parent.is_dir() and not out.is_dir()
+        home = next(p for p in (out, *out.parents) if p.exists()) if names else out.parent
+        bad = next((f for f in files if f.is_dir()), None) if home.is_dir() else out
     except OSError:             # a path the system refuses to look up, such as too long a name
-        ok = False
-    if not ok:
-        raise ConfigError(f"cannot write output {'directory' if directory else 'file'} {out}")
+        bad = out
+    if bad is not None:
+        kind = "directory" if names and bad == out else "file"
+        raise ConfigError(f"cannot write output {kind} {bad}")
     return out
 
 
@@ -141,18 +142,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    out_dir = _output(args.out_dir, directory=True)
+    names = csv_name, plot_name, ini_name = (f"{args.preset}.csv", f"plot_{args.preset}.py",
+                                             f"{args.preset}.ini")
+    out_dir = _output(args.out_dir, names)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = figure_preset(args.preset)
     measures = run_sweep(config)
-    csv_name = f"{args.preset}.csv"
     _write_csv(out_dir / csv_name, measures, config)
-    (out_dir / f"plot_{args.preset}.py").write_text(
-        plot_script(args.preset, csv_name), encoding="utf-8")
-    (out_dir / f"{args.preset}.ini").write_text(config_to_text(config),
-                                                encoding="utf-8")
+    (out_dir / plot_name).write_text(plot_script(args.preset, csv_name), encoding="utf-8")
+    (out_dir / ini_name).write_text(config_to_text(config), encoding="utf-8")
     print(f"wrote {out_dir / csv_name}: {len(measures)} rows")
-    print(f"render with: python {out_dir / f'plot_{args.preset}.py'}")
+    print(f"render with: python {out_dir / plot_name}")
     return 0
 
 
@@ -163,7 +163,7 @@ def _cmd_validate(args) -> int:
         raise ConfigError(f"--samples must be at most {GRID_POINT_BUDGET}, got {args.samples}")
     if args.seed < 0:
         raise ConfigError(f"--seed must not be negative, got {args.seed}")
-    out_dir = None if args.out_dir is None else _output(args.out_dir, directory=True)
+    out_dir = None if args.out_dir is None else _output(args.out_dir, ("report.txt", "report.csv"))
     report = run_validation(seed=args.seed, samples=args.samples)
     text = report.to_text()
     print(text, end="")

@@ -48,17 +48,21 @@ from .tensor import (DensityMatrix, Held, check_held, hold, ladder_block, nonzer
 
 LADDER_FLOOR = 1e-14
 
-# Bytes of one chunk's held output values (k_out entries a point: 5 for
-# the singlet, 17 for qutrit:1, 8 or 16 bytes each); this bounds the
-# working set on large grids, about 5 (qutrit) to 19 (qubit) times this.
-# Measured on a 2-core host, two 15 s perfbench runs each: fig2a's
-# calibrated wall time is 0.039-0.041 s at 128 KiB (7 chunks), 0.036-0.037
-# s at 256 KiB (4 chunks) and 0.034 s at 1 MiB (1 chunk), against
-# 0.041 s when each point gathered its own channel map.  Peak resident
-# set of a fresh process: a 1000 x 1000 qubit run_sweep takes 86.4,
-# 87.5-87.9 and 96.5 MB (88.8 MB with the gathered maps), `figure fig2a`
-# 35.8-36.0, 35.9-36.0 and 39.5 MB (35.6-35.8 MB).
-CHUNK_BYTES = 256 * 1024
+# Grid points a chunk holds.  A chunk pays a fixed cost of about 490
+# Python-level calls, so a qutrit grid wants the large chunk a qubit grid
+# gets; counting points, not held output bytes (5 values a qubit point, 17
+# a qutrit:1 one), gives it that: fig2a's 6,400 points run as one chunk,
+# not four.  The working set of propagate_points + measure_columns
+# (tracemalloc) is 273-361 B a point for the qubit presets and
+# 1,084-1,315 B for qutrit:1 and phased qutrit:0.5, 4.8-8.1 times the held
+# output bytes: at most about 11 MB a chunk for the parsed preset families.
+# Measured on a 2-core host, a 1000 x 1000 run_sweep in a fresh process:
+# qutrit:1 took 1.87 s at 8,192 points against 2.86-3.17 s at 256 KiB of
+# held output (1,000 one-row chunks) and 2.19 s at 4,096 points; 16,384
+# points was slower on the qubit and both qutrit grids and raised their
+# peak resident set by up to 29 MB; the singlet took 0.76 s and 87.1 MB
+# (0.80-0.91 s and 85.9 MB at 256 KiB).
+CHUNK_POINTS = 8192
 
 
 class Propagated(NamedTuple):
@@ -86,12 +90,6 @@ class Prepared(NamedTuple):
     reverse: np.ndarray     # (w, dao db) reversing filter diagonals
     dims: tuple[int, int]   # party dimensions of the initial states
     project: bool
-
-    def points_per_chunk(self) -> int:
-        """As many points as ``CHUNK_BYTES`` holds of their held output values,
-        ``k_out`` entries a point."""
-        item = np.result_type(self.weakened.dtype, self.channels.dtype).itemsize
-        return max(1, CHUNK_BYTES // max(1, len(self.support) * item))
 
 
 def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:

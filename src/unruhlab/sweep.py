@@ -20,7 +20,7 @@ from .channel import R_MAX, check_completeness, check_rindler, kraus_for_dim
 from .errors import BadPhysicalParam, BadStrength, ConfigError, UnknownPreset
 from .localops import REVERSE, WEAK, check_strengths
 from .measures import MEASURE_COLUMNS, measure_columns
-from .pipeline import filter_diagonal, prepare, propagate_points
+from .pipeline import CHUNK_POINTS, filter_diagonal, prepare, propagate_points
 from .states import parse_state_preset
 
 TWO_QUBIT = "two_qubit"
@@ -211,8 +211,8 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     Returns an ``(n_points, 7)`` array with columns in ``MEASURE_COLUMNS``
     order.  Each initial state is prepared once (the channel per r, the
     filters and the weak step per strength value) and its grid runs in
-    slabs (:func:`_slabs`), each as many points as ``CHUNK_BYTES`` holds of
-    their held output values (:meth:`~unruhlab.pipeline.Prepared.points_per_chunk`).  A
+    slabs (:func:`_slabs`) of at most ``CHUNK_POINTS`` points, whatever the
+    state's dimension, so fig2a's 6,400 qutrit points run as one slab.  A
     degenerate point's row is all NaN, and a kept row never holds NaN in
     E_norm or p_success: NaN fails the range checks of
     :func:`~unruhlab.measures.measure_columns`.  So a row is all NaN
@@ -224,7 +224,7 @@ def run_sweep(config: SweepConfig) -> np.ndarray:
     measures = np.full((len(config.initial_state) * n_points, len(MEASURE_COLUMNS)), np.nan)
     for k, rho0 in enumerate(config.parsed_states):
         grid = prepare(rho0, rho0.dims, *inputs)
-        for start, rows, cols in _slabs(n_r, n_s, grid.points_per_chunk()):
+        for start, rows, cols in _slabs(n_r, n_s, CHUNK_POINTS):
             out = propagate_points(grid, rows, cols)
             measures[k * n_points + start + out.kept] = measure_columns(out)
     return measures

@@ -45,8 +45,8 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-15
 # Real 3 x 3 blocks are solved in closed form (_real_3x3_spectra) in stacks of
 # at least this many, by eigvalsh in smaller ones: the closed form is some 100
 # numpy calls, a fixed cost.  Medians on a noisy 2-core host, numpy 2.4: on
-# 1,920 blocks (a fig2a chunk) 0.40-0.64 ms against eigvalsh's 1.3-2.1 ms, on
-# one block 100-200 us against 5-9 us; the two were even at 224-256 blocks.
+# 1,920 blocks 0.40-0.64 ms against eigvalsh's 1.3-2.1 ms, on one block
+# 100-200 us against 5-9 us; the two were even at 224-256 blocks.
 CLOSED_FORM_MIN_BLOCKS = 256
 
 

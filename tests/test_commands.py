@@ -299,6 +299,30 @@ def test_unwritable_output_exits_2_before_the_work(tmp_path, capsys, monkeypatch
     assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("argv, taken", [
+    (["figure", "fig4b", "--out-dir", "{dir}"], "plot_fig4b.py"),
+    (["figure", "fig4b", "--out-dir", "{dir}"], "fig4b.csv"),
+    (["validate", "--samples", "10", "--out-dir", "{dir}"], "report.txt"),
+], ids=["figure_plot", "figure_csv", "validate_report"])
+def test_an_output_name_that_is_a_directory_exits_2_before_the_work(tmp_path, capsys,
+                                                                    monkeypatch, argv, taken):
+    # Every name a command writes into --out-dir is checked with the
+    # directory, so no output is written and nothing runs.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the output was checked")
+
+    for name in ("run_sweep", "run_validation"):
+        monkeypatch.setattr(cli, name, no_work)
+    (tmp_path / taken).mkdir()
+    code = main([arg.format(dir=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: cannot write output file {tmp_path / taken}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+    assert list((tmp_path / taken).iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--config", "{dir}/sweep.ini", "--out", "{dir}/{long}"],
     ["state", "--preset", "singlet", "--r", "0.3", "--out", "{dir}/{long}"],

@@ -23,6 +23,7 @@ from oracle import (AccelerationSpec, MeasurementStrengths, compute_report, poin
                     point_strengths, restrict_to_ladder, run_protocol, tied, x_eigenvalues)
 from unruhlab import measures, pipeline, sweep, tensor
 from unruhlab.channel import R_MAX
+from unruhlab.cli import main
 from unruhlab.errors import DegenerateOutcome, NonHermitian, NotPositive
 from unruhlab.localops import REVERSE, WEAK
 from unruhlab.measures import MEASURE_COLUMNS, measure_columns
@@ -178,14 +179,9 @@ def test_grid_spanning_several_chunks(monkeypatch):
                          r_grid=(0.0, 0.2, 0.5, R_MAX), strength_grid=(0.0, 0.3, 0.6, 0.9, 1.0),
                          qutrit_compare_sector=PROJECTED_SECTOR)
     whole = sweep_of(config)
-    # Seventeen points' real held output values per chunk: a slab is whole
-    # r rows of 5 strengths, so 3 rows, and the 4 rows of a state give
-    # slabs of 3 and 1.  Both states hold the same entries, so their
-    # outputs are alike.
-    (per_point,) = {len(grid.support) * grid.channels.itemsize
-                    for grid in (pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))
-                                 for rho0 in config.parsed_states)}
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 17 * per_point)
+    # Seventeen points per chunk: a slab is whole r rows of 5 strengths, so
+    # 3 rows, and the 4 rows of each state give slabs of 3 and 1.
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 17)
     shapes = []
 
     def spy(grid, rows, cols):
@@ -202,19 +198,19 @@ def test_grid_spanning_several_chunks(monkeypatch):
 
 
 def test_a_row_wider_than_a_chunk_runs_in_strength_slices(monkeypatch):
-    # One r row of 2,000 strengths and 250 points' held output values a
-    # chunk: the row runs as 8 slices of 250 strengths, in order.  The rows
-    # equal the one-chunk run's bit for bit, the last point (strength 1)
-    # degenerate in both.  Each slice's working set, from its channel step
-    # to its measures, stays within 16 chunks' bytes (about 7 measured);
-    # one slab of the whole row takes about 55.
+    # One r row of 2,000 strengths and 250 points a chunk: the row runs as
+    # 8 slices of 250 strengths, in order.  The rows equal the one-chunk
+    # run's bit for bit, the last point (strength 1) degenerate in both.
+    # Each slice's working set, from its channel step to its measures,
+    # stays within 16 times its points' held output bytes (about 7
+    # measured); one slab of the whole row takes about 55.
     config = SweepConfig("two_qubit", ("singlet",), (0.5,), tuple(np.linspace(0.0, 1.0, 2000)))
     rho0 = config.parsed_states[0]
     grid = pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))
     per_point = len(grid.support) * grid.channels.itemsize
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 2000 * per_point)
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 2000)
     whole = run_sweep(config)
-    monkeypatch.setattr(pipeline, "CHUNK_BYTES", 250 * per_point)
+    monkeypatch.setattr(sweep, "CHUNK_POINTS", 250)
     slices, starts, peaks = [], [], []
 
     def spy(grid, rows, cols):
@@ -238,7 +234,7 @@ def test_a_row_wider_than_a_chunk_runs_in_strength_slices(monkeypatch):
     assert slices == [([0], (1, 250), start) for start in range(0, 2000, 250)]
     assert whole.tobytes() == sliced.tobytes()
     assert np.isnan(sliced[-1]).all() and not np.isnan(sliced[:-1]).any()
-    assert len(peaks) == 8 and max(peaks) < 16 * pipeline.CHUNK_BYTES
+    assert len(peaks) == 8 and max(peaks) < 16 * 250 * per_point
 
 
 def _one_by_one(grid, rows, cols) -> pipeline.Propagated:
@@ -472,15 +468,11 @@ def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, points
     # check per chunk; none in prepare, which runs the parsed state as it
     # is, and none between the steps.  The name is patched in every module
     # that could bind it, so a pass imported into another module is
-    # counted too.  ``points`` sets the chunk to that many points' held
-    # output values; None keeps the default.  A chunk is whole r rows of 3
-    # strengths: 100 points are 33 rows, and 81 rows make 3 chunks.
-    config = figure_preset("fig4b")
-    grids = [pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))
-             for rho0 in config.parsed_states]
+    # counted too.  ``points`` sets the chunk to that many points; None
+    # keeps the default.  A chunk is whole r rows of 3 strengths: 100
+    # points are 33 rows, and 81 rows make 3 chunks.
     if points is not None:
-        per_point = len(grids[0].support) * grids[0].channels.itemsize
-        monkeypatch.setattr(pipeline, "CHUNK_BYTES", points * per_point)
+        monkeypatch.setattr(sweep, "CHUNK_POINTS", points)
     calls = []
     check_held = tensor.check_held
 
@@ -493,9 +485,33 @@ def test_fig4b_checks_states_only_where_they_enter_and_leave(monkeypatch, points
     config = figure_preset("fig4b")         # the states enter here, inside the count
     run_sweep(config)
     n_r, n_s = len(config.r_grid), len(config.strength_grid)
-    assert [-(-n_r // (grid.points_per_chunk() // n_s)) for grid in grids] == \
-        [chunks] * len(grids)
+    assert -(-n_r // (sweep.CHUNK_POINTS // n_s)) == chunks
     assert len(calls) == len(config.initial_state) * (1 + chunks)
+
+
+@pytest.mark.parametrize("preset", ["fig1a", "fig2a"])
+def test_a_surface_runs_as_one_chunk_whatever_its_dimension(monkeypatch, tmp_path, preset):
+    # A chunk is bounded by its points, not by the bytes of its held
+    # outputs: the 80 x 80 qubit (5 values a point) and qutrit (17) surfaces
+    # each fit one chunk of CHUNK_POINTS, so each pays one propagate_points
+    # call and two checks, one where its state enters and one at the exit.
+    slabs, checks = [], []
+    check_held = tensor.check_held
+
+    def counting(*args, **kwargs):
+        checks.append(np.shape(args[0].values))
+        return check_held(*args, **kwargs)
+
+    def spy(grid, rows, cols):
+        slabs.append((len(rows), cols.shape))
+        return pipeline.propagate_points(grid, rows, cols)
+
+    for module in (tensor, pipeline, measures, sweep):
+        monkeypatch.setattr(module, "check_held", counting, raising=False)
+    monkeypatch.setattr(sweep, "propagate_points", spy)
+    assert main(["figure", preset, "--out-dir", str(tmp_path)]) == 0
+    assert slabs == [(80, (1, 80))]
+    assert len(checks) == 2
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -80,7 +80,7 @@ def test_small_commands_build_index_sets_without_isin_or_unique(monkeypatch, tmp
 
 
 def test_figure_fig2a_solves_no_real_block_through_eigvalsh(monkeypatch, tmp_path):
-    # fig2a's real stacks (1,920 and 640 points a chunk) are at or above
+    # fig2a's real stacks (one chunk of 6,400 points) are at or above
     # tensor.CLOSED_FORM_MIN_BLOCKS, so their 3 x 3 blocks are solved in
     # closed form.  Only the entry check of qutrit:1, one complex 3 x 3
     # block, reaches eigvalsh.
