@@ -22,18 +22,13 @@ from . import DEFAULT_SAMPLES, DEFAULT_SEED
 from .channel import check_omega, check_rindler, r_from_acceleration
 from .errors import BadPhysicalParam, BadStrength, ConfigError, UnknownPreset, UnruhLabError
 from .localops import SUCCESS_FLOOR, check_strengths
-from .pipeline import propagate
+from .pipeline import engine_inputs, propagate
 from .states import parse_state_preset
 from .sweep import (
     FIGURE_PRESETS,
     GRID_POINT_BUDGET,
-    TWO_QUBIT,
-    TWO_QUTRIT,
-    WEAK_REVERSE_SPLIT,
-    SweepConfig,
     config_to_text,
     figure_preset,
-    grid_inputs,
     load_config,
     plot_script,
     rows_to_csv,
@@ -120,8 +115,9 @@ def _output(path: str, names: tuple[str, ...] = ()) -> Path:
 def _write_csv(path: Path, measures: np.ndarray, config) -> None:
     """Stream the CSV of ``measures`` into a temporary file beside ``path``
     and move it into place once complete, so that ``path`` never holds a
-    partial CSV and a failed run leaves it as it was."""
-    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    partial CSV and a failed run leaves it as it was.  The temporary name
+    does not grow with ``path``'s, so that it fits wherever ``path`` does."""
+    part = path.with_name(f".unruhlab.{os.getpid()}.part")
     try:
         with open(part, "wb") as fh:
             rows_to_csv(measures, config, fh)
@@ -199,11 +195,11 @@ def _cmd_state(args) -> int:
     _option("--phi", check_rindler, 0.0, args.phi)
     _option("--alpha", check_strengths, args.alpha)
     _option("--beta", check_strengths, args.beta)
-    # one point of a sweep of the state parsed above: weak alpha, reversing beta
-    config = SweepConfig(TWO_QUTRIT if rho0.dims == (3, 3) else TWO_QUBIT, (args.preset,), (r,),
-                         (args.alpha,), tie_policy=WEAK_REVERSE_SPLIT, beta=args.beta,
-                         phi=args.phi, parsed=(rho0,))
-    out = propagate(rho0, rho0.dims, *grid_inputs(config))
+    # one point: alpha every weak strength, beta every reversing one
+    dim = rho0.dims[0]
+    table = np.empty((1, 2, 2, dim - 1))    # (point, step, party, level)
+    table[:, 0], table[:, 1] = args.alpha, args.beta
+    out = propagate(rho0, rho0.dims, *engine_inputs(dim, (r,), args.phi, table))
     if not len(out.kept):
         print(f"degenerate point: success probability below {SUCCESS_FLOOR}", file=sys.stderr)
         return 1

@@ -29,11 +29,12 @@ own tables:
   otherwise on complex128 ones, through the same code.
 
 :func:`~unruhlab.measures.measure_columns` then evaluates the measures on
-the final states.  The grid's inputs come from one place,
-:func:`unruhlab.sweep.grid_inputs`, which turns a sweep config's r grid,
-phi and strengths into Kraus stacks and filter diagonals; ``state`` and
-``validate``'s fixed checks run one-point configs.  The scalar Kraus
-pipeline and its per-point objects live beside the tests
+the final states.  Every command's inputs come from one place,
+:func:`engine_inputs`, which turns Rindler angles, a phase and a strength
+table into checked Kraus stacks and filter diagonals: a sweep's from its
+config (:func:`unruhlab.sweep.grid_inputs`), ``state``'s from its one
+point and ``validate``'s sampled check's from each chunk of samples.  The
+scalar Kraus pipeline and its per-point objects live beside the tests
 (``tests/oracle.py``) as the reference this module is compared against.
 """
 
@@ -41,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import superoperator
-from .localops import SUCCESS_FLOOR, filter_levels
+from .channel import check_completeness, check_rindler, kraus_for_dim, superoperator
+from .localops import REVERSE, SUCCESS_FLOOR, WEAK, filter_levels
 from .tensor import (DensityMatrix, Held, check_held, hold, ladder_block, nonzero_support,
                      party_a_maps)
 
@@ -103,6 +104,19 @@ def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:
     pad = np.ones(op_a.shape[:-1] + (out_dim_a - op_a.shape[-1],))
     op_a = np.concatenate((op_a, pad), axis=-1)
     return (op_a[..., :, None] * op_b[..., None, :]).reshape(op_a.shape[:-1] + (-1,))
+
+
+def engine_inputs(dim: int, r, phi, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`prepare` takes between the initial states and ``project``,
+    for party dimension ``dim``: the Kraus stack of each Rindler angle ``r``
+    at phase ``phi``, checked for completeness, and the weak and reversing
+    filter diagonals of each row of the strength table ``table``
+    ``(n, step, party, level)``, step 0 weak and step 1 reversing."""
+    kraus = kraus_for_dim(dim, check_rindler(r, phi), phi)
+    check_completeness(kraus)
+    weak = filter_diagonal(WEAK, table[:, 0], dim)
+    reverse = filter_diagonal(REVERSE, table[:, 1], kraus.shape[-2])
+    return kraus, weak, reverse
 
 
 def _post_select(state: Held, floor: float):

@@ -12,15 +12,15 @@ columns.
 """
 
 import re
-from dataclasses import MISSING, InitVar, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .channel import R_MAX, check_completeness, check_rindler, kraus_for_dim
+from .channel import R_MAX, check_rindler
 from .errors import BadPhysicalParam, BadStrength, ConfigError, UnknownPreset
-from .localops import REVERSE, WEAK, check_strengths
+from .localops import check_strengths
 from .measures import MEASURE_COLUMNS, measure_columns
-from .pipeline import CHUNK_POINTS, filter_diagonal, prepare, propagate_points
+from .pipeline import CHUNK_POINTS, engine_inputs, prepare, propagate_points
 from .states import parse_state_preset
 
 TWO_QUBIT = "two_qubit"
@@ -72,8 +72,8 @@ class SweepConfig:
     every reversing strength from ``beta``; ``independent`` drives party
     a's weak strength from the grid and the rest from ``alpha_b`` /
     ``beta_a`` / ``beta_b``.  ``parsed_states`` holds each initial state as
-    parsed and strictly checked where it enters, here or, for ``parsed``
-    states, by the caller; it is not part of the config's value.
+    parsed and strictly checked where it enters, here; it is not part of
+    the config's value.
     """
 
     system: str
@@ -89,9 +89,8 @@ class SweepConfig:
     beta_a: float = 0.0
     beta_b: float = 0.0
     parsed_states: tuple = field(init=False, repr=False, compare=False)
-    parsed: InitVar[tuple | None] = None
 
-    def __post_init__(self, parsed):
+    def __post_init__(self):
         if self.system not in (TWO_QUBIT, TWO_QUTRIT):
             raise ConfigError(f"unknown system {self.system!r}", field="system")
         states = tuple(self.initial_state) if not isinstance(self.initial_state, str) \
@@ -100,12 +99,11 @@ class SweepConfig:
             raise ConfigError("need at least one initial state", field="initial_state")
         want = (3, 3) if self.system == TWO_QUTRIT else (2, 2)
         checked = []
-        for s, rho in zip(states, parsed or (None,) * len(states), strict=True):
-            if rho is None:
-                try:
-                    rho = parse_state_preset(s)
-                except UnknownPreset as exc:
-                    raise ConfigError(str(exc), field="initial_state") from exc
+        for s in states:
+            try:
+                rho = parse_state_preset(s)
+            except UnknownPreset as exc:
+                raise ConfigError(str(exc), field="initial_state") from exc
             if rho.dims != want:
                 raise ConfigError(
                     f"state {s!r} has dims {rho.dims}, system {self.system} needs {want}",
@@ -180,17 +178,13 @@ _FIELDS = {f.name: f for f in fields(SweepConfig) if f.init}
 
 def grid_inputs(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """What :func:`~unruhlab.pipeline.prepare` takes after the initial states:
-    one checked Kraus stack per r of the grid, the weak and reversing filter
-    diagonals of each strength value under the tie policy, and ``project``."""
-    dim = config.levels + 1
-    kraus = kraus_for_dim(dim, check_rindler(config.r_grid, config.phi), config.phi)
-    check_completeness(kraus)
-    table = config.strength_table()
-    weak = filter_diagonal(WEAK, table[:, 0], dim)
-    reverse = filter_diagonal(REVERSE, table[:, 1], kraus.shape[-2])
+    :func:`~unruhlab.pipeline.engine_inputs` of the r grid, phi and strength
+    table (one checked Kraus stack per r, the filter diagonals of each
+    strength value under the tie policy), and ``project``."""
     project = (config.system == TWO_QUTRIT
                and config.qutrit_compare_sector == PROJECTED_SECTOR)
-    return kraus, weak, reverse, project
+    return (*engine_inputs(config.levels + 1, config.r_grid, config.phi,
+                           config.strength_table()), project)
 
 
 def _slabs(n_r: int, n_s: int, size: int):

@@ -69,9 +69,10 @@ class Held(NamedTuple):
     def entries(self, flat) -> np.ndarray:
         """Each member's entries at the flat indices ``flat`` (any shape),
         zero where not held: shape ``values.shape[:-1] + flat.shape``."""
-        pos = _positions(self.index.astype(np.int64, copy=False).tobytes(), self.dim)[flat]
+        pos = np.full(self.dim * self.dim, len(self.index))   # an entry not held reads the pad
+        pos[self.index] = np.arange(len(self.index))
         pad = np.zeros(self.values.shape[:-1] + (1,), dtype=self.values.dtype)
-        return np.concatenate((self.values, pad), axis=-1)[..., pos]
+        return np.concatenate((self.values, pad), axis=-1)[..., pos[flat]]
 
     def dense(self) -> np.ndarray:
         d = self.dim
@@ -92,17 +93,6 @@ class Held(NamedTuple):
         """``D M D`` for diagonal matrices ``D`` given by ``diagonals`` ``(..., dim)``."""
         rows, cols = np.divmod(self.index, self.dim)
         return self._replace(values=(diagonals[..., rows] * self.values) * diagonals[..., cols])
-
-
-@functools.lru_cache(maxsize=1024)
-def _positions(index: bytes, dim: int) -> np.ndarray:
-    """Position in a held index (as int64 bytes) of each flat index of
-    ``dim`` x ``dim``; the index's length where it holds none."""
-    index = np.frombuffer(index, dtype=np.int64)
-    pos = np.full(dim * dim, len(index))
-    pos[index] = np.arange(len(index))
-    pos.flags.writeable = False
-    return pos
 
 
 def hold(m) -> Held:

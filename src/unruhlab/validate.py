@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED
-from .channel import (COMPLETENESS_TOL, check_completeness, check_rindler, kraus_for_dim,
-                      qubit_kraus)
+from .channel import COMPLETENESS_TOL, check_completeness, check_rindler, kraus_for_dim
 from .closedform import (
     _trace,
     assemble_qubit,
@@ -30,9 +29,9 @@ from .closedform import (
     x_state_spectrum,
 )
 from .errors import DegenerateOutcome
-from .localops import REVERSE, SUCCESS_FLOOR, WEAK, check_strengths
+from .localops import SUCCESS_FLOOR, check_strengths
 from .measures import MEASURE_COLUMNS
-from .pipeline import LADDER_FLOOR, filter_diagonal, propagate
+from .pipeline import CHUNK_POINTS, LADDER_FLOOR, engine_inputs, propagate
 from .states import check_x_coefficients, x_coefficients, x_state_matrix
 from .sweep import TWO_QUBIT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, grid_inputs, run_sweep
 from .tensor import HERMITICITY_TOL, _hermitian, check_held, hold, ladder_block
@@ -42,11 +41,6 @@ ZERO_ACCEL_TOL = 1e-13     # literal vs corrected at r = 0
 SPECTRUM_TOL = 1e-12       # closed-form x-state spectrum vs eigensolver
 TRIPLE_DRAWS = 12          # first-block draws a sample's X-state triples get; 9 on average
 SCAN_PIECE = 1 << 16       # window positions _draw tests at a time
-# Samples run through the pipeline and the closed forms at a time, each
-# with its dense 4 x 4 comparison matrices.  At 4,096, `--samples 100000`
-# took 0.95-1.19 s and peaked at 70.1 MB resident; at 1,024, 1.16-1.38 s
-# and 68.6 MB (2-core host, three fresh processes each).
-SAMPLES_PER_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -147,8 +141,9 @@ def _draw(rng: np.random.Generator, samples: int, ranges) -> tuple[np.ndarray, n
 
 
 def _chunks(samples: int):
-    size = SAMPLES_PER_CHUNK
-    return (slice(start, start + size) for start in range(0, samples, size))
+    """Samples run through the pipeline and the closed forms at a time, each
+    with its dense 4 x 4 comparison matrices: as many as a sweep's chunk."""
+    return (slice(start, start + CHUNK_POINTS) for start in range(0, samples, CHUNK_POINTS))
 
 
 def _closed_forms(c, weak, reverse, r, variant: str = "corrected"):
@@ -166,14 +161,12 @@ def _check_corrected_vs_pipeline(rng: np.random.Generator,
     c, u = _draw(rng, samples, [(0.0, 0.95)] * 4 + [(0.0, np.pi / 4), (0.0, 2 * np.pi)])
     c, weak, reverse = check_x_coefficients(c), check_strengths(u[:, :2]), check_strengths(u[:, 2:4])
     r = check_rindler(u[:, 4], u[:, 5])
+    table = np.stack((weak, reverse), axis=1)[..., None]    # (samples, step, party, level)
     worst, worst_detail = 0.0, ""
     for chunk in _chunks(samples):
-        kraus = qubit_kraus(r[chunk])
-        check_completeness(kraus)
-        out = propagate(x_state_matrix(c[chunk]), (2, 2), kraus,
-                        filter_diagonal(WEAK, weak[chunk, :, None], 2),
-                        filter_diagonal(REVERSE, reverse[chunk, :, None], 2))
-        if len(out.kept) < len(kraus):
+        out = propagate(x_state_matrix(c[chunk]), (2, 2),
+                        *engine_inputs(2, r[chunk], u[chunk, 5], table[chunk]))
+        if len(out.kept) < len(r[chunk]):
             raise DegenerateOutcome("a closed-form cross-check sample is degenerate")
         closed = _closed_forms(c[chunk], weak[chunk], reverse[chunk], r[chunk])[1]
         diffs = np.abs(closed - out.states).max(axis=(1, 2))

@@ -23,10 +23,10 @@ and its channel (``ChannelKraus``), the strengths of one measurement step
 (``point_strengths``), and the scalar closed forms (``QubitCoefficients``,
 ``QutritCoefficients`` and the functions that build and assemble them).
 They are the input form ``state`` and ``validate`` used before both built
-their arrays the way ``run_sweep`` does
-(:func:`unruhlab.sweep.grid_inputs`, :mod:`unruhlab.closedform`); the
-scalar pipeline takes them, and the tests compare the array forms against
-them.
+their arrays the way ``run_sweep`` does, through
+:func:`unruhlab.pipeline.engine_inputs` and :mod:`unruhlab.closedform`;
+the scalar pipeline takes them, and the tests compare the array forms
+against them.
 
 The three ``_check_*`` functions at the end are ``validate``'s sampled
 checks as they ran one sample at a time, on the scalar closed forms and
@@ -851,7 +851,7 @@ def _check_corrected_vs_pipeline(rng: np.random.Generator,
         points.append((spec, weak, reverse, AccelerationSpec(r, phi)))
     worst = 0.0
     worst_detail = ""
-    size = validate.SAMPLES_PER_CHUNK
+    size = validate.CHUNK_POINTS
     for start in range(0, len(points), size):
         chunk = points[start:start + size]
         rho0 = np.array([x_state(*spec).matrix for spec, *_ in chunk])

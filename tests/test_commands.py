@@ -12,7 +12,7 @@ import pytest
 import unruhlab
 from oracle import (AccelerationSpec, MeasurementStrengths, _random_x_spec,
                     corrected_final_qubit, run_protocol, tied)
-from unruhlab import cli, sweep, validate
+from unruhlab import cli, pipeline, sweep, validate
 from unruhlab.channel import r_from_acceleration
 from unruhlab.cli import main
 from unruhlab.localops import REVERSE, WEAK
@@ -343,6 +343,50 @@ def test_an_output_name_the_os_refuses_exits_2(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
 
 
+def test_a_long_output_name_is_written_as_a_short_one_is(tmp_path, capsys):
+    # A 254-byte name is within the common 255-byte limit, so it passes the
+    # output check; the temporary file written beside it must fit too.
+    (tmp_path / "sweep.ini").write_text(
+        "[sweep]\nsystem = two_qubit\ninitial_state = singlet\nr_grid = 0:0.7:3\n"
+        "strength_grid = 0.2, 0.5\n", encoding="utf-8")
+    names = "short.csv", "a" * 250 + ".csv"
+    for name in names:
+        assert main(["sweep", "--config", str(tmp_path / "sweep.ini"),
+                     "--out", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / names[1]).read_bytes() == (tmp_path / names[0]).read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*names, "sweep.ini"])
+
+
+def test_every_command_builds_its_engine_inputs_in_one_place(tmp_path, monkeypatch, capsys):
+    # Each caller looks engine_inputs up in its own module, so each of those
+    # names is spied on: patching unruhlab.pipeline alone would miss them.
+    calls = []
+
+    def spy(where):
+        def recording(*args):
+            calls.append(where)
+            return pipeline.engine_inputs(*args)
+        return recording
+
+    for module in (sweep, cli, validate):
+        monkeypatch.setattr(module, "engine_inputs", spy(module.__name__.rsplit(".", 1)[1]))
+    (tmp_path / "sweep.ini").write_text(
+        "[sweep]\nsystem = two_qutrit\ninitial_state = qutrit:1, qutrit:0.5\n"
+        "r_grid = 0:0.7:3\nstrength_grid = 0.2, 0.5\n", encoding="utf-8")
+    for argv, want in (
+            (["sweep", "--config", str(tmp_path / "sweep.ini"), "--out", str(tmp_path / "o.csv")],
+             ["sweep"]),
+            (["figure", "fig4b", "--out-dir", str(tmp_path)], ["sweep"]),
+            (["state", "--preset", "qutrit:1", "--r", "0.3", "--alpha", "0.2"], ["cli"]),
+            # the sampled check's one chunk, then the two anchors' sweeps and
+            # the qutrit literal point's inputs
+            (["validate", "--samples", "10"], ["validate", "sweep", "sweep", "sweep"])):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == want, argv
+
+
 def test_an_os_error_while_writing_is_reported_with_exit_1(tmp_path, capsys, monkeypatch):
     def disk_full(src, dst):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -377,7 +421,7 @@ def _oracle_corrected_vs_pipeline(seed: int, samples: int) -> float:
 
 @pytest.mark.parametrize("seed", [7, 20240801])
 def test_batched_closed_form_check_matches_oracle_loop(monkeypatch, seed):
-    monkeypatch.setattr(validate, "SAMPLES_PER_CHUNK", 512)   # 600 samples: two chunks
+    monkeypatch.setattr(validate, "CHUNK_POINTS", 512)   # 600 samples: two chunks
     samples = 600     # two chunks of qubit points
     check = run_validation(seed=seed, samples=samples).checks[0]
     assert check.name == "corrected_closed_form_vs_pipeline"
@@ -389,7 +433,7 @@ def test_closed_form_check_sees_every_chunk(monkeypatch):
     # Shift the closed-form state of sample 550, in the second chunk, by
     # diag(1e-9, -1e-9, 0, 0): the check must fail on it, by that amount.
     # The first check is the first caller, so its 600 samples come first.
-    monkeypatch.setattr(validate, "SAMPLES_PER_CHUNK", 512)   # 600 samples: two chunks
+    monkeypatch.setattr(validate, "CHUNK_POINTS", 512)   # 600 samples: two chunks
     closed_forms = validate._closed_forms
     rows, shifted_r = [], []
 

@@ -7,7 +7,7 @@ import pytest
 
 import oracle
 from oracle import x_eigenvalues
-from unruhlab import tensor, validate
+from unruhlab import pipeline, tensor, validate
 from unruhlab.channel import check_completeness, check_rindler, qubit_kraus
 from unruhlab.closedform import assemble_qubit, check_coefficients, qubit_table, x_state_spectrum
 from unruhlab.errors import (BadPhysicalParam, BadStrength, DegenerateOutcome, DimMismatch,
@@ -110,8 +110,8 @@ def test_sampled_checks_match_the_one_sample_oracle(monkeypatch, seed):
     # samples once, so the generator's state after each draw must be the
     # one the per-sample draws leave.
     samples = 600
-    monkeypatch.setattr(validate, "SAMPLES_PER_CHUNK", 512)
-    assert samples > validate.SAMPLES_PER_CHUNK
+    monkeypatch.setattr(validate, "CHUNK_POINTS", 512)
+    assert samples > validate.CHUNK_POINTS
     draw, states = validate._draw, []
 
     def recording(rng, *args):
@@ -141,6 +141,30 @@ def _counting_blocks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(validate, "x_coefficients", counted)
     return blocks
+
+
+def test_the_closed_form_check_runs_in_a_sweeps_chunks(monkeypatch):
+    # One sample more than a sweep's chunk makes two chunks, each one
+    # propagate call on the inputs engine_inputs built for that chunk.
+    built, propagated = [], []
+    engine_inputs, propagate = validate.engine_inputs, validate.propagate
+
+    def building(*args):
+        built.append(engine_inputs(*args))
+        return built[-1]
+
+    def propagating(rho0, dims, *inputs):
+        propagated.append(any(all(a is b for a, b in zip(inputs, made, strict=True))
+                              for made in built))
+        return propagate(rho0, dims, *inputs)
+
+    monkeypatch.setattr(validate, "engine_inputs", building)
+    monkeypatch.setattr(validate, "propagate", propagating)
+    samples = pipeline.CHUNK_POINTS + 1
+    check = validate._check_corrected_vs_pipeline(np.random.default_rng(7), samples)
+    assert check.passed
+    assert propagated == [True, True]
+    assert [len(kraus) for kraus, _, _ in built] == [pipeline.CHUNK_POINTS, 1]
 
 
 def test_block_draws_equal_per_call_draws(monkeypatch):

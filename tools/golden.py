@@ -11,7 +11,10 @@ directory, and writes the sha256 of every output to ``OUT.json``:
 * ``figure`` for each of the 12 presets: the CSV, the INI and the plot
   script;
 * ``validate`` at seeds 7, 20240801 and 101000-101029, each at 100 and at
-  1,000 samples: exit code, ``report.txt`` and ``report.csv``;
+  1,000 samples, and at seeds 7 and 20240801 at 9,000 samples, which run
+  as more than one chunk of ``unruhlab.pipeline.CHUNK_POINTS`` (8,192)
+  samples, so that the report shows a change of the chunk size: exit
+  code, stdout, stderr, ``report.txt`` and ``report.csv``;
 * ``sweep`` on each INI of ``perfbench/workloads.py``'s ``INIS``: exit
   code, stdout and the CSV;
 * ``state`` at each point of ``perfbench/workloads.py``'s ``STATE_POINTS``:
@@ -50,8 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
-VALIDATE_SEEDS = (7, 20240801, *range(101000, 101030))
-VALIDATE_SAMPLES = (100, 1000)
+VALIDATE_RUNS = ([(seed, samples) for seed in (7, 20240801, *range(101000, 101030))
+                  for samples in (100, 1000)] + [(7, 9000), (20240801, 9000)])
 DEGENERATE_STATE = ("--preset", "singlet", "--r", "0.3", "--alpha", "1")
 
 
@@ -100,11 +103,10 @@ def fingerprint(root: Path) -> dict[str, str]:
         runs[f"figure {name}"] = _run(
             main, ["figure", name, "--out-dir", "out"],
             [f"out/{name}.csv", f"out/{name}.ini", f"out/plot_{name}.py"])
-    for seed in VALIDATE_SEEDS:
-        for samples in VALIDATE_SAMPLES:
-            runs[f"validate {seed} {samples}"] = _run(
-                main, ["validate", "--seed", str(seed), "--samples", str(samples),
-                       "--out-dir", "out"], ["out/report.txt", "out/report.csv"])
+    for seed, samples in VALIDATE_RUNS:
+        runs[f"validate {seed} {samples}"] = _run(
+            main, ["validate", "--seed", str(seed), "--samples", str(samples),
+                   "--out-dir", "out"], ["out/report.txt", "out/report.csv"])
     for name, text in _assigned(root / "perfbench" / "workloads.py", "INIS").items():
         runs[f"sweep {name}"] = _run(main, ["sweep", "--config", "sweep.ini", "--out", "out.csv"],
                                      ["out.csv"], {"sweep.ini": text})
