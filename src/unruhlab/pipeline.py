@@ -54,9 +54,10 @@ LADDER_FLOOR = 1e-14
 # gets; counting points, not held output bytes (5 values a qubit point, 17
 # a qutrit:1 one), gives it that: fig2a's 6,400 points run as one chunk,
 # not four.  The working set of propagate_points + measure_columns
-# (tracemalloc) is 273-361 B a point for the qubit presets and
-# 1,084-1,315 B for qutrit:1 and phased qutrit:0.5, 4.8-8.1 times the held
-# output bytes: at most about 11 MB a chunk for the parsed preset families.
+# (tracemalloc peak, 6,400-point grids) is 273-338 B a point for the
+# singlet, werner:0.7 and x states and 1,086-1,281 B for qutrit:1 and
+# qutrit:0.5 at phi = 0.5, 4.7-8.0 times the held output bytes: at most
+# about 10.5 MB a chunk for the parsed preset families.
 # Measured on a 2-core host, a 1000 x 1000 run_sweep in a fresh process:
 # qutrit:1 took 1.87 s at 8,192 points against 2.86-3.17 s at 256 KiB of
 # held output (1,000 one-row chunks) and 2.19 s at 4,096 points; 16,384
@@ -67,7 +68,12 @@ CHUNK_POINTS = 8192
 
 
 class Propagated(NamedTuple):
-    """Outcome of :func:`propagate` for the points that were not degenerate."""
+    """Outcome of :func:`propagate` for the points that were not degenerate.
+
+    ``held`` is entry-major, as every stack from the channel product on:
+    each entry's values over the points are one contiguous row, so the
+    measures gather entries as row copies (see :class:`~unruhlab.tensor.Held`).
+    """
 
     kept: np.ndarray        # (m,) indices of the kept points, ascending
     p_success: np.ndarray   # (m,) product of both post-selection probabilities
@@ -126,15 +132,28 @@ def _post_select(state: Held, floor: float):
     """
     p = state.trace().real
     kept = np.flatnonzero(~(p < floor))
+    state = _members(state, kept)
     p = p[kept]
-    return kept, p, state._replace(values=state.values[kept] / p[:, None])
+    return kept, p, state._replace(values=state.values / p[:, None])
+
+
+def _members(state: Held, kept: np.ndarray) -> Held:
+    """The members ``kept`` (ascending) of an entry-major stack ``(m, k)``,
+    entry-major: each entry's row gathered, or the stack itself when every
+    member is kept."""
+    if len(kept) == len(state.values):
+        return state
+    return state._replace(values=state.values.T.take(kept, axis=1).T)
 
 
 def _accelerate(grid: Prepared, rows: np.ndarray, cols: np.ndarray) -> Held:
     """The weakened states of filter rows ``cols`` ``(n or 1, g)`` through the
     channel maps of rows ``rows`` ``(n,)``: ``(n, g, k_out)``, one product
-    per channel row."""
+    per channel row, copied once into entry-major order.  The transposed
+    product ``channels @ weakened^T`` would give that order with no copy,
+    and the same bits on real stacks, but not on complex ones."""
     values = grid.weakened.values[cols] @ grid.channels[rows].swapaxes(-1, -2)
+    values = np.ascontiguousarray(values.transpose(2, 0, 1)).transpose(1, 2, 0)
     return Held(values, grid.support, grid.reverse.shape[-1])
 
 
@@ -201,7 +220,7 @@ def propagate_points(grid: Prepared, rows: np.ndarray, cols: np.ndarray) -> Prop
     i_filter = np.broadcast_to(cols, (len(rows), cols.shape[-1])).ravel()
     live = np.flatnonzero(grid.p_weak[i_filter] >= SUCCESS_FLOOR)
     state = _accelerate(grid, rows, cols).scaled(grid.reverse[cols])
-    state = state._replace(values=state.values.reshape(len(i_filter), len(grid.support))[live])
+    state = _members(state._replace(values=state.values.reshape(len(i_filter), -1)), live)
     kept, p_rev, state = _post_select(state, SUCCESS_FLOOR)
     live = live[kept]
     p_success = grid.p_weak[i_filter[live]] * p_rev

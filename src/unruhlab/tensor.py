@@ -3,12 +3,15 @@
 A stack of states is held as the entries of its support (:class:`Held`):
 the values ``(n, k)`` of the k entries that may be nonzero, at ascending
 flat indices into the d x d matrix.  Only this module reads those
-indices.  The steps the package takes on a held stack are entrywise:
-diagonal filters scale held values (:meth:`Held.scaled`), a map on party
-a is one gathered ``(k_out, k_in)`` matrix, applied to a stack of held
-values by one product (:func:`party_a_maps`), a trace sums held diagonal
-entries, the ladder block and the partial transpose relabel the indices,
-and party b's marginal sums held entries.  The checks and spectra keep
+indices.  The engine holds its stacks entry-major, each entry's values
+over the stack one contiguous row, so that :meth:`Held.entries` gathers
+an entry as one row copy rather than member by member.  The steps the
+package takes on a held stack are entrywise: diagonal filters scale held
+values (:meth:`Held.scaled`), a map on party a is one gathered
+``(k_out, k_in)`` matrix, applied to a stack of held values by one
+product (:func:`party_a_maps`), a trace sums held diagonal entries, the
+ladder block and the partial transpose relabel the indices, and party
+b's marginal sums held entries.  The checks and spectra keep
 the field of their input: a real stack is checked and solved as float64,
 in real arithmetic, any other as complex128.  :class:`DensityMatrix`
 always holds complex128.  Each check is defined once, on held stacks
@@ -56,6 +59,9 @@ class Held(NamedTuple):
     ``values[..., i]`` is each member's entry at flat index ``index[i]``
     (row * dim + column).  ``index`` ascends, holds the transpose of each
     entry it holds, and every entry it leaves out is zero in every member.
+    The engine's stacks are entry-major (``np.moveaxis(values, -1, 0)`` is
+    C-contiguous): an entry's values are one row, which a gather copies
+    whole.  Any layout gives the same values and the same bits.
     """
 
     values: np.ndarray      # (..., k)
@@ -68,11 +74,20 @@ class Held(NamedTuple):
 
     def entries(self, flat) -> np.ndarray:
         """Each member's entries at the flat indices ``flat`` (any shape),
-        zero where not held: shape ``values.shape[:-1] + flat.shape``."""
-        pos = np.full(self.dim * self.dim, len(self.index))   # an entry not held reads the pad
-        pos[self.index] = np.arange(len(self.index))
-        pad = np.zeros(self.values.shape[:-1] + (1,), dtype=self.values.dtype)
-        return np.concatenate((self.values, pad), axis=-1)[..., pos[flat]]
+        zero where not held: shape ``values.shape[:-1] + flat.shape``.
+
+        Each held entry asked for is one row of the entry-major stack,
+        copied whole; the result is entry-major too, the layout numpy's
+        ``values[..., i]`` gives, so a sum over it adds in that order."""
+        lead = self.values.shape[:-1]
+        pos = np.zeros(self.dim * self.dim, dtype=np.intp)     # row + 1; 0 where not held
+        pos[self.index] = np.arange(1, len(self.index) + 1)
+        rows = pos[flat]
+        held = rows.nonzero()
+        out = np.zeros(rows.shape + lead, dtype=self.values.dtype)
+        out[held] = self.values.transpose((-1, *range(len(lead)))).take(rows[held] - 1, axis=0)
+        n = rows.ndim
+        return out.transpose((*range(n, n + len(lead)), *range(n)))
 
     def dense(self) -> np.ndarray:
         d = self.dim

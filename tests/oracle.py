@@ -16,12 +16,14 @@ The per-point objects come first: an initial state's parameters
 ``qutrit_state`` take unpacked), the dense spectra of X-states
 (``x_eigenvalues``) and of Hermitian matrices (``hermitian_eigenvalues``,
 one full LAPACK solve, the reference the block solver and the Jacobi
-eigensolver are checked against), an acceleration (``AccelerationSpec``)
-and its channel (``ChannelKraus``), the strengths of one measurement step
-(``MeasurementStrengths``, ``tied``), one point's engine inputs
-(``point_inputs``, ``propagate_point``) and a sweep value's strengths
-(``point_strengths``), and the scalar closed forms (``QubitCoefficients``,
-``QutritCoefficients`` and the functions that build and assemble them).
+eigensolver are checked against), the gather of held entries through a
+padded copy of the stack (``padded_entries``), an acceleration
+(``AccelerationSpec``) and its channel (``ChannelKraus``), the strengths
+of one measurement step (``MeasurementStrengths``, ``tied``), one point's
+engine inputs (``point_inputs``, ``propagate_point``) and a sweep value's
+strengths (``point_strengths``), and the scalar closed forms
+(``QubitCoefficients``, ``QutritCoefficients`` and the functions that
+build and assemble them).
 They are the input form ``state`` and ``validate`` used before both built
 their arrays the way ``run_sweep`` does, through
 :func:`unruhlab.pipeline.engine_inputs` and :mod:`unruhlab.closedform`;
@@ -59,7 +61,7 @@ from unruhlab.states import x_coefficients, x_matrix, x_state
 from unruhlab.sweep import (ALL_EQUAL, INDEPENDENT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig,
                             grid_inputs)
 from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, HERMITICITY_TOL, STATE_EIGENVALUE_TOL,
-                             DensityMatrix, _hermitian, hold, ladder_block)
+                             DensityMatrix, Held, _hermitian, hold, ladder_block)
 from unruhlab.validate import EQUIV_TOL, SPECTRUM_TOL, ZERO_ACCEL_TOL, CheckResult
 
 ACCELERATED_PARTY = 0
@@ -114,6 +116,16 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     is exact to machine precision; the tests cross-check it against
     :func:`jacobi_eigenvalues`."""
     return np.linalg.eigvalsh(hermitian_part(m))
+
+
+def padded_entries(h: Held, flat) -> np.ndarray:
+    """:meth:`~unruhlab.tensor.Held.entries` as it gathered before stacks
+    were held entry-major: a copy of the whole stack with one zero column
+    appended, which every entry not held reads, indexed on its last axis."""
+    pos = np.full(h.dim * h.dim, len(h.index))
+    pos[h.index] = np.arange(len(h.index))
+    pad = np.zeros(h.values.shape[:-1] + (1,), dtype=h.values.dtype)
+    return np.concatenate((h.values, pad), axis=-1)[..., pos[flat]]
 
 
 @dataclass(frozen=True)

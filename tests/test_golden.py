@@ -3,11 +3,17 @@ fingerprints of two checkouts: identical fingerprints exit 0 and say how
 many hashes agree; any changed key, or a key only one side has, exits 1
 and is named.  ``tools/golden.py compare`` on two small CSVs: the largest
 |a - b| and ulp distance of each column's differing numbers, blank cells
-counted on their own, and text cells that differ."""
+counted on their own, and text cells that differ.  ``tools/golden.py
+write --chunk-points N``, with its commands stubbed: every command runs
+with chunks of N points."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
+
+from unruhlab import pipeline, sweep, validate
 
 _SPEC = importlib.util.spec_from_file_location(
     "golden", Path(__file__).resolve().parents[1] / "tools" / "golden.py")
@@ -84,3 +90,27 @@ def test_compare_exits_1_and_names_each_differing_csv(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "sweep ini | out.csv"
     assert lines[1:] == ["  " + line for line in golden.compare_csv(CSV_A, CSV_B)]
+
+
+@pytest.mark.parametrize("argv, points", [([], pipeline.CHUNK_POINTS),
+                                          (["--chunk-points", "7"], 7)])
+def test_write_runs_every_command_at_the_chunk_points_asked(tmp_path, monkeypatch, capsys,
+                                                            argv, points):
+    modules = (pipeline, sweep, validate)
+    for module in modules:      # restored when the test ends
+        monkeypatch.setattr(module, "CHUNK_POINTS", module.CHUNK_POINTS)
+    seen = []
+    monkeypatch.setattr(golden, "_run", lambda *args, **kwargs: seen.append(
+        tuple(module.CHUNK_POINTS for module in modules)) or {"exit": "0"})
+    out = tmp_path / "prints.json"
+    assert golden.main(["write", *argv, str(out)]) == 0
+    assert len(seen) > 100 and set(seen) == {(points,) * 3}
+    assert capsys.readouterr().out == f"wrote {out}: {len(seen)} hashes\n"
+
+
+def test_write_takes_only_positive_chunk_points(tmp_path):
+    for bad in ("0", "-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            golden.main(["write", "--chunk-points", bad, str(tmp_path / "prints.json")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "prints.json").exists()

@@ -1,6 +1,6 @@
 """Fingerprint a checkout's command outputs, and compare two fingerprints.
 
-    python tools/golden.py write --root CHECKOUT OUT.json
+    python tools/golden.py write --root CHECKOUT [--chunk-points N] OUT.json
     python tools/golden.py diff A.json B.json
     python tools/golden.py compare ROOT_A ROOT_B
 
@@ -24,9 +24,14 @@ directory, and writes the sha256 of every output to ``OUT.json``:
   stdout and stderr.
 
 The INIs, state points and bad arguments are read from those files with
-``ast``, not imported.  ``diff`` prints each key whose hash differs or
-that only one side has, and exits 1 if there is one
-(``tests/test_golden.py``); ``write`` is not part of the test suite.
+``ast``, not imported.  ``--chunk-points N`` runs every command with
+chunks of N points: it sets ``CHUNK_POINTS`` in this process wherever
+``unruhlab.pipeline``, ``unruhlab.sweep`` and ``unruhlab.validate`` read
+it, so that a change of memory layout can be fingerprinted on many small
+stacks as well as on one large one.  ``diff`` prints each key whose hash
+differs or that only one side has, and exits 1 if there is one
+(``tests/test_golden.py``).  The test suite runs ``write`` only with its
+commands stubbed, to check the chunk size they run at.
 
 ``compare`` runs the 12 presets and the INI sweeps in both checkouts as
 ``write`` does and reads their CSVs.  For each CSV that differs it prints,
@@ -44,6 +49,7 @@ import ast
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -93,11 +99,17 @@ def _run(main, argv, files=(), inputs=None, read=_sha) -> dict[str, str]:
             "stderr": _sha(err.getvalue()), **written}
 
 
-def fingerprint(root: Path) -> dict[str, str]:
+def fingerprint(root: Path, chunk_points: int | None = None) -> dict[str, str]:
     sys.path.insert(0, str(root / "src"))
     from unruhlab.cli import main
     from unruhlab.sweep import FIGURE_PRESETS
 
+    if chunk_points is not None:
+        for name in ("pipeline", "sweep", "validate"):
+            module = importlib.import_module(f"unruhlab.{name}")
+            if not hasattr(module, "CHUNK_POINTS"):
+                raise SystemExit(f"error: unruhlab.{name} has no CHUNK_POINTS")
+            module.CHUNK_POINTS = chunk_points
     runs = {}
     for name in FIGURE_PRESETS:
         runs[f"figure {name}"] = _run(
@@ -209,12 +221,21 @@ def diff(a: dict[str, str], b: dict[str, str]) -> list[str]:
             for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p_write = sub.add_parser("write", help="fingerprint a checkout's outputs")
     p_write.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
                          help="checkout to run (default: this one)")
+    p_write.add_argument("--chunk-points", type=_positive,
+                         help="grid points a chunk holds (default: the checkout's CHUNK_POINTS)")
     p_write.add_argument("out", help="JSON file to write")
     p_diff = sub.add_parser("diff", help="compare two fingerprints")
     p_diff.add_argument("a")
@@ -224,7 +245,7 @@ def main(argv=None) -> int:
     p_compare.add_argument("root_b")
     args = parser.parse_args(argv)
     if args.command == "write":
-        prints = fingerprint(Path(args.root).resolve())
+        prints = fingerprint(Path(args.root).resolve(), args.chunk_points)
         Path(args.out).write_text(json.dumps(prints, indent=1, sort_keys=True) + "\n",
                                   encoding="utf-8")
         print(f"wrote {args.out}: {len(prints)} hashes")
