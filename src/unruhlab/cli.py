@@ -112,15 +112,20 @@ def _output(path: str, names: tuple[str, ...] = ()) -> Path:
     return out
 
 
-def _write_csv(path: Path, measures: np.ndarray, config) -> None:
-    """Stream the CSV of ``measures`` into a temporary file beside ``path``
-    and move it into place once complete, so that ``path`` never holds a
-    partial CSV and a failed run leaves it as it was.  The temporary name
-    does not grow with ``path``'s, so that it fits wherever ``path`` does."""
+def _write(path: Path, content) -> None:
+    """Write ``content`` (text, or a function that writes bytes to a binary
+    file handle, as ``rows_to_csv`` streams a CSV) into a temporary file
+    beside ``path`` and move it into place once complete, so that ``path``
+    never holds a partial file and a failed write leaves it as it was.  The
+    temporary name does not grow with ``path``'s, so that it fits wherever
+    ``path`` does."""
     part = path.with_name(f".unruhlab.{os.getpid()}.part")
     try:
         with open(part, "wb") as fh:
-            rows_to_csv(measures, config, fh)
+            if isinstance(content, str):
+                fh.write(content.encode("utf-8"))
+            else:
+                content(fh)
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
@@ -131,7 +136,7 @@ def _cmd_sweep(args) -> int:
     out = _output(args.out)
     config = load_config(args.config, overrides=_parse_overrides(args.set))
     measures = run_sweep(config)
-    _write_csv(out, measures, config)
+    _write(out, functools.partial(rows_to_csv, measures, config))
     degenerate = int(np.isnan(measures).all(axis=1).sum())
     print(f"wrote {args.out}: {len(measures)} rows ({degenerate} degenerate)")
     return 0
@@ -144,9 +149,9 @@ def _cmd_figure(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = figure_preset(args.preset)
     measures = run_sweep(config)
-    _write_csv(out_dir / csv_name, measures, config)
-    (out_dir / plot_name).write_text(plot_script(args.preset, csv_name), encoding="utf-8")
-    (out_dir / ini_name).write_text(config_to_text(config), encoding="utf-8")
+    _write(out_dir / csv_name, functools.partial(rows_to_csv, measures, config))
+    _write(out_dir / plot_name, plot_script(args.preset, csv_name))
+    _write(out_dir / ini_name, config_to_text(config))
     print(f"wrote {out_dir / csv_name}: {len(measures)} rows")
     print(f"render with: python {out_dir / plot_name}")
     return 0
@@ -165,8 +170,8 @@ def _cmd_validate(args) -> int:
     print(text, end="")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(text, encoding="utf-8")
-        (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+        _write(out_dir / "report.txt", text)
+        _write(out_dir / "report.csv", report.to_csv())
     return 0 if report.passed else 1
 
 
@@ -210,7 +215,7 @@ def _cmd_state(args) -> int:
     if out_path is not None:
         lines = ["i,j,re,im", *(f"{i},{j},{v.real:.17g},{v.imag:.17g}"
                                 for (i, j), v in np.ndenumerate(final))]
-        out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(out_path, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -392,52 +392,43 @@ def load_config(path: str, overrides: dict | None = None) -> SweepConfig:
 
 # --------------------------------------------------------------------------
 # Figure presets.  Surfaces sample an 80 x 80 (r, strength) grid; line
-# figures sample 81 points in r at a few fixed strengths.  Plotting hints,
-# not part of the sweep contract: kind ('surface' | 'lines'), the measures
-# the generated script plots, and the line grouping ('state' | 'strength').
+# figures sample 81 points in r at a few fixed strengths.  The twelve
+# presets run eight sweeps, each named once in ``_SWEEPS``.  Each preset
+# gives its sweep and plotting hints, which are not part of the sweep
+# contract: kind ('surface' | 'lines'), the measures the generated script
+# plots, and the line grouping ('state' | 'strength').
 
-_R_SURFACE = f"0:{R_MAX!r}:80"
-_S_SURFACE = "0:0.98:80"
+_SURFACE = dict(r_grid=f"0:{R_MAX!r}:80", strength_grid="0:0.98:80")
 _R_LINE = f"0:{R_MAX!r}:81"
 
+_SWEEPS = {
+    "singlet surface": dict(system=TWO_QUBIT, initial_state="singlet", **_SURFACE),
+    "werner surface": dict(system=TWO_QUBIT, initial_state="werner:0.7", **_SURFACE),
+    "qutrit:1 surface": dict(system=TWO_QUTRIT, initial_state="qutrit:1", **_SURFACE),
+    "qutrit:0.5 surface": dict(system=TWO_QUTRIT, initial_state="qutrit:0.5", **_SURFACE),
+    "qubit states in r": dict(system=TWO_QUBIT, initial_state="singlet, werner:0.7",
+                              r_grid=_R_LINE, strength_grid="0.5"),
+    "singlet strengths in r": dict(system=TWO_QUBIT, initial_state="singlet",
+                                   r_grid=_R_LINE, strength_grid="0.5, 0.8, 0.9"),
+    "qutrit states in r": dict(system=TWO_QUTRIT, initial_state="qutrit:1, qutrit:0.5",
+                               r_grid=_R_LINE, strength_grid="0.5"),
+    "qutrit:1 strengths in r": dict(system=TWO_QUTRIT, initial_state="qutrit:1",
+                                    r_grid=_R_LINE, strength_grid="0.5, 0.8, 0.9"),
+}
 
 _PRESETS = {
-    "fig1a": (dict(system=TWO_QUBIT, initial_state="singlet",
-                   r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              ("surface", ("E_norm",), "state")),
-    "fig1b": (dict(system=TWO_QUBIT, initial_state="werner:0.7",
-                   r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              ("surface", ("E_norm",), "state")),
-    "fig2a": (dict(system=TWO_QUTRIT, initial_state="qutrit:1",
-                   r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              ("surface", ("E_norm",), "state")),
-    "fig2b": (dict(system=TWO_QUTRIT, initial_state="qutrit:0.5",
-                   r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              ("surface", ("E_norm",), "state")),
-    "fig3a": (dict(system=TWO_QUBIT, initial_state="singlet",
-                   r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              ("surface", ("I_coh_std",), "state")),
-    "fig3b": (dict(system=TWO_QUBIT, initial_state="singlet",
-                   r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              ("surface", ("I_a",), "state")),
-    "fig4a": (dict(system=TWO_QUBIT, initial_state="singlet, werner:0.7",
-                   r_grid=_R_LINE, strength_grid="0.5"),
-              ("lines", ("I_a", "I_b"), "state")),
-    "fig4b": (dict(system=TWO_QUBIT, initial_state="singlet",
-                   r_grid=_R_LINE, strength_grid="0.5, 0.8, 0.9"),
-              ("lines", ("I_coh_std", "I_a"), "strength")),
-    "fig5a": (dict(system=TWO_QUTRIT, initial_state="qutrit:1",
-                   r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              ("surface", ("I_coh_std",), "state")),
-    "fig5b": (dict(system=TWO_QUTRIT, initial_state="qutrit:1",
-                   r_grid=_R_SURFACE, strength_grid=_S_SURFACE),
-              ("surface", ("I_a",), "state")),
-    "fig6a": (dict(system=TWO_QUTRIT, initial_state="qutrit:1, qutrit:0.5",
-                   r_grid=_R_LINE, strength_grid="0.5"),
-              ("lines", ("I_a", "I_b"), "state")),
-    "fig6b": (dict(system=TWO_QUTRIT, initial_state="qutrit:1",
-                   r_grid=_R_LINE, strength_grid="0.5, 0.8, 0.9"),
-              ("lines", ("I_coh_std", "I_a"), "strength")),
+    "fig1a": ("singlet surface", ("surface", ("E_norm",), "state")),
+    "fig1b": ("werner surface", ("surface", ("E_norm",), "state")),
+    "fig2a": ("qutrit:1 surface", ("surface", ("E_norm",), "state")),
+    "fig2b": ("qutrit:0.5 surface", ("surface", ("E_norm",), "state")),
+    "fig3a": ("singlet surface", ("surface", ("I_coh_std",), "state")),
+    "fig3b": ("singlet surface", ("surface", ("I_a",), "state")),
+    "fig4a": ("qubit states in r", ("lines", ("I_a", "I_b"), "state")),
+    "fig4b": ("singlet strengths in r", ("lines", ("I_coh_std", "I_a"), "strength")),
+    "fig5a": ("qutrit:1 surface", ("surface", ("I_coh_std",), "state")),
+    "fig5b": ("qutrit:1 surface", ("surface", ("I_a",), "state")),
+    "fig6a": ("qutrit states in r", ("lines", ("I_a", "I_b"), "state")),
+    "fig6b": ("qutrit:1 strengths in r", ("lines", ("I_coh_std", "I_a"), "strength")),
 }
 
 FIGURE_PRESETS = tuple(sorted(_PRESETS))
@@ -454,7 +445,7 @@ def _preset(name: str):
 
 def figure_preset(name: str) -> SweepConfig:
     """Resolved sweep config of a named figure preset."""
-    return config_from_mapping(dict(_preset(name)[0]))
+    return config_from_mapping(_SWEEPS[_preset(name)[0]])
 
 
 def figure_info(name: str) -> tuple[str, tuple[str, ...], str]:

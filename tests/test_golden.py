@@ -5,7 +5,7 @@ and is named.  ``tools/golden.py compare`` on two small CSVs: the largest
 |a - b| and ulp distance of each column's differing numbers, blank cells
 counted on their own, and text cells that differ.  ``tools/golden.py
 write --chunk-points N``, with its commands stubbed: every command runs
-with chunks of N points."""
+with chunks of N points.  ``write`` lists the files each command leaves."""
 
 import importlib.util
 import json
@@ -106,6 +106,18 @@ def test_write_runs_every_command_at_the_chunk_points_asked(tmp_path, monkeypatc
     assert golden.main(["write", *argv, str(out)]) == 0
     assert len(seen) > 100 and set(seen) == {(points,) * 3}
     assert capsys.readouterr().out == f"wrote {out}: {len(seen)} hashes\n"
+
+
+def test_a_run_lists_every_file_it_leaves():
+    def main(argv):
+        Path("out").mkdir()
+        Path("out/a.csv").write_text("a\n", encoding="utf-8")
+        Path(".unruhlab.7.part").write_text("partial", encoding="utf-8")
+        return 0
+
+    got = golden._run(main, [], ["out/a.csv", "out/b.csv"], {"sweep.ini": "[sweep]\n"})
+    assert got["files"] == ".unruhlab.7.part out/a.csv sweep.ini"
+    assert got["out/a.csv"] == golden._sha("a\n") and got["out/b.csv"] is None
 
 
 def test_write_takes_only_positive_chunk_points(tmp_path):

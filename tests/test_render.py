@@ -1,9 +1,14 @@
 """The CSV renderer against the ``%`` renderer it replaced
 (``tests/oracle.py``), the cell formatter against ``'%.17g' % x``, and the
-atomic replacement of the CSV a command writes."""
+atomic replacement of every file a command writes."""
 
+import errno
 import io
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,3 +274,56 @@ def test_a_sweep_replaces_its_output_whole(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == rows_to_csv_reference(run_sweep(config), config)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "sweep.ini"]
     capsys.readouterr()
+
+
+# Each output but the CSV, whose cases are above: the command that writes it
+# (its output option last), the files it writes before it, the most bytes
+# a file may grow to while it runs, and a statement run first that makes a
+# function return text longer than that.
+_LIMITED_WRITES = {
+    "plot_fig4b.py": (["figure", "fig4b", "--out-dir"], ["fig4b.csv"], 65_536,
+                      "cli.plot_script = too_long"),
+    "fig4b.ini": (["figure", "fig4b", "--out-dir"], ["fig4b.csv", "plot_fig4b.py"], 65_536,
+                  "cli.config_to_text = too_long"),
+    "report.txt": (["validate", "--samples", "10", "--out-dir"], [], 1_000, ""),
+    "report.csv": (["validate", "--samples", "10", "--out-dir"], ["report.txt"], 4_096,
+                   "validate.ValidationReport.to_csv = too_long"),
+    "state.csv": (["state", "--preset", "qutrit:1", "--r", "0.3", "--alpha", "0.2", "--out"],
+                  [], 1_000, ""),
+}
+
+# A child process whose files may not grow past the limit (RLIMIT_FSIZE):
+# with SIGXFSZ ignored, the write that would pass it fails with EFBIG.
+_LIMITED_MAIN = """
+import resource, signal, sys
+from unruhlab import cli, validate
+limit = int(sys.argv[1])
+too_long = lambda *args: "x" * 2 * limit
+{patch}
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("existing", [None, b"kept bytes\n"])
+@pytest.mark.parametrize("name", _LIMITED_WRITES)
+def test_a_write_that_fails_part_way_leaves_its_file_as_it_was(tmp_path, name, existing):
+    argv, before, limit, patch = _LIMITED_WRITES[name]
+    out = tmp_path / name
+    if existing is not None:
+        out.write_bytes(existing)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    where = out if argv[-1] == "--out" else tmp_path
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_MAIN.format(patch=patch), str(limit),
+                           *argv, str(where)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    if existing is None:
+        assert names == before
+    else:
+        assert names == sorted([*before, name])
+        assert out.read_bytes() == existing

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracle import point_strengths
+from unruhlab import sweep
 from unruhlab.cli import main
 from unruhlab.errors import ConfigError, UnknownPreset
 from unruhlab.sweep import (
@@ -341,6 +342,16 @@ def test_every_preset_resolves():
         assert cfg.tie_policy == ALL_EQUAL
         kind, _, _ = figure_info(name)
         assert kind in ("surface", "lines")
+
+
+def test_presets_that_name_one_sweep_resolve_to_one_config():
+    by_sweep = {}
+    for name in FIGURE_PRESETS:
+        by_sweep.setdefault(sweep._PRESETS[name][0], []).append(figure_preset(name))
+    assert len(by_sweep) == 8
+    for configs in by_sweep.values():
+        assert all(cfg == configs[0] for cfg in configs)
+    assert len({figure_preset(name) for name in FIGURE_PRESETS}) == 8
 
 
 def test_surface_presets_sample_80_by_80():

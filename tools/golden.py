@@ -6,7 +6,9 @@
 
 ``write`` imports ``unruhlab`` from ``CHECKOUT/src``, runs these commands
 in process through ``unruhlab.cli.main``, each in a fresh temporary
-directory, and writes the sha256 of every output to ``OUT.json``:
+directory, and writes to ``OUT.json`` the sha256 of every output, and
+for each command the sorted names of the files left in its directory,
+so that a stray temporary file or a missing or extra output shows:
 
 * ``figure`` for each of the 12 presets: the CSV, the INI and the plot
   script;
@@ -79,9 +81,9 @@ def _assigned(path: Path, name: str):
 
 def _run(main, argv, files=(), inputs=None, read=_sha) -> dict[str, str]:
     """Run ``main(argv)`` in a fresh directory holding the files ``inputs``
-    (name to text): exit code, the hashes of stdout and stderr, and
-    ``read`` (by default the hash) of the bytes of each of ``files`` it
-    wrote."""
+    (name to text): exit code, the hashes of stdout and stderr, the sorted
+    names of the files the directory then holds, and ``read`` (by default
+    the hash) of the bytes of each of ``files`` it wrote."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -93,10 +95,11 @@ def _run(main, argv, files=(), inputs=None, read=_sha) -> dict[str, str]:
                 code = main(list(argv))
             written = {f: read(Path(f).read_bytes()) if Path(f).is_file() else None
                        for f in files}
+            left = " ".join(sorted(p.as_posix() for p in Path().rglob("*") if p.is_file()))
         finally:
             os.chdir(cwd)
     return {"exit": str(code), "stdout": _sha(out.getvalue()),
-            "stderr": _sha(err.getvalue()), **written}
+            "stderr": _sha(err.getvalue()), "files": left, **written}
 
 
 def fingerprint(root: Path, chunk_points: int | None = None) -> dict[str, str]:
