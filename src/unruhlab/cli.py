@@ -112,23 +112,27 @@ def _output(path: str, names: tuple[str, ...] = ()) -> Path:
     return out
 
 
-def _write(path: Path, content) -> None:
-    """Write ``content`` (text, or a function that writes bytes to a binary
-    file handle, as ``rows_to_csv`` streams a CSV) into a temporary file
-    beside ``path`` and move it into place once complete, so that ``path``
-    never holds a partial file and a failed write leaves it as it was.  The
-    temporary name does not grow with ``path``'s, so that it fits wherever
-    ``path`` does."""
-    part = path.with_name(f".unruhlab.{os.getpid()}.part")
+def _write(*outputs: tuple[Path, object]) -> None:
+    """Write each ``(path, content)`` (text, or a function that writes bytes
+    to a binary file handle, as ``rows_to_csv`` streams a CSV) into a
+    temporary file beside its path, and move them all into place once every
+    one is complete, so that no path holds a partial file and a failed
+    write leaves every path as it was.  The temporary names do not grow
+    with the paths', so that each fits wherever its path does."""
+    parts = []
     try:
-        with open(part, "wb") as fh:
-            if isinstance(content, str):
-                fh.write(content.encode("utf-8"))
-            else:
-                content(fh)
-        os.replace(part, path)
+        for i, (path, content) in enumerate(outputs):
+            parts.append(path.with_name(f".unruhlab.{os.getpid()}.{i}.part"))
+            with open(parts[-1], "wb") as fh:
+                if isinstance(content, str):
+                    fh.write(content.encode("utf-8"))
+                else:
+                    content(fh)
+        for part, (path, _) in zip(parts, outputs):
+            os.replace(part, path)
     except BaseException:
-        part.unlink(missing_ok=True)
+        for part in parts:
+            part.unlink(missing_ok=True)
         raise
 
 
@@ -136,7 +140,7 @@ def _cmd_sweep(args) -> int:
     out = _output(args.out)
     config = load_config(args.config, overrides=_parse_overrides(args.set))
     measures = run_sweep(config)
-    _write(out, functools.partial(rows_to_csv, measures, config))
+    _write((out, functools.partial(rows_to_csv, measures, config)))
     degenerate = int(np.isnan(measures).all(axis=1).sum())
     print(f"wrote {args.out}: {len(measures)} rows ({degenerate} degenerate)")
     return 0
@@ -149,9 +153,9 @@ def _cmd_figure(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = figure_preset(args.preset)
     measures = run_sweep(config)
-    _write(out_dir / csv_name, functools.partial(rows_to_csv, measures, config))
-    _write(out_dir / plot_name, plot_script(args.preset, csv_name))
-    _write(out_dir / ini_name, config_to_text(config))
+    _write((out_dir / csv_name, functools.partial(rows_to_csv, measures, config)),
+           (out_dir / plot_name, plot_script(args.preset, csv_name)),
+           (out_dir / ini_name, config_to_text(config)))
     print(f"wrote {out_dir / csv_name}: {len(measures)} rows")
     print(f"render with: python {out_dir / plot_name}")
     return 0
@@ -170,8 +174,7 @@ def _cmd_validate(args) -> int:
     print(text, end="")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write(out_dir / "report.txt", text)
-        _write(out_dir / "report.csv", report.to_csv())
+        _write((out_dir / "report.txt", text), (out_dir / "report.csv", report.to_csv()))
     return 0 if report.passed else 1
 
 
@@ -215,7 +218,7 @@ def _cmd_state(args) -> int:
     if out_path is not None:
         lines = ["i,j,re,im", *(f"{i},{j},{v.real:.17g},{v.imag:.17g}"
                                 for (i, j), v in np.ndenumerate(final))]
-        _write(out_path, "\n".join(lines) + "\n")
+        _write((out_path, "\n".join(lines) + "\n"))
         print(f"wrote {args.out}")
     return 0
 

@@ -20,8 +20,8 @@ own tables:
 * states are checked by :func:`~unruhlab.tensor.check_held` where they
   enter (a preset where it is parsed, matrices in :func:`prepare`) and
   where they leave, and nowhere in between.  Their spectra are solved
-  block by block along each chunk's nonzero held entries
-  (:func:`~unruhlab.tensor.held_eigenvalues`), which leaves out no entry;
+  block by block along the grid's held support, derived here once
+  (:func:`~unruhlab.tensor.held_eigenvalues`), whatever the chunk;
 * a point whose post-selection probability falls below ``SUCCESS_FLOOR``
   is degenerate; later steps skip it;
 * the qubit channel is always real, the qutrit one at phi = 0; when the

@@ -17,10 +17,12 @@ in real arithmetic, any other as complex128.  :class:`DensityMatrix`
 always holds complex128.  Each check is defined once, on held stacks
 (:func:`check_held`); a matrix is checked by holding it by its own
 support (:func:`hold`).  Spectra are solved block by block, along the
-connected components of each stack's nonzero entries
-(:func:`held_eigenvalues`): a 1 x 1 or 2 x 2 block, and a real 3 x 3 one
-in a stack of at least ``CLOSED_FORM_MIN_BLOCKS``, in closed form, every
-other by ``numpy.linalg.eigvalsh``.
+connected components of each stack's held support (:func:`held_eigenvalues`):
+a 1 x 1, 2 x 2 or real 3 x 3 block in closed form, every other by
+``numpy.linalg.eigvalsh``.  Which solver a block gets and which blocks a
+stack splits into follow from the support and the field alone, and a
+trace adds its entries in one fixed order, so a member's bits do not
+depend on which other members share its stack.
 
 Conventions
 -----------
@@ -31,6 +33,7 @@ Conventions
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,13 +47,6 @@ STATE_HERMITICITY_TOL = 1e-10
 STATE_TRACE_TOL = 1e-10
 STATE_EIGENVALUE_TOL = 1e-10
 ENTROPY_EIGENVALUE_FLOOR = 1e-15
-
-# Real 3 x 3 blocks are solved in closed form (_real_3x3_spectra) in stacks of
-# at least this many, by eigvalsh in smaller ones: the closed form is some 100
-# numpy calls, a fixed cost.  Medians on a noisy 2-core host, numpy 2.4: on
-# 1,920 blocks 0.40-0.64 ms against eigvalsh's 1.3-2.1 ms, on one block
-# 100-200 us against 5-9 us; the two were even at 224-256 blocks.
-CLOSED_FORM_MIN_BLOCKS = 256
 
 
 class Held(NamedTuple):
@@ -97,7 +93,10 @@ class Held(NamedTuple):
         return self.entries(np.arange(self.dim) * (self.dim + 1))
 
     def trace(self) -> np.ndarray:
-        return self.diagonal().sum(axis=-1)
+        """Each member's trace, its diagonal added in entry order, one add
+        each, whatever the layout (``sum`` adds a contiguous row pairwise)."""
+        d = self.diagonal()
+        return functools.reduce(operator.add, d.transpose((-1, *range(d.ndim - 1))))
 
     def transposes(self) -> np.ndarray:
         """The flat index of each held entry's transpose."""
@@ -129,14 +128,9 @@ def _mask(flat, size: int) -> np.ndarray:
     return mask
 
 
-def _nonzero(h: Held) -> np.ndarray:
-    """Which held entries are nonzero in some member."""
-    return (h.values != 0).any(axis=tuple(range(h.values.ndim - 1)))
-
-
 def nonzero_support(h: Held) -> Held:
     """``h`` held by the entries nonzero in some member, and their transposes."""
-    nz = _nonzero(h)
+    nz = (h.values != 0).any(axis=tuple(range(h.values.ndim - 1)))
     keep = nz | _mask(h.transposes()[nz], h.dim * h.dim)[h.index]
     return Held(h.values[..., keep], h.index[keep], h.dim)
 
@@ -247,9 +241,9 @@ def _block_spectra(blocks: np.ndarray, size: int) -> np.ndarray:
     A 1 x 1 block is its entry.  A 2 x 2 block with diagonal p, q and
     off-diagonal b has h -/+ hypot((p - q)/2, |b|), h = (p + q)/2, the
     spectrum of an X state's block (Yu and Eberly, Quantum Inf. Comput. 7,
-    459, 2007).  Real 3 x 3 blocks, at least ``CLOSED_FORM_MIN_BLOCKS`` of
-    them, are solved in closed form (:func:`_real_3x3_spectra`).  Every
-    other stack goes to ``numpy.linalg.eigvalsh``, looked up at call time.
+    459, 2007).  A real 3 x 3 block is solved in closed form
+    (:func:`_real_3x3_spectra`), however many share the stack.  Every other
+    stack goes to ``numpy.linalg.eigvalsh``, looked up at call time.
     """
     if size == 1:
         return blocks[..., 0].real
@@ -257,7 +251,7 @@ def _block_spectra(blocks: np.ndarray, size: int) -> np.ndarray:
         p, q = blocks[..., 0, 0].real, blocks[..., 1, 1].real
         h, g = 0.5 * (p + q), np.hypot(0.5 * (p - q), np.abs(blocks[..., 0, 1]))
         return np.stack((h - g, h + g), axis=-1)
-    if size == 3 and blocks.dtype == np.float64 and blocks.size >= 9 * CLOSED_FORM_MIN_BLOCKS:
+    if size == 3 and blocks.dtype == np.float64:
         return _real_3x3_spectra(blocks)
     return np.linalg.eigvalsh(blocks)
 
@@ -265,13 +259,15 @@ def _block_spectra(blocks: np.ndarray, size: int) -> np.ndarray:
 def held_eigenvalues(h: Held) -> np.ndarray:
     """Ascending eigenvalues of every member of a held Hermitian stack.
 
-    The blocks are those of the members' nonzero entries (:func:`blocks_of`):
-    every entry outside them is zero in every member, so each spectrum is
-    exactly the union of its blocks' spectra.  The blocks of each size are
-    solved together by :func:`_block_spectra`.
+    The blocks are those of the held support ``h.index`` (:func:`blocks_of`),
+    read off the index and never off the values: every entry outside them
+    is zero in every member, so each spectrum is exactly the union of its
+    blocks' spectra, and a member splits into the same blocks in any stack
+    held by the same support.  The blocks of each size are solved together
+    by :func:`_block_spectra`.
     """
     d, lead = h.dim, h.values.shape[:-1]
-    flat, shapes = _blocks(_mask(h.index[_nonzero(h)], d * d).tobytes(), d)
+    flat, shapes = _blocks(_mask(h.index, d * d).tobytes(), d)
     entries, parts, start = h.entries(flat), [], 0
     for n_s, s in shapes:
         blocks = entries[..., start:start + n_s * s * s].reshape(lead + (n_s, s, s))

@@ -10,8 +10,10 @@ connected components of the union of its members' supports.  Block spectra
 must equal a full ``numpy.linalg.eigvalsh`` to 1e-14 on the final states,
 their partial transposes and their marginals; a stack of r = 0 points may
 split into smaller blocks; an entry, however small, joins the blocks it
-couples; a stack that every post-selection emptied must pass through as
-an empty stack; and the closed form of a 2 x 2 block must match
+couples; every real 3 x 3 block is solved in closed form and every
+complex one by ``eigvalsh``, whatever the stack's size; a stack that every
+post-selection emptied must pass through as an empty stack; and the
+closed form of a 2 x 2 block must match
 ``eigvalsh`` to 1e-14 on ties, zero coupling, rank-one blocks and entries
 near 1e-300 and near 1.  The closed form of a real 3 x 3 block must match
 ``eigvalsh`` and the Jacobi oracle to 1e-14 x max(1, ||A||) on A = qI,
@@ -59,11 +61,9 @@ def assert_block_spectra_match(out):
 
 def by_eigvalsh(blocks: np.ndarray, size: int) -> bool:
     """Whether ``tensor._block_spectra`` sends a stack of ``size`` x ``size``
-    blocks to ``eigvalsh``: a complex 3 x 3 stack, a real one of fewer than
-    ``CLOSED_FORM_MIN_BLOCKS`` blocks, or any stack of larger blocks."""
-    if size != 3:
-        return size > 3
-    return blocks.dtype != np.float64 or blocks.size // 9 < tensor.CLOSED_FORM_MIN_BLOCKS
+    blocks to ``eigvalsh``: a complex 3 x 3 stack, or any stack of larger
+    blocks, whatever its size."""
+    return size > 3 or (size == 3 and blocks.dtype != np.float64)
 
 
 def solved_sizes(monkeypatch, m) -> list[int]:
@@ -226,22 +226,22 @@ def test_pattern_is_the_same_with_and_without_r_zero(monkeypatch, label, project
         assert zero == (sizes, transpose_sizes)
 
 
+@pytest.mark.parametrize("members", [1, 243, 256])
 @pytest.mark.parametrize("label, project, transposed", [
     ("qutrit:1", False, False),
     ("qutrit:1", False, True),
     ("qutrit:0.5", True, False),
 ])
-def test_real_3x3_blocks_leave_eigvalsh_at_the_crossover(monkeypatch, label, project,
-                                                          transposed):
+def test_real_3x3_blocks_never_reach_eigvalsh(monkeypatch, label, project, transposed,
+                                              members):
     # Accelerated real qutrit states (and the full sector's partial
-    # transposes) hold one 3 x 3 block each.  A stack of
-    # CLOSED_FORM_MIN_BLOCKS of them solves it in closed form; one state
-    # fewer, by eigvalsh.  Both match the full solve (solved_sizes).
-    n = tensor.CLOSED_FORM_MIN_BLOCKS
-    m = _stacks(label, np.linspace(0.0, R_MAX, n + 1)[1:], project, phi=0.0)[transposed]
-    assert m.dtype == np.float64
+    # transposes) hold one 3 x 3 block each.  A real stack of them solves it
+    # in closed form at any size, 1 member as 256; the same stack made
+    # complex goes to eigvalsh.  Both match the full solve (solved_sizes).
+    m = _stacks(label, np.linspace(0.0, R_MAX, members + 1)[1:], project, phi=0.0)[transposed]
+    assert m.dtype == np.float64 and len(m) == members
     eigvalsh = np.linalg.eigvalsh
-    for members, shapes in ((m, []), (m[1:], [(n - 1, 1, 3, 3)])):
+    for stack, shapes in ((m, []), (m.astype(np.complex128), [(members, 1, 3, 3)])):
         calls = []
 
         def spy(a):
@@ -250,9 +250,9 @@ def test_real_3x3_blocks_leave_eigvalsh_at_the_crossover(monkeypatch, label, pro
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", spy)
-            tensor.held_eigenvalues(hold(members))
+            tensor.held_eigenvalues(hold(stack))
         assert calls == shapes
-        assert solved_sizes(monkeypatch, members)[0] == 3
+        assert solved_sizes(monkeypatch, stack)[0] == 3
 
 
 def test_an_entry_off_the_pattern_joins_its_block(monkeypatch):
@@ -356,8 +356,8 @@ def test_two_by_two_closed_form_edge_blocks(m):
 
 
 # The closed form of a real 3 x 3 block (tensor._real_3x3_spectra), called
-# directly so that no crossover hides it, against eigvalsh and the Jacobi
-# oracle, with every floating-point warning raised.
+# directly on single blocks, against eigvalsh and the Jacobi oracle, with
+# every floating-point warning raised.
 
 def assert_closed_form_matches(m):
     """The closed form's spectra of the real 3 x 3 blocks ``m`` ``(n, 3, 3)``

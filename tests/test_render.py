@@ -277,15 +277,15 @@ def test_a_sweep_replaces_its_output_whole(tmp_path, capsys):
 
 
 # Each output but the CSV, whose cases are above: the command that writes it
-# (its output option last), the files it writes before it, the most bytes
-# a file may grow to while it runs, and a statement run first that makes a
-# function return text longer than that.
+# (its output option last), the other files it writes with it, the most
+# bytes a file may grow to while it runs, and a statement run first that
+# makes a function return text longer than that.
 _LIMITED_WRITES = {
-    "plot_fig4b.py": (["figure", "fig4b", "--out-dir"], ["fig4b.csv"], 65_536,
+    "plot_fig4b.py": (["figure", "fig4b", "--out-dir"], ["fig4b.csv", "fig4b.ini"], 65_536,
                       "cli.plot_script = too_long"),
     "fig4b.ini": (["figure", "fig4b", "--out-dir"], ["fig4b.csv", "plot_fig4b.py"], 65_536,
                   "cli.config_to_text = too_long"),
-    "report.txt": (["validate", "--samples", "10", "--out-dir"], [], 1_000, ""),
+    "report.txt": (["validate", "--samples", "10", "--out-dir"], ["report.csv"], 1_000, ""),
     "report.csv": (["validate", "--samples", "10", "--out-dir"], ["report.txt"], 4_096,
                    "validate.ValidationReport.to_csv = too_long"),
     "state.csv": (["state", "--preset", "qutrit:1", "--r", "0.3", "--alpha", "0.2", "--out"],
@@ -309,10 +309,15 @@ sys.exit(cli.main(sys.argv[2:]))
 @pytest.mark.parametrize("existing", [None, b"kept bytes\n"])
 @pytest.mark.parametrize("name", _LIMITED_WRITES)
 def test_a_write_that_fails_part_way_leaves_its_file_as_it_was(tmp_path, name, existing):
-    argv, before, limit, patch = _LIMITED_WRITES[name]
+    # A command's files are moved into place together, once all are
+    # complete: when one fails, none is replaced, whether it was written
+    # before or after the one that failed, and no temporary file is left.
+    argv, others, limit, patch = _LIMITED_WRITES[name]
     out = tmp_path / name
+    files = sorted([name, *others])
     if existing is not None:
-        out.write_bytes(existing)
+        for other in files:
+            (tmp_path / other).write_bytes(existing)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                       os.environ.get("PYTHONPATH")])))
@@ -323,7 +328,7 @@ def test_a_write_that_fails_part_way_leaves_its_file_as_it_was(tmp_path, name, e
     assert proc.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
     names = sorted(p.name for p in tmp_path.iterdir())
     if existing is None:
-        assert names == before
+        assert names == []
     else:
-        assert names == sorted([*before, name])
-        assert out.read_bytes() == existing
+        assert names == files
+        assert all((tmp_path / other).read_bytes() == existing for other in files)

@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from unruhlab import cli
 
@@ -42,10 +43,9 @@ def test_traced_state_command_counts_eigensolves_and_restores(capsys):
 def test_traced_figure_solves_blocks_through_the_looked_up_solver(tmp_path):
     # The block spectra call numpy.linalg.eigvalsh by attribute at call time,
     # so the tracer's wrapper sees them; the batched pipeline builds no kron.
-    # fig6b's qutrit states have 3 x 3 blocks, which reach eigvalsh: the
-    # entry check's one complex block, and its real stacks of 243 points,
-    # which are below tensor.CLOSED_FORM_MIN_BLOCKS (1 x 1 and 2 x 2 blocks,
-    # and real 3 x 3 ones in larger stacks, are solved in closed form).
+    # fig6b's qutrit states have 3 x 3 blocks; the entry check's one complex
+    # block reaches eigvalsh (1 x 1, 2 x 2 and real 3 x 3 blocks, such as
+    # its stacks of 243 points hold, are solved in closed form).
     tracer = _load_tracer().Tracer()
     eigvalsh = np.linalg.eigvalsh
     tracer.install()
@@ -79,10 +79,11 @@ def test_small_commands_build_index_sets_without_isin_or_unique(monkeypatch, tmp
         assert cli.main(argv) == 0, argv
 
 
-def test_figure_fig2a_solves_no_real_block_through_eigvalsh(monkeypatch, tmp_path):
-    # fig2a's real stacks (one chunk of 6,400 points) are at or above
-    # tensor.CLOSED_FORM_MIN_BLOCKS, so their 3 x 3 blocks are solved in
-    # closed form.  Only the entry check of qutrit:1, one complex 3 x 3
+@pytest.mark.parametrize("preset", ["fig2a", "fig6b"])
+def test_figure_solves_no_real_block_through_eigvalsh(monkeypatch, tmp_path, preset):
+    # fig2a's real stacks (one chunk of 6,400 points) and fig6b's (243
+    # points) have real 3 x 3 blocks, which are solved in closed form at
+    # any stack size.  Only the entry check of qutrit:1, one complex 3 x 3
     # block, reaches eigvalsh.
     calls, eigvalsh = [], np.linalg.eigvalsh
 
@@ -91,5 +92,5 @@ def test_figure_fig2a_solves_no_real_block_through_eigvalsh(monkeypatch, tmp_pat
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    assert cli.main(["figure", "fig2a", "--out-dir", str(tmp_path)]) == 0
+    assert cli.main(["figure", preset, "--out-dir", str(tmp_path)]) == 0
     assert calls == [((1, 3, 3), np.dtype(np.complex128))]
