@@ -22,8 +22,8 @@ all downstream processing keeps that enlarged factor.
 The maps are built as stacks, one Kraus family per Rindler angle
 (:func:`kraus_for_dim`), and checked for completeness as a stack
 (:func:`check_completeness`); :func:`unruhlab.pipeline.engine_inputs`
-builds them for every command, and :func:`unruhlab.pipeline.propagate`
-applies them to party 0.
+builds them at phi = 0 for every command (the phase cancels in K rho K^dag),
+and :func:`unruhlab.pipeline.propagate` applies them to party 0.
 
 The Rindler angle r encodes the proper acceleration a through
 tan r = exp(-pi omega / a) in natural units (c = 1), so r runs over

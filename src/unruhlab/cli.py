@@ -207,7 +207,7 @@ def _cmd_state(args) -> int:
     dim = rho0.dims[0]
     table = np.empty((1, 2, 2, dim - 1))    # (point, step, party, level)
     table[:, 0], table[:, 1] = args.alpha, args.beta
-    out = propagate(rho0, rho0.dims, *engine_inputs(dim, (r,), args.phi, table))
+    out = propagate(rho0, rho0.dims, *engine_inputs(dim, (r,), table))
     if not len(out.kept):
         print(f"degenerate point: success probability below {SUCCESS_FLOOR}", file=sys.stderr)
         return 1

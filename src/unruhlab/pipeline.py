@@ -24,14 +24,13 @@ own tables:
   (:func:`~unruhlab.tensor.held_eigenvalues`), whatever the chunk;
 * a point whose post-selection probability falls below ``SUCCESS_FLOOR``
   is degenerate; later steps skip it;
-* the qubit channel is always real, the qutrit one at phi = 0; when the
-  entering states are exactly real too, all of it runs on float64 stacks;
-  otherwise on complex128 ones, through the same code.
+* the channels are real (:func:`engine_inputs`); with exactly real states
+  all of it runs on float64 stacks, else on complex128, in the same code.
 
 :func:`~unruhlab.measures.measure_columns` then evaluates the measures on
 the final states.  Every command's inputs come from one place,
-:func:`engine_inputs`, which turns Rindler angles, a phase and a strength
-table into checked Kraus stacks and filter diagonals: a sweep's from its
+:func:`engine_inputs`, which turns Rindler angles and a strength table
+into checked Kraus stacks and filter diagonals: a sweep's from its
 config (:func:`unruhlab.sweep.grid_inputs`), ``state``'s from its one
 point and ``validate``'s sampled check's from each chunk of samples.  The
 scalar Kraus pipeline and its per-point objects live beside the tests
@@ -54,10 +53,10 @@ LADDER_FLOOR = 1e-14
 # gets; counting points, not held output bytes (5 values a qubit point, 17
 # a qutrit:1 one), gives it that: fig2a's 6,400 points run as one chunk,
 # not four.  The working set of propagate_points + measure_columns
-# (tracemalloc peak, 6,400-point grids) is 273-338 B a point for the
-# singlet, werner:0.7 and x states and 1,086-1,281 B for qutrit:1 and
-# qutrit:0.5 at phi = 0.5, 4.7-8.0 times the held output bytes: at most
-# about 10.5 MB a chunk for the parsed preset families.
+# (tracemalloc peak, 6,400-point grids, float64) is 269-334 B a point for
+# the singlet, werner:0.7 and x states and 1,073 B for qutrit:1 and
+# qutrit:0.5, 5.3-8.0 times the held output bytes: at most about 8.8 MB a
+# chunk for the parsed preset families.
 # Measured on a 2-core host, a 1000 x 1000 run_sweep in a fresh process:
 # qutrit:1 took 1.87 s at 8,192 points against 2.86-3.17 s at 256 KiB of
 # held output (1,000 one-row chunks) and 2.19 s at 4,096 points; 16,384
@@ -112,13 +111,14 @@ def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:
     return (op_a[..., :, None] * op_b[..., None, :]).reshape(op_a.shape[:-1] + (-1,))
 
 
-def engine_inputs(dim: int, r, phi, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def engine_inputs(dim: int, r, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What :func:`prepare` takes between the initial states and ``project``,
-    for party dimension ``dim``: the Kraus stack of each Rindler angle ``r``
-    at phase ``phi``, checked for completeness, and the weak and reversing
-    filter diagonals of each row of the strength table ``table``
-    ``(n, step, party, level)``, step 0 weak and step 1 reversing."""
-    kraus = kraus_for_dim(dim, check_rindler(r, phi), phi)
+    for party dimension ``dim``: the exactly real Kraus stack of each Rindler
+    angle ``r``, checked for completeness, and the filter diagonals of each
+    row of ``table`` ``(n, step, party, level)``, step 0 weak, 1 reversing.
+    The qutrit channel's phase is left out: one power of e^{i phi} per Kraus
+    operator leaves the map unchanged (Nielsen & Chuang, Thm 8.2)."""
+    kraus = kraus_for_dim(dim, check_rindler(r, 0.0))
     check_completeness(kraus)
     weak = filter_diagonal(WEAK, table[:, 0], dim)
     reverse = filter_diagonal(REVERSE, table[:, 1], kraus.shape[-2])
@@ -177,9 +177,9 @@ def prepare(rho0, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
     nonzero in some row, the channel's images by every entry those reach
     through a nonzero superoperator entry
     (:func:`~unruhlab.tensor.party_a_maps`).  When the checked states and
-    the channel superoperators are exactly real (the qubit channel always,
-    the qutrit one at phi = 0), the tables are float64 and every later step
-    runs in real arithmetic; any other input keeps complex128, and a complex
+    the channel superoperators are exactly real (every stack of
+    :func:`engine_inputs`), the tables are float64 and every later step runs
+    in real arithmetic; any other input keeps complex128, and a complex
     state's product promotes real maps.  The steps are the same either way.
     """
     strict = isinstance(rho0, DensityMatrix) and rho0.strict

@@ -178,13 +178,12 @@ _FIELDS = {f.name: f for f in fields(SweepConfig) if f.init}
 
 def grid_inputs(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """What :func:`~unruhlab.pipeline.prepare` takes after the initial states:
-    :func:`~unruhlab.pipeline.engine_inputs` of the r grid, phi and strength
-    table (one checked Kraus stack per r, the filter diagonals of each
-    strength value under the tie policy), and ``project``."""
+    :func:`~unruhlab.pipeline.engine_inputs` of the r grid and strength table
+    (one checked Kraus stack per r, the filter diagonals of each strength
+    value under the tie policy), and ``project``; ``phi`` does not enter."""
     project = (config.system == TWO_QUTRIT
                and config.qutrit_compare_sector == PROJECTED_SECTOR)
-    return (*engine_inputs(config.levels + 1, config.r_grid, config.phi,
-                           config.strength_table()), project)
+    return (*engine_inputs(config.levels + 1, config.r_grid, config.strength_table()), project)
 
 
 def _slabs(n_r: int, n_s: int, size: int):

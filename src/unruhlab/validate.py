@@ -160,12 +160,13 @@ def _check_corrected_vs_pipeline(rng: np.random.Generator,
                                  samples: int) -> CheckResult:
     c, u = _draw(rng, samples, [(0.0, 0.95)] * 4 + [(0.0, np.pi / 4), (0.0, 2 * np.pi)])
     c, weak, reverse = check_x_coefficients(c), check_strengths(u[:, :2]), check_strengths(u[:, 2:4])
+    # column 5 is a phase the engine leaves out, drawn and checked to keep the random stream
     r = check_rindler(u[:, 4], u[:, 5])
     table = np.stack((weak, reverse), axis=1)[..., None]    # (samples, step, party, level)
     worst, worst_detail = 0.0, ""
     for chunk in _chunks(samples):
         out = propagate(x_state_matrix(c[chunk]), (2, 2),
-                        *engine_inputs(2, r[chunk], u[chunk, 5], table[chunk]))
+                        *engine_inputs(2, r[chunk], table[chunk]))
         if len(out.kept) < len(r[chunk]):
             raise DegenerateOutcome("a closed-form cross-check sample is degenerate")
         closed = _closed_forms(c[chunk], weak[chunk], reverse[chunk], r[chunk])[1]

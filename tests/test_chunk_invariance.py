@@ -14,11 +14,9 @@ layout.  Checked here:
   and a sweep of the singlet and werner:0.7 with split strengths that
   reaches degenerate weak rows, give them at 1 point a chunk as well;
 * ``state`` prints the ``p_success`` text of its sweep row at seeded
-  points of fig1a, fig2a and fig2b, rows of r = 0 included, and of a
-  qutrit:1 sweep at phi = 0.7 off the r = 0 row.  On that row ``state``'s
-  one-point grid has an exactly real channel and runs in float64, while
-  the sweep's grid runs complex, so the bits may differ (a strict xfail
-  here until the field is chosen from the phase, not the values);
+  points of fig1a, fig2a and fig2b and of a qutrit:1 sweep at phi = 0.7,
+  rows of r = 0 included: the phase reaches no engine input, so the sweep
+  and ``state``'s one-point grid both run in float64 at any phi;
 * small drawn configs of either system, at phi = 0 or not, in either
   sector, under every tie policy and with strengths reaching 1, give the
   same measure bits at a drawn chunk size of 1 to 13 points as at the
@@ -65,7 +63,7 @@ def _ini(text: str) -> SweepConfig:
 
 
 def _phased() -> SweepConfig:
-    """qutrit:1 at phi = 0.7, so every stack is complex; 9 x 9 points."""
+    """qutrit:1 at phi = 0.7, which no engine input carries; 9 x 9 points."""
     return SweepConfig(TWO_QUTRIT, ("qutrit:1",), tuple(np.linspace(0.0, R_MAX, 9)),
                        tuple(np.linspace(0.0, 0.98, 9)), phi=0.7)
 
@@ -129,10 +127,7 @@ def _state_points(n_r: int, n_s: int, rows: str) -> list[int]:
 
 @pytest.mark.parametrize("name, rows", [
     ("fig1a", "any"), ("fig2a", "any"), ("fig2b", "any"), ("qutrit:1, phi = 0.7", "r > 0"),
-    pytest.param("qutrit:1, phi = 0.7", "r = 0", marks=pytest.mark.xfail(strict=True, reason=(
-        "prepare runs a grid in float64 when its channel is exactly real: a grid of r = 0 "
-        "alone is, at any phi, so state's one point runs real while its sweep row runs "
-        "complex; one of the 9 p_success texts differs in its last digits"))),
+    ("qutrit:1, phi = 0.7", "r = 0"),
 ])
 def test_state_prints_the_p_success_of_its_sweep_row(capsys, name, rows):
     build, preset, phase = STATE_SWEEPS[name]

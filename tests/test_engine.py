@@ -136,6 +136,16 @@ def test_projected_qutrit_grid_with_degenerate_rows():
     assert_all_rows_match(config, result)
 
 
+@pytest.mark.parametrize("sector", [FULL_SECTOR, PROJECTED_SECTOR])
+def test_phased_qutrit_grid_matches_the_phased_oracle(sector):
+    # The engine leaves the channel's phase out and the oracle keeps it.
+    config = SweepConfig(system="two_qutrit", initial_state=("qutrit:1", "qutrit:0.5"),
+                         r_grid=tuple(np.linspace(0.0, R_MAX, 5)),
+                         strength_grid=tuple(np.linspace(0.0, 1.0, 5)), phi=2.5,
+                         qutrit_compare_sector=sector)
+    assert_all_rows_match(config, sweep_of(config))
+
+
 def test_points_either_side_of_the_success_floor():
     # The singlet keeps p_weak = 1 - alpha: 5e-15 falls below the 1e-14
     # floor, 2e-14 stays above it.
@@ -257,16 +267,17 @@ def test_a_slab_gives_the_bits_of_its_points_one_by_one(label, phi, strengths, p
     # take one each.  Every output bit is the same.  The singlet's weak row
     # at strength 1 is degenerate and skipped alike, and a grid whose every
     # weak row is degenerate holds no entry at all (k_in = k_out = 0).  The
-    # qubit channel's maps are real at every phi, the qutrit's complex iff
-    # phi != 0; a phased state's product promotes real maps.
+    # engine's channels carry no phase, so their maps are exactly real at
+    # every phi: complex128 only for a phased state with the qutrit's
+    # complex128 Kraus stack, and a phased state's product promotes real maps.
     base = label.removeprefix("phased:")
     config = SweepConfig(TWO_QUTRIT if base.startswith("qutrit") else "two_qubit", (base,),
                          (0.0, 0.3, R_MAX), strengths, phi=phi)
     rho0 = _phased(base) if base != label else config.parsed_states[0]
     grid = pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))._replace(project=project)
-    qutrit = base.startswith("qutrit")
-    assert grid.channels.dtype == (np.complex128 if phi and qutrit else np.float64)
-    assert grid.weakened.dtype == (np.complex128 if base != label else np.float64)
+    phased, qutrit = base != label, base.startswith("qutrit")
+    assert grid.channels.dtype == (np.complex128 if phased and qutrit else np.float64)
+    assert grid.weakened.dtype == (np.complex128 if phased else np.float64)
     rows, cols = np.arange(3), np.arange(len(strengths))[None]
     slab, points = pipeline.propagate_points(grid, rows, cols), _one_by_one(grid, rows, cols)
     if base == "singlet":

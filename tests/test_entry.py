@@ -38,12 +38,13 @@ def _counting(monkeypatch, name, modules):
     ["--preset", "werner:0.9", "--r", "0.4", "--beta", "0.2", "--out", "state.csv"],
 ], ids=["qubit", "qutrit", "out"])
 def test_state_parses_its_preset_once_and_checks_it_twice(tmp_path, monkeypatch, capsys, argv):
-    # One parse: `state` parses its preset in cli and hands that state to
-    # its one-point config, which does not parse the label again.  Two
-    # checks: the entry check, which the strict DensityMatrix runs when the
-    # preset is parsed (prepare runs its held form as it is), and the exit
-    # check of the one chunk that holds the one point.  --out writes the
-    # exit check's state and checks nothing more.
+    # One parse: `state` parses its preset in cli and hands that state,
+    # with a one-row strength table and no config, to propagate, so no
+    # label is parsed again in sweep or states.  Two checks: the entry
+    # check, which the strict DensityMatrix runs when the preset is parsed
+    # (prepare runs its held form as it is), and the exit check of the one
+    # chunk that holds the one point.  --out writes the exit check's state
+    # and checks nothing more.
     monkeypatch.chdir(tmp_path)
     parses = _counting(monkeypatch, "parse_state_preset", (cli,))
     config_parses = _counting(monkeypatch, "parse_state_preset", (sweep, states))

@@ -5,7 +5,8 @@ and is named.  ``tools/golden.py compare`` on two small CSVs: the largest
 |a - b| and ulp distance of each column's differing numbers, blank cells
 counted on their own, and text cells that differ.  ``tools/golden.py
 write --chunk-points N``, with its commands stubbed: every command runs
-with chunks of N points.  ``write`` lists the files each command leaves."""
+with chunks of N points.  ``write`` lists the files each command leaves,
+and runs each INI sweep at phi = 0.7 as well, under keys of its own."""
 
 import importlib.util
 import json
@@ -106,6 +107,14 @@ def test_write_runs_every_command_at_the_chunk_points_asked(tmp_path, monkeypatc
     assert golden.main(["write", *argv, str(out)]) == 0
     assert len(seen) > 100 and set(seen) == {(points,) * 3}
     assert capsys.readouterr().out == f"wrote {out}: {len(seen)} hashes\n"
+
+
+def test_write_and_compare_run_each_ini_sweep_at_both_phases():
+    root = Path(__file__).resolve().parents[1]
+    names = golden._assigned(root / "perfbench" / "workloads.py", "INIS")
+    runs = [(key, argv[3:-2]) for key, argv, _ in golden._sweeps(root)]
+    assert runs == [(f"sweep {name}{key}", set_phi) for name in names
+                    for key, set_phi in (("", []), (" phi=0.7", ["--set", "phi=0.7"]))]
 
 
 def test_a_run_lists_every_file_it_leaves():

@@ -18,7 +18,7 @@ import pytest
 
 from oracle import padded_entries
 from unruhlab import pipeline
-from unruhlab.channel import R_MAX
+from unruhlab.channel import R_MAX, kraus_for_dim
 from unruhlab.states import parse_state_preset
 from unruhlab.sweep import TWO_QUBIT, TWO_QUTRIT, SweepConfig, grid_inputs
 from unruhlab.tensor import DensityMatrix, Held
@@ -89,11 +89,16 @@ def test_propagate_points_returns_entry_major_stacks(label, complex_state, phi, 
                                                       project):
     # Rows drop on both paths that gather members: the singlet's weak rows
     # at strength 1 are degenerate (9 points, 6 kept), and qutrit:0.5's
-    # reverse post-selection at strength 1 keeps 3 of 6.
+    # reverse post-selection at strength 1 keeps 3 of 6.  The engine's own
+    # channels carry no phase, so a complex channel is a phased Kraus stack
+    # handed to prepare directly.
     system = TWO_QUTRIT if label.startswith("qutrit") else TWO_QUBIT
-    config = SweepConfig(system, (label,), (0.0, 0.3, R_MAX), strengths, phi=phi)
+    config = SweepConfig(system, (label,), (0.0, 0.3, R_MAX), strengths)
     rho0 = _complex(label) if complex_state else config.parsed_states[0]
-    grid = pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))._replace(project=project)
+    kraus, *rest = grid_inputs(config)
+    if phi:
+        kraus = kraus_for_dim(3, config.r_grid, phi)
+    grid = pipeline.prepare(rho0, rho0.dims, kraus, *rest)._replace(project=project)
     out = pipeline.propagate_points(grid, np.arange(3), np.arange(len(strengths))[None])
     assert 0 < len(out.kept) <= 3 * len(strengths)
     assert out.held.dtype == (np.complex128 if complex_state or phi else np.float64)

@@ -134,7 +134,8 @@ def test_a_reused_parser_keeps_commands_independent(tmp_path, monkeypatch, capsy
     # main builds its parser once a process, so an option given to one
     # call (--set's list, --out) must not reach the next: each run here
     # must give what it gives in a new interpreter.
-    runs = [["sweep", "--config", "sweep.ini", "--set", "phi=0.3", "--out", "sweep.csv"],
+    runs = [["sweep", "--config", "sweep.ini", "--set", "strength_grid=0:1:2", "--out",
+             "sweep.csv"],
             ["sweep", "--config", "sweep.ini", "--out", "sweep.csv"],
             ["state", "--preset", "singlet", "--r", "0.3", "--alpha", "0.4", "--out", "f.csv"],
             ["state", "--preset", "singlet", "--r", "0.3", "--alpha", "0.4"]]

@@ -17,8 +17,9 @@ so that a stray temporary file or a missing or extra output shows:
   as more than one chunk of ``unruhlab.pipeline.CHUNK_POINTS`` (8,192)
   samples, so that the report shows a change of the chunk size: exit
   code, stdout, stderr, ``report.txt`` and ``report.csv``;
-* ``sweep`` on each INI of ``perfbench/workloads.py``'s ``INIS``: exit
-  code, stdout and the CSV;
+* ``sweep`` on each INI of ``perfbench/workloads.py``'s ``INIS``, as it
+  is and at ``--set phi=0.7`` (keys of their own, so that a phase that
+  reached an output would show): exit code, stdout and the CSV;
 * ``state`` at each point of ``perfbench/workloads.py``'s ``STATE_POINTS``:
   exit code, stdout and ``--out``;
 * ``state`` with each bad argument list of ``_BAD_STATE_ARGUMENTS`` in
@@ -35,14 +36,14 @@ differs or that only one side has, and exits 1 if there is one
 (``tests/test_golden.py``).  The test suite runs ``write`` only with its
 commands stubbed, to check the chunk size they run at.
 
-``compare`` runs the 12 presets and the INI sweeps in both checkouts as
-``write`` does and reads their CSVs.  For each CSV that differs it prints,
-per column whose cells differ, the largest |a - b| and the largest
-distance in units in the last place, |a - b| / spacing(max(|a|, |b|))
-(``numpy.spacing``; near zero a tiny |a - b| is many units), of the cells
-both sides give as numbers, how many such cells differ, how many cells
-are blank on both sides, how many on one side only, and how many other
-cells differ as text.  It exits 1 if a CSV differs
+``compare`` runs the 12 presets and the INI sweeps, at both phases, in
+both checkouts as ``write`` does and reads their CSVs.  For each CSV that
+differs it prints, per column whose cells differ, the largest |a - b| and
+the largest distance in units in the last place, |a - b| /
+spacing(max(|a|, |b|)) (``numpy.spacing``; near zero a tiny |a - b| is
+many units), of the cells both sides give as numbers, how many such cells
+differ, how many cells are blank on both sides, how many on one side only,
+and how many other cells differ as text.  It exits 1 if a CSV differs
 (``tests/test_golden.py`` runs it on two small CSVs).
 """
 
@@ -64,6 +65,7 @@ import numpy as np
 VALIDATE_RUNS = ([(seed, samples) for seed in (7, 20240801, *range(101000, 101030))
                   for samples in (100, 1000)] + [(7, 9000), (20240801, 9000)])
 DEGENERATE_STATE = ("--preset", "singlet", "--r", "0.3", "--alpha", "1")
+SWEEP_PHASES = ((), ("--set", "phi=0.7"))
 
 
 def _sha(data: bytes | str) -> str:
@@ -102,6 +104,14 @@ def _run(main, argv, files=(), inputs=None, read=_sha) -> dict[str, str]:
             "stderr": _sha(err.getvalue()), "files": left, **written}
 
 
+def _sweeps(root: Path):
+    """(key, argv, INI text) of each INI sweep, once for each of ``SWEEP_PHASES``."""
+    for name, text in _assigned(root / "perfbench" / "workloads.py", "INIS").items():
+        for phase in SWEEP_PHASES:
+            key = " ".join(("sweep", name, *phase[1:]))
+            yield key, ["sweep", "--config", "sweep.ini", *phase, "--out", "out.csv"], text
+
+
 def fingerprint(root: Path, chunk_points: int | None = None) -> dict[str, str]:
     sys.path.insert(0, str(root / "src"))
     from unruhlab.cli import main
@@ -122,9 +132,8 @@ def fingerprint(root: Path, chunk_points: int | None = None) -> dict[str, str]:
         runs[f"validate {seed} {samples}"] = _run(
             main, ["validate", "--seed", str(seed), "--samples", str(samples),
                    "--out-dir", "out"], ["out/report.txt", "out/report.csv"])
-    for name, text in _assigned(root / "perfbench" / "workloads.py", "INIS").items():
-        runs[f"sweep {name}"] = _run(main, ["sweep", "--config", "sweep.ini", "--out", "out.csv"],
-                                     ["out.csv"], {"sweep.ini": text})
+    for key, argv, text in _sweeps(root):
+        runs[key] = _run(main, argv, ["out.csv"], {"sweep.ini": text})
     points = _assigned(root / "perfbench" / "workloads.py", "STATE_POINTS")
     for kind, argvs in points.items():
         for i, argv in enumerate(argvs):
@@ -163,10 +172,9 @@ def csv_outputs(root: Path) -> dict[str, str | None]:
         csv_file = f"out/{name}.csv"
         out[f"figure {name} | {csv_file}"] = _run(
             main, ["figure", name, "--out-dir", "out"], [csv_file], read=bytes.decode)[csv_file]
-    for name, ini in _assigned(root / "perfbench" / "workloads.py", "INIS").items():
-        out[f"sweep {name} | out.csv"] = _run(
-            main, ["sweep", "--config", "sweep.ini", "--out", "out.csv"], ["out.csv"],
-            {"sweep.ini": ini}, read=bytes.decode)["out.csv"]
+    for key, argv, ini in _sweeps(root):
+        out[f"{key} | out.csv"] = _run(main, argv, ["out.csv"], {"sweep.ini": ini},
+                                       read=bytes.decode)["out.csv"]
     return out
 
 
