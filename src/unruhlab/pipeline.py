@@ -53,10 +53,11 @@ LADDER_FLOOR = 1e-14
 # gets; counting points, not held output bytes (5 values a qubit point, 17
 # a qutrit:1 one), gives it that: fig2a's 6,400 points run as one chunk,
 # not four.  The working set of propagate_points + measure_columns
-# (tracemalloc peak, 6,400-point grids, float64) is 269-334 B a point for
-# the singlet, werner:0.7 and x states and 1,073 B for qutrit:1 and
-# qutrit:0.5, 5.3-8.0 times the held output bytes: at most about 8.8 MB a
-# chunk for the parsed preset families.
+# (tracemalloc peak, 6,400-point grids, float64) is 273-338 B a point for
+# the singlet, werner:0.7 and x states and 1,086 B for qutrit:1 and
+# qutrit:0.5, 5.3-8.0 times the held output bytes: at most about 8.9 MB a
+# chunk for the parsed preset families.  Spectra held entry-major (at most
+# 7 values) left these peaks as they were.
 # Measured on a 2-core host, a 1000 x 1000 run_sweep in a fresh process:
 # qutrit:1 took 1.87 s at 8,192 points against 2.86-3.17 s at 256 KiB of
 # held output (1,000 one-row chunks) and 2.19 s at 4,096 points; 16,384
@@ -77,7 +78,7 @@ class Propagated(NamedTuple):
     kept: np.ndarray        # (m,) indices of the kept points, ascending
     p_success: np.ndarray   # (m,) product of both post-selection probabilities
     held: Held              # (m, k) final states, checked and exactly Hermitian
-    spectra: np.ndarray     # (m, d) their ascending eigenvalues
+    spectra: np.ndarray     # (m, d) their ascending eigenvalues, entry-major if d <= 7
     dims: tuple[int, int]   # party dimensions of the final states
 
     @property

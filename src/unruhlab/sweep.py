@@ -242,10 +242,14 @@ def _byte_rows(texts: list[str]) -> np.ndarray:
     return np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
 
 
-# Rows rendered, and written, at a time.  Rendering fig1a and fig2a to text
-# took 9.9 and 10.0 ms at 1,024 rows (medians of 25), against 10.7 and 10.6
-# ms at 512, 10.3 and 11.0 ms at 2,048 and 13.9 ms at 4,096 (2-core host,
-# numpy 2.4).
+# Rows rendered, and written, at a time.  Sizes taken in alternating rounds
+# in one process (medians of 25, two runs, 2-core host, numpy 2.4): fig1a
+# rendered to text in 9.0-9.4 ms at 1,024 rows, against 9.4-10.0 ms at 512,
+# 10.4-10.9 at 2,048, 10.8-11.9 at 256 and 11.1-11.8 at 4,096 (fig2a:
+# 10.5-10.9, 11.0-11.3, 10.5-10.6, 12.1-12.2 and 13.7 ms).  Written to a
+# handle, 512 rows rendered fig1a up to 10 % faster, but `figure` was not:
+# against 1,024, it lost 5 of 6 surface_qubit and 4 of 4 surface_qutrit
+# perfbench pairs.
 BLOCK_ROWS = 1024
 
 

@@ -27,7 +27,8 @@ depend on which other members share its stack.
 Conventions
 -----------
 * Subsystem 0 is the leftmost (slowest-varying) tensor factor.
-* Eigenvalues are always returned in ascending order.
+* Eigenvalues are always returned in ascending order, entry-major when
+  there are at most 7 (:func:`held_eigenvalues`).
 * Entropies are in bits (logarithm base 2).
 """
 
@@ -256,6 +257,29 @@ def _block_spectra(blocks: np.ndarray, size: int) -> np.ndarray:
     return np.linalg.eigvalsh(blocks)
 
 
+# The most values a spectrum sorted by a network (and held entry-major) may
+# hold: numpy adds a row of at most 7 values in sequence in either layout,
+# but 8 or more contiguous values pairwise.
+NETWORK_MAX_VALUES = 7
+
+
+@functools.cache
+def _sorting_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort of ``n`` values (AFIPS SJCC 32, 307,
+    1968), its comparators ``(i, j)``, ``i < j``, in the order they apply:
+    1, 3, 5, 9, 12 and 16 of them for n = 2 ... 7."""
+    pairs, p = [], 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                pairs += [(i + j, i + j + k) for i in range(min(k, n - j - k))
+                          if (i + j) // (2 * p) == (i + j + k) // (2 * p)]
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
 def held_eigenvalues(h: Held) -> np.ndarray:
     """Ascending eigenvalues of every member of a held Hermitian stack.
 
@@ -264,7 +288,11 @@ def held_eigenvalues(h: Held) -> np.ndarray:
     is zero in every member, so each spectrum is exactly the union of its
     blocks' spectra, and a member splits into the same blocks in any stack
     held by the same support.  The blocks of each size are solved together
-    by :func:`_block_spectra`.
+    by :func:`_block_spectra`.  Up to ``NETWORK_MAX_VALUES`` values, d
+    columns go through :func:`_sorting_network` and the result is entry-major,
+    so a sum over it adds in the order a row adds in; a longer spectrum is
+    sorted by ``np.sort``, member-major.  The values are the same: only a
+    +0.0 and a -0.0 may trade places (no NaN passes :func:`_hermitian`).
     """
     d, lead = h.dim, h.values.shape[:-1]
     flat, shapes = _blocks(_mask(h.index, d * d).tobytes(), d)
@@ -273,7 +301,13 @@ def held_eigenvalues(h: Held) -> np.ndarray:
         blocks = entries[..., start:start + n_s * s * s].reshape(lead + (n_s, s, s))
         parts.append(_block_spectra(blocks, s).reshape(lead + (n_s * s,)))
         start += n_s * s * s
-    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+    if d > NETWORK_MAX_VALUES:
+        return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+    cols = [part[..., j] for part in parts for j in range(part.shape[-1])]
+    for i, j in _sorting_network(d):
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    lam = np.stack(cols)
+    return lam.transpose((*range(1, lam.ndim), 0))
 
 
 def check_held(h: Held) -> tuple[Held, np.ndarray]:
@@ -283,8 +317,8 @@ def check_held(h: Held) -> tuple[Held, np.ndarray]:
     (:class:`NonHermitian`), unit trace to 1e-10 (``ValueError``), lowest
     eigenvalue at least -1e-10 (:class:`NotPositive`).  Returns the
     Hermitian parts and their ascending spectra, solved block by block
-    (:func:`held_eigenvalues`), so positivity is checked on every whole
-    member.
+    and laid out by :func:`held_eigenvalues`, so positivity is checked on
+    every whole member.
     """
     h = _hermitian(h, STATE_HERMITICITY_TOL)
     tr = h.trace()

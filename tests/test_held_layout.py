@@ -10,14 +10,20 @@ cases cover stacks of 0, 1 and 6,400 members, 1-D to 3-D values, both
 fields, both layouts of the stack itself, and the empty support.
 
 The final stacks of ``propagate_points`` are entry-major: each entry's
-values over the stack are one contiguous row.
+values over the stack are one contiguous row.  So are their spectra on a
+qubit grid, which a comparator network sorts column by column; a qutrit
+grid's spectra (12 values, or 9 in the ladder sector) are ``np.sort``'s
+contiguous rows, and ``figure`` on a qubit preset sorts no spectrum with
+``np.sort``.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
 from oracle import padded_entries
-from unruhlab import pipeline
+from unruhlab import cli, pipeline, tensor
 from unruhlab.channel import R_MAX, kraus_for_dim
 from unruhlab.states import parse_state_preset
 from unruhlab.sweep import TWO_QUBIT, TWO_QUTRIT, SweepConfig, grid_inputs
@@ -104,3 +110,26 @@ def test_propagate_points_returns_entry_major_stacks(label, complex_state, phi, 
     assert out.held.dtype == (np.complex128 if complex_state or phi else np.float64)
     assert out.held.values.shape == (len(out.kept), len(out.held.index))
     assert is_entry_major(out.held.values)
+    assert out.spectra.shape == (len(out.kept), out.held.dim)
+    if system == TWO_QUBIT:
+        assert is_entry_major(out.spectra)
+    else:
+        assert out.spectra.flags.c_contiguous
+
+
+@pytest.mark.parametrize("preset, sorts", [("fig1a", []), ("fig6b", [(9,), (243, 12), (243, 12)])])
+def test_qubit_figures_sort_no_spectrum_with_np_sort(monkeypatch, tmp_path, preset, sorts):
+    # The np.sort calls made from held_eigenvalues itself: none on a qubit
+    # grid; on fig6b's, one for the parsed 9 x 9 state and one each for the
+    # 243-point exit check and partial transposes (12 values), whose 3-value
+    # marginals a network sorts.
+    calls, sort = [], np.sort
+
+    def spy(a, *args, **kwargs):
+        if sys._getframe(1).f_code is tensor.held_eigenvalues.__code__:
+            calls.append(np.shape(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    assert cli.main(["figure", preset, "--out-dir", str(tmp_path)]) == 0
+    assert calls == sorts
