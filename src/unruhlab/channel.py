@@ -64,15 +64,21 @@ def r_from_acceleration(a: float, omega: float) -> float:
     return float(np.arctan(np.exp(-np.pi * omega / a)))
 
 
-def check_rindler(r, phi) -> np.ndarray:
+def check_phase(phi) -> float:
+    """``phi`` as a float; raises :class:`BadPhysicalParam` unless it is finite."""
+    phi = float(phi)
+    if not np.isfinite(phi):
+        raise BadPhysicalParam(f"phi={phi} is not finite")
+    return phi
+
+
+def check_rindler(r) -> np.ndarray:
     """Rindler angles clamped into [0, pi/4]; raises :class:`BadPhysicalParam`
-    unless every r lies there to 1e-12 and every phase phi is finite."""
-    r, phi = np.asarray(r, dtype=np.float64), np.asarray(phi, dtype=np.float64)
+    unless every r lies there to 1e-12."""
+    r = np.asarray(r, dtype=np.float64)
     bad = ~((-_R_TOL <= r) & (r <= R_MAX + _R_TOL))
     if bad.any():
         raise BadPhysicalParam(f"r={r[bad][0]} outside [0, pi/4]")
-    if not np.isfinite(phi).all():
-        raise BadPhysicalParam(f"phi={phi[~np.isfinite(phi)][0]} is not finite")
     return np.minimum(np.maximum(r, 0.0), R_MAX)
 
 
@@ -100,12 +106,12 @@ def qubit_kraus(r) -> np.ndarray:
 
 def qutrit_kraus(r, phi=0.0) -> np.ndarray:
     """Four-outcome Kraus families of the accelerated qutrit, 3 -> 4 dim,
-    unchecked: shape ``r.shape + (4, 4, 3)``.  Outcome index is the
-    region-II level traced over: vacuum, U, D, pair."""
-    r = np.asarray(r, dtype=np.float64)
+    unchecked, float64 if every phi is 0: shape ``r.shape + (4, 4, 3)``.
+    Outcome index is the region-II level traced over: vacuum, U, D, pair."""
+    r, phi = np.asarray(r, dtype=np.float64), np.asarray(phi, dtype=np.float64)
     c, s = np.cos(r), np.sin(r)
-    ph = np.exp(1j * np.asarray(phi, dtype=np.float64))
-    k = np.zeros(np.broadcast_shapes(r.shape, ph.shape) + (4, 4, 3), dtype=np.complex128)
+    ph = np.exp(1j * phi) if phi.any() else np.ones(phi.shape)
+    k = np.zeros(np.broadcast_shapes(r.shape, ph.shape) + (4, 4, 3), dtype=ph.dtype)
     k[..., 0, LEVEL_VACUUM, 0] = c * c
     k[..., 0, LEVEL_UP, 1] = c
     k[..., 0, LEVEL_DOWN, 2] = c

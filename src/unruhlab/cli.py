@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED
-from .channel import check_omega, check_rindler, r_from_acceleration
+from .channel import check_omega, check_phase, check_rindler, r_from_acceleration
 from .errors import BadPhysicalParam, BadStrength, ConfigError, UnknownPreset, UnruhLabError
 from .localops import SUCCESS_FLOOR, check_strengths
 from .pipeline import engine_inputs, propagate
@@ -199,8 +199,8 @@ def _cmd_state(args) -> int:
         r = _option("--accel", r_from_acceleration, args.accel, args.omega)
     else:
         r = args.r
-        _option("--r", check_rindler, r, 0.0)
-    _option("--phi", check_rindler, 0.0, args.phi)
+        _option("--r", check_rindler, r)
+    _option("--phi", check_phase, args.phi)
     _option("--alpha", check_strengths, args.alpha)
     _option("--beta", check_strengths, args.beta)
     # one point: alpha every weak strength, beta every reversing one

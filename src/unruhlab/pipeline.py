@@ -24,8 +24,8 @@ own tables:
   (:func:`~unruhlab.tensor.held_eigenvalues`), whatever the chunk;
 * a point whose post-selection probability falls below ``SUCCESS_FLOOR``
   is degenerate; later steps skip it;
-* the channels are real (:func:`engine_inputs`); with exactly real states
-  all of it runs on float64 stacks, else on complex128, in the same code.
+* a float64 Kraus stack (as :func:`engine_inputs` builds) and states with no
+  imaginary entry run on float64 stacks, anything complex on complex128.
 
 :func:`~unruhlab.measures.measure_columns` then evaluates the measures on
 the final states.  Every command's inputs come from one place,
@@ -114,12 +114,12 @@ def filter_diagonal(kind: str, levels, out_dim_a: int) -> np.ndarray:
 
 def engine_inputs(dim: int, r, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What :func:`prepare` takes between the initial states and ``project``,
-    for party dimension ``dim``: the exactly real Kraus stack of each Rindler
+    for party dimension ``dim``: the float64 Kraus stack of each Rindler
     angle ``r``, checked for completeness, and the filter diagonals of each
     row of ``table`` ``(n, step, party, level)``, step 0 weak, 1 reversing.
     The qutrit channel's phase is left out: one power of e^{i phi} per Kraus
     operator leaves the map unchanged (Nielsen & Chuang, Thm 8.2)."""
-    kraus = kraus_for_dim(dim, check_rindler(r, 0.0))
+    kraus = kraus_for_dim(dim, check_rindler(r))
     check_completeness(kraus)
     weak = filter_diagonal(WEAK, table[:, 0], dim)
     reverse = filter_diagonal(REVERSE, table[:, 1], kraus.shape[-2])
@@ -177,22 +177,19 @@ def prepare(rho0, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
     (:class:`~unruhlab.tensor.Held`): the weakened states by the entries
     nonzero in some row, the channel's images by every entry those reach
     through a nonzero superoperator entry
-    (:func:`~unruhlab.tensor.party_a_maps`).  When the checked states and
-    the channel superoperators are exactly real (every stack of
-    :func:`engine_inputs`), the tables are float64 and every later step runs
-    in real arithmetic; any other input keeps complex128, and a complex
-    state's product promotes real maps.  The steps are the same either way.
+    (:func:`~unruhlab.tensor.party_a_maps`).  Checked states with no
+    imaginary entry are held float64 and the maps take the field of
+    ``kraus``; where either is complex the product runs in complex128.
     """
     strict = isinstance(rho0, DensityMatrix) and rho0.strict
     rho0 = rho0.held if strict else check_held(hold(getattr(rho0, "matrix", rho0)))[0]
-    supers = superoperator(kraus)
-    if not (np.any(rho0.values.imag) or np.any(supers.imag)):
-        rho0, supers = rho0._replace(values=rho0.values.real), supers.real
+    if not np.any(rho0.values.imag):
+        rho0 = rho0._replace(values=rho0.values.real)
     sigma = rho0.scaled(weak)
     p_weak = sigma.trace().real
     scale = np.where(p_weak >= SUCCESS_FLOOR, p_weak, 1.0)[:, None]
     sigma = nonzero_support(sigma)
-    channels, support = party_a_maps(sigma.index, dims, supers)
+    channels, support = party_a_maps(sigma.index, dims, superoperator(kraus))
     return Prepared(p_weak, sigma._replace(values=sigma.values / scale), channels, support,
                     reverse, dims, project)
 

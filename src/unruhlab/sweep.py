@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .channel import R_MAX, check_rindler
+from .channel import R_MAX, check_phase, check_rindler
 from .errors import BadPhysicalParam, BadStrength, ConfigError, UnknownPreset
 from .localops import check_strengths
 from .measures import MEASURE_COLUMNS, measure_columns
@@ -112,16 +112,16 @@ class SweepConfig:
             checked.append(rho)
         object.__setattr__(self, "initial_state", states)
         object.__setattr__(self, "parsed_states", tuple(checked))
-        for name, check in (("r_grid", lambda v: check_rindler(v, 0.0)),
-                            ("strength_grid", check_strengths)):
-            values = tuple(float(v) for v in getattr(self, name))
-            if not values:
+        for name in ("r_grid", "strength_grid"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            if not getattr(self, name):
                 raise ConfigError(f"empty {name.replace('_', ' ')}", field=name)
+        for name, check in (("r_grid", check_rindler), ("strength_grid", check_strengths),
+                            ("phi", check_phase)):
             try:
-                check(values)
+                check(getattr(self, name))
             except (BadPhysicalParam, BadStrength) as exc:
                 raise ConfigError(str(exc), field=name) from exc
-            object.__setattr__(self, name, values)
         n_points = len(states) * len(self.r_grid) * len(self.strength_grid)
         if n_points > GRID_POINT_BUDGET:
             raise ConfigError(f"{n_points} grid points exceed the budget of "
@@ -144,8 +144,6 @@ class SweepConfig:
             )
         for name in (n for n, f in _FIELDS.items() if f.type is float):
             v = float(getattr(self, name))
-            if name == "phi" and not np.isfinite(v):
-                raise ConfigError(f"phi={v} is not finite", field=name)
             if name != "phi" and not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name}={v} outside [0, 1]", field=name)
             object.__setattr__(self, name, v)

@@ -235,9 +235,9 @@ def _real_3x3_spectra(a: np.ndarray) -> np.ndarray:
     return q[..., None] + p[..., None] * mus
 
 
-def _block_spectra(blocks: np.ndarray, size: int) -> np.ndarray:
-    """Ascending eigenvalues ``(..., size)`` of Hermitian ``size`` x ``size``
-    blocks ``(..., size, size)``.
+def _block_spectra(blocks: np.ndarray, size: int):
+    """Ascending eigenvalues of Hermitian ``size`` x ``size`` blocks
+    ``(..., size, size)``, as ``size`` columns ``(...)``, the k-th of each.
 
     A 1 x 1 block is its entry.  A 2 x 2 block with diagonal p, q and
     off-diagonal b has h -/+ hypot((p - q)/2, |b|), h = (p + q)/2, the
@@ -247,14 +247,13 @@ def _block_spectra(blocks: np.ndarray, size: int) -> np.ndarray:
     stack goes to ``numpy.linalg.eigvalsh``, looked up at call time.
     """
     if size == 1:
-        return blocks[..., 0].real
+        return (blocks[..., 0, 0].real,)
     if size == 2:
         p, q = blocks[..., 0, 0].real, blocks[..., 1, 1].real
         h, g = 0.5 * (p + q), np.hypot(0.5 * (p - q), np.abs(blocks[..., 0, 1]))
-        return np.stack((h - g, h + g), axis=-1)
-    if size == 3 and blocks.dtype == np.float64:
-        return _real_3x3_spectra(blocks)
-    return np.linalg.eigvalsh(blocks)
+        return h - g, h + g
+    solve = _real_3x3_spectra if size == 3 and blocks.dtype == np.float64 else np.linalg.eigvalsh
+    return np.moveaxis(solve(blocks), -1, 0)
 
 
 # The most values a spectrum sorted by a network (and held entry-major) may
@@ -296,14 +295,14 @@ def held_eigenvalues(h: Held) -> np.ndarray:
     """
     d, lead = h.dim, h.values.shape[:-1]
     flat, shapes = _blocks(_mask(h.index, d * d).tobytes(), d)
-    entries, parts, start = h.entries(flat), [], 0
+    entries, cols, start = h.entries(flat), [], 0
     for n_s, s in shapes:
         blocks = entries[..., start:start + n_s * s * s].reshape(lead + (n_s, s, s))
-        parts.append(_block_spectra(blocks, s).reshape(lead + (n_s * s,)))
+        lam = _block_spectra(blocks, s)
+        cols += [col[..., b] for b in range(n_s) for col in lam]
         start += n_s * s * s
     if d > NETWORK_MAX_VALUES:
-        return np.sort(np.concatenate(parts, axis=-1), axis=-1)
-    cols = [part[..., j] for part in parts for j in range(part.shape[-1])]
+        return np.sort(np.stack(cols, axis=-1), axis=-1)
     for i, j in _sorting_network(d):
         cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
     lam = np.stack(cols)

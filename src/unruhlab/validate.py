@@ -160,8 +160,8 @@ def _check_corrected_vs_pipeline(rng: np.random.Generator,
                                  samples: int) -> CheckResult:
     c, u = _draw(rng, samples, [(0.0, 0.95)] * 4 + [(0.0, np.pi / 4), (0.0, 2 * np.pi)])
     c, weak, reverse = check_x_coefficients(c), check_strengths(u[:, :2]), check_strengths(u[:, 2:4])
-    # column 5 is a phase the engine leaves out, drawn and checked to keep the random stream
-    r = check_rindler(u[:, 4], u[:, 5])
+    # column 5 is a phase the engine leaves out, drawn to keep the random stream
+    r = check_rindler(u[:, 4])
     table = np.stack((weak, reverse), axis=1)[..., None]    # (samples, step, party, level)
     worst, worst_detail = 0.0, ""
     for chunk in _chunks(samples):
@@ -199,7 +199,7 @@ def _check_spectrum_formulas(rng: np.random.Generator,
                              samples: int) -> CheckResult:
     c, u = _draw(rng, samples, [(0.0, 0.9)] * 4 + [(0.0, np.pi / 4)])
     c, weak, reverse = check_x_coefficients(c), check_strengths(u[:, :2]), check_strengths(u[:, 2:4])
-    r = check_rindler(u[:, 4], 0.0)
+    r = check_rindler(u[:, 4])
     worst = 0.0
     for chunk in _chunks(samples):
         table, states = _closed_forms(c[chunk], weak[chunk], reverse[chunk], r[chunk])

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from unruhlab.channel import check_completeness, check_rindler, kraus_for_dim
+from unruhlab.channel import check_completeness, check_phase, check_rindler, kraus_for_dim
 from unruhlab.closedform import (_trace, assemble_qubit, assemble_qutrit, check_coefficients,
                                  qubit_table, qutrit_table, x_state_spectrum)
 from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
@@ -136,8 +136,8 @@ class AccelerationSpec:
     phi: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "r", float(check_rindler(self.r, self.phi)))
-        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "r", float(check_rindler(self.r)))
+        object.__setattr__(self, "phi", check_phase(self.phi))
 
 
 @dataclass(frozen=True)
@@ -215,13 +215,15 @@ def tied(kind: str, value: float, dim: int) -> MeasurementStrengths:
 
 def point_inputs(weak: MeasurementStrengths, reverse: MeasurementStrengths,
                  acc: AccelerationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kraus stack and both filter diagonals of one point, as :func:`propagate`
-    takes them without the leading point axis."""
-    chan = channel_for_dim(weak.dim, acc)
-    return (np.array(chan.kraus),
+    """Kraus stack, checked and in its own field (float64 without a phase),
+    and both filter diagonals of one point, as :func:`propagate` takes them
+    without the leading point axis."""
+    kraus = kraus_for_dim(weak.dim, acc.r, acc.phi)
+    check_completeness(kraus)
+    return (kraus,
             filter_diagonal(WEAK, (weak.party_a_levels, weak.party_b_levels), weak.dim),
             filter_diagonal(REVERSE, (reverse.party_a_levels, reverse.party_b_levels),
-                            chan.out_dim))
+                            kraus.shape[-2]))
 
 
 def propagate_point(rho0: DensityMatrix, weak: MeasurementStrengths,

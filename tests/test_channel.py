@@ -20,7 +20,8 @@ from oracle import (
     qubit_channel,
     qutrit_channel,
 )
-from unruhlab.channel import R_MAX, check_completeness, qubit_kraus, r_from_acceleration
+from unruhlab.channel import (R_MAX, check_completeness, qubit_kraus, qutrit_kraus,
+                              r_from_acceleration)
 from unruhlab.errors import BadPhysicalParam, DimMismatch
 from unruhlab.states import qutrit_state, singlet
 from unruhlab.tensor import DensityMatrix
@@ -163,13 +164,16 @@ def test_kraus_completeness_over_r_grid():
     np.random.default_rng(RNG_SEED).uniform(0.0, R_MAX, 100_000),
 ], ids=["validate-grid", "random"])
 def test_real_qubit_kraus_has_the_complex_completeness_bits(r):
-    # The qubit pair carries no phase, so it is built float64; its
-    # completeness defects (validate's kraus_completeness) are those of the
-    # same stack in complex arithmetic, bit for bit.
-    kraus = qubit_kraus(r)
-    assert kraus.dtype == np.float64
-    real, cplx = check_completeness(kraus), check_completeness(kraus.astype(np.complex128))
-    assert (real.dtype, real.shape, real.tobytes()) == (cplx.dtype, cplx.shape, cplx.tobytes())
+    # The qubit pair carries no phase, and neither does the qutrit family at
+    # phi = 0, so both are built float64; their completeness defects
+    # (validate's kraus_completeness) are those of the same stacks in
+    # complex arithmetic, bit for bit.  A phased qutrit family is complex128.
+    for kraus in (qubit_kraus(r), qutrit_kraus(r)):
+        assert kraus.dtype == np.float64
+        real, cplx = check_completeness(kraus), check_completeness(kraus.astype(np.complex128))
+        assert (real.dtype, real.shape, real.tobytes()) == (cplx.dtype, cplx.shape,
+                                                            cplx.tobytes())
+    assert qutrit_kraus(r, 0.7).dtype == np.complex128
 
 
 def test_channel_kraus_rejects_incomplete_family():

@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracle import (AccelerationSpec, MeasurementStrengths, compute_report, point_inputs,
                     point_strengths, restrict_to_ladder, run_protocol, tied, x_eigenvalues)
 from unruhlab import measures, pipeline, sweep, tensor
-from unruhlab.channel import R_MAX
+from unruhlab.channel import R_MAX, superoperator
 from unruhlab.cli import main
 from unruhlab.errors import DegenerateOutcome, NonHermitian, NotPositive
 from unruhlab.localops import REVERSE, WEAK
@@ -254,6 +254,14 @@ def _one_by_one(grid, rows, cols) -> pipeline.Propagated:
                                      np.broadcast_to(cols, (len(rows), g)).reshape(-1, 1))
 
 
+class _NoImag(np.ndarray):
+    """A superoperator whose imaginary part must not be read."""
+
+    @property
+    def imag(self):
+        raise AssertionError("prepare read the imaginary part of a superoperator")
+
+
 @pytest.mark.parametrize("label, phi, strengths", [
     ("singlet", 0.0, (0.0, 0.5, 1.0)),
     ("phased:singlet", 0.7, (0.0, 0.5, 1.0)),
@@ -262,22 +270,24 @@ def _one_by_one(grid, rows, cols) -> pipeline.Propagated:
     ("singlet", 0.0, (1.0,)),
 ], ids=["qubit", "qubit-complex", "qutrit", "qutrit-complex", "all-degenerate"])
 @pytest.mark.parametrize("project", [False, True])
-def test_a_slab_gives_the_bits_of_its_points_one_by_one(label, phi, strengths, project):
+def test_a_slab_gives_the_bits_of_its_points_one_by_one(monkeypatch, label, phi, strengths,
+                                                        project):
     # A slab takes one product per channel row; the same points one by one
     # take one each.  Every output bit is the same.  The singlet's weak row
     # at strength 1 is degenerate and skipped alike, and a grid whose every
     # weak row is degenerate holds no entry at all (k_in = k_out = 0).  The
-    # engine's channels carry no phase, so their maps are exactly real at
-    # every phi: complex128 only for a phased state with the qutrit's
-    # complex128 Kraus stack, and a phased state's product promotes real maps.
+    # engine's channels carry no phase, so both systems' Kraus stacks and
+    # maps are float64 at every phi, by the stacks' type: prepare reads no
+    # superoperator's imaginary part.  A phased state's product promotes them.
     base = label.removeprefix("phased:")
     config = SweepConfig(TWO_QUTRIT if base.startswith("qutrit") else "two_qubit", (base,),
                          (0.0, 0.3, R_MAX), strengths, phi=phi)
     rho0 = _phased(base) if base != label else config.parsed_states[0]
-    grid = pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))._replace(project=project)
-    phased, qutrit = base != label, base.startswith("qutrit")
-    assert grid.channels.dtype == (np.complex128 if phased and qutrit else np.float64)
-    assert grid.weakened.dtype == (np.complex128 if phased else np.float64)
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "superoperator", lambda k: superoperator(k).view(_NoImag))
+        grid = pipeline.prepare(rho0, rho0.dims, *grid_inputs(config))._replace(project=project)
+    assert grid.channels.dtype == np.float64
+    assert grid.weakened.dtype == (np.complex128 if base != label else np.float64)
     rows, cols = np.arange(3), np.arange(len(strengths))[None]
     slab, points = pipeline.propagate_points(grid, rows, cols), _one_by_one(grid, rows, cols)
     if base == "singlet":
@@ -633,9 +643,10 @@ def _phased(label: str) -> DensityMatrix:
 ])
 def test_complex_path_matches_real_path_and_oracle(monkeypatch, system, states, sector):
     # The same grid through the real path (real states, phi = 0) and the
-    # complex one (phased states; the qutrit channel also at phi = 0.7).
+    # complex one (phased states, and the config at phi = 0.7).
     # Local phases on party b and the channel phase change no measure.  The
-    # qubit channel's maps stay real; the states' product promotes them.
+    # channel maps of both systems stay float64; the states' product
+    # promotes them.
     config = SweepConfig(system=system, initial_state=states,
                          r_grid=tuple(np.linspace(0.0, R_MAX, 5)),
                          strength_grid=(0.0, 0.3, 0.7, 0.95, 1.0),
@@ -646,7 +657,7 @@ def test_complex_path_matches_real_path_and_oracle(monkeypatch, system, states, 
     cplx, cplx_dtypes = _sweep_dtypes(monkeypatch, phased)
     f8, c16 = np.dtype(np.float64), np.dtype(np.complex128)
     assert real_dtypes == {(f8, f8, f8, f8)}
-    assert cplx_dtypes == {(c16, f8 if system == "two_qubit" else c16, c16, f8)}
+    assert cplx_dtypes == {(c16, f8, c16, f8)}
     dead = np.isnan(real).all(axis=1)
     assert dead.any() and not dead.all()
     assert np.array_equal(np.isnan(cplx), np.isnan(real))

@@ -6,12 +6,15 @@ and is named.  ``tools/golden.py compare`` on two small CSVs: the largest
 counted on their own, and text cells that differ.  ``tools/golden.py
 write --chunk-points N``, with its commands stubbed: every command runs
 with chunks of N points.  ``write`` lists the files each command leaves,
-and runs each INI sweep at phi = 0.7 as well, under keys of its own."""
+runs each INI sweep at phi = 0.7 as well, under keys of its own, and
+records numpy's version and SIMD dispatch, which ``diff`` names first
+when they differ."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from unruhlab import pipeline, sweep, validate
@@ -50,6 +53,31 @@ def test_each_differing_key_is_named(tmp_path, capsys):
         "figure fig1a | out/fig1a.csv: 9f2c != 77aa",
         "state degenerate | exit: None != 0",
     ]
+
+
+def test_diff_names_a_change_of_build_or_dispatch_before_the_keys(tmp_path, capsys):
+    here = {**PRINTS, "numpy | version": "2.4.6", "numpy | dispatch": "X86_V3 X86_V4"}
+    there = {**here, "numpy | dispatch": "baseline"}
+    assert _diff(tmp_path, here, dict(there)) == 0
+    note = ["different numpy builds or CPU dispatch:",
+            "  numpy | dispatch: X86_V3 X86_V4 != baseline"]
+    assert capsys.readouterr().out.splitlines() == note + ["identical: 3 hashes"]
+    there["figure fig1a | out/fig1a.csv"] = "77aa"
+    assert _diff(tmp_path, here, there) == 1
+    assert capsys.readouterr().out.splitlines() == note + [
+        "figure fig1a | out/fig1a.csv: 9f2c != 77aa"]
+
+
+def test_write_records_numpy_s_version_and_dispatch(tmp_path, monkeypatch):
+    from numpy._core import _multiarray_umath as umath
+
+    monkeypatch.setattr(golden, "_run", lambda *args, **kwargs: {"exit": "0"})
+    out = tmp_path / "prints.json"
+    assert golden.main(["write", str(out)]) == 0
+    prints = json.loads(out.read_text(encoding="utf-8"))
+    on = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+    assert prints["numpy | version"] == np.__version__
+    assert prints["numpy | dispatch"] == (" ".join(on) or "baseline")
 
 
 CSV_A = ("state,r,I_a,note\n"

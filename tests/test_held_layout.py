@@ -83,30 +83,37 @@ def _complex(label: str) -> DensityMatrix:
     return DensityMatrix(u @ rho0.matrix @ u.conj().T, rho0.dims)
 
 
-@pytest.mark.parametrize("label, complex_state, phi, strengths", [
-    ("singlet", False, 0.0, (0.0, 0.5, 1.0)),
-    ("singlet", True, 0.0, (0.0, 0.5, 1.0)),
-    ("qutrit:1", False, 0.0, (0.0, 0.5, 0.98)),
-    ("qutrit:1", False, 0.7, (0.0, 0.5, 0.98)),
-    ("qutrit:0.5", True, 0.0, (0.0, 1.0)),
-], ids=["qubit", "qubit-complex", "qutrit", "qutrit-complex-channel", "qutrit-complex"])
+R_GRID = (0.0, 0.3, R_MAX)
+
+
+@pytest.mark.parametrize("label, complex_state, phi, r_grid, strengths", [
+    ("singlet", False, 0.0, R_GRID, (0.0, 0.5, 1.0)),
+    ("singlet", True, 0.0, R_GRID, (0.0, 0.5, 1.0)),
+    ("qutrit:1", False, 0.0, R_GRID, (0.0, 0.5, 0.98)),
+    ("qutrit:1", False, 0.7, R_GRID, (0.0, 0.5, 0.98)),
+    ("qutrit:1", False, 0.7, (0.0,), (0.0, 0.5, 0.98)),
+    ("qutrit:0.5", True, 0.0, R_GRID, (0.0, 1.0)),
+], ids=["qubit", "qubit-complex", "qutrit", "qutrit-complex-channel",
+        "qutrit-complex-channel-at-r-0", "qutrit-complex"])
 @pytest.mark.parametrize("project", [False, True])
-def test_propagate_points_returns_entry_major_stacks(label, complex_state, phi, strengths,
-                                                      project):
+def test_propagate_points_returns_entry_major_stacks(label, complex_state, phi, r_grid,
+                                                      strengths, project):
     # Rows drop on both paths that gather members: the singlet's weak rows
     # at strength 1 are degenerate (9 points, 6 kept), and qutrit:0.5's
     # reverse post-selection at strength 1 keeps 3 of 6.  The engine's own
     # channels carry no phase, so a complex channel is a phased Kraus stack
-    # handed to prepare directly.
+    # handed to prepare directly; it runs complex128 by its type, also at
+    # r = 0, where its superoperator's imaginary parts are all zero.
     system = TWO_QUTRIT if label.startswith("qutrit") else TWO_QUBIT
-    config = SweepConfig(system, (label,), (0.0, 0.3, R_MAX), strengths)
+    config = SweepConfig(system, (label,), r_grid, strengths)
     rho0 = _complex(label) if complex_state else config.parsed_states[0]
     kraus, *rest = grid_inputs(config)
     if phi:
         kraus = kraus_for_dim(3, config.r_grid, phi)
     grid = pipeline.prepare(rho0, rho0.dims, kraus, *rest)._replace(project=project)
-    out = pipeline.propagate_points(grid, np.arange(3), np.arange(len(strengths))[None])
-    assert 0 < len(out.kept) <= 3 * len(strengths)
+    rows = np.arange(len(r_grid))
+    out = pipeline.propagate_points(grid, rows, np.arange(len(strengths))[None])
+    assert 0 < len(out.kept) <= len(rows) * len(strengths)
     assert out.held.dtype == (np.complex128 if complex_state or phi else np.float64)
     assert out.held.values.shape == (len(out.kept), len(out.held.index))
     assert is_entry_major(out.held.values)

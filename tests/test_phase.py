@@ -5,7 +5,8 @@ operator, which leaves the map unchanged (the unitary freedom of the
 operator-sum form), so the engine's inputs carry no phase: ``sweep``
 writes the same CSV bytes and ``state`` prints and writes the same bytes
 at every phi as at phi = 0, and both run in float64.  ``phi`` is still
-read and checked where it enters.  That the engine agrees with the
+read, and checked for finiteness where it enters by one check,
+``channel.check_phase``.  That the engine agrees with the
 scalar pipeline of ``tests/oracle.py``, which keeps the phase, at
 phi != 0 is checked in ``test_engine.py`` and ``test_commands.py``.
 """
@@ -13,8 +14,10 @@ phi != 0 is checked in ``test_engine.py`` and ``test_commands.py``.
 import numpy as np
 import pytest
 
-from unruhlab import cli, sweep
+import oracle
+from unruhlab import channel, cli, sweep
 from unruhlab.cli import main
+from unruhlab.errors import BadPhysicalParam
 
 PHASES = (0.7, np.pi, -4.0)
 
@@ -70,3 +73,26 @@ def test_state_prints_and_writes_the_same_bytes_at_every_phase(tmp_path, monkeyp
         outputs[phase] = (printed, out.read_bytes())
     assert outputs["0.4"] == outputs["0"]
     assert fields == [np.dtype(np.float64)] * 2
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+def test_a_non_finite_phase_is_refused_by_one_check_where_it_enters(tmp_path, monkeypatch,
+                                                                     capsys, phi):
+    # channel.check_phase alone tests the phase: the sweep config, state's
+    # --phi and the oracle's AccelerationSpec each call it, and each keeps
+    # its own message and exit code.
+    seen, check = [], channel.check_phase
+    for module in (cli, sweep, oracle):
+        monkeypatch.setattr(module, "check_phase", lambda v: seen.append(v) or check(v))
+    (tmp_path / "sweep.ini").write_text(
+        "[sweep]\nsystem = two_qutrit\ninitial_state = qutrit:1\nr_grid = 0.2\n"
+        "strength_grid = 0.5\n", encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(tmp_path / "sweep.ini"), "--set", f"phi={phi}",
+                 "--out", str(out)]) == 2
+    assert main(["state", "--preset", "qutrit:1", "--r", "0.3", f"--phi={phi}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: phi={phi} is not finite (field 'phi')", f"error: --phi: phi={phi} is not finite"]
+    with pytest.raises(BadPhysicalParam, match=f"^phi={phi} is not finite$"):
+        oracle.AccelerationSpec(0.3, float(phi))
+    assert [str(v) for v in seen] == [phi] * 3 and not out.exists()

@@ -72,8 +72,9 @@ def sorted_block_spectra(monkeypatch, h: Held) -> tuple[np.ndarray, np.ndarray]:
     parts, solve = [], tensor._block_spectra
 
     def spy(blocks, size):
-        lam = solve(blocks, size)
-        parts.append(lam.reshape(lam.shape[:-2] + (blocks.shape[-3] * size,)))
+        lam = solve(blocks, size)     # size columns, the k-th eigenvalue of each block
+        n = blocks.shape[-3] * size
+        parts.append(np.stack(lam, axis=-1).reshape(blocks.shape[:-3] + (n,)))
         return lam
 
     with monkeypatch.context() as patch:

@@ -36,6 +36,15 @@ differs or that only one side has, and exits 1 if there is one
 (``tests/test_golden.py``).  The test suite runs ``write`` only with its
 commands stubbed, to check the chunk size they run at.
 
+Some of numpy's float64 kernels are picked by the CPU's SIMD features
+when numpy is imported, and their last bits differ between targets, so
+outputs are byte-identical only on the same numpy build and dispatch.
+``write`` records both under ``BUILD_KEYS``: numpy's version and the
+targets of ``numpy._core._multiarray_umath.__cpu_dispatch__`` this CPU
+runs (those ``__cpu_features__`` marks available; ``baseline`` if none).
+``diff`` says first when they differ, then lists the keys as ever; they
+are not counted as hashes, and alone they do not make ``diff`` exit 1.
+
 ``compare`` runs the 12 presets and the INI sweeps, at both phases, in
 both checkouts as ``write`` does and reads their CSVs.  For each CSV that
 differs it prints, per column whose cells differ, the largest |a - b| and
@@ -66,6 +75,7 @@ VALIDATE_RUNS = ([(seed, samples) for seed in (7, 20240801, *range(101000, 10103
                   for samples in (100, 1000)] + [(7, 9000), (20240801, 9000)])
 DEGENERATE_STATE = ("--preset", "singlet", "--r", "0.3", "--alpha", "1")
 SWEEP_PHASES = ((), ("--set", "phi=0.7"))
+BUILD_KEYS = ("numpy | version", "numpy | dispatch")
 
 
 def _sha(data: bytes | str) -> str:
@@ -112,6 +122,14 @@ def _sweeps(root: Path):
             yield key, ["sweep", "--config", "sweep.ini", *phase, "--out", "out.csv"], text
 
 
+def build() -> dict[str, str]:
+    """This process's numpy version and SIMD dispatch, under ``BUILD_KEYS``."""
+    from numpy._core import _multiarray_umath as umath
+
+    dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return dict(zip(BUILD_KEYS, (np.__version__, " ".join(dispatch) or "baseline")))
+
+
 def fingerprint(root: Path, chunk_points: int | None = None) -> dict[str, str]:
     sys.path.insert(0, str(root / "src"))
     from unruhlab.cli import main
@@ -145,8 +163,8 @@ def fingerprint(root: Path, chunk_points: int | None = None) -> dict[str, str]:
             main, ["state", "--preset", "singlet", *where, "--out", "state.csv"], ["state.csv"])
     runs["state degenerate"] = _run(main, ["state", *DEGENERATE_STATE, "--out", "state.csv"],
                                     ["state.csv"])
-    return {f"{run} | {item}": value for run, items in runs.items()
-            for item, value in items.items()}
+    return {**build(), **{f"{run} | {item}": value for run, items in runs.items()
+                          for item, value in items.items()}}
 
 
 def _checkout_main(root: Path):
@@ -227,9 +245,17 @@ def compare(root_a: Path, root_b: Path) -> list[str]:
     return lines
 
 
-def diff(a: dict[str, str], b: dict[str, str]) -> list[str]:
-    return [f"{key}: {a.get(key)} != {b.get(key)}"
-            for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+def _hash_count(prints: dict[str, str]) -> int:
+    return len(prints.keys() - set(BUILD_KEYS))
+
+
+def diff(a: dict[str, str], b: dict[str, str]) -> tuple[list[str], list[str]]:
+    """The build keys that differ, and the other keys whose hash differs or
+    that only one side has: one ``key: a != b`` line each."""
+    def lines(keys):
+        return [f"{key}: {a.get(key)} != {b.get(key)}" for key in keys if a.get(key) != b.get(key)]
+
+    return lines(BUILD_KEYS), lines(sorted((a.keys() | b.keys()) - set(BUILD_KEYS)))
 
 
 def _positive(text: str) -> int:
@@ -259,15 +285,17 @@ def main(argv=None) -> int:
         prints = fingerprint(Path(args.root).resolve(), args.chunk_points)
         Path(args.out).write_text(json.dumps(prints, indent=1, sort_keys=True) + "\n",
                                   encoding="utf-8")
-        print(f"wrote {args.out}: {len(prints)} hashes")
+        print(f"wrote {args.out}: {_hash_count(prints)} hashes")
         return 0
     if args.command == "compare":
         lines = compare(Path(args.root_a).resolve(), Path(args.root_b).resolve())
         print("\n".join(lines) if lines else "identical CSVs")
         return 1 if lines else 0
     a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in (args.a, args.b))
-    lines = diff(a, b)
-    print("\n".join(lines) if lines else f"identical: {len(a)} hashes")
+    builds, lines = diff(a, b)
+    if builds:
+        print("\n".join(["different numpy builds or CPU dispatch:", *("  " + s for s in builds)]))
+    print("\n".join(lines) if lines else f"identical: {_hash_count(a)} hashes")
     return 1 if lines else 0
 
 
