@@ -225,7 +225,10 @@ def _cmd_state(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # the parser's exit: 2 on bad usage, 0 after --help
+        return exc.code
     handlers = {"sweep": _cmd_sweep, "figure": _cmd_figure, "validate": _cmd_validate,
                 "state": _cmd_state}
     try:

@@ -26,7 +26,7 @@ tests (``tests/oracle.py``) as the reference these are compared against.
 
 import numpy as np
 
-from .errors import DegenerateOutcome, NegativeDiscriminant, NotPositive
+from .errors import DegenerateOutcome, NotPositive
 from .states import x_coefficients, x_matrix
 
 
@@ -77,11 +77,11 @@ def check_coefficients(table: np.ndarray) -> np.ndarray:
 
 
 def assemble_qubit(table: np.ndarray) -> np.ndarray:
-    """4x4 states from coefficient tables, divided by their trace, unchecked."""
-    n = _trace(table)
-    if np.any(np.abs(n) <= 1e-14):
-        raise DegenerateOutcome("trace normalization is zero")
-    return x_matrix(table) / np.asarray(n)[..., None, None]
+    """4x4 states from coefficient tables, divided by their trace, unchecked.
+
+    Takes tables that :func:`check_coefficients` has passed, so every trace
+    is above 1e-14."""
+    return x_matrix(table) / np.asarray(_trace(table))[..., None, None]
 
 
 def x_state_spectrum(table) -> np.ndarray:
@@ -90,21 +90,16 @@ def x_state_spectrum(table) -> np.ndarray:
 
     Returns (mu1, mu2, mu3, mu4) along the last axis: the outer-block pair
     from {b1, b7, b2 b8} and the inner-block pair from {b3, b5, b4 b6},
-    each larger root first, divided by the trace.  A negative
-    discriminant cannot arise from coefficients computed by this package
-    (b8 = b2, b6 = b4) and raises :class:`NegativeDiscriminant` when fed
-    inconsistent hand-built values.
+    each larger root first, divided by the trace.  Takes tables from
+    :func:`qubit_table`, which stacks the same arrays as b2 and b8 and as
+    b4 and b6, so each discriminant is a sum of two squares.
     """
     t = np.asarray(table)
     n = _trace(t)
     out = []
     for pop1, pop2, off1, off2 in ((0, 6, 1, 7), (2, 4, 3, 5)):
         p, q = t[..., pop1], t[..., pop2]
-        disc = (p - q) ** 2 + 4.0 * t[..., off1] * t[..., off2]
-        bad = disc < -1e-14 * np.maximum(1.0, p + q) ** 2
-        if bad.any():
-            raise NegativeDiscriminant(f"discriminant {disc[bad][0]} < 0")
-        root = np.sqrt(np.maximum(disc, 0.0))
+        root = np.sqrt((p - q) ** 2 + 4.0 * t[..., off1] * t[..., off2])
         out += [(p + q + root) / (2.0 * n), (p + q - root) / (2.0 * n)]
     return np.stack(out, axis=-1)
 

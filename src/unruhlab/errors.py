@@ -62,7 +62,3 @@ class ConfigError(UnruhLabError):
             where.append(f"line {line}")
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(message + suffix)
-
-
-class NegativeDiscriminant(UnruhLabError):
-    """Closed-form spectrum discriminant is negative: coefficients invalid."""

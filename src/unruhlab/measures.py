@@ -16,10 +16,6 @@ import numpy as np
 
 from .tensor import held_eigenvalues, partial_transpose, party_b_marginal, shannon_entropy
 
-# Tolerances on the probability sum: spectra, then populations.
-_SPECTRUM_SUM_TOL = 1e-6
-_POPULATION_SUM_TOL = 1e-8
-
 # Column order of every measure array.
 MEASURE_COLUMNS = ("neg_raw", "E_norm", "I_a", "I_b", "I_coh_std", "I_coh_lit",
                    "p_success")
@@ -51,23 +47,27 @@ def measure_columns(out) -> np.ndarray:
     ``MEASURE_COLUMNS``, in order; party 0 is the accelerated party, and the
     partial transpose is taken on it.  Raises ``ValueError``
     through :func:`check_ranges` if any E_norm or p_success is out of range.
+    The entropies take the spectra and populations as they are: the exit
+    check bounds each state's eigenvalues below by -1e-10 and its trace to
+    1 within 1e-10, so a marginal, a sum over at most 4 levels of the other
+    party, has entries of at least -4e-10.
     """
     d0, db = out.dims
     lam = held_eigenvalues(partial_transpose(out.held, out.dims))
     neg_raw = -np.where(lam < 0.0, lam, 0.0).sum(axis=-1)
     e_norm = 2.0 * neg_raw / (min(d0, db) - 1)
     check_ranges(e_norm, out.p_success)
-    s_ab = shannon_entropy(out.spectra, _SPECTRUM_SUM_TOL)
+    s_ab = shannon_entropy(out.spectra)
     # Party a's populations need only the diagonal; party b's marginal is
     # eigensolved whole.
     pop_a = out.held.diagonal().real.reshape(-1, d0, db).sum(axis=-1)
     marg_b = party_b_marginal(out.held, out.dims)
-    s_b = shannon_entropy(held_eigenvalues(marg_b), _SPECTRUM_SUM_TOL)
+    s_b = shannon_entropy(held_eigenvalues(marg_b))
     return np.column_stack((
         neg_raw,
         e_norm,
-        shannon_entropy(pop_a, _POPULATION_SUM_TOL),
-        shannon_entropy(marg_b.diagonal().real, _POPULATION_SUM_TOL),
+        shannon_entropy(pop_a),
+        shannon_entropy(marg_b.diagonal().real),
         s_b - s_ab,
         -s_ab,
         out.p_success,

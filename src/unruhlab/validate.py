@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED
-from .channel import COMPLETENESS_TOL, check_completeness, check_rindler, kraus_for_dim
+from .channel import COMPLETENESS_TOL, check_completeness, kraus_for_dim
 from .closedform import (
     _trace,
     assemble_qubit,
@@ -29,10 +29,10 @@ from .closedform import (
     x_state_spectrum,
 )
 from .errors import DegenerateOutcome
-from .localops import SUCCESS_FLOOR, check_strengths
+from .localops import SUCCESS_FLOOR
 from .measures import MEASURE_COLUMNS
 from .pipeline import CHUNK_POINTS, LADDER_FLOOR, engine_inputs, propagate
-from .states import check_x_coefficients, x_coefficients, x_state_matrix
+from .states import x_coefficients, x_state_matrix
 from .sweep import TWO_QUBIT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, grid_inputs, run_sweep
 from .tensor import HERMITICITY_TOL, _hermitian, check_held, hold, ladder_block
 
@@ -98,7 +98,9 @@ def _draw(rng: np.random.Generator, samples: int, ranges) -> tuple[np.ndarray, n
     lowest eigenvalue is at least 1e-6, and then one ``rng.uniform(low,
     high)`` per range.  The values are drawn in one block and are those,
     bit for bit, that these calls would give, and ``rng`` is left where
-    they would leave it.
+    they would leave it.  Each value is -1 + 2u or low + (high - low) u
+    with u in [0, 1), so it lies in its range and the checks that draw it
+    need not range-check it.
 
     A triple is accepted with probability 1/3, so a sample uses ``9 +
     len(ranges)`` draws on average; a first block of that mean ran short on
@@ -159,9 +161,8 @@ def _closed_forms(c, weak, reverse, r, variant: str = "corrected"):
 def _check_corrected_vs_pipeline(rng: np.random.Generator,
                                  samples: int) -> CheckResult:
     c, u = _draw(rng, samples, [(0.0, 0.95)] * 4 + [(0.0, np.pi / 4), (0.0, 2 * np.pi)])
-    c, weak, reverse = check_x_coefficients(c), check_strengths(u[:, :2]), check_strengths(u[:, 2:4])
+    weak, reverse, r = u[:, :2], u[:, 2:4], u[:, 4]
     # column 5 is a phase the engine leaves out, drawn to keep the random stream
-    r = check_rindler(u[:, 4])
     table = np.stack((weak, reverse), axis=1)[..., None]    # (samples, step, party, level)
     worst, worst_detail = 0.0, ""
     for chunk in _chunks(samples):
@@ -183,7 +184,6 @@ def _check_corrected_vs_pipeline(rng: np.random.Generator,
 def _check_literal_at_zero_acceleration(rng: np.random.Generator,
                                         samples: int) -> CheckResult:
     c, u = _draw(rng, samples, [(0.0, 0.9)] * 2)
-    c, u = check_x_coefficients(c), check_strengths(u)
     weak, reverse = u[:, [0, 0]], u[:, [1, 1]]      # tied: both parties alike
     worst = 0.0
     for chunk in _chunks(samples):
@@ -198,8 +198,7 @@ def _check_literal_at_zero_acceleration(rng: np.random.Generator,
 def _check_spectrum_formulas(rng: np.random.Generator,
                              samples: int) -> CheckResult:
     c, u = _draw(rng, samples, [(0.0, 0.9)] * 4 + [(0.0, np.pi / 4)])
-    c, weak, reverse = check_x_coefficients(c), check_strengths(u[:, :2]), check_strengths(u[:, 2:4])
-    r = check_rindler(u[:, 4])
+    weak, reverse, r = u[:, :2], u[:, 2:4], u[:, 4]
     worst = 0.0
     for chunk in _chunks(samples):
         table, states = _closed_forms(c[chunk], weak[chunk], reverse[chunk], r[chunk])

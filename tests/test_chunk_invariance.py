@@ -9,7 +9,10 @@ layout.  Checked here:
 
 * every distinct preset sweep and both INI sweeps of
   ``perfbench/workloads.py`` give the same measure bits and CSV bytes at
-  ``CHUNK_POINTS`` of 7, 80, 333 and 8,192 points;
+  ``CHUNK_POINTS`` of 7, 80, 333 and 8,192 points, and every spectrum and
+  population their measures take the entropy of has entries of at least
+  -4e-10 and sums to 1 within 4e-10, as the exit check makes it, and
+  gives the entropy bits of its zero-clipped copy;
 * the line presets, 12 x 12 sub-grids of fig1a, fig1b, fig2a and fig2b,
   and a sweep of the singlet and werner:0.7 with split strengths that
   reaches degenerate weak rows, give them at 1 point a chunk as well;
@@ -33,7 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unruhlab import sweep
+from unruhlab import measures, sweep
 from unruhlab.channel import R_MAX
 from unruhlab.cli import main
 from unruhlab.measures import MEASURE_COLUMNS
@@ -90,21 +93,31 @@ DEGENERATE = {"ini_qutrit_projected", "singlet, werner:0.7"}
 @pytest.mark.parametrize("name", CONFIGS)
 def test_outputs_do_not_depend_on_the_chunk_size(monkeypatch, name):
     config = CONFIGS[name]()
-    chunks = []
-    propagate_points = sweep.propagate_points
+    chunks, entropy_inputs = [], []
+    propagate_points, shannon_entropy = sweep.propagate_points, measures.shannon_entropy
     monkeypatch.setattr(sweep, "propagate_points",
                         lambda *args: chunks.append(1) or propagate_points(*args))
+    monkeypatch.setattr(measures, "shannon_entropy",
+                        lambda p: entropy_inputs.append(p) or shannon_entropy(p))
     outputs = {}
     for points in (1, *CHUNK_POINTS) if name in ONE_POINT else CHUNK_POINTS:
         monkeypatch.setattr(sweep, "CHUNK_POINTS", points)
         chunks.clear()
-        measures = run_sweep(config)
-        outputs[points] = (measures.tobytes(), rows_to_csv(measures, config))
+        entropy_inputs.clear()
+        rows = run_sweep(config)
+        outputs[points] = (rows.tobytes(), rows_to_csv(rows, config))
         if points == 1:
-            assert len(chunks) == len(measures)
+            assert len(chunks) == len(rows)
     assert np.isnan(np.frombuffer(outputs[8192][0])).any() == (name in DEGENERATE)
     for points in outputs:
         assert outputs[points] == outputs[8192], points
+    # shannon_entropy checks none of this itself: its inputs, from the
+    # 8,192-point pass, are the checked states' spectra and populations
+    assert len(entropy_inputs) == 4 * len(chunks)
+    for p in entropy_inputs:
+        assert p.size and p.min() >= -4e-10
+        assert np.abs(p.sum(axis=-1) - 1.0).max() <= 4e-10
+        assert shannon_entropy(p).tobytes() == shannon_entropy(np.clip(p, 0.0, None)).tobytes()
 
 
 STATE_SWEEPS = {

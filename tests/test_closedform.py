@@ -273,6 +273,9 @@ def test_array_form_equals_one_point_calls(points):
     c, weak, reverse, r, _ = (np.array(a) for a in zip(*points))
     for variant in ("corrected", "literal"):
         table = qubit_table(c, weak, reverse, r, variant)
+        # b8 and b6 are b2 and b4 bit for bit, so each discriminant that
+        # x_state_spectrum takes the root of is a sum of two squares
+        assert table[:, [7, 5]].tobytes() == table[:, [1, 3]].tobytes()
         states = assemble_qubit(table)
         spectra = x_state_spectrum(table)
         for i, (ci, wi, vi, ri, phi) in enumerate(points):

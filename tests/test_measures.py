@@ -13,7 +13,6 @@ from oracle import (
     AccelerationSpec,
     MeasurementStrengths,
     MeasuresReport,
-    QubitCoefficients,
     XStateSpec,
     coherent_information,
     compute_report,
@@ -27,7 +26,6 @@ from oracle import (
     tied,
 )
 from unruhlab.closedform import x_state_spectrum
-from unruhlab.errors import NegativeDiscriminant
 from unruhlab.localops import REVERSE, WEAK
 from unruhlab.measures import measure_columns
 from unruhlab.states import qutrit_state, singlet, werner
@@ -113,13 +111,6 @@ def test_x_state_spectrum_matches_eigensolver():
     direct = np.sort(hermitian_eigenvalues(coeffs.assemble().matrix))
     assert np.allclose(mus, direct, atol=1e-14)
     assert np.sum(mus) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_x_state_spectrum_negative_discriminant():
-    bad = QubitCoefficients(0.25, 0.5, 0.25, 0.0, 0.25, 0.0, 0.25, -0.5,
-                            "corrected")
-    with pytest.raises(NegativeDiscriminant):
-        x_state_spectrum(bad.table)
 
 
 def test_measures_report_validation():

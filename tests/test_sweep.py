@@ -463,9 +463,14 @@ def test_cli_figure_writes_artifacts(tmp_path):
     assert resolved.startswith("[sweep]")
 
 
-def test_cli_figure_rejects_unknown_preset():
-    with pytest.raises(SystemExit):
-        main(["figure", "fig99"])
+def test_cli_figure_rejects_unknown_preset(capsys):
+    # A usage error is returned as the parser's exit code, not raised.
+    for argv in (["figure", "fig99"], [], ["state", "--preset", "singlet"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: unruhlab") and "error:" in err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: unruhlab")
 
 
 def test_cli_state_dumps_matrix(tmp_path):
