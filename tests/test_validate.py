@@ -341,7 +341,10 @@ def _corrupt(member, value):
 
 
 @pytest.mark.parametrize("member, value, error", [
+    (("c", 0), 1.5, NotPositive),                # beyond the X-spec range: the entry check
     (("c", 1), np.nan, ValueError),              # the initial states' entry check
+    (("u", 1), np.nan, DegenerateOutcome),       # a weak strength: the point is not kept
+    (("u", 3), np.nan, ValueError),              # a reversing strength: the exit check
     (("u", 4), 1.0, BadPhysicalParam),           # r beyond pi/4, in engine_inputs
 ])
 def test_a_bad_member_of_the_draws_raises(monkeypatch, member, value, error):
