@@ -314,6 +314,11 @@ def test_shannon_entropy_tolerates_eigensolver_noise():
     assert shannon_entropy([1.0 + 5e-11, -5e-11]) == pytest.approx(0.0, abs=1e-8)
 
 
+def test_shannon_entropy_rejects_genuinely_negative():
+    with pytest.raises(NotPositive):
+        shannon_entropy([1.2, -0.2])
+
+
 def test_von_neumann_entropy_pure_and_mixed():
     pure = DensityMatrix(np.diag([1.0, 0.0]).astype(np.complex128), (2,))
     assert von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-12)
