@@ -96,15 +96,17 @@ def _parse_overrides(pairs: list[str]) -> dict:
 
 
 def _output(path: str, names: tuple[str, ...] = ()) -> Path:
-    """``path``, checked to be a file in an existing directory; or, given the
-    ``names`` of the files to be written into it, a directory that exists or
-    can be created and holds no directory by one of those names."""
+    """``path``, checked to be a file in an existing directory, not named as a
+    directory (``d/``, ``d/.``); or, given the ``names`` of the files to be written into
+    it, a directory that exists or can be created and holds no directory by one of those names."""
     out = Path(path)
     files = [out / name for name in names] or [out]
     try:
         home = next(p for p in (out, *out.parents) if p.exists()) if names else out.parent
         bad = next((f for f in files if f.is_dir()), None) if home.is_dir() else out
     except OSError:             # a path the system refuses to look up, such as too long a name
+        bad = out
+    if not names and os.path.basename(path) in ("", "."):     # "d/", "d/.": Path reads "d"
         bad = out
     if bad is not None:
         kind = "directory" if names and bad == out else "file"

@@ -163,9 +163,9 @@ def prepare(rho0, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
     """Tables of a grid of points for :func:`propagate_points`.
 
     ``rho0``: initial states over ``dims = (da, db)``, one shared by every
-    filter row or one per row: a strict :class:`~unruhlab.tensor.DensityMatrix`
-    runs as checked when built, anything else is strictly checked here.  ``kraus``:
-    ``(c, k, dao, da)``, one Kraus stack on party 0 per channel row.
+    filter row or one per row: a :class:`~unruhlab.tensor.DensityMatrix` runs as
+    it was checked when built, a matrix or a stack of them is checked here.
+    ``kraus``: ``(c, k, dao, da)``, one Kraus stack on party 0 per channel row.
     ``weak``, ``reverse``: ``(w, da db)`` and ``(w, dao db)``, the filter
     diagonals (:func:`filter_diagonal`) of each filter row.  ``project``
     restricts each output to party 0's first ``da`` levels (its
@@ -181,8 +181,7 @@ def prepare(rho0, dims: tuple[int, int], kraus: np.ndarray, weak: np.ndarray,
     imaginary entry are held float64 and the maps take the field of
     ``kraus``; where either is complex the product runs in complex128.
     """
-    strict = isinstance(rho0, DensityMatrix) and rho0.strict
-    rho0 = rho0.held if strict else check_held(hold(getattr(rho0, "matrix", rho0)))[0]
+    rho0 = rho0.held if isinstance(rho0, DensityMatrix) else check_held(hold(rho0))[0]
     if not np.any(rho0.values.imag):
         rho0 = rho0._replace(values=rho0.values.real)
     sigma = rho0.scaled(weak)

@@ -12,7 +12,7 @@ The singlet is (-1, -1, -1); Werner states with singlet fidelity x are
 (-x, -x, -x).
 
 :func:`x_state` and :func:`qutrit_state` check their parameters and build
-a strict :class:`~unruhlab.tensor.DensityMatrix`, the one check a preset
+a :class:`~unruhlab.tensor.DensityMatrix`, whose check is the one a preset
 gets (:func:`parse_state_preset`).
 """
 
@@ -60,7 +60,7 @@ def x_state(c11: float, c22: float, c33: float) -> DensityMatrix:
     Raises ``ValueError`` unless each is finite and in [-1, 1]
     (:func:`check_x_coefficients`), and :class:`NotPositive` when the
     triple describes no physical state (an eigenvalue below -1e-10),
-    through the strict :class:`DensityMatrix` check.
+    through the :class:`DensityMatrix` check.
     """
     return DensityMatrix(x_state_matrix(check_x_coefficients((c11, c22, c33))), (2, 2))
 

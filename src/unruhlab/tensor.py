@@ -11,14 +11,14 @@ values (:meth:`Held.scaled`), a map on party a is one gathered
 ``(k_out, k_in)`` matrix, applied to a stack of held values by one
 product (:func:`party_a_maps`), a trace sums held diagonal entries, the
 ladder block and the partial transpose relabel the indices, and party
-b's marginal sums held entries.  The checks and spectra keep
-the field of their input: a real stack is checked and solved as float64,
-in real arithmetic, any other as complex128.  :class:`DensityMatrix`
-always holds complex128.  Each check is defined once, on held stacks
-(:func:`check_held`); a matrix is checked by holding it by its own
-support (:func:`hold`).  Spectra are solved block by block, along the
-connected components of each stack's held support (:func:`held_eigenvalues`):
-a 1 x 1, 2 x 2 or real 3 x 3 block in closed form, every other by
+b's marginal sums held entries.  The checks and spectra keep the field of
+their input: a real stack is checked and solved as float64, in real
+arithmetic, any other as complex128.  Each check is defined once, on held
+stacks (:func:`check_held`); a matrix is checked by holding it by its own
+support (:func:`hold`), and a :class:`DensityMatrix` is always a checked
+state, held complex128.  Spectra are solved block by block, along the connected
+components of each stack's held support (:func:`held_eigenvalues`): a
+1 x 1, 2 x 2 or real 3 x 3 block in closed form, every other by
 ``numpy.linalg.eigvalsh``.  Which solver a block gets and which blocks a
 stack splits into follow from the support and the field alone, and a
 trace adds its entries in one fixed order, so a member's bits do not
@@ -43,7 +43,6 @@ import numpy as np
 from .errors import NonHermitian, NotPositive, NotSquare
 
 # Tolerances shared by the validation paths below.
-HERMITICITY_TOL = 1e-8      # max |M - M^dag| entry allowed before symmetrising
 STATE_HERMITICITY_TOL = 1e-10
 STATE_TRACE_TOL = 1e-10
 STATE_EIGENVALUE_TOL = 1e-10
@@ -136,14 +135,15 @@ def nonzero_support(h: Held) -> Held:
     return Held(h.values[..., keep], h.index[keep], h.dim)
 
 
-def _hermitian(h: Held, tol: float) -> Held:
+def _hermitian(h: Held) -> Held:
     """Hermitian parts of held matrices with finite entries that are
-    Hermitian within ``tol``; raises ``ValueError`` or :class:`NonHermitian`."""
+    Hermitian within ``STATE_HERMITICITY_TOL``; raises ``ValueError`` or
+    :class:`NonHermitian`."""
     if not np.isfinite(h.values).all():
         raise ValueError("matrix contains non-finite entries")
     vt = h.entries(h.transposes()).conj()
     asym = np.abs(h.values - vt)
-    if (asym > tol).any():
+    if (asym > STATE_HERMITICITY_TOL).any():
         raise NonHermitian(f"matrix deviates from Hermiticity by {asym.max():.3e}")
     return h._replace(values=0.5 * (h.values + vt))
 
@@ -319,7 +319,7 @@ def check_held(h: Held) -> tuple[Held, np.ndarray]:
     and laid out by :func:`held_eigenvalues`, so positivity is checked on
     every whole member.
     """
-    h = _hermitian(h, STATE_HERMITICITY_TOL)
+    h = _hermitian(h)
     tr = h.trace()
     off = np.abs(tr - 1.0) > STATE_TRACE_TOL
     if np.any(off):
@@ -410,7 +410,12 @@ def shannon_entropy(p) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated density operator on a tensor product of small subsystems.
+    """Checked density operator on a tensor product of small subsystems.
+
+    The constructor runs :func:`check_held` (raising :class:`NonHermitian`,
+    :class:`NotPositive` or ``ValueError``), so every instance holds a
+    checked state: ``matrix`` is its Hermitian part and ``held`` its held
+    form, both read-only, which :func:`unruhlab.pipeline.prepare` runs as is.
 
     Equality is identity and instances hash by identity, so they can be
     compared and used as keys; two states with equal matrices are not equal.
@@ -421,21 +426,11 @@ class DensityMatrix:
         Square complex matrix of dimension ``prod(dims)``.
     dims:
         Local dimension of each tensor factor, leftmost first.
-    strict:
-        When True (default) the constructor runs :func:`check_held`:
-        Hermiticity to 1e-10, unit trace to 1e-10 and positivity down to
-        -1e-10, raising :class:`NonHermitian` / :class:`NotPositive` /
-        ``ValueError``; ``held`` keeps the checked state, which
-        :func:`unruhlab.pipeline.prepare` runs without a second check.
-        When False only shape and Hermiticity (to 1e-8) are enforced and
-        the matrix is symmetrised (``held`` is None), for matrices that
-        need not be normalised or positive.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
-    strict: bool = True
-    held: Held | None = field(init=False, repr=False)
+    held: Held = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -447,11 +442,10 @@ class DensityMatrix:
         n = int(np.prod(dims))
         if m.shape != (n, n):
             raise ValueError(f"matrix is {m.shape} but dims {dims} require ({n}, {n})")
-        held = check_held(hold(m))[0] if self.strict else None
-        m = (_hermitian(hold(m), HERMITICITY_TOL) if held is None else held).dense()
+        held = check_held(hold(m))[0]
+        m = held.dense()
         m.flags.writeable = False
-        if held is not None:
-            held.values.flags.writeable = False
+        held.values.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "held", held)
         object.__setattr__(self, "dims", dims)

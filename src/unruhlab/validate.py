@@ -34,7 +34,7 @@ from .measures import MEASURE_COLUMNS
 from .pipeline import CHUNK_POINTS, LADDER_FLOOR, engine_inputs, propagate
 from .states import x_coefficients, x_state_matrix
 from .sweep import TWO_QUBIT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig, grid_inputs, run_sweep
-from .tensor import HERMITICITY_TOL, _hermitian, check_held, hold, ladder_block
+from .tensor import _hermitian, check_held, hold, ladder_block
 
 EQUIV_TOL = 1e-12          # corrected closed form vs pipeline
 ZERO_ACCEL_TOL = 1e-13     # literal vs corrected at r = 0
@@ -149,13 +149,15 @@ def _chunks(samples: int):
 
 
 def _closed_forms(c, weak, reverse, r, variant: str = "corrected"):
-    """Checked coefficient tables of a stack of points and their states: the
-    corrected ones strictly checked, the literal ones as non-strict states."""
+    """Coefficient tables of points drawn by :func:`_draw` (in range), checked by
+    :func:`check_coefficients`, and their states: the corrected ones checked by
+    :func:`check_held`, the literal ones (not always positive) as :func:`assemble_qubit`
+    gives them, exactly Hermitian: :func:`qubit_table` stacks b2 as b8 and b4 as b6."""
     table = check_coefficients(qubit_table(c, weak, reverse, r, variant))
-    states = hold(assemble_qubit(table))
+    states = assemble_qubit(table)
     if variant == "corrected":
-        return table, check_held(states)[0].dense()
-    return table, _hermitian(states, HERMITICITY_TOL).dense()
+        return table, check_held(hold(states))[0].dense()
+    return table, states
 
 
 def _check_corrected_vs_pipeline(rng: np.random.Generator,
@@ -256,14 +258,15 @@ def _info_printed_normalization() -> CheckResult:
 def _info_qutrit_literal() -> list[CheckResult]:
     """The literal qutrit table against the pipeline at one point, on the
     ladder sector as it is and renormalised, and the literal state's
-    lowest eigenvalue.  Each matrix is cast to complex128 before it is
-    symmetrised and solved, the projected block only after it is divided
-    by its weight: the printed rounding-level values depend on both."""
+    lowest eigenvalue.  The literal state is symmetrised (its D7/D10 and D8/D11
+    are multiplied in different orders); the sector is exactly Hermitian as the
+    exit check left it.  Each is cast to complex128 before it is solved, the
+    projected block after it is divided by its weight: the printed rounding-level
+    values depend on both."""
     config = SweepConfig(TWO_QUTRIT, ("qutrit:1",), (0.6,), (0.3,),
                          tie_policy=WEAK_REVERSE_SPLIT, beta=0.4)
     weak, reverse = config.strength_table()[0]
-    lit = _hermitian(hold(assemble_qutrit(qutrit_table(1.0, weak, reverse, 0.6))),
-                     HERMITICITY_TOL).dense()
+    lit = _hermitian(hold(assemble_qutrit(qutrit_table(1.0, weak, reverse, 0.6)))).dense()
     rho0 = config.parsed_states[0]
     out = propagate(rho0, rho0.dims, *grid_inputs(config))
     if not len(out.kept):
@@ -274,10 +277,9 @@ def _info_qutrit_literal() -> list[CheckResult]:
         raise DegenerateOutcome(f"ladder sector weight {weight:.3e} is zero")
     lit_low = float(np.linalg.eigvalsh(lit)[0])
     checks = []
-    for sector, piped in (
-            ("restricted", _hermitian(hold(block.astype(np.complex128)), HERMITICITY_TOL)),
-            ("projected", check_held(hold((block / weight).astype(np.complex128)))[0])):
-        piped = piped.dense()
+    projected = check_held(hold((block / weight).astype(np.complex128)))[0].dense()
+    for sector, piped in (("restricted", block.astype(np.complex128)),
+                          ("projected", projected)):
         diff = np.abs(lit - piped)
         i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
         traces = float(np.trace(lit).real), float(np.trace(piped).real)

@@ -9,7 +9,10 @@ filter on both parties, each step post-selected and checked as a strict
 state; ``restrict_to_ladder`` cuts an accelerated qutrit output back to its
 3 x 3 ladder block and ``compute_report`` evaluates every measure.  The
 tests compare the batched pipeline against it to 1e-12, and check it in
-turn against index-arithmetic, Stinespring and Jacobi oracles.
+turn against index-arithmetic, Stinespring and Jacobi oracles.  A matrix
+that need not be a state (a literal closed form, an unnormalised ladder
+block, a marginal) is held as a ``HermitianMatrix``, symmetrised by this
+module's own dense ``hermitian_part``.
 
 The per-point objects come first: an initial state's parameters
 (``XStateSpec``, ``QutritStateSpec``, which ``x_state`` and
@@ -35,7 +38,7 @@ checks as they ran one sample at a time, on the scalar closed forms and
 per-sample state, strength, channel and acceleration objects; the tests
 compare the batched checks in :mod:`unruhlab.validate` against them.
 ``_info_qutrit_literal`` builds ``validate``'s qutrit-literal entries on
-:class:`DensityMatrix` objects and a ``DiscrepancyReport``, the form
+state objects and a ``DiscrepancyReport``, the form
 ``validate`` compares its array expressions against, bit for bit.
 
 ``rows_to_csv_reference`` is the CSV renderer as it ran one row at a time
@@ -52,7 +55,8 @@ import numpy as np
 from unruhlab.channel import check_completeness, check_phase, check_rindler, kraus_for_dim
 from unruhlab.closedform import (_trace, assemble_qubit, assemble_qutrit, check_coefficients,
                                  qubit_table, qutrit_table, x_state_spectrum)
-from unruhlab.errors import DegenerateOutcome, DimMismatch, NotPositive, UnruhLabError
+from unruhlab.errors import (DegenerateOutcome, DimMismatch, NonHermitian, NotPositive,
+                             NotSquare, UnruhLabError)
 from unruhlab.localops import REVERSE, SUCCESS_FLOOR, WEAK, check_strengths, filter_levels
 from unruhlab.measures import MEASURE_COLUMNS, check_ranges
 from unruhlab import validate
@@ -60,8 +64,8 @@ from unruhlab.pipeline import LADDER_FLOOR, Propagated, filter_diagonal, propaga
 from unruhlab.states import x_coefficients, x_matrix, x_state
 from unruhlab.sweep import (ALL_EQUAL, INDEPENDENT, TWO_QUTRIT, WEAK_REVERSE_SPLIT, SweepConfig,
                             grid_inputs)
-from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, HERMITICITY_TOL, STATE_EIGENVALUE_TOL,
-                             DensityMatrix, Held, _hermitian, hold, ladder_block)
+from unruhlab.tensor import (ENTROPY_EIGENVALUE_FLOOR, STATE_EIGENVALUE_TOL,
+                             STATE_HERMITICITY_TOL, DensityMatrix, Held, ladder_block)
 from unruhlab.validate import EQUIV_TOL, SPECTRUM_TOL, ZERO_ACCEL_TOL, CheckResult
 
 ACCELERATED_PARTY = 0
@@ -102,11 +106,45 @@ def x_eigenvalues(b1, b2, b3, b4) -> tuple[np.ndarray, ...]:
     return b1 + b2, b1 - b2, b3 + b4, b3 - b4
 
 
-def hermitian_part(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Hermitian parts of finite square matrices that are Hermitian within
-    ``tol``, as the package symmetrises a non-strict state; a real input
-    gives a float64 result, any other a complex128 one."""
-    return _hermitian(hold(m), tol).dense()
+def hermitian_part(m) -> np.ndarray:
+    """Hermitian parts (M + M^dag) / 2 of finite square matrices (any
+    leading axes) that are Hermitian within ``STATE_HERMITICITY_TOL``;
+    raises :class:`NotSquare`, ``ValueError`` or :class:`NonHermitian`.  A
+    real input gives a float64 result, any other a complex128 one."""
+    m = np.asarray(m)
+    m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSquare(f"expected square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    mt = m.swapaxes(-1, -2).conj()
+    asym = np.abs(m - mt)
+    if (asym > STATE_HERMITICITY_TOL).any():
+        raise NonHermitian(f"matrix deviates from Hermiticity by {asym.max():.3e}")
+    return 0.5 * (m + mt)
+
+
+class HermitianMatrix(NamedTuple):
+    """A complex128 Hermitian matrix over ``dims`` that need not be a state:
+    a literal closed form, an unnormalised ladder block or a marginal.  The
+    package's :class:`DensityMatrix` holds checked states only; these are
+    made by :func:`hermitian_matrix`."""
+
+    matrix: np.ndarray
+    dims: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def trace(self) -> float:
+        return float(np.trace(self.matrix).real)
+
+
+def hermitian_matrix(m, dims) -> HermitianMatrix:
+    """The Hermitian part of ``m`` (:func:`hermitian_part`), as complex128,
+    over ``dims``."""
+    return HermitianMatrix(hermitian_part(np.asarray(m, dtype=np.complex128)), tuple(dims))
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -303,14 +341,17 @@ class QubitCoefficients:
         of the fourth population b7."""
         return float(_trace(self.table, 5))
 
-    def assemble(self, normalization: str = TRACE_NORM) -> DensityMatrix:
+    def assemble(self, normalization: str = TRACE_NORM) -> DensityMatrix | HermitianMatrix:
+        """The state, checked when corrected; a literal one need not be a
+        state, and is assembled as a :class:`HermitianMatrix`."""
         if normalization == TRACE_NORM:
-            return DensityMatrix(assemble_qubit(self.table), (2, 2),
-                                 strict=self.variant == "corrected")
+            m = assemble_qubit(self.table)
+            if self.variant == "corrected":
+                return DensityMatrix(m, (2, 2))
+            return hermitian_matrix(m, (2, 2))
         if normalization != PRINTED_NORM:
             raise ValueError(f"normalization must be {TRACE_NORM!r} or {PRINTED_NORM!r}")
-        return DensityMatrix(x_matrix(self.table) / self.printed_normalization, (2, 2),
-                             strict=False)
+        return hermitian_matrix(x_matrix(self.table) / self.printed_normalization, (2, 2))
 
 
 def qubit_coefficients(spec: XStateSpec, weak: MeasurementStrengths,
@@ -325,13 +366,13 @@ def qubit_coefficients(spec: XStateSpec, weak: MeasurementStrengths,
 
 def literal_final_qubit(spec: XStateSpec, weak: MeasurementStrengths,
                         reverse: MeasurementStrengths, acc: AccelerationSpec,
-                        normalization: str = TRACE_NORM) -> DensityMatrix:
+                        normalization: str = TRACE_NORM) -> HermitianMatrix:
     """Final two-qubit state assembled verbatim from the published table.
 
     The printed normalisation constant sums an off-diagonal coefficient and
     does not reproduce a unit-trace state even at r = 0, so the default here
     divides by the actual trace; pass ``normalization='printed'`` for the
-    verbatim constant.  The output is not strictly checked.
+    verbatim constant.  The output is not checked as a state.
     """
     coeffs = qubit_coefficients(spec, weak, reverse, acc, variant="literal")
     return coeffs.assemble(normalization)
@@ -428,12 +469,12 @@ def qutrit_coefficients(spec: QutritStateSpec, weak: MeasurementStrengths,
 
 def literal_final_qutrit(spec: QutritStateSpec, weak: MeasurementStrengths,
                          reverse: MeasurementStrengths, acc: AccelerationSpec
-                         ) -> DensityMatrix:
+                         ) -> HermitianMatrix:
     """Final two-qutrit state assembled verbatim from the published table.
 
     Lives on the 3 x 3 ladder (the pair level reachable after acceleration
     is absent from the published form).  Unit trace by construction, but
-    positivity is not guaranteed, so it is not strictly checked.
+    positivity is not guaranteed, so it is not checked as a state.
     """
     c = qutrit_coefficients(spec, weak, reverse, acc)
     d = c.d
@@ -450,7 +491,7 @@ def literal_final_qutrit(spec: QutritStateSpec, weak: MeasurementStrengths,
     m[8, 8] = d[8]
     m[0, 8] = d[9]
     m[4, 8] = d[10]
-    return DensityMatrix(m / c.normalization, (3, 3), strict=False)
+    return hermitian_matrix(m / c.normalization, (3, 3))
 
 
 def kron(*factors) -> np.ndarray:
@@ -470,22 +511,22 @@ def _check_subsystem(dims: tuple[int, ...], subsystem: int) -> int:
     return s
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+def partial_trace(rho, keep) -> HermitianMatrix:
     """Trace out every subsystem not listed in ``keep``.
 
     Parameters
     ----------
     rho:
-        State over ``rho.dims``.
+        :class:`DensityMatrix` or :class:`HermitianMatrix` over ``rho.dims``.
     keep:
         Subsystem index or iterable of indices to retain, in their original
         order.
 
     Returns
     -------
-    DensityMatrix over the kept subsystems.  Hermiticity, unit trace and
+    HermitianMatrix over the kept subsystems.  Hermiticity, unit trace and
     positivity of a partial trace follow from the input's, so the result
-    is built without re-running the strict checks.
+    is not checked as a state again.
     """
     if isinstance(keep, (int, np.integer)):
         keep_idx = [_check_subsystem(rho.dims, keep)]
@@ -509,10 +550,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         removed += 1
     new_dims = tuple(rho.dims[k] for k in keep_idx)
     n = int(np.prod(new_dims))
-    return DensityMatrix(t.reshape(n, n), new_dims, strict=False)
+    return hermitian_matrix(t.reshape(n, n), new_dims)
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
+def partial_transpose(rho, subsystem: int) -> np.ndarray:
     """Transpose one tensor factor of ``rho`` and return the raw matrix.
 
     The result is generally not positive semidefinite, so it is returned as
@@ -748,13 +789,14 @@ def run_protocol(initial: DensityMatrix, weak: MeasurementStrengths,
 
 
 def restrict_to_ladder(rho: DensityMatrix, renormalize: bool
-                       ) -> tuple[DensityMatrix, float]:
+                       ) -> tuple[DensityMatrix | HermitianMatrix, float]:
     """Restrict an accelerated 4 x 3 state to the pre-acceleration ladder.
 
     Drops party a's pair level, keeping the {vacuum, U, D} block.  Returns
     the 3 x 3-party state together with the weight retained.  With
-    ``renormalize`` False the block is returned as-is (trace < 1 possible,
-    state not strictly checked); with True it is scaled back to unit trace.
+    ``renormalize`` False the block is returned as-is, a
+    :class:`HermitianMatrix` (trace < 1 possible); with True it is scaled
+    back to unit trace and checked as a state.
     """
     if rho.dims != (4, 3):
         raise DimMismatch(f"expected dims (4, 3), got {rho.dims}")
@@ -767,7 +809,7 @@ def restrict_to_ladder(rho: DensityMatrix, renormalize: bool
         if weight < LADDER_FLOOR:
             raise DegenerateOutcome(f"ladder sector weight {weight:.3e} is zero")
         return DensityMatrix(block / weight, (3, 3)), weight
-    return DensityMatrix(block, (3, 3), strict=False), weight
+    return hermitian_matrix(block, (3, 3)), weight
 
 
 def negativity(rho: DensityMatrix, transpose_party: int = 0
@@ -968,20 +1010,20 @@ def discrepancy_report(closed_form: DensityMatrix, pipeline: DensityMatrix,
 
 def _info_qutrit_literal() -> list[CheckResult]:
     """``validate``'s qutrit-literal entries as they were built on
-    :class:`DensityMatrix` objects and :func:`discrepancy_report`: the
-    engine's ladder block of the one point, restricted as it is and
-    projected by a strict state, against the literal table's state."""
+    :class:`DensityMatrix` and :class:`HermitianMatrix` objects and
+    :func:`discrepancy_report`: the engine's ladder block of the one point,
+    restricted as it is and projected by a checked state, against the
+    literal table's state."""
     config = SweepConfig(TWO_QUTRIT, ("qutrit:1",), (0.6,), (0.3,),
                          tie_policy=WEAK_REVERSE_SPLIT, beta=0.4)
     weak, reverse = config.strength_table()[0]
-    lit = DensityMatrix(assemble_qutrit(qutrit_table(1.0, weak, reverse, 0.6)), (3, 3),
-                        strict=False)
+    lit = hermitian_matrix(assemble_qutrit(qutrit_table(1.0, weak, reverse, 0.6)), (3, 3))
     rho0 = config.parsed_states[0]
     out = propagate(rho0, rho0.dims, *grid_inputs(config))
     block = ladder_block(out.held, out.dims, 3).dense()[0]
     weight = float(np.trace(block).real)
     checks = []
-    for sector, piped in (("restricted", DensityMatrix(block, (3, 3), strict=False)),
+    for sector, piped in (("restricted", hermitian_matrix(block, (3, 3))),
                           ("projected", DensityMatrix(block / weight, (3, 3)))):
         rep = discrepancy_report(lit, piped, label=f"qutrit_literal_{sector}")
         checks.append(CheckResult(f"qutrit_literal_vs_pipeline_{sector}", None,

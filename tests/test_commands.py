@@ -277,6 +277,9 @@ def test_validate_negative_seed_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--config", "{dir}/sweep.ini", "--out", "{dir}/nodir/s.csv"],
     ["state", "--preset", "singlet", "--r", "0.3", "--out", "{dir}/nodir/x.csv"],
+    ["sweep", "--config", "{dir}/sweep.ini", "--out", "{dir}/sdir/"],
+    ["sweep", "--config", "{dir}/sweep.ini", "--out", "{dir}/sdir/."],
+    ["state", "--preset", "singlet", "--r", "0.3", "--out", "{dir}/x/"],
     ["figure", "fig4b", "--out-dir", "{dir}/afile"],
     ["validate", "--out-dir", "{dir}/afile"],
 ])

@@ -1,10 +1,9 @@
 """Where initial states are checked: once where they enter, and never again
 before the exit check.
 
-A preset is checked when it is parsed, into a strict ``DensityMatrix``
-that carries its checked held form; ``prepare`` runs that form as it is
-and checks every other input it accepts (matrices, a stack of them, a
-non-strict ``DensityMatrix``).
+A preset is checked when it is parsed, into a ``DensityMatrix`` that
+carries its checked held form; ``prepare`` runs that form as it is and
+checks the other inputs it accepts (a matrix, a stack of them).
 """
 
 import numpy as np
@@ -41,7 +40,7 @@ def test_state_parses_its_preset_once_and_checks_it_twice(tmp_path, monkeypatch,
     # One parse: `state` parses its preset in cli and hands that state,
     # with a one-row strength table and no config, to propagate, so no
     # label is parsed again in sweep or states.  Two checks: the entry
-    # check, which the strict DensityMatrix runs when the preset is parsed
+    # check, which the DensityMatrix runs when the preset is parsed
     # (prepare runs its held form as it is), and the exit check of the one
     # chunk that holds the one point.  --out writes the exit check's state
     # and checks nothing more.
@@ -70,12 +69,11 @@ def _hiding_grid():
     return rho0, inputs
 
 
-@pytest.mark.parametrize("route", ["matrix", "stack", "non_strict"])
+@pytest.mark.parametrize("route", ["matrix", "stack"])
 @pytest.mark.parametrize("entry", ["prepare", "propagate"])
 def test_no_unchecked_state_reaches_the_engine(route, entry):
     rho0, inputs = _hiding_grid()
-    given = {"matrix": rho0, "stack": rho0[None],
-             "non_strict": DensityMatrix(rho0, (2, 2), strict=False)}[route]
+    given = {"matrix": rho0, "stack": rho0[None]}[route]
     with pytest.raises(NotPositive):
         getattr(pipeline, entry)(given, (2, 2), *inputs)
 
@@ -87,15 +85,6 @@ def test_a_strict_state_is_refused_where_it_is_built_and_stays_checked():
     held = singlet().held
     with pytest.raises(ValueError, match="read-only"):
         held.values[0] = 2.0
-
-
-def test_prepare_checks_a_non_strict_state():
-    # Non-strict states are not normalised: prepare checks them as it would
-    # a matrix, and refuses this one by its trace.
-    unnormalised = DensityMatrix(2.0 * singlet().matrix, (2, 2), strict=False)
-    _, inputs = _hiding_grid()
-    with pytest.raises(ValueError, match="trace"):
-        pipeline.prepare(unnormalised, (2, 2), *inputs)
 
 
 @pytest.mark.parametrize("preset", ["x:1,1,1", "werner:-0.5"])

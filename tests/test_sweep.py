@@ -3,6 +3,9 @@ and the command line wrapper."""
 
 import csv
 import io
+import runpy
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -386,6 +389,59 @@ def test_plot_scripts_compile():
         src = plot_script(name, f"{name}.csv")
         compile(src, f"plot_{name}.py", "exec")
         assert f"{name}.csv" in src
+
+
+class _Recorder:
+    """A stub figure and axes: records each method called on it, with its
+    arguments, and returns itself, as ``add_subplot`` returns an axes."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        def record(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return self
+        return record
+
+
+def _stub_matplotlib(monkeypatch) -> list:
+    """Put a ``matplotlib`` whose ``pyplot`` draws nothing into
+    ``sys.modules``; returns the list of calls made on its figures and axes."""
+    calls = []
+    plot = _Recorder(calls)
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.figure = lambda *args, **kwargs: plot
+    pyplot.subplots = lambda *args, **kwargs: (plot, plot)
+    mpl = types.ModuleType("matplotlib")
+    mpl.use = lambda backend: None
+    mpl.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return calls
+
+
+@pytest.mark.parametrize("name", FIGURE_PRESETS)
+def test_each_plot_script_runs_on_its_csv(tmp_path, monkeypatch, name):
+    # matplotlib is not installed, so each script figure writes runs beside
+    # its CSV against a stub that records what would be drawn.
+    calls = _stub_matplotlib(monkeypatch)
+    assert main(["figure", name, "--out-dir", str(tmp_path)]) == 0
+    runpy.run_path(str(tmp_path / f"plot_{name}.py"), run_name="__main__")
+    drawn = {}
+    for method, args, kwargs in calls:
+        drawn.setdefault(method, []).append((args, kwargs))
+    assert [args for args, _ in drawn["savefig"]] == [(str(tmp_path / f"{name}.png"),)]
+    kind, focus, group_by = figure_info(name)
+    if kind == "surface":
+        [((_, _, z), _)] = drawn["plot_surface"]
+        assert z.shape == (80, 80) and not np.isnan(z).any()
+        return
+    config = figure_preset(name)
+    groups = len(config.initial_state if group_by == "state" else config.strength_grid)
+    labels = [kwargs["label"] for _, kwargs in drawn["plot"]]
+    assert len(set(labels)) == len(labels) == groups * len(focus)
+    assert [len(xs) for (xs, ys), _ in drawn["plot"]] == [81] * len(labels)
 
 
 # --------------------------------------------------------------------- cli

@@ -194,6 +194,13 @@ def test_block_draws_equal_per_call_draws(monkeypatch):
                 # in range by construction: the sampled checks check none of it
                 assert np.all((-1.0 <= c) & (c <= 1.0))
                 assert np.all((lows <= u) & (u <= highs))
+                # validate takes the literal states as assemble_qubit gives
+                # them: qubit_table stacks b2 as b8 and b4 as b6, so each is
+                # real and equals its transpose bit for bit
+                lit = assemble_qubit(check_coefficients(
+                    qubit_table(c, u[:, :2], u[:, 2:4], u[:, 4], "literal")))
+                assert not lit.imag.any()
+                assert lit.real.tobytes() == lit.real.swapaxes(-1, -2).tobytes()
                 assert rng.bit_generator.state == ref.bit_generator.state
                 assert rng.random() == ref.random()
     assert grew

@@ -24,7 +24,11 @@ so that a stray temporary file or a missing or extra output shows:
   exit code, stdout and ``--out``;
 * ``state`` with each bad argument list of ``_BAD_STATE_ARGUMENTS`` in
   ``tests/test_commands.py``, and at one degenerate point: exit code,
-  stdout and stderr.
+  stdout and stderr;
+* each argument list of ``USAGE_ERRORS``, which the parser refuses (an
+  unknown preset, no command, ``state`` with neither ``--r`` nor
+  ``--accel``): exit code, stdout and stderr, at ``COLUMNS=80``, so that
+  the usage text is wrapped alike on any terminal.
 
 The INIs, state points and bad arguments are read from those files with
 ``ast``, not imported.  ``--chunk-points N`` runs every command with
@@ -68,6 +72,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -75,6 +80,7 @@ VALIDATE_RUNS = ([(seed, samples) for seed in (7, 20240801, *range(101000, 10103
                   for samples in (100, 1000)] + [(7, 9000), (20240801, 9000)])
 DEGENERATE_STATE = ("--preset", "singlet", "--r", "0.3", "--alpha", "1")
 SWEEP_PHASES = ((), ("--set", "phi=0.7"))
+USAGE_ERRORS = (("figure", "fig99"), (), ("state", "--preset", "singlet"))
 BUILD_KEYS = ("numpy | version", "numpy | dispatch")
 
 
@@ -163,6 +169,9 @@ def fingerprint(root: Path, chunk_points: int | None = None) -> dict[str, str]:
             main, ["state", "--preset", "singlet", *where, "--out", "state.csv"], ["state.csv"])
     runs["state degenerate"] = _run(main, ["state", *DEGENERATE_STATE, "--out", "state.csv"],
                                     ["state.csv"])
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in USAGE_ERRORS:
+            runs[f"usage {' '.join(argv) or '(no arguments)'}"] = _run(main, argv)
     return {**build(), **{f"{run} | {item}": value for run, items in runs.items()
                           for item, value in items.items()}}
 

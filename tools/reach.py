@@ -4,9 +4,10 @@
 
 Runs ``tools/golden.py``'s command set (every figure preset, the
 ``validate`` seeds and sample counts, the INI sweeps, the ``state``
-points and bad arguments) on this checkout under ``sys.settrace``, then
-prints, per module of ``src/unruhlab``, how many of its statements ran
-and the line and first source line of each statement that did not.
+points, bad arguments and usage errors) on this checkout under
+``sys.settrace``, then prints, per module of ``src/unruhlab``, how many
+of its statements ran and the line and first source line of each
+statement that did not.
 
 A statement counts as reached when a line event fires on one of its own
 lines: from its first line (its first decorator's, for a decorated
